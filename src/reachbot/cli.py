@@ -26,8 +26,6 @@ from .study import (pareto_csv_rows, pareto_front, run_study, stability_csv_rows
                     summary_csv_rows)
 from .terrain import anchors_to_csv_rows, sample_anchors
 
-log = logging.getLogger("reachbot")
-
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_DESIGN = 2
@@ -230,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--json", action="store_true", help="write only report.json")
     sp.add_argument("--csv", action="store_true", help="write only CSV tables")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="reserved; trials run sequentially either way")
     sp.set_defaults(fn=cmd_study)
 
     sp = sub.add_parser("stance", help="build one stance and export it")

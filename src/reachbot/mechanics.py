@@ -127,10 +127,6 @@ def stiffness(G: np.ndarray, weights: np.ndarray | float) -> StiffnessResult:
     return _result((G * w) @ G.T)
 
 
-def stance_stiffness(st: Stance, weights: np.ndarray | float = 1.0) -> StiffnessResult:
-    return stiffness(grasp_map(st), weights)
-
-
 def stability(r: StiffnessResult) -> float:
     return r.stability
 

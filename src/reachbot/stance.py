@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .mechanics import Stance
 from .robot import MountSpec, RobotConfig
@@ -99,6 +98,10 @@ def assign(
 
     Returns None when no complete feasible assignment exists.
     """
+    # Imported here: scipy.optimize dominates the package's import time, and
+    # commands that never match booms (validate, pareto, eval) skip it.
+    from scipy.optimize import linear_sum_assignment
+
     points = anchors.points if isinstance(anchors, AnchorSet) else np.atleast_2d(anchors)
     n, m = len(mounts), len(points)
     if m < n:

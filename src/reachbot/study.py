@@ -8,17 +8,21 @@ constraints applied, the Pareto front extracted and a design selected.
 from __future__ import annotations
 
 import hashlib
+import logging
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import mechanics
 from .interference import CoverageReport, coverage_curve
-from .mechanics import grasp_map, manipulability, stiffness, wrench_capability
+from .mechanics import grasp_map
 from .rng import substream
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
-from .stance import BodyPose, build_stance, drop_boom
+from .stance import BodyPose, build_stance
 from .terrain import Terrain, sample_anchors
+
+log = logging.getLogger(__name__)
 
 # Relative eigenvalue threshold separating rank-deficient zeros from small
 # positive stabilities.
@@ -116,23 +120,68 @@ def anchor_window(terrain: Terrain, cfg: RobotConfig) -> float:
     return min(2.0 * cfg.L_max, terrain.longitudinal_extent)
 
 
+def _stiffness_stack(G: np.ndarray, weight: float) -> np.ndarray:
+    """Symmetrised K = w G G^T of every grasp map in a (..., 6, N) stack."""
+    K = (G * weight) @ np.swapaxes(G, -1, -2)
+    return 0.5 * (K + np.swapaxes(K, -1, -2))
+
+
+def _one_out_stack(G: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Worst single-boom drop of each map in a (T, 6, N) stack, N >= 2.
+
+    Returns (lambda_min, lambda_max of that same drop) per map. Row i of
+    ``keep`` lists the columns left after dropping boom i, in boom order.
+    """
+    n = G.shape[2]
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    lam = np.linalg.eigvalsh(_stiffness_stack(np.moveaxis(G[:, :, keep], 2, 1), weight))
+    # argmin takes the first of equal minima, like a strict-< scan over drops.
+    worst = lam[np.arange(len(G)), np.argmin(lam[:, :, 0], axis=1)]
+    return worst[:, 0], worst[:, -1]
+
+
+def _stance_metrics(G: np.ndarray, weight: float, delta_ref: float) -> np.ndarray:
+    """TrialCell metrics of every map in a (T, 6, N) grasp-map stack.
+
+    Columns, in TrialCell order: lambda_min, lambda_max, manipulability,
+    wrench_full, wrench_torque, one_out_lambda_min, one_out_lambda_max. The
+    arithmetic is that of mechanics.stiffness, manipulability and
+    wrench_capability and of one_boom_out, stacked.
+    """
+    K = _stiffness_stack(G, weight)
+    lam = np.linalg.eigvalsh(K)
+    torque = np.linalg.eigvalsh(K[:, 3:, 3:])[:, -1]
+    det = np.linalg.det(G @ np.swapaxes(G, -1, -2))
+    manip = np.sqrt(np.where(det < 1e-12, 0.0, det))
+    if G.shape[2] >= 2:
+        oo_min, oo_max = _one_out_stack(G, weight)
+    else:
+        oo_min = oo_max = np.zeros(len(G))
+    return np.column_stack([lam[:, 0], lam[:, -1], manip, lam[:, -1] * delta_ref,
+                            torque * delta_ref, oo_min, oo_max])
+
+
 def one_boom_out(st: mechanics.Stance, weights: float) -> tuple[float, float]:
     """Worst-drop (lambda_min, lambda_max of that same drop)."""
-    worst = (np.inf, 0.0)
-    for i in range(st.boom_count):
-        res = stiffness(grasp_map(drop_boom(st, i)), weights)
-        if res.stability < worst[0]:
-            worst = (res.stability, res.wrench_capability)
-    return worst
+    if st.boom_count < 2:
+        raise ValueError("cannot drop the only boom")
+    if not weights > 0:
+        raise ValueError("stiffness weights must be positive")
+    oo_min, oo_max = _one_out_stack(grasp_map(st)[None], weights)
+    return float(oo_min[0]), float(oo_max[0])
 
 
 def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
-    """Evaluate every (boom count, trial) cell under common random numbers."""
+    """Evaluate every (boom count, trial) cell under common random numbers.
+
+    Stances are built cell by cell; their metrics are then taken per boom
+    count, over the stack of that count's feasible grasp maps at once.
+    """
     pose = pose or BodyPose()
     robots = {n: sc.robot_template.with_boom_count(n, sc.layout) for n in sc.boom_counts}
     n_max = sc.n_range[1]
     pool_size = sc.pool_multiplier * n_max
-    cells = []
+    stances = []  # (n, trial, resamples, pool hash, grasp map or None), trial-major
     for t in range(sc.trials):
         shared = sample_anchors(sc.terrain, pool_size,
                                 anchor_window(sc.terrain, sc.robot_template),
@@ -152,24 +201,23 @@ def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
                 pool_hash = hashlib.sha256(pool.points.tobytes()).hexdigest()[:16]
                 st = build_stance(cfg, pool, pose)
             if st is None:
-                cells.append(TrialCell(n, t, False, resamples, 0.0, 0.0, 0.0, 0.0,
-                                       0.0, 0.0, 0.0, shared_hash))
-                continue
-            G = grasp_map(st)
-            res = stiffness(G, cfg.boom_stiffness)
-            wc = wrench_capability(res, sc.calibration.delta_ref)
-            if st.boom_count >= 2:
-                oo_min, oo_max = one_boom_out(st, cfg.boom_stiffness)
+                stances.append((n, t, resamples, shared_hash, None))
             else:
-                oo_min, oo_max = 0.0, 0.0
-            cells.append(TrialCell(
-                n=n, trial=t, feasible=True, resamples=resamples,
-                lambda_min=res.stability, lambda_max=res.wrench_capability,
-                manipulability=manipulability(G),
-                wrench_full=wc.full, wrench_torque=wc.torque,
-                one_out_lambda_min=oo_min, one_out_lambda_max=oo_max,
-                pool_hash=pool_hash))
-    return MetricsTable(cells=tuple(cells), boom_counts=tuple(sc.boom_counts), trials=sc.trials)
+                stances.append((n, t, resamples, pool_hash, grasp_map(st)))
+
+    metrics = {}  # (n, trial) -> metric values in TrialCell field order
+    for n in sc.boom_counts:
+        found = [(t, G) for m, t, _, _, G in stances if m == n and G is not None]
+        if found:
+            trials, maps = zip(*found)
+            values = _stance_metrics(np.stack(maps), robots[n].boom_stiffness,
+                                     sc.calibration.delta_ref)
+            metrics.update(zip([(n, t) for t in trials], values.tolist()))
+    no_metrics = [0.0] * 7  # an infeasible cell reports zeros
+    cells = tuple(TrialCell(n, t, G is not None, resamples, *metrics.get((n, t), no_metrics),
+                            pool_hash)
+                  for n, t, resamples, pool_hash, G in stances)
+    return MetricsTable(cells=cells, boom_counts=tuple(sc.boom_counts), trials=sc.trials)
 
 
 @dataclass(frozen=True)
@@ -358,15 +406,33 @@ class StudyReport:
         }
 
 
+def _stage_done(stage: str, start: float, detail: str = "") -> float:
+    """Log a finished stage's wall time; returns the next stage's start."""
+    now = time.perf_counter()
+    log.info("%s: %.3f s%s", stage, now - start, detail)
+    return now
+
+
 def run_study(sc: StudyConfig, config_echo: dict | None = None,
               pose: BodyPose | None = None) -> StudyReport:
-    """End-to-end study: trials, aggregation, coverage, constraints, selection."""
+    """End-to-end study: trials, aggregation, coverage, constraints, selection.
+
+    Logs one line per stage with its wall time at INFO; timings never enter
+    the report.
+    """
+    start = time.perf_counter()
     table = run_trials(sc, pose=pose)
+    start = _stage_done("trials", start, (
+        f", {len(table.cells)} cells, {sum(c.resamples for c in table.cells)} resamples, "
+        f"{sum(not c.feasible for c in table.cells)} infeasible"))
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
+    start = _stage_done("aggregate", start)
     cov = coverage_curve(sc.robot_template, sc.terrain, sc.n_range,
                          sc.surface_samples, substream(sc.seed, 0, "surface"),
                          pose=pose, layout_policy=sc.coverage_layout)
+    start = _stage_done("coverage", start)
     pareto = select_design(summary, cov, sc.constraints, sc.robot_template)
+    _stage_done("selection", start)
     return StudyReport(seed=sc.seed, config_echo=config_echo or {}, table=table,
                        summary=summary, coverage=cov, pareto=pareto)
 

@@ -24,7 +24,7 @@ from reachbot.study import REL_EPS
 from conftest import random_stance
 from test_interference import corridor_grid_coverage
 from test_mechanics import charpoly_coeffs
-from test_stance import brute_force_assign
+from test_stance import subset_dp_assign
 from test_study import pareto_oracle
 
 SEED = 42
@@ -152,11 +152,11 @@ def test_7_oracle_suites(corridor):
         pred = FeasibilityPredicate.from_robot(cfg)
         pool = rb.sample_anchors(corridor, m, 40.0, substream(SEED, k, "assign"))
         res = rb.assign(list(cfg.mounts), BodyPose(), pool, pred)
-        oracle = brute_force_assign(list(cfg.mounts), BodyPose(), pool.points, pred)
+        oracle = subset_dp_assign(list(cfg.mounts), BodyPose(), pool.points, pred)
         if oracle is None:
             assign_ok &= res is None
         else:
-            assign_ok &= res is not None and abs(res.total_length - oracle[1]) < 1e-9
+            assign_ok &= res is not None and abs(res.total_length - oracle) < 1e-9
 
     pareto_ok = True
     for _ in range(100):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,23 @@ class TestStudy:
         main(["study", str(config_path), "--out-dir", str(a), "--json"])
         main(["study", str(config_path), "--out-dir", str(b), "--json"])
         assert (a / "report.json").read_text() == (b / "report.json").read_text()
+
+    def test_info_log_lists_stages_and_leaves_report(self, config_path, tmp_path):
+        quiet, logged = tmp_path / "quiet", tmp_path / "logged"
+        main(["study", str(config_path), "--out-dir", str(quiet), "--json"])
+        src = str(Path(rb.__file__).resolve().parents[1])
+        env = dict(os.environ, REACHBOT_LOG="info",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "reachbot.cli", "study", str(config_path),
+                               "--out-dir", str(logged), "--json"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = [ln for ln in done.stderr.splitlines() if ln.startswith("INFO reachbot.study: ")]
+        assert [ln.split()[2] for ln in lines] == [
+            "trials:", "aggregate:", "coverage:", "selection:"]
+        assert all(" s" in ln for ln in lines)
+        assert "9 cells" in lines[0] and "resamples" in lines[0] and "infeasible" in lines[0]
+        assert (logged / "report.json").read_bytes() == (quiet / "report.json").read_bytes()
 
 
 class TestStance:

@@ -9,23 +9,41 @@ from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix
 
 
-def brute_force_assign(mounts, pose, points, pred):
-    """Exhaustive minimum-total-length matching oracle (small N and M only)."""
-    ok, L = feasibility_matrix(mounts, pose, points, pred)
+def min_cost_matching(ok, L):
+    """Minimum total cost of giving every row a distinct feasible column.
+
+    Exhaustive bitmask dynamic programme over column subsets (Held-Karp
+    style): rows are matched in order, and best[mask] is the cheapest way
+    to match the first popcount(mask) rows to exactly the columns in mask.
+    Independent of the Hungarian solver; None when no complete matching
+    exists.
+    """
     n, m = ok.shape
-    best = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(m), n):
-        cols = np.array(perm)
-        if not ok[np.arange(n), cols].all():
-            continue
-        cost = L[np.arange(n), cols].sum()
-        if cost < best_cost:
-            best_cost = cost
-            best = cols
-    if best is None:
-        return None
-    return best, best_cost
+    best = {0: 0.0}
+    for i in range(n):
+        step = {}
+        for mask, cost in best.items():
+            for j in range(m):
+                if ok[i, j] and not mask >> j & 1:
+                    total = cost + L[i, j]
+                    if total < step.get(mask | 1 << j, np.inf):
+                        step[mask | 1 << j] = total
+        best = step
+    return min(best.values()) if best else None
+
+
+def subset_dp_assign(mounts, pose, points, pred):
+    """Exact minimum-total-length boom matching (oracle; small M only)."""
+    return min_cost_matching(*feasibility_matrix(mounts, pose, points, pred))
+
+
+def permutation_matching(ok, L):
+    """Reference for min_cost_matching: every injective row-to-column map."""
+    n, m = ok.shape
+    costs = [sum(L[i, j] for i, j in enumerate(perm))
+             for perm in itertools.permutations(range(m), n)
+             if all(ok[i, j] for i, j in enumerate(perm))]
+    return min(costs) if costs else None
 
 
 def x_mount(body_radius=0.5):
@@ -112,12 +130,21 @@ class TestAssign:
         pred = rb.FeasibilityPredicate.from_robot(cfg)
         aset = rb.sample_anchors(corridor, 9, 40.0, substream(7, trial, "anchors"))
         res = rb.assign(list(cfg.mounts), rb.BodyPose(), aset, pred)
-        oracle = brute_force_assign(list(cfg.mounts), rb.BodyPose(), aset.points, pred)
+        oracle = subset_dp_assign(list(cfg.mounts), rb.BodyPose(), aset.points, pred)
         if oracle is None:
             assert res is None
         else:
             assert res is not None
-            assert res.total_length == pytest.approx(oracle[1], rel=1e-12)
+            assert res.total_length == pytest.approx(oracle, rel=1e-12)
+
+    def test_subset_dp_matches_permutations(self):
+        rng = substream(5, 0, "matching")
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n, 7))
+            ok = rng.uniform(size=(n, m)) < rng.uniform(0.2, 1.0)
+            L = rng.uniform(0.5, 20.0, size=(n, m))
+            assert min_cost_matching(ok, L) == permutation_matching(ok, L)
 
     def test_never_beats_by_greedy(self, corridor, robot8, pred):
         # exact matching total never exceeds the greedy nearest-anchor total

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import reachbot as rb
 from reachbot.interference import CoverageReport
 from reachbot.rng import substream
-from reachbot.study import (REL_EPS, MetricsTable, SummaryRow, TrialCell,
-                            anchor_window)
+from reachbot.study import (MAX_RESAMPLES, REL_EPS, MetricsTable, SummaryRow,
+                            TrialCell, anchor_window)
 from conftest import random_stance
 
 
@@ -76,7 +77,6 @@ class TestRunTrials:
         assert a == b
 
     def test_shared_pool_across_boom_counts(self, corridor):
-        import hashlib
         sc = small_config(corridor, n_range=(6, 9), trials=3, seed=42)
         table = rb.run_trials(sc)
         window = anchor_window(corridor, sc.robot_template)
@@ -98,6 +98,52 @@ class TestRunTrials:
         assert len(table.cells) == 9
         assert {(c.n, c.trial) for c in table.cells} == {
             (n, t) for n in (2, 3, 4) for t in range(3)}
+
+
+    def test_cells_match_scalar_path(self, corridor):
+        # Reference: each cell rebuilt on its own with the scalar functions.
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
+                          n_range=(1, 8), trials=4, seed=1, pool_multiplier=2)
+        table = rb.run_trials(sc)
+        assert any(c.resamples and c.feasible for c in table.cells)
+        assert any(not c.feasible for c in table.cells)
+        window = anchor_window(corridor, sc.robot_template)
+
+        def digest(pool):
+            return hashlib.sha256(pool.points.tobytes()).hexdigest()[:16]
+
+        for c in table.cells:
+            def draw(tag):
+                return rb.sample_anchors(corridor, sc.pool_multiplier * 8, window,
+                                         substream(sc.seed, c.trial, tag), seed=sc.seed)
+
+            cfg = sc.robot_template.with_boom_count(c.n, sc.layout)
+            shared = pool = draw("anchors")
+            st = rb.build_stance(cfg, pool)
+            resamples = 0
+            while st is None and resamples < MAX_RESAMPLES:
+                resamples += 1
+                pool = draw(f"resample:{c.n}:{resamples}")
+                st = rb.build_stance(cfg, pool)
+            if st is None:
+                assert c == TrialCell(c.n, c.trial, False, resamples, *[0.0] * 7, digest(shared))
+                continue
+            G = rb.grasp_map(st)
+            res = rb.stiffness(G, cfg.boom_stiffness)
+            wc = rb.wrench_capability(res, sc.calibration.delta_ref)
+            worst = (0.0, 0.0)
+            if c.n >= 2:
+                worst = (np.inf, 0.0)
+                for i in range(c.n):
+                    drop = rb.stiffness(rb.grasp_map(rb.drop_boom(st, i)), cfg.boom_stiffness)
+                    if drop.stability < worst[0]:
+                        worst = (drop.stability, drop.wrench_capability)
+            assert c == TrialCell(
+                n=c.n, trial=c.trial, feasible=True, resamples=resamples,
+                lambda_min=res.stability, lambda_max=res.wrench_capability,
+                manipulability=rb.manipulability(G), wrench_full=wc.full,
+                wrench_torque=wc.torque, one_out_lambda_min=worst[0],
+                one_out_lambda_max=worst[1], pool_hash=digest(pool))
 
 
 class TestAggregate:
@@ -155,6 +201,13 @@ class TestOneBoomOut:
         direct = min(rb.stiffness(rb.grasp_map(rb.drop_boom(st, i)), 100.0).stability
                      for i in range(8))
         assert oo_min == pytest.approx(direct, rel=1e-12)
+
+    def test_rejects_single_boom_and_bad_weight(self, rng):
+        single = rb.Stance.from_pairs([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
+        with pytest.raises(ValueError, match="only boom"):
+            rb.one_boom_out(single, 100.0)
+        with pytest.raises(ValueError, match="positive"):
+            rb.one_boom_out(random_stance(rng, 7), 0.0)
 
 
 class TestParetoFront:
