@@ -21,10 +21,10 @@ from .interference import coverage_csv_rows, coverage_curve
 from .mechanics import (Stance, effective_stability, grasp_map, manipulability,
                         stiffness, wrench_capability)
 from .rng import substream
-from .stance import BodyPose, build_stance
-from .study import (pareto_csv_rows, pareto_front, run_study, stability_csv_rows,
-                    summary_csv_rows)
-from .terrain import anchors_to_csv_rows, sample_anchors
+from .robot import RobotConfig
+from .study import (Calibration, draw_pool, pareto_csv_rows, pareto_front, run_study,
+                    stability_csv_rows, summary_csv_rows, trial_stance)
+from .terrain import anchors_to_csv_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,9 +59,14 @@ def _load(args) -> tuple:
         overrides["trials"] = args.trials
     if getattr(args, "n_range", None) is not None:
         overrides["n_range"] = tuple(args.n_range)
+        if "mounts" in echo.get("robot", {}) and overrides["n_range"] != sc.n_range:
+            raise ConfigError("--n-range cannot change the boom count of explicit robot.mounts")
     if overrides:
         import dataclasses
-        sc = dataclasses.replace(sc, **overrides)
+        try:
+            sc = dataclasses.replace(sc, **overrides)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return sc, echo
 
 
@@ -101,26 +106,28 @@ def cmd_study(args) -> int:
 
 def cmd_stance(args) -> int:
     sc, _ = _load(args)
+    lo, hi = sc.n_range
+    n = hi if args.n is None else args.n
+    if not lo <= n <= hi:
+        raise ConfigError(f"--n {n} is outside n_range [{lo}, {hi}]")
+    if args.trial < 0:
+        raise ConfigError("--trial must be non-negative")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n = args.n or sc.n_range[1]
-    cfg = sc.robot_template.with_boom_count(n, sc.layout)
-    pool = sample_anchors(sc.terrain, sc.pool_multiplier * n,
-                          min(2 * cfg.L_max, sc.terrain.longitudinal_extent),
-                          substream(sc.seed, args.trial, "anchors"), seed=sc.seed)
+    st, _, pool, _ = trial_stance(sc, sc.robot(n), args.trial,
+                                  draw_pool(sc, args.trial, "anchors"))
     _write_lines(out / "anchors.csv", anchors_to_csv_rows([pool]))
-    st = build_stance(cfg, pool, BodyPose())
     if st is None:
         print("infeasible: no complete boom-to-anchor assignment")
         return EXIT_NO_DESIGN
     _write_json(out / "stance.json", st.to_dict())
+    # build_stance copies each assigned anchor's row of the pool exactly.
+    anchor_index = (st.anchors[:, None, :] == pool.points[None]).all(axis=2).argmax(axis=1)
     rows = ["boom_index,anchor_index,length_m"]
-    from .stance import FeasibilityPredicate, assign
-    assignment = assign(list(cfg.mounts), BodyPose(), pool, FeasibilityPredicate.from_robot(cfg))
-    for b, a in assignment.pairs:
+    for b, a in enumerate(anchor_index):
         rows.append(f"{b},{a},{st.lengths[b]:.9g}")
     _write_lines(out / "assignment.csv", rows)
-    print(f"stance with {n} booms, total length {assignment.total_length:.6g} m")
+    print(f"stance with {n} booms, total length {st.lengths.sum():.6g} m")
     return EXIT_OK
 
 
@@ -179,7 +186,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid stance file: {exc}")
-    k, delta_ref = 100.0, 0.1
+    k, delta_ref = RobotConfig.boom_stiffness, Calibration.delta_ref
     if args.config:
         sc, _ = _load(args)
         k = sc.robot_template.boom_stiffness
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stance", help="build one stance and export it")
     add_common(sp)
     sp.add_argument("--n", type=int, help="boom count (default: top of n_range)")
-    sp.add_argument("--trial", type=int, default=0, help="trial index for the anchor draw")
+    sp.add_argument("--trial", type=int, default=0, help="trial index of the study cell")
     sp.set_defaults(fn=cmd_stance)
 
     sp = sub.add_parser("coverage", help="coverage curve over boom counts")

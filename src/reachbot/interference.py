@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .robot import MountSpec, RobotConfig, build_mounts, fibonacci_sphere
+from .robot import MountSpec, RobotConfig, build_mounts
 from .stance import BodyPose, FeasibilityPredicate, feasibility_matrix
 from .terrain import Terrain, sample_surface_points
 
@@ -97,8 +97,7 @@ def coverage_curve(
     pred = FeasibilityPredicate.from_robot(cfg_template)
     points = sample_surface_points(terrain, sample_count, rng)
     if layout_policy == "nested":
-        dirs = fibonacci_sphere(hi)
-        all_mounts = [MountSpec(position=cfg_template.body_radius * d, axis=d) for d in dirs]
+        all_mounts = build_mounts(hi, cfg_template.body_radius)
         mounts_for = lambda n: all_mounts[:n]
     elif layout_policy in ("uniform", "mission"):
         mounts_for = lambda n: build_mounts(n, cfg_template.body_radius, layout_policy)

@@ -20,7 +20,7 @@ from .mechanics import grasp_map
 from .rng import substream
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
 from .stance import BodyPose, build_stance
-from .terrain import Terrain, sample_anchors
+from .terrain import AnchorSet, Terrain, sample_anchors
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +72,8 @@ class StudyConfig:
             raise ValueError("n_range must satisfy 1 <= lo <= hi")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.pool_multiplier < 1:
             raise ValueError("pool_multiplier must be >= 1")
         if self.aggregate_mode not in ("median", "mean", "min", "max"):
@@ -80,6 +82,16 @@ class StudyConfig:
     @property
     def boom_counts(self) -> list[int]:
         return list(range(self.n_range[0], self.n_range[1] + 1))
+
+    def robot(self, n: int) -> RobotConfig:
+        """The n-boom robot of this study.
+
+        At the template's own boom count this is the template, explicit
+        mounts included; any other count gets a generated ``layout``.
+        """
+        if n == self.robot_template.boom_count:
+            return self.robot_template
+        return self.robot_template.with_boom_count(n, self.layout)
 
 
 @dataclass(frozen=True)
@@ -171,6 +183,40 @@ def one_boom_out(st: mechanics.Stance, weights: float) -> tuple[float, float]:
     return float(oo_min[0]), float(oo_max[0])
 
 
+def draw_pool(sc: StudyConfig, trial: int, tag: str) -> tuple[AnchorSet, str]:
+    """A trial's anchor pool for one stream tag, and the pool's hash.
+
+    Every pool holds pool_multiplier * n_max anchors within the anchor
+    window, whatever the boom count it serves.
+    """
+    pool = sample_anchors(sc.terrain, sc.pool_multiplier * sc.n_range[1],
+                          anchor_window(sc.terrain, sc.robot_template),
+                          substream(sc.seed, trial, tag), seed=sc.seed)
+    return pool, hashlib.sha256(pool.points.tobytes()).hexdigest()[:16]
+
+
+def trial_stance(sc: StudyConfig, cfg: RobotConfig, trial: int,
+                 shared: tuple[AnchorSet, str], pose: BodyPose | None = None
+                 ) -> tuple[mechanics.Stance | None, int, AnchorSet, str]:
+    """The stance of cell (cfg.boom_count, trial).
+
+    ``shared`` is the trial's ``draw_pool(sc, trial, "anchors")``. While no
+    complete assignment exists, a fresh pool is drawn, up to MAX_RESAMPLES
+    times. Returns (stance or None, resamples, pool, pool hash); an
+    infeasible cell reports the shared pool.
+    """
+    pool, pool_hash = shared
+    st = build_stance(cfg, pool, pose)
+    resamples = 0
+    while st is None and resamples < MAX_RESAMPLES:
+        resamples += 1
+        pool, pool_hash = draw_pool(sc, trial, f"resample:{cfg.boom_count}:{resamples}")
+        st = build_stance(cfg, pool, pose)
+    if st is None:
+        pool, pool_hash = shared
+    return st, resamples, pool, pool_hash
+
+
 def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     """Evaluate every (boom count, trial) cell under common random numbers.
 
@@ -178,32 +224,13 @@ def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     count, over the stack of that count's feasible grasp maps at once.
     """
     pose = pose or BodyPose()
-    robots = {n: sc.robot_template.with_boom_count(n, sc.layout) for n in sc.boom_counts}
-    n_max = sc.n_range[1]
-    pool_size = sc.pool_multiplier * n_max
+    robots = {n: sc.robot(n) for n in sc.boom_counts}
     stances = []  # (n, trial, resamples, pool hash, grasp map or None), trial-major
     for t in range(sc.trials):
-        shared = sample_anchors(sc.terrain, pool_size,
-                                anchor_window(sc.terrain, sc.robot_template),
-                                substream(sc.seed, t, "anchors"), seed=sc.seed)
-        shared_hash = hashlib.sha256(shared.points.tobytes()).hexdigest()[:16]
+        shared = draw_pool(sc, t, "anchors")
         for n in sc.boom_counts:
-            cfg = robots[n]
-            pool, pool_hash = shared, shared_hash
-            st = build_stance(cfg, pool, pose)
-            resamples = 0
-            while st is None and resamples < MAX_RESAMPLES:
-                resamples += 1
-                pool = sample_anchors(sc.terrain, pool_size,
-                                      anchor_window(sc.terrain, cfg),
-                                      substream(sc.seed, t, f"resample:{n}:{resamples}"),
-                                      seed=sc.seed)
-                pool_hash = hashlib.sha256(pool.points.tobytes()).hexdigest()[:16]
-                st = build_stance(cfg, pool, pose)
-            if st is None:
-                stances.append((n, t, resamples, shared_hash, None))
-            else:
-                stances.append((n, t, resamples, pool_hash, grasp_map(st)))
+            st, resamples, _, pool_hash = trial_stance(sc, robots[n], t, shared, pose)
+            stances.append((n, t, resamples, pool_hash, None if st is None else grasp_map(st)))
 
     metrics = {}  # (n, trial) -> metric values in TrialCell field order
     for n in sc.boom_counts:

@@ -118,6 +118,17 @@ class TestStudy:
         assert "9 cells" in lines[0] and "resamples" in lines[0] and "infeasible" in lines[0]
         assert (logged / "report.json").read_bytes() == (quiet / "report.json").read_bytes()
 
+    def test_n_range_override_rejects_explicit_mounts(self, tmp_path, capsys):
+        cfg = default_config_dict(seed=1)
+        cfg["study"]["n_range"] = [6, 6]
+        cfg["robot"]["mounts"] = [{"position": m.position.tolist(), "axis": m.axis.tolist()}
+                                  for m in rb.build_mounts(6)]
+        path = tmp_path / "mounts.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["study", str(path), "--n-range", "5", "7",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "robot.mounts" in capsys.readouterr().err
+
 
 class TestStance:
     def test_writes_stance_files(self, config_path, tmp_path, capsys):
@@ -130,12 +141,48 @@ class TestStance:
         st = rb.Stance.from_dict(json.loads((out / "stance.json").read_text()))
         assert st.boom_count == 8
 
+    def test_reproduces_resampled_study_cell(self, config_path, tmp_path):
+        main(["study", str(config_path), "--out-dir", str(tmp_path / "study"), "--json"])
+        report = json.loads((tmp_path / "study" / "report.json").read_text())
+        cell = next(c for c in report["trials"] if c["n"] == 8 and c["resamples"] > 0)
+        out = tmp_path / "stance"
+        assert main(["stance", str(config_path), "--out-dir", str(out),
+                     "--n", "8", "--trial", str(cell["trial"])]) == 0
+        assert main(["eval", str(out / "stance.json"), "--config", str(config_path),
+                     "--out-dir", str(out)]) == 0
+        assert json.loads((out / "eval.json").read_text())["stability"] == cell["lambda_min"]
+        # assignment.csv indexes anchors.csv, the pool the stance was built on
+        anchors = np.loadtxt(out / "anchors.csv", delimiter=",", skiprows=1)[:, 2:]
+        used = np.loadtxt(out / "assignment.csv", delimiter=",", skiprows=1)[:, 1].astype(int)
+        st = rb.Stance.from_dict(json.loads((out / "stance.json").read_text()))
+        assert np.allclose(anchors[used], st.anchors, rtol=1e-8)
+
     def test_infeasible_draw_exits_2(self, config_path, tmp_path, capsys):
-        out = tmp_path / "stance0"
-        code = main(["stance", str(config_path), "--out-dir", str(out),
+        # Booms shorter than the corridor radius reach no anchor in any resample.
+        cfg = json.loads(config_path.read_text())
+        cfg["robot"]["L_max"] = 5.0
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(cfg))
+        code = main(["stance", str(short), "--out-dir", str(tmp_path / "stance0"),
                      "--n", "8", "--trial", "0"])
         assert code == 2
         assert "infeasible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--trials", "0"],
+    ["study", "--seed", "-1"],
+    ["study", "--n-range", "5", "3"],
+    ["stance", "--n", "-3"],
+    ["stance", "--n", "0"],
+    ["stance", "--n", "9"],
+    ["stance", "--trial", "-1"],
+])
+def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([argv[0], str(config_path), *argv[1:], "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestCoverage:

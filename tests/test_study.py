@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import reachbot as rb
+from reachbot.config import default_config_dict, parse_config
 from reachbot.interference import CoverageReport
 from reachbot.rng import substream
+from reachbot.robot import fibonacci_sphere
 from reachbot.study import (MAX_RESAMPLES, REL_EPS, MetricsTable, SummaryRow,
                             TrialCell, anchor_window)
 from conftest import random_stance
@@ -91,6 +93,28 @@ class TestRunTrials:
                     assert c.pool_hash == expected  # common random numbers
                 elif c.feasible:
                     assert c.pool_hash != expected  # fresh pool after resampling
+
+    @staticmethod
+    def mounts_table(axes=None):
+        """Trials of a 6-boom study; ``axes`` lists explicit radial mounts."""
+        cfg = default_config_dict(seed=5)
+        cfg["study"].update(n_range=[6, 6], trials=5)
+        if axes is not None:
+            cfg["robot"]["mounts"] = [{"position": (0.5 * a).tolist(), "axis": a.tolist()}
+                                      for a in axes]
+        return rb.run_trials(parse_config(cfg))
+
+    def test_explicit_mounts_change_trials(self):
+        tilt, az = np.radians(25.0), np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
+        clustered = np.column_stack([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
+                                     np.full(6, np.cos(tilt))])  # all near +z
+        custom, generated = self.mounts_table(clustered), self.mounts_table()
+        assert all(a.lambda_min != b.lambda_min
+                   for a, b in zip(custom.cells, generated.cells))
+
+    def test_explicit_generated_mounts_match_layout(self):
+        # build_mounts places mount i at body_radius * d_i with axis d_i.
+        assert self.mounts_table(fibonacci_sphere(6)) == self.mounts_table()
 
     def test_cell_grid_complete(self, corridor):
         sc = small_config(corridor, n_range=(2, 4), trials=3)
@@ -340,6 +364,8 @@ class TestRunStudy:
     def test_config_validation(self, corridor):
         with pytest.raises(ValueError, match="trials"):
             rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1), trials=0)
+        with pytest.raises(ValueError, match="seed"):
+            rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1), seed=-1)
         with pytest.raises(ValueError, match="aggregate_mode"):
             rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
                            aggregate_mode="mode")
