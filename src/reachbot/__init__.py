@@ -8,7 +8,7 @@ placements, then selects a design by constrained Pareto analysis.
 
 __version__ = "0.1.0"
 
-from .interference import CoverageReport, coverage, coverage_curve
+from .interference import CoverageReport, coverage_curve
 from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability,
                         stability, stiffness, sym_eig, wrench_capability)
 from .robot import (BucklingReport, MountSpec, RobotConfig, buckling_moment,
@@ -29,7 +29,7 @@ __all__ = [
     "ParetoResult", "RobotConfig", "Stance", "StiffnessResult", "StudyConfig",
     "StudyReport", "Terrain",
     "aggregate", "assign", "buckling_moment", "build_mounts", "build_stance",
-    "check_buckling", "corridor", "coverage", "coverage_curve", "drop_boom",
+    "check_buckling", "corridor", "coverage_curve", "drop_boom",
     "feasible", "floor", "grasp_map", "make_robot", "make_terrain",
     "manipulability", "one_boom_out", "pareto_front", "run_study", "run_trials",
     "sample_anchors", "sample_surface_points", "select_design", "stability",

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .interference import coverage_csv_rows, coverage_curve
+from .interference import coverage_csv_rows
 from .mechanics import (Stance, effective_stability, grasp_map, manipulability,
                         stiffness, wrench_capability)
-from .rng import substream
 from .robot import RobotConfig
-from .study import (Calibration, draw_pool, pareto_csv_rows, pareto_front, run_study,
-                    stability_csv_rows, summary_csv_rows, trial_stance)
+from .study import (EXPLICIT_LAYOUT, Calibration, draw_pool, pareto_csv_rows, pareto_front,
+                    run_study, stability_csv_rows, study_coverage, summary_csv_rows,
+                    trial_stance)
 from .terrain import anchors_to_csv_rows
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _load(args) -> tuple:
         overrides["trials"] = args.trials
     if getattr(args, "n_range", None) is not None:
         overrides["n_range"] = tuple(args.n_range)
-        if "mounts" in echo.get("robot", {}) and overrides["n_range"] != sc.n_range:
+        if sc.layout == EXPLICIT_LAYOUT and overrides["n_range"] != sc.n_range:
             raise ConfigError("--n-range cannot change the boom count of explicit robot.mounts")
     if overrides:
         import dataclasses
@@ -135,10 +135,7 @@ def cmd_coverage(args) -> int:
     sc, _ = _load(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    samples = args.samples or sc.surface_samples
-    reports = coverage_curve(sc.robot_template, sc.terrain, sc.n_range, samples,
-                             substream(sc.seed, 0, "surface"),
-                             layout_policy=sc.coverage_layout)
+    reports = study_coverage(sc, args.samples or sc.surface_samples)
     _write_lines(out / "coverage.csv", coverage_csv_rows(reports))
     print(f"coverage curve for N = {sc.n_range[0]}..{sc.n_range[1]} written")
     return EXIT_OK

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .robot import MountSpec, make_robot
-from .study import Calibration, Constraints, StudyConfig
+from .study import EXPLICIT_LAYOUT, Calibration, Constraints, StudyConfig
 from .terrain import make_terrain
 
 SCHEMA_VERSION = 1
@@ -105,9 +105,7 @@ def parse_config(raw: dict) -> StudyConfig:
     _check_keys(cal, {"delta_ref_m"}, "calibration")
 
     try:
-        template = make_robot(boom_count=max(n_range), layout=layout,
-                              mounts=mounts if mounts and len(mounts) == max(n_range) else None,
-                              **kwargs)
+        template = make_robot(boom_count=max(n_range), layout=layout, mounts=mounts, **kwargs)
         constraints = Constraints(
             tau_drill=float(cs.get("tau_drill_nm", 4.0)),
             m_critical=float(m_cr) if m_cr is not None else None,
@@ -119,7 +117,7 @@ def parse_config(raw: dict) -> StudyConfig:
             n_range=n_range,
             trials=int(st.get("trials", 100)),
             seed=int(seed),
-            layout=layout,
+            layout=layout if mounts is None else EXPLICIT_LAYOUT,
             pool_multiplier=int(st.get("pool_multiplier", 3)),
             surface_samples=int(st.get("surface_samples", 20000)),
             coverage_layout=st.get("coverage_layout", "nested"),

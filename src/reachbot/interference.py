@@ -8,6 +8,7 @@ quantifies redundancy without new reachable terrain.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,11 @@ import numpy as np
 from .robot import MountSpec, RobotConfig, build_mounts
 from .stance import BodyPose, FeasibilityPredicate, feasibility_matrix
 from .terrain import Terrain, sample_surface_points
+
+# Surface samples per feasibility pass. The pass's working memory is about
+# 70 bytes per mount-point pair of one chunk and the largest mount block
+# (17 MiB for 16 mounts), whatever the sample count.
+COVERAGE_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,42 @@ class CoverageReport:
             raise ValueError("coverage fractions must satisfy 0 <= overlap <= unique <= 1")
 
 
+def _block_coverage(
+    blocks: list[tuple[Sequence[MountSpec], Sequence[int]]],
+    pose: BodyPose,
+    pred: FeasibilityPredicate,
+    points: np.ndarray,
+) -> list[CoverageReport]:
+    """Coverage of every boom count that a list of mount blocks serves.
+
+    A block is (mounts, boom counts): boom count N is covered by the block's
+    first N mounts. Per COVERAGE_CHUNK slice of the points and per block,
+    one feasibility matrix and its running count of covering mounts give
+    every prefix's union count and each served N's histogram, as integers.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s = len(points)
+    if s < 1:
+        raise ValueError("need at least one surface sample")
+    unions = [np.zeros(len(mounts), dtype=np.int64) for mounts, _ in blocks]
+    hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
+    for start in range(0, s, COVERAGE_CHUNK):
+        chunk = points[start:start + COVERAGE_CHUNK]
+        for (mounts, _), union, hist in zip(blocks, unions, hists):
+            ok, _ = feasibility_matrix(mounts, pose, chunk, pred)
+            counts = np.zeros((len(mounts) + 1, len(chunk)), dtype=np.int32)
+            np.cumsum(ok, axis=0, out=counts[1:])  # row n: how many of mounts 0..n-1 reach
+            union += (counts[1:] >= 1).sum(axis=1)
+            for n, h in hist.items():
+                h += np.bincount(counts[n], minlength=n + 1)
+    return [CoverageReport(boom_count=n, sample_count=s,
+                           unique_pct=float((s - h[0]) / s),
+                           overlap_pct=float((s - h[:2].sum()) / s),
+                           per_boom_marginal=tuple(np.diff(union[:n] / s, prepend=0.0).tolist()),
+                           count_histogram=tuple(h.tolist()))
+            for union, hist in zip(unions, hists) for n, h in hist.items()]
+
+
 def coverage_from_mounts(
     mounts: list[MountSpec],
     pose: BodyPose,
@@ -38,72 +80,49 @@ def coverage_from_mounts(
     points: np.ndarray,
 ) -> CoverageReport:
     """Coverage statistics of fixed mounts over given surface sample points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, s = len(mounts), len(points)
-    if s < 1:
-        raise ValueError("need at least one surface sample")
-    if n == 0:
-        return CoverageReport(0, s, 0.0, 0.0, (), (s,))
-    ok, _ = feasibility_matrix(mounts, pose, points, pred)
-    counts = ok.sum(axis=0)
-    prefix = np.logical_or.accumulate(ok, axis=0).mean(axis=1)
-    marginal = np.diff(prefix, prepend=0.0)
-    hist = np.bincount(counts, minlength=n + 1)
-    return CoverageReport(
-        boom_count=n,
-        sample_count=s,
-        unique_pct=float(np.mean(counts >= 1)),
-        overlap_pct=float(np.mean(counts >= 2)),
-        per_boom_marginal=tuple(float(x) for x in marginal),
-        count_histogram=tuple(int(x) for x in hist),
-    )
-
-
-def coverage(
-    cfg: RobotConfig,
-    terrain: Terrain,
-    pose: BodyPose,
-    sample_count: int,
-    rng: np.random.Generator,
-) -> CoverageReport:
-    """Monte Carlo coverage of one robot configuration at a home pose."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    points = sample_surface_points(terrain, sample_count, rng)
-    return coverage_from_mounts(list(cfg.mounts), pose, FeasibilityPredicate.from_robot(cfg), points)
+    return _block_coverage([(mounts, (len(mounts),))], pose, pred, points)[0]
 
 
 def coverage_curve(
-    cfg_template: RobotConfig,
+    robot: RobotConfig,
     terrain: Terrain,
     n_range: tuple[int, int],
     sample_count: int,
     rng: np.random.Generator,
     pose: BodyPose | None = None,
     layout_policy: str = "nested",
+    mounts: Sequence[Sequence[MountSpec]] | None = None,
 ) -> list[CoverageReport]:
     """Coverage for each boom count, sharing one surface sample set.
 
-    ``nested`` takes the first N points of one golden-angle lattice of size
-    n_max, so the mount set for N is a superset of the set for N-1 and the
-    covered area grows by construction. ``uniform``/``mission`` rebuild the
-    per-N layout independently, in which case monotonicity is only
-    statistical.
+    ``mounts``, when given, lists each boom count's own mounts, lo first.
+    Otherwise ``layout_policy`` places them on ``robot``'s body: ``nested``
+    takes the first N of one golden-angle lattice of size n_max, so the
+    covered area grows with N by construction; ``uniform``/``mission`` build
+    each N's layout on its own, so monotonicity is only statistical.
+
+    The whole ``nested`` lattice is one mount block, served by one
+    feasibility pass per chunk of COVERAGE_CHUNK samples; any other mount
+    set is a block of its own. Besides the samples themselves (24 bytes
+    each), working memory is about 70 bytes per mount of the largest block
+    and sample of one chunk: 17 MiB for 16 mounts, whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
         raise ValueError("n_range must satisfy 1 <= lo <= hi")
-    pose = pose or BodyPose()
-    pred = FeasibilityPredicate.from_robot(cfg_template)
-    points = sample_surface_points(terrain, sample_count, rng)
-    if layout_policy == "nested":
-        all_mounts = build_mounts(hi, cfg_template.body_radius)
-        mounts_for = lambda n: all_mounts[:n]
+    ns = range(lo, hi + 1)
+    if mounts is not None:
+        if [len(m) for m in mounts] != list(ns):
+            raise ValueError("mounts must list N mounts for each boom count N in n_range")
+        blocks = [(m, (n,)) for n, m in zip(ns, mounts)]
+    elif layout_policy == "nested":
+        blocks = [(build_mounts(hi, robot.body_radius), ns)]
     elif layout_policy in ("uniform", "mission"):
-        mounts_for = lambda n: build_mounts(n, cfg_template.body_radius, layout_policy)
+        blocks = [(build_mounts(n, robot.body_radius, layout_policy), (n,)) for n in ns]
     else:
         raise ValueError(f"unknown layout policy {layout_policy!r}")
-    return [coverage_from_mounts(mounts_for(n), pose, pred, points) for n in range(lo, hi + 1)]
+    return _block_coverage(blocks, pose or BodyPose(), FeasibilityPredicate.from_robot(robot),
+                           sample_surface_points(terrain, sample_count, rng))
 
 
 def coverage_csv_rows(reports: list[CoverageReport]) -> list[str]:

@@ -53,8 +53,8 @@ class FeasibilityPredicate:
 
 def world_mounts(mounts: list[MountSpec], pose: BodyPose) -> tuple[np.ndarray, np.ndarray]:
     """Shoulder positions and cone axes in the world frame."""
-    pos = np.array([m.position for m in mounts], dtype=float)
-    ax = np.array([m.axis for m in mounts], dtype=float)
+    pos = np.array([m.position for m in mounts], dtype=float).reshape(-1, 3)
+    ax = np.array([m.axis for m in mounts], dtype=float).reshape(-1, 3)
     return pos @ pose.rotation.T + pose.position, ax @ pose.rotation.T
 
 

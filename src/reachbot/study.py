@@ -30,6 +30,9 @@ REL_EPS = 1e-9
 
 MAX_RESAMPLES = 100
 
+# StudyConfig.layout of a study whose config lists robot.mounts.
+EXPLICIT_LAYOUT = "explicit"
+
 
 @dataclass(frozen=True)
 class Constraints:
@@ -58,7 +61,7 @@ class StudyConfig:
     n_range: tuple[int, int] = (1, 10)
     trials: int = 100
     seed: int = 0
-    layout: str = "uniform"
+    layout: str = "uniform"  # generated mount layout, or EXPLICIT_LAYOUT
     pool_multiplier: int = 3
     surface_samples: int = 20000
     coverage_layout: str = "nested"
@@ -87,7 +90,8 @@ class StudyConfig:
         """The n-boom robot of this study.
 
         At the template's own boom count this is the template, explicit
-        mounts included; any other count gets a generated ``layout``.
+        mounts included; any other count gets a generated ``layout`` (an
+        explicit study has no other count).
         """
         if n == self.robot_template.boom_count:
             return self.robot_template
@@ -433,6 +437,19 @@ class StudyReport:
         }
 
 
+def study_coverage(sc: StudyConfig, sample_count: int,
+                   pose: BodyPose | None = None) -> list[CoverageReport]:
+    """The study's coverage curve over ``sample_count`` surface samples.
+
+    Explicit robot.mounts are covered as given, on each ``sc.robot(n)``;
+    generated robots' mounts are placed by ``coverage_layout``.
+    """
+    explicit = sc.layout == EXPLICIT_LAYOUT
+    return coverage_curve(sc.robot_template, sc.terrain, sc.n_range, sample_count,
+                          substream(sc.seed, 0, "surface"), pose, sc.coverage_layout,
+                          [sc.robot(n).mounts for n in sc.boom_counts] if explicit else None)
+
+
 def _stage_done(stage: str, start: float, detail: str = "") -> float:
     """Log a finished stage's wall time; returns the next stage's start."""
     now = time.perf_counter()
@@ -454,9 +471,7 @@ def run_study(sc: StudyConfig, config_echo: dict | None = None,
         f"{sum(not c.feasible for c in table.cells)} infeasible"))
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
     start = _stage_done("aggregate", start)
-    cov = coverage_curve(sc.robot_template, sc.terrain, sc.n_range,
-                         sc.surface_samples, substream(sc.seed, 0, "surface"),
-                         pose=pose, layout_policy=sc.coverage_layout)
+    cov = study_coverage(sc, sc.surface_samples, pose)
     start = _stage_done("coverage", start)
     pareto = select_design(summary, cov, sc.constraints, sc.robot_template)
     _stage_done("selection", start)

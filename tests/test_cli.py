@@ -10,6 +10,7 @@ import pytest
 import reachbot as rb
 from reachbot.cli import main
 from reachbot.config import default_config_dict
+from reachbot.robot import fibonacci_sphere
 from conftest import random_stance
 
 
@@ -194,6 +195,30 @@ class TestCoverage:
         lines = (a / "coverage.csv").read_text().splitlines()
         assert lines[0] == "N,unique_pct,overlap_pct,marginal_pct"
         assert len(lines) == 4  # header + N = 6..8
+
+    @staticmethod
+    def six_boom_coverage(tmp_path, command, axes=None):
+        """coverage.csv of a six-boom config; ``axes`` lists explicit radial mounts."""
+        cfg = default_config_dict(seed=5)
+        cfg["study"].update(n_range=[6, 6], trials=2, surface_samples=2000)
+        if axes is not None:
+            cfg["robot"]["mounts"] = [{"position": (0.5 * a).tolist(), "axis": a.tolist()}
+                                      for a in axes]
+        run = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps(cfg))
+        assert main([command, str(run / "config.json"), "--out-dir", str(run)]) in (0, 2)
+        return (run / "coverage.csv").read_text()
+
+    @pytest.mark.parametrize("command", ["coverage", "study"])
+    def test_explicit_mounts_change_coverage(self, tmp_path, command):
+        tilt, az = np.radians(25.0), np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
+        clustered = np.column_stack([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
+                                     np.full(6, np.cos(tilt))])  # all near +z
+        generated = self.six_boom_coverage(tmp_path, command)
+        assert self.six_boom_coverage(tmp_path, command, clustered) != generated
+        # build_mounts places mount i at body_radius * d_i with axis d_i.
+        assert self.six_boom_coverage(tmp_path, command, fibonacci_sphere(6)) == generated
 
 
 class TestPareto:

@@ -2,9 +2,36 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.interference import coverage_csv_rows, coverage_from_mounts
+from reachbot import interference
+from reachbot.interference import CoverageReport, coverage_csv_rows, coverage_from_mounts
 from reachbot.rng import substream
-from reachbot.stance import BodyPose, FeasibilityPredicate
+from reachbot.stance import BodyPose, FeasibilityPredicate, feasibility_matrix
+
+
+def whole_array_coverage(mounts, pose, pred, points):
+    """Oracle: coverage of one mount set from a single unchunked feasibility matrix."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, s = len(mounts), len(points)
+    ok, _ = feasibility_matrix(mounts, pose, points, pred)
+    counts = ok.sum(axis=0)
+    prefix = np.logical_or.accumulate(ok, axis=0).mean(axis=1)
+    marginal = np.diff(prefix, prepend=0.0)
+    hist = np.bincount(counts, minlength=n + 1)
+    return CoverageReport(
+        boom_count=n,
+        sample_count=s,
+        unique_pct=float(np.mean(counts >= 1)),
+        overlap_pct=float(np.mean(counts >= 2)),
+        per_boom_marginal=tuple(float(x) for x in marginal),
+        count_histogram=tuple(int(x) for x in hist),
+    )
+
+
+def coverage(cfg, terrain, pose, sample_count, rng):
+    """Monte Carlo coverage of one robot configuration at a home pose."""
+    points = rb.sample_surface_points(terrain, sample_count, rng)
+    return coverage_from_mounts(list(cfg.mounts), pose, FeasibilityPredicate.from_robot(cfg),
+                                points)
 
 
 def corridor_grid_coverage(mounts, pred, radius, length, n_theta, n_x):
@@ -56,14 +83,14 @@ class TestCoverageFromMounts:
 
 class TestCoverage:
     def test_matches_grid_oracle(self, robot8, pred, corridor):
-        mc = rb.coverage(robot8, corridor, BodyPose(), 20000, substream(42, 0, "surface"))
+        mc = coverage(robot8, corridor, BodyPose(), 20000, substream(42, 0, "surface"))
         oracle = corridor_grid_coverage(list(robot8.mounts), pred, 15.0, 100.0, 400, 400)
         assert abs(mc.unique_pct - oracle.unique_pct) < 0.01
         assert abs(mc.overlap_pct - oracle.overlap_pct) < 0.01
 
     def test_reproducible(self, robot8, corridor):
-        a = rb.coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
-        b = rb.coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
+        a = coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
+        b = coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
         assert a == b
 
     def test_doubling_samples_converges(self, robot8, corridor):
@@ -74,10 +101,10 @@ class TestCoverage:
         hits = 0
         seeds = range(20)
         for s in seeds:
-            small = rb.coverage(robot8, corridor, BodyPose(), 1000,
-                                substream(s, 0, "surface")).unique_pct
-            big = rb.coverage(robot8, corridor, BodyPose(), 4000,
-                              substream(s, 1, "surface")).unique_pct
+            small = coverage(robot8, corridor, BodyPose(), 1000,
+                             substream(s, 0, "surface")).unique_pct
+            big = coverage(robot8, corridor, BodyPose(), 4000,
+                           substream(s, 1, "surface")).unique_pct
             if abs(big - ref) <= 2.0 / np.sqrt(4000) and abs(small - ref) <= 2.0 / np.sqrt(1000):
                 hits += 1
         assert hits >= 17  # 2-sigma band holds for nearly all seeds
@@ -114,6 +141,57 @@ class TestCoverageCurve:
         last = reps[-1].per_boom_marginal[-1]
         mid = reps[5].per_boom_marginal[-1]
         assert last < mid
+
+
+class TestChunkedCurve:
+    """The chunked coverage pass against whole-array coverage of each N's mounts."""
+
+    SAMPLES = 1000
+
+    @pytest.fixture(autouse=True)
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 7)  # does not divide 1,000
+
+    @pytest.mark.parametrize("policy,n_range", [
+        ("nested", (1, 12)), ("nested", (4, 9)), ("uniform", (1, 8)),
+        ("uniform", (3, 6)), ("mission", (2, 7))])
+    def test_equals_whole_array_oracle(self, robot8, corridor, policy, n_range):
+        reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
+                                 substream(3, 0, "surface"), layout_policy=policy)
+        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
+        pred = FeasibilityPredicate.from_robot(robot8)
+        lo, hi = n_range
+        for n, rep in zip(range(lo, hi + 1), reps, strict=True):
+            mounts = (rb.build_mounts(hi)[:n] if policy == "nested"
+                      else rb.build_mounts(n, layout=policy))
+            assert rep == whole_array_coverage(mounts, BodyPose(), pred, points)
+
+    def test_given_mounts_equal_oracle(self, robot8, corridor):
+        given = [rb.build_mounts(n, layout="mission")[::-1] for n in (2, 3)]
+        reps = rb.coverage_curve(robot8, corridor, (2, 3), self.SAMPLES,
+                                 substream(3, 0, "surface"), mounts=given)
+        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
+        pred = FeasibilityPredicate.from_robot(robot8)
+        oracle = [whole_array_coverage(m, BodyPose(), pred, points) for m in given]
+        assert reps == oracle
+        assert coverage_from_mounts(given[1], BodyPose(), pred, points) == oracle[1]
+
+    def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, rng, monkeypatch):
+        sizes = []
+
+        def recording(mounts, pose, points, pred):
+            sizes.append(len(points))
+            return feasibility_matrix(mounts, pose, points, pred)
+
+        monkeypatch.setattr(interference, "feasibility_matrix", recording)
+        rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, rng)
+        assert sizes and max(sizes) <= interference.COVERAGE_CHUNK
+        assert sum(sizes) == self.SAMPLES  # one pass: the nested lattice is one block
+
+    def test_given_mounts_need_one_set_per_count(self, robot8, corridor, rng):
+        with pytest.raises(ValueError, match="mounts"):
+            rb.coverage_curve(robot8, corridor, (2, 3), 100, rng,
+                              mounts=[rb.build_mounts(3), rb.build_mounts(2)])
 
 
 def test_coverage_csv(robot8, corridor):

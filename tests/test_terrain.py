@@ -4,8 +4,50 @@ from scipy import stats
 
 import reachbot as rb
 from reachbot.rng import substream
-from reachbot.terrain import (Frame, anchors_to_csv_rows, surface_distance,
-                              unit_square_coords)
+from reachbot.terrain import CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows
+
+
+def surface_distance(t: Terrain, pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to the finite graspable surface."""
+    local = t.frame.to_local(np.atleast_2d(pts))
+    half_len = t.longitudinal_extent / 2.0
+    if t.kind == CORRIDOR:
+        radial = np.abs(np.hypot(local[:, 1], local[:, 2]) - t.dims[0])
+        axial = np.maximum(np.abs(local[:, 0]) - half_len, 0.0)
+        return np.hypot(radial, axial)
+    half_w = t.dims[0] / 2.0
+    if t.kind == WALL:
+        off = np.abs(local[:, 0])
+        ex_v = np.maximum(np.abs(local[:, 1]) - half_w, 0.0)
+        ex_u = np.maximum(np.abs(local[:, 2]) - half_len, 0.0)
+    else:
+        off = np.abs(local[:, 2])
+        ex_v = np.maximum(np.abs(local[:, 0]) - half_w, 0.0)
+        ex_u = np.maximum(np.abs(local[:, 1]) - half_len, 0.0)
+    return np.sqrt(off**2 + ex_v**2 + ex_u**2)
+
+
+def unit_square_coords(t: Terrain, pts: np.ndarray) -> np.ndarray:
+    """Area-preserving (a, b) in [0,1]^2 for points on the surface.
+
+    Useful for binned uniformity checks: area-uniform points map to
+    uniform points on the unit square.
+    """
+    local = t.frame.to_local(np.atleast_2d(pts))
+    half_len = t.longitudinal_extent / 2.0
+    if t.kind == CORRIDOR:
+        theta = np.mod(np.arctan2(local[:, 2], local[:, 1]), 2.0 * np.pi)
+        a = theta / (2.0 * np.pi)
+        b = (local[:, 0] + half_len) / t.longitudinal_extent
+    else:
+        half_w = t.dims[0] / 2.0
+        if t.kind == WALL:
+            a = (local[:, 1] + half_w) / t.dims[0]
+            b = (local[:, 2] + half_len) / t.longitudinal_extent
+        else:
+            a = (local[:, 0] + half_w) / t.dims[0]
+            b = (local[:, 1] + half_len) / t.longitudinal_extent
+    return np.column_stack([a, b])
 
 
 class TestConstruction:
