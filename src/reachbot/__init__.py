@@ -10,14 +10,13 @@ __version__ = "0.1.0"
 
 from .interference import CoverageReport, coverage_curve
 from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability,
-                        stability, stiffness, sym_eig, wrench_capability)
+                        one_boom_out, stiffness, sym_eig)
 from .robot import (BucklingReport, MountSpec, RobotConfig, buckling_moment,
                     build_mounts, check_buckling, make_robot, total_mass)
-from .stance import (Assignment, BodyPose, FeasibilityPredicate, assign,
-                     build_stance, drop_boom, feasible)
+from .stance import Assignment, BodyPose, FeasibilityPredicate, assign, build_stance
 from .study import (Calibration, Constraints, ParetoResult, StudyConfig,
-                    StudyReport, aggregate, one_boom_out, pareto_front,
-                    run_study, run_trials, select_design)
+                    StudyReport, aggregate, pareto_front, run_study, run_trials,
+                    select_design)
 from .terrain import (AnchorSet, Terrain, corridor, floor, make_terrain,
                       sample_anchors, sample_surface_points, surface_area,
                       wall)
@@ -29,10 +28,9 @@ __all__ = [
     "ParetoResult", "RobotConfig", "Stance", "StiffnessResult", "StudyConfig",
     "StudyReport", "Terrain",
     "aggregate", "assign", "buckling_moment", "build_mounts", "build_stance",
-    "check_buckling", "corridor", "coverage_curve", "drop_boom",
-    "feasible", "floor", "grasp_map", "make_robot", "make_terrain",
-    "manipulability", "one_boom_out", "pareto_front", "run_study", "run_trials",
-    "sample_anchors", "sample_surface_points", "select_design", "stability",
-    "stiffness", "surface_area", "sym_eig", "total_mass", "wall",
-    "wrench_capability",
+    "check_buckling", "corridor", "coverage_curve", "floor", "grasp_map",
+    "make_robot", "make_terrain", "manipulability", "one_boom_out",
+    "pareto_front", "run_study", "run_trials", "sample_anchors",
+    "sample_surface_points", "select_design", "stiffness", "surface_area",
+    "sym_eig", "total_mass", "wall",
 ]

@@ -18,12 +18,11 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .interference import coverage_csv_rows
-from .mechanics import (Stance, effective_stability, grasp_map, manipulability,
-                        stiffness, wrench_capability)
+from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
-from .study import (EXPLICIT_LAYOUT, Calibration, draw_pool, pareto_csv_rows, pareto_front,
-                    run_study, stability_csv_rows, study_coverage, summary_csv_rows,
-                    trial_stance)
+from .study import (EXPLICIT_LAYOUT, REL_EPS, Calibration, draw_pool, pareto_csv_rows,
+                    pareto_front, run_study, stability_csv_rows, study_coverage,
+                    summary_csv_rows, trial_stance)
 from .terrain import anchors_to_csv_rows
 
 EXIT_OK = 0
@@ -52,12 +51,13 @@ def _load(args) -> tuple:
         raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    given = vars(args)  # validate has no overrides
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if given.get("seed") is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
+    if given.get("trials") is not None:
         overrides["trials"] = args.trials
-    if getattr(args, "n_range", None) is not None:
+    if given.get("n_range") is not None:
         overrides["n_range"] = tuple(args.n_range)
         if sc.layout == EXPLICIT_LAYOUT and overrides["n_range"] != sc.n_range:
             raise ConfigError("--n-range cannot change the boom count of explicit robot.mounts")
@@ -133,9 +133,11 @@ def cmd_stance(args) -> int:
 
 def cmd_coverage(args) -> int:
     sc, _ = _load(args)
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = study_coverage(sc, args.samples or sc.surface_samples)
+    reports = study_coverage(sc, sc.surface_samples if args.samples is None else args.samples)
     _write_lines(out / "coverage.csv", coverage_csv_rows(reports))
     print(f"coverage curve for N = {sc.n_range[0]}..{sc.n_range[1]} written")
     return EXIT_OK
@@ -188,23 +190,26 @@ def cmd_eval(args) -> int:
         sc, _ = _load(args)
         k = sc.robot_template.boom_stiffness
         delta_ref = sc.calibration.delta_ref
-    G = grasp_map(st)
-    res = stiffness(G, k)
-    wc = wrench_capability(res, delta_ref)
+    # The study's kernel on a batch of one stance.
+    G = grasp_map(st)[None]
+    K = stiffness_stack(G, k)[0]
+    m = {name: value.item() for name, value in stance_metrics(G, k, delta_ref).items()}
+    # Rank-deficient near-zero stabilities read exactly 0.
+    stability = 0.0 if m["lambda_min"] <= REL_EPS * abs(m["lambda_max"]) else m["lambda_min"]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["n_booms,stability,wrench_full,wrench_torque,manipulability",
-            f"{st.boom_count},{effective_stability(res):.12g},{wc.full:.12g},"
-            f"{wc.torque:.12g},{manipulability(G):.12g}"]
+            f"{st.boom_count},{stability:.12g},{m['wrench_full']:.12g},"
+            f"{m['wrench_torque']:.12g},{m['manipulability']:.12g}"]
     _write_lines(out / "eval.csv", rows)
     _write_json(out / "eval.json", {
         "n_booms": st.boom_count,
-        "K": res.K.tolist(),
-        "eigenvalues": res.eigenvalues.tolist(),
-        "stability": effective_stability(res),
-        "wrench_full": wc.full,
-        "wrench_torque": wc.torque,
-        "manipulability": manipulability(G),
+        "K": K.tolist(),
+        "eigenvalues": np.linalg.eigvalsh(K).tolist(),
+        "stability": stability,
+        "wrench_full": m["wrench_full"],
+        "wrench_torque": m["wrench_torque"],
+        "manipulability": m["manipulability"],
     })
     print("\n".join(rows))
     return EXIT_OK

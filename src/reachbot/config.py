@@ -6,7 +6,6 @@ fields carry a unit suffix in the file (e.g. tau_drill_nm, delta_ref_m).
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +22,9 @@ class ConfigError(ValueError):
 
 
 def _require_type(block: dict, field: str, types, default=None, context=""):
-    value = block.get(field, default)
-    if value is None:
-        return None
+    value = block.get(field)
+    if value is None:  # absent or null: the default
+        return default
     if not isinstance(value, types) or isinstance(value, bool) and types != bool:
         raise ConfigError(f"{context}{field} has invalid type {type(value).__name__}")
     return value
@@ -115,11 +114,11 @@ def parse_config(raw: dict) -> StudyConfig:
             terrain=terrain,
             robot_template=template,
             n_range=n_range,
-            trials=int(st.get("trials", 100)),
+            trials=_require_type(st, "trials", int, 100, "study."),
             seed=int(seed),
             layout=layout if mounts is None else EXPLICIT_LAYOUT,
-            pool_multiplier=int(st.get("pool_multiplier", 3)),
-            surface_samples=int(st.get("surface_samples", 20000)),
+            pool_multiplier=_require_type(st, "pool_multiplier", int, 3, "study."),
+            surface_samples=_require_type(st, "surface_samples", int, 20000, "study."),
             coverage_layout=st.get("coverage_layout", "nested"),
             aggregate_mode=st.get("aggregate", "median"),
             constraints=constraints,
@@ -135,22 +134,3 @@ def load_config(path: str | Path) -> tuple[StudyConfig, dict]:
     text = Path(path).read_text()
     raw = json.loads(text)  # JSONDecodeError carries line/column
     return parse_config(raw), raw
-
-
-def default_config_dict(seed: int = 0) -> dict:
-    """A complete config with every default spelled out."""
-    return {
-        "schema_version": 1,
-        "seed": seed,
-        "terrain": {"kind": "corridor", "radius": 15.0, "length": 100.0},
-        "robot": {
-            "body_mass": 10.0, "body_radius": 0.5, "L_max": 20.0, "L_min": 0.5,
-            "cone_half_angle_rad": math.pi / 4, "m_boom": 1.0, "m_gripper": 0.5,
-            "m_shoulder": 0.5, "k": 100.0, "g": 3.721, "layout": "uniform",
-        },
-        "study": {"n_range": [1, 10], "trials": 100, "pool_multiplier": 3,
-                  "surface_samples": 20000, "aggregate": "median",
-                  "coverage_layout": "nested"},
-        "constraints": {"tau_drill_nm": 4.0, "one_boom_out": True},
-        "calibration": {"delta_ref_m": 0.1},
-    }

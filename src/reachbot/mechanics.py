@@ -6,6 +6,8 @@ along the boom, torque about the body center from the shoulder lever arm).
 Stiffness K = G W G^T is symmetric positive semidefinite; its minimum
 eigenvalue is the stability measure (resistance in the weakest wrench
 direction) and its maximum eigenvalue the wrench-capability proxy.
+``stance_metrics`` is the one kernel that computes the per-stance metrics
+the study and ``reachbot eval`` report, over a stack of grasp maps.
 
 Two earlier draft stiffness formulations are kept as ``legacy_*`` functions
 for comparison; see their docstrings for the signatures that make them
@@ -107,11 +109,6 @@ class StiffnessResult:
     def wrench_capability(self) -> float:
         return float(self.eigenvalues[-1])
 
-    @property
-    def torque_capability(self) -> float:
-        """Largest eigenvalue of the rotational 3x3 block."""
-        return float(np.linalg.eigvalsh(self.K[3:, 3:])[-1])
-
 
 def _result(K: np.ndarray) -> StiffnessResult:
     K = 0.5 * (K + K.T)
@@ -127,30 +124,6 @@ def stiffness(G: np.ndarray, weights: np.ndarray | float) -> StiffnessResult:
     return _result((G * w) @ G.T)
 
 
-def stability(r: StiffnessResult) -> float:
-    return r.stability
-
-
-def effective_stability(r: StiffnessResult, rel_eps: float = 1e-9) -> float:
-    """Stability with rank-deficient near-zeros clamped to exactly 0."""
-    lam_min, lam_max = r.stability, r.wrench_capability
-    return 0.0 if lam_min <= rel_eps * abs(lam_max) else lam_min
-
-
-@dataclass(frozen=True)
-class WrenchCapability:
-    full: float
-    torque: float
-
-
-def wrench_capability(r: StiffnessResult, delta_ref: float) -> WrenchCapability:
-    """Stiffness-eigenvalue wrench proxy scaled by a displacement budget."""
-    if not delta_ref > 0:
-        raise ValueError("delta_ref must be positive")
-    return WrenchCapability(full=r.wrench_capability * delta_ref,
-                            torque=r.torque_capability * delta_ref)
-
-
 def manipulability(G: np.ndarray) -> float:
     """w = sqrt(det(G G^T)), zero at rank deficiency."""
     G = np.asarray(G, dtype=float)
@@ -158,6 +131,61 @@ def manipulability(G: np.ndarray) -> float:
     if det < 1e-12:
         return 0.0
     return float(np.sqrt(det))
+
+
+# The per-stance metrics, in report order; stance_metrics returns one array
+# per name.
+METRICS = ("lambda_min", "lambda_max", "manipulability", "wrench_full", "wrench_torque",
+           "one_out_lambda_min", "one_out_lambda_max")
+
+
+def stiffness_stack(G: np.ndarray, weight: float) -> np.ndarray:
+    """Symmetrised K = w G G^T of every grasp map in a (..., 6, N) stack."""
+    K = (G * weight) @ np.swapaxes(G, -1, -2)
+    return 0.5 * (K + np.swapaxes(K, -1, -2))
+
+
+def _one_out_stack(G: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Worst single-boom drop of each map in a (T, 6, N) stack, N >= 2.
+
+    Returns (lambda_min, lambda_max of that same drop) per map. Row i of
+    ``keep`` lists the columns left after dropping boom i, in boom order.
+    """
+    n = G.shape[2]
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    lam = np.linalg.eigvalsh(stiffness_stack(np.moveaxis(G[:, :, keep], 2, 1), weight))
+    # argmin takes the first of equal minima, like a strict-< scan over drops.
+    worst = lam[np.arange(len(G)), np.argmin(lam[:, :, 0], axis=1)]
+    return worst[:, 0], worst[:, -1]
+
+
+def stance_metrics(G: np.ndarray, weight: float, delta_ref: float) -> dict[str, np.ndarray]:
+    """Every METRICS value of each map in a (T, 6, N) grasp-map stack.
+
+    lambda_min and lambda_max are the extreme eigenvalues of K = w G G^T;
+    manipulability is sqrt(det(G G^T)), 0 below 1e-12; wrench_full and
+    wrench_torque are the largest eigenvalue of K and of its rotational 3x3
+    block, times the displacement budget delta_ref; one_out_lambda_min/max
+    are the extreme eigenvalues of the single-boom drop with the smallest
+    lambda_min (the first such boom), 0 for one boom.
+    """
+    K = stiffness_stack(G, weight)
+    lam = np.linalg.eigvalsh(K)
+    torque = np.linalg.eigvalsh(K[:, 3:, 3:])[:, -1]
+    det = np.linalg.det(G @ np.swapaxes(G, -1, -2))
+    one_out = _one_out_stack(G, weight) if G.shape[2] >= 2 else (np.zeros(len(G)),) * 2
+    return dict(zip(METRICS, (lam[:, 0], lam[:, -1], np.sqrt(np.where(det < 1e-12, 0.0, det)),
+                              lam[:, -1] * delta_ref, torque * delta_ref, *one_out)))
+
+
+def one_boom_out(st: Stance, weights: float) -> tuple[float, float]:
+    """Worst-drop (lambda_min, lambda_max of that same drop)."""
+    if st.boom_count < 2:
+        raise ValueError("cannot drop the only boom")
+    if not weights > 0:
+        raise ValueError("stiffness weights must be positive")
+    oo_min, oo_max = _one_out_stack(grasp_map(st)[None], weights)
+    return float(oo_min[0]), float(oo_max[0])
 
 
 def legacy_stiffness_pointmass(st: Stance) -> StiffnessResult:

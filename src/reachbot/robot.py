@@ -115,7 +115,7 @@ class RobotConfig:
         if not 0 < self.cone_half_angle < math.pi / 2:
             raise ValueError("cone_half_angle must be in (0, pi/2)")
         for name in ("body_mass", "m_boom", "m_gripper", "m_shoulder"):
-            if getattr(self, name) < 0:
+            if vars(self)[name] < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.boom_stiffness > 0:
             raise ValueError("boom_stiffness must be positive")

@@ -1,4 +1,4 @@
-"""Stance construction: anchor feasibility, optimal assignment, boom drops.
+"""Stance construction: anchor feasibility and optimal assignment.
 
 A boom can reach an anchor iff the anchor sits inside the shoulder's cone of
 motion and within the deployable length band. Booms are matched to anchors
@@ -75,11 +75,6 @@ def feasibility_matrix(
     return ok, L
 
 
-def feasible(mount: MountSpec, pose: BodyPose, anchor: np.ndarray, pred: FeasibilityPredicate) -> bool:
-    ok, _ = feasibility_matrix([mount], pose, np.asarray(anchor, dtype=float).reshape(1, 3), pred)
-    return bool(ok[0, 0])
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Boom-to-anchor pairing minimizing total deployed length."""
@@ -131,15 +126,3 @@ def build_stance(
     shoulders, _ = world_mounts(list(cfg.mounts), pose)
     chosen = np.array([points[j] for _, j in result.pairs])
     return Stance.from_pairs(shoulders, chosen, pose.position, pose.rotation)
-
-
-def drop_boom(st: Stance, i: int) -> Stance:
-    """Stance with boom i detached (one-boom-out footstep state)."""
-    n = st.boom_count
-    if n < 2:
-        raise ValueError("cannot drop the only boom")
-    if not 0 <= i < n:
-        raise IndexError(f"boom index {i} out of range for {n} booms")
-    keep = [j for j in range(n) if j != i]
-    return Stance(st.shoulders[keep], st.anchors[keep], st.directions[keep],
-                  st.lengths[keep], st.body_center, st.body_rotation)

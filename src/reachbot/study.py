@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import mechanics
 from .interference import CoverageReport, coverage_curve
-from .mechanics import grasp_map
+from .mechanics import METRICS, Stance, grasp_map, stance_metrics
 from .rng import substream
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
 from .stance import BodyPose, build_stance
@@ -81,6 +80,10 @@ class StudyConfig:
             raise ValueError("pool_multiplier must be >= 1")
         if self.aggregate_mode not in ("median", "mean", "min", "max"):
             raise ValueError("aggregate_mode must be median, mean, min or max")
+        if self.surface_samples < 1:
+            raise ValueError("surface_samples must be >= 1")
+        if self.coverage_layout not in ("nested", "uniform", "mission"):
+            raise ValueError("coverage_layout must be nested, uniform or mission")
 
     @property
     def boom_counts(self) -> list[int]:
@@ -98,32 +101,31 @@ class StudyConfig:
         return self.robot_template.with_boom_count(n, self.layout)
 
 
-@dataclass(frozen=True)
-class TrialCell:
-    """All metrics of one (boom count, trial) stance."""
-
-    n: int
-    trial: int
-    feasible: bool
-    resamples: int
-    lambda_min: float
-    lambda_max: float
-    manipulability: float
-    wrench_full: float
-    wrench_torque: float
-    one_out_lambda_min: float
-    one_out_lambda_max: float
-    pool_hash: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsTable:
-    cells: tuple[TrialCell, ...]
+    """Per-cell study results as columns, one row per boom count.
+
+    ``columns`` maps "feasible", "resamples", "pool_hash" and every METRICS
+    name to a (len(boom_counts), trials) array; an infeasible cell's
+    metrics read 0.
+    """
+
     boom_counts: tuple[int, ...]
-    trials: int
+    columns: dict[str, np.ndarray]
+
+    @property
+    def trials(self) -> int:
+        return self.columns["feasible"].shape[1]
 
     def column(self, n: int, name: str) -> np.ndarray:
-        return np.array([getattr(c, name) for c in self.cells if c.n == n])
+        """Boom count n's row of one column, a view of it."""
+        return self.columns[name][self.boom_counts.index(n)]
+
+    def records(self) -> list[dict]:
+        """One dict of Python scalars per cell, trial-major."""
+        cols = {name: col.T.tolist() for name, col in self.columns.items()}
+        return [{"n": n, "trial": t, **{name: col[t][i] for name, col in cols.items()}}
+                for t in range(self.trials) for i, n in enumerate(self.boom_counts)]
 
 
 def _aggregate(values: np.ndarray, mode: str) -> float:
@@ -134,57 +136,6 @@ def _aggregate(values: np.ndarray, mode: str) -> float:
 def anchor_window(terrain: Terrain, cfg: RobotConfig) -> float:
     """Longitudinal anchor window: twice the boom reach, capped by the terrain."""
     return min(2.0 * cfg.L_max, terrain.longitudinal_extent)
-
-
-def _stiffness_stack(G: np.ndarray, weight: float) -> np.ndarray:
-    """Symmetrised K = w G G^T of every grasp map in a (..., 6, N) stack."""
-    K = (G * weight) @ np.swapaxes(G, -1, -2)
-    return 0.5 * (K + np.swapaxes(K, -1, -2))
-
-
-def _one_out_stack(G: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Worst single-boom drop of each map in a (T, 6, N) stack, N >= 2.
-
-    Returns (lambda_min, lambda_max of that same drop) per map. Row i of
-    ``keep`` lists the columns left after dropping boom i, in boom order.
-    """
-    n = G.shape[2]
-    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-    lam = np.linalg.eigvalsh(_stiffness_stack(np.moveaxis(G[:, :, keep], 2, 1), weight))
-    # argmin takes the first of equal minima, like a strict-< scan over drops.
-    worst = lam[np.arange(len(G)), np.argmin(lam[:, :, 0], axis=1)]
-    return worst[:, 0], worst[:, -1]
-
-
-def _stance_metrics(G: np.ndarray, weight: float, delta_ref: float) -> np.ndarray:
-    """TrialCell metrics of every map in a (T, 6, N) grasp-map stack.
-
-    Columns, in TrialCell order: lambda_min, lambda_max, manipulability,
-    wrench_full, wrench_torque, one_out_lambda_min, one_out_lambda_max. The
-    arithmetic is that of mechanics.stiffness, manipulability and
-    wrench_capability and of one_boom_out, stacked.
-    """
-    K = _stiffness_stack(G, weight)
-    lam = np.linalg.eigvalsh(K)
-    torque = np.linalg.eigvalsh(K[:, 3:, 3:])[:, -1]
-    det = np.linalg.det(G @ np.swapaxes(G, -1, -2))
-    manip = np.sqrt(np.where(det < 1e-12, 0.0, det))
-    if G.shape[2] >= 2:
-        oo_min, oo_max = _one_out_stack(G, weight)
-    else:
-        oo_min = oo_max = np.zeros(len(G))
-    return np.column_stack([lam[:, 0], lam[:, -1], manip, lam[:, -1] * delta_ref,
-                            torque * delta_ref, oo_min, oo_max])
-
-
-def one_boom_out(st: mechanics.Stance, weights: float) -> tuple[float, float]:
-    """Worst-drop (lambda_min, lambda_max of that same drop)."""
-    if st.boom_count < 2:
-        raise ValueError("cannot drop the only boom")
-    if not weights > 0:
-        raise ValueError("stiffness weights must be positive")
-    oo_min, oo_max = _one_out_stack(grasp_map(st)[None], weights)
-    return float(oo_min[0]), float(oo_max[0])
 
 
 def draw_pool(sc: StudyConfig, trial: int, tag: str) -> tuple[AnchorSet, str]:
@@ -201,7 +152,7 @@ def draw_pool(sc: StudyConfig, trial: int, tag: str) -> tuple[AnchorSet, str]:
 
 def trial_stance(sc: StudyConfig, cfg: RobotConfig, trial: int,
                  shared: tuple[AnchorSet, str], pose: BodyPose | None = None
-                 ) -> tuple[mechanics.Stance | None, int, AnchorSet, str]:
+                 ) -> tuple[Stance | None, int, AnchorSet, str]:
     """The stance of cell (cfg.boom_count, trial).
 
     ``shared`` is the trial's ``draw_pool(sc, trial, "anchors")``. While no
@@ -228,27 +179,28 @@ def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     count, over the stack of that count's feasible grasp maps at once.
     """
     pose = pose or BodyPose()
-    robots = {n: sc.robot(n) for n in sc.boom_counts}
-    stances = []  # (n, trial, resamples, pool hash, grasp map or None), trial-major
+    robots = [sc.robot(n) for n in sc.boom_counts]
+    shape = (len(robots), sc.trials)
+    feasible = np.zeros(shape, dtype=bool)
+    resamples = np.zeros(shape, dtype=int)
+    pool_hash = np.empty(shape, dtype="U16")
+    maps = [[] for _ in robots]  # per boom count, feasible trials' grasp maps
     for t in range(sc.trials):
         shared = draw_pool(sc, t, "anchors")
-        for n in sc.boom_counts:
-            st, resamples, _, pool_hash = trial_stance(sc, robots[n], t, shared, pose)
-            stances.append((n, t, resamples, pool_hash, None if st is None else grasp_map(st)))
-
-    metrics = {}  # (n, trial) -> metric values in TrialCell field order
-    for n in sc.boom_counts:
-        found = [(t, G) for m, t, _, _, G in stances if m == n and G is not None]
-        if found:
-            trials, maps = zip(*found)
-            values = _stance_metrics(np.stack(maps), robots[n].boom_stiffness,
-                                     sc.calibration.delta_ref)
-            metrics.update(zip([(n, t) for t in trials], values.tolist()))
-    no_metrics = [0.0] * 7  # an infeasible cell reports zeros
-    cells = tuple(TrialCell(n, t, G is not None, resamples, *metrics.get((n, t), no_metrics),
-                            pool_hash)
-                  for n, t, resamples, pool_hash, G in stances)
-    return MetricsTable(cells=cells, boom_counts=tuple(sc.boom_counts), trials=sc.trials)
+        for i, cfg in enumerate(robots):
+            st, resamples[i, t], _, pool_hash[i, t] = trial_stance(sc, cfg, t, shared, pose)
+            if st is not None:
+                feasible[i, t] = True
+                maps[i].append(grasp_map(st))
+    columns = {"feasible": feasible, "resamples": resamples, "pool_hash": pool_hash,
+               **{name: np.zeros(shape) for name in METRICS}}
+    for i, cfg in enumerate(robots):
+        if maps[i]:
+            values = stance_metrics(np.stack(maps[i]), cfg.boom_stiffness,
+                                    sc.calibration.delta_ref)
+            for name, value in values.items():
+                columns[name][i, feasible[i]] = value
+    return MetricsTable(boom_counts=tuple(sc.boom_counts), columns=columns)
 
 
 @dataclass(frozen=True)
@@ -291,7 +243,7 @@ def aggregate(table: MetricsTable, robot_template: RobotConfig,
             one_out_worst=float(table.column(n, "one_out_lambda_min").min()),
             one_out_agg=_aggregate(table.column(n, "one_out_lambda_min"), mode),
             one_out_agg_lambda_max=_aggregate(table.column(n, "one_out_lambda_max"), mode),
-            infeasible_trials=int((~table.column(n, "feasible").astype(bool)).sum()),
+            infeasible_trials=int((~table.column(n, "feasible")).sum()),
         ))
         prev_lmin = lmin
     return rows
@@ -433,7 +385,7 @@ class StudyReport:
             "candidates": [asdict(c) for c in self.pareto.candidates],
             "summary": [asdict(r) for r in self.summary],
             "coverage": [asdict(c) for c in self.coverage],
-            "trials": [asdict(c) for c in self.table.cells],
+            "trials": self.table.records(),
         }
 
 
@@ -466,9 +418,10 @@ def run_study(sc: StudyConfig, config_echo: dict | None = None,
     """
     start = time.perf_counter()
     table = run_trials(sc, pose=pose)
+    feasible = table.columns["feasible"]
     start = _stage_done("trials", start, (
-        f", {len(table.cells)} cells, {sum(c.resamples for c in table.cells)} resamples, "
-        f"{sum(not c.feasible for c in table.cells)} infeasible"))
+        f", {feasible.size} cells, {table.columns['resamples'].sum()} resamples, "
+        f"{(~feasible).sum()} infeasible"))
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
     start = _stage_done("aggregate", start)
     cov = study_coverage(sc, sc.surface_samples, pose)
@@ -480,10 +433,9 @@ def run_study(sc: StudyConfig, config_echo: dict | None = None,
 
 
 def stability_csv_rows(table: MetricsTable) -> list[str]:
-    rows = ["N,trial,lambda_min"]
-    for c in table.cells:
-        rows.append(f"{c.n},{c.trial},{c.lambda_min:.12g}")
-    return rows
+    lmin = table.columns["lambda_min"].T.tolist()
+    return ["N,trial,lambda_min"] + [f"{n},{t},{lmin[t][i]:.12g}" for t in range(table.trials)
+                                     for i, n in enumerate(table.boom_counts)]
 
 
 def summary_csv_rows(summary: list[SummaryRow]) -> list[str]:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import reachbot as rb
 from reachbot.rng import substream
+from reachbot.stance import feasibility_matrix
 
 
 @pytest.fixture
@@ -32,3 +35,40 @@ def random_stance(rng, n, radius=15.0, body_radius=0.5):
     dist = rng.uniform(5.0, radius, size=n)
     anchors = shoulders + dist[:, None] * aims
     return rb.Stance.from_pairs(shoulders, anchors, np.zeros(3))
+
+
+def default_config_dict(seed=0):
+    """A complete config with every default spelled out."""
+    return {
+        "schema_version": 1,
+        "seed": seed,
+        "terrain": {"kind": "corridor", "radius": 15.0, "length": 100.0},
+        "robot": {
+            "body_mass": 10.0, "body_radius": 0.5, "L_max": 20.0, "L_min": 0.5,
+            "cone_half_angle_rad": math.pi / 4, "m_boom": 1.0, "m_gripper": 0.5,
+            "m_shoulder": 0.5, "k": 100.0, "g": 3.721, "layout": "uniform",
+        },
+        "study": {"n_range": [1, 10], "trials": 100, "pool_multiplier": 3,
+                  "surface_samples": 20000, "aggregate": "median",
+                  "coverage_layout": "nested"},
+        "constraints": {"tau_drill_nm": 4.0, "one_boom_out": True},
+        "calibration": {"delta_ref_m": 0.1},
+    }
+
+
+def feasible(mount, pose, anchor, pred):
+    """Whether one mount can reach one anchor."""
+    ok, _ = feasibility_matrix([mount], pose, np.asarray(anchor, dtype=float).reshape(1, 3), pred)
+    return bool(ok[0, 0])
+
+
+def drop_boom(st, i):
+    """Stance with boom i detached (one-boom-out footstep state)."""
+    n = st.boom_count
+    if n < 2:
+        raise ValueError("cannot drop the only boom")
+    if not 0 <= i < n:
+        raise IndexError(f"boom index {i} out of range for {n} booms")
+    keep = [j for j in range(n) if j != i]
+    return rb.Stance(st.shoulders[keep], st.anchors[keep], st.directions[keep],
+                     st.lengths[keep], st.body_center, st.body_rotation)

@@ -9,9 +9,8 @@ import pytest
 
 import reachbot as rb
 from reachbot.cli import main
-from reachbot.config import default_config_dict
 from reachbot.robot import fibonacci_sphere
-from conftest import random_stance
+from conftest import default_config_dict, random_stance
 
 
 @pytest.fixture
@@ -151,7 +150,10 @@ class TestStance:
                      "--n", "8", "--trial", str(cell["trial"])]) == 0
         assert main(["eval", str(out / "stance.json"), "--config", str(config_path),
                      "--out-dir", str(out)]) == 0
-        assert json.loads((out / "eval.json").read_text())["stability"] == cell["lambda_min"]
+        result = json.loads((out / "eval.json").read_text())
+        assert result["stability"] == cell["lambda_min"]
+        for name in ("wrench_full", "wrench_torque", "manipulability"):
+            assert result[name] == cell[name]
         # assignment.csv indexes anchors.csv, the pool the stance was built on
         anchors = np.loadtxt(out / "anchors.csv", delimiter=",", skiprows=1)[:, 2:]
         used = np.loadtxt(out / "assignment.csv", delimiter=",", skiprows=1)[:, 1].astype(int)
@@ -178,10 +180,24 @@ class TestStance:
     ["stance", "--n", "0"],
     ["stance", "--n", "9"],
     ["stance", "--trial", "-1"],
+    ["coverage", "--samples", "0"],
+    ["coverage", "--samples", "-5"],
+    # A dict after the command edits the config's study block.
+    ["study", {"coverage_layout": "ring"}],
+    ["study", {"surface_samples": 0}],
+    ["study", {"surface_samples": -5}],
+    ["study", {"trials": 2.5}],
+    ["study", {"pool_multiplier": "3"}],
+    ["study", {"surface_samples": 2.5}],
 ])
 def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
+    command, *flags = argv
+    if flags and isinstance(flags[0], dict):
+        cfg = json.loads(config_path.read_text())
+        cfg["study"].update(flags.pop(0))
+        config_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main([argv[0], str(config_path), *argv[1:], "--out-dir", str(out)]) == 1
+    assert main([command, str(config_path), *flags, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

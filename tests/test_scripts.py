@@ -1,0 +1,35 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# stdout of scripts/calibrate_delta_ref.py on configs/mars_lava_tube.json,
+# after its first line (the config path).
+CALIBRATION = """\
+aggregate: median over 100 trials, seed 42
+  N= 1  rotational eigenvalue aggregate = 4.24912
+  N= 2  rotational eigenvalue aggregate = 8.70059
+  N= 3  rotational eigenvalue aggregate = 12.6967
+  N= 4  rotational eigenvalue aggregate = 15.2355
+  N= 5  rotational eigenvalue aggregate = 18.8492
+  N= 6  rotational eigenvalue aggregate = 21.3972
+  N= 7  rotational eigenvalue aggregate = 27.8544
+  N= 8  rotational eigenvalue aggregate = 28.9287
+  N= 9  rotational eigenvalue aggregate = 28.863
+  N=10  rotational eigenvalue aggregate = 32.336
+valid delta_ref interval for N*=8: [0.138271, 0.143604)
+recommended delta_ref_m: 0.141
+"""
+
+
+def test_calibrate_delta_ref_shipped_config(monkeypatch, capsys):
+    script = ROOT / "scripts" / "calibrate_delta_ref.py"
+    spec = importlib.util.spec_from_file_location("calibrate_delta_ref", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(script)])  # no argument: the shipped config
+    assert module.main() == 0
+    first, rest = capsys.readouterr().out.split("\n", 1)
+    assert first == f"config: {ROOT / 'configs' / 'mars_lava_tube.json'}"
+    assert rest == CALIBRATION

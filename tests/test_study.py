@@ -5,22 +5,35 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.config import default_config_dict, parse_config
+from reachbot.config import parse_config
 from reachbot.interference import CoverageReport
+from reachbot.mechanics import METRICS
 from reachbot.rng import substream
 from reachbot.robot import fibonacci_sphere
-from reachbot.study import (MAX_RESAMPLES, REL_EPS, MetricsTable, SummaryRow,
-                            TrialCell, anchor_window)
-from conftest import random_stance
+from reachbot.study import MAX_RESAMPLES, REL_EPS, MetricsTable, SummaryRow, anchor_window
+from conftest import default_config_dict, drop_boom, random_stance
+from test_mechanics import wrench_capability
 
 
-def make_cell(n, trial, lambda_min, **kw):
-    base = dict(n=n, trial=trial, feasible=True, resamples=0,
-                lambda_min=lambda_min, lambda_max=10.0, manipulability=1.0,
-                wrench_full=1.0, wrench_torque=1.0, one_out_lambda_min=0.1,
-                one_out_lambda_max=1.0, pool_hash="abc")
-    base.update(kw)
-    return TrialCell(**base)
+def make_table(boom_counts, lambda_min, **columns):
+    """A table whose lambda_min rows are given, one per boom count.
+
+    Other columns are constant unless given as rows.
+    """
+    lmin = np.array(lambda_min, dtype=float)
+    base = dict(feasible=True, resamples=0, pool_hash="abc", lambda_max=10.0,
+                manipulability=1.0, wrench_full=1.0, wrench_torque=1.0,
+                one_out_lambda_min=0.1, one_out_lambda_max=1.0)
+    base.update(columns)
+    cols = {name: np.broadcast_to(np.array(v), lmin.shape).copy() for name, v in base.items()}
+    return MetricsTable(boom_counts=tuple(boom_counts), columns={**cols, "lambda_min": lmin})
+
+
+def assert_tables_equal(a, b):
+    assert a.boom_counts == b.boom_counts
+    assert a.columns.keys() == b.columns.keys()
+    for name in a.columns:
+        assert np.array_equal(a.columns[name], b.columns[name]), name
 
 
 def make_row(n, mass, **kw):
@@ -74,9 +87,7 @@ class TestRunTrials:
 
     def test_deterministic(self, corridor):
         sc = small_config(corridor, n_range=(6, 7), trials=1, seed=3)
-        a = rb.run_trials(sc)
-        b = rb.run_trials(sc)
-        assert a == b
+        assert_tables_equal(rb.run_trials(sc), rb.run_trials(sc))
 
     def test_shared_pool_across_boom_counts(self, corridor):
         sc = small_config(corridor, n_range=(6, 9), trials=3, seed=42)
@@ -86,13 +97,13 @@ class TestRunTrials:
             shared = rb.sample_anchors(corridor, 3 * 9, window,
                                        substream(42, t, "anchors"), seed=42)
             expected = hashlib.sha256(shared.points.tobytes()).hexdigest()[:16]
-            for c in table.cells:
-                if c.trial != t:
+            for c in table.records():
+                if c["trial"] != t:
                     continue
-                if c.resamples == 0:
-                    assert c.pool_hash == expected  # common random numbers
-                elif c.feasible:
-                    assert c.pool_hash != expected  # fresh pool after resampling
+                if c["resamples"] == 0:
+                    assert c["pool_hash"] == expected  # common random numbers
+                elif c["feasible"]:
+                    assert c["pool_hash"] != expected  # fresh pool after resampling
 
     @staticmethod
     def mounts_table(axes=None):
@@ -109,62 +120,62 @@ class TestRunTrials:
         clustered = np.column_stack([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
                                      np.full(6, np.cos(tilt))])  # all near +z
         custom, generated = self.mounts_table(clustered), self.mounts_table()
-        assert all(a.lambda_min != b.lambda_min
-                   for a, b in zip(custom.cells, generated.cells))
+        assert np.all(custom.columns["lambda_min"] != generated.columns["lambda_min"])
 
     def test_explicit_generated_mounts_match_layout(self):
         # build_mounts places mount i at body_radius * d_i with axis d_i.
-        assert self.mounts_table(fibonacci_sphere(6)) == self.mounts_table()
+        assert_tables_equal(self.mounts_table(fibonacci_sphere(6)), self.mounts_table())
 
     def test_cell_grid_complete(self, corridor):
         sc = small_config(corridor, n_range=(2, 4), trials=3)
         table = rb.run_trials(sc)
-        assert len(table.cells) == 9
-        assert {(c.n, c.trial) for c in table.cells} == {
-            (n, t) for n in (2, 3, 4) for t in range(3)}
-
+        assert all(col.shape == (3, 3) for col in table.columns.values())
+        assert [(c["n"], c["trial"]) for c in table.records()] == [
+            (n, t) for t in range(3) for n in (2, 3, 4)]
 
     def test_cells_match_scalar_path(self, corridor):
         # Reference: each cell rebuilt on its own with the scalar functions.
         sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
                           n_range=(1, 8), trials=4, seed=1, pool_multiplier=2)
-        table = rb.run_trials(sc)
-        assert any(c.resamples and c.feasible for c in table.cells)
-        assert any(not c.feasible for c in table.cells)
+        cells = rb.run_trials(sc).records()
+        assert any(c["resamples"] and c["feasible"] for c in cells)
+        assert any(not c["feasible"] for c in cells)
         window = anchor_window(corridor, sc.robot_template)
 
         def digest(pool):
             return hashlib.sha256(pool.points.tobytes()).hexdigest()[:16]
 
-        for c in table.cells:
+        for c in cells:
+            n = c["n"]
+
             def draw(tag):
                 return rb.sample_anchors(corridor, sc.pool_multiplier * 8, window,
-                                         substream(sc.seed, c.trial, tag), seed=sc.seed)
+                                         substream(sc.seed, c["trial"], tag), seed=sc.seed)
 
-            cfg = sc.robot_template.with_boom_count(c.n, sc.layout)
+            cfg = sc.robot_template.with_boom_count(n, sc.layout)
             shared = pool = draw("anchors")
             st = rb.build_stance(cfg, pool)
             resamples = 0
             while st is None and resamples < MAX_RESAMPLES:
                 resamples += 1
-                pool = draw(f"resample:{c.n}:{resamples}")
+                pool = draw(f"resample:{n}:{resamples}")
                 st = rb.build_stance(cfg, pool)
+            expect = dict(n=n, trial=c["trial"], feasible=st is not None, resamples=resamples)
             if st is None:
-                assert c == TrialCell(c.n, c.trial, False, resamples, *[0.0] * 7, digest(shared))
+                assert c == dict(expect, pool_hash=digest(shared), **dict.fromkeys(METRICS, 0.0))
                 continue
             G = rb.grasp_map(st)
             res = rb.stiffness(G, cfg.boom_stiffness)
-            wc = rb.wrench_capability(res, sc.calibration.delta_ref)
+            wc = wrench_capability(res, sc.calibration.delta_ref)
             worst = (0.0, 0.0)
-            if c.n >= 2:
+            if n >= 2:
                 worst = (np.inf, 0.0)
-                for i in range(c.n):
-                    drop = rb.stiffness(rb.grasp_map(rb.drop_boom(st, i)), cfg.boom_stiffness)
+                for i in range(n):
+                    drop = rb.stiffness(rb.grasp_map(drop_boom(st, i)), cfg.boom_stiffness)
                     if drop.stability < worst[0]:
                         worst = (drop.stability, drop.wrench_capability)
-            assert c == TrialCell(
-                n=c.n, trial=c.trial, feasible=True, resamples=resamples,
-                lambda_min=res.stability, lambda_max=res.wrench_capability,
+            assert c == dict(
+                expect, lambda_min=res.stability, lambda_max=res.wrench_capability,
                 manipulability=rb.manipulability(G), wrench_full=wc.full,
                 wrench_torque=wc.torque, one_out_lambda_min=worst[0],
                 one_out_lambda_max=worst[1], pool_hash=digest(pool))
@@ -172,9 +183,7 @@ class TestRunTrials:
 
 class TestAggregate:
     def test_marginal_gain(self):
-        cells = (make_cell(1, 0, 1.0), make_cell(1, 1, 2.0),
-                 make_cell(2, 0, 1.5), make_cell(2, 1, 2.5))
-        table = MetricsTable(cells=cells, boom_counts=(1, 2), trials=2)
+        table = make_table((1, 2), [[1.0, 2.0], [1.5, 2.5]])
         rows = rb.aggregate(table, rb.make_robot(1))
         assert rows[0].mean_marginal_gain == 0.0
         assert rows[1].mean_marginal_gain == pytest.approx(0.5)
@@ -182,22 +191,19 @@ class TestAggregate:
         assert rows[1].worst_stability == pytest.approx(1.5)
 
     def test_median_vs_mean(self):
-        cells = tuple(make_cell(3, t, v) for t, v in enumerate([0.0, 0.0, 9.0]))
-        table = MetricsTable(cells=cells, boom_counts=(3,), trials=3)
+        table = make_table((3,), [[0.0, 0.0, 9.0]])
         med = rb.aggregate(table, rb.make_robot(1), "median")[0]
         mean = rb.aggregate(table, rb.make_robot(1), "mean")[0]
         assert med.agg_stability == 0.0
         assert mean.agg_stability == pytest.approx(3.0)
 
     def test_mass_from_template(self):
-        cells = (make_cell(8, 0, 1.0),)
-        table = MetricsTable(cells=cells, boom_counts=(8,), trials=1)
+        table = make_table((8,), [[1.0]])
         rows = rb.aggregate(table, rb.make_robot(1))
         assert rows[0].mass == pytest.approx(26.0)
 
     def test_counts_infeasible(self):
-        cells = (make_cell(2, 0, 0.0, feasible=False), make_cell(2, 1, 0.0))
-        table = MetricsTable(cells=cells, boom_counts=(2,), trials=2)
+        table = make_table((2,), [[0.0, 0.0]], feasible=[[False, True]])
         assert rb.aggregate(table, rb.make_robot(1))[0].infeasible_trials == 1
 
 
@@ -222,7 +228,7 @@ class TestOneBoomOut:
     def test_matches_direct_minimum(self, rng):
         st = random_stance(rng, 8)
         oo_min, _ = rb.one_boom_out(st, 100.0)
-        direct = min(rb.stiffness(rb.grasp_map(rb.drop_boom(st, i)), 100.0).stability
+        direct = min(rb.stiffness(rb.grasp_map(drop_boom(st, i)), 100.0).stability
                      for i in range(8))
         assert oo_min == pytest.approx(direct, rel=1e-12)
 
@@ -354,6 +360,16 @@ class TestRunStudy:
         assert len(d["trials"]) == 15
         assert len(d["summary"]) == 3
 
+    def test_trial_records_are_trial_major(self, corridor):
+        sc = small_config(corridor, n_range=(5, 7), trials=3, seed=42)
+        trials = rb.run_study(sc).to_dict()["trials"]
+        assert [(c["n"], c["trial"]) for c in trials] == [
+            (n, t) for t in range(3) for n in (5, 6, 7)]
+        types = dict(n=int, trial=int, feasible=bool, resamples=int, pool_hash=str,
+                     **dict.fromkeys(METRICS, float))
+        for c in trials:
+            assert {key: type(value) for key, value in c.items()} == types
+
     def test_report_deterministic(self, corridor):
         sc = rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
                             n_range=(6, 7), trials=3, seed=9, surface_samples=1000)
@@ -369,3 +385,16 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="aggregate_mode"):
             rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
                            aggregate_mode="mode")
+        with pytest.raises(ValueError, match="coverage_layout"):
+            rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
+                           coverage_layout="ring")
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="surface_samples"):
+                rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
+                               surface_samples=samples)
+        for field in ("trials", "pool_multiplier", "surface_samples"):
+            for value in (2.5, "3", True):
+                cfg = default_config_dict()
+                cfg["study"][field] = value
+                with pytest.raises(ValueError, match=f"study.{field} has invalid type"):
+                    parse_config(cfg)
