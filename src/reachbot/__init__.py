@@ -9,17 +9,16 @@ placements, then selects a design by constrained Pareto analysis.
 __version__ = "0.1.0"
 
 from .interference import CoverageReport, coverage_curve
-from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability,
-                        one_boom_out, stiffness, sym_eig)
+from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability, stiffness,
+                        sym_eig)
 from .robot import (BucklingReport, MountSpec, RobotConfig, buckling_moment,
                     build_mounts, check_buckling, make_robot, total_mass)
-from .stance import Assignment, BodyPose, FeasibilityPredicate, assign, build_stance
+from .stance import Assignment, BodyPose, FeasibilityPredicate, assign
 from .study import (Calibration, Constraints, ParetoResult, StudyConfig,
                     StudyReport, aggregate, pareto_front, run_study, run_trials,
                     select_design)
 from .terrain import (AnchorSet, Terrain, corridor, floor, make_terrain,
-                      sample_anchors, sample_surface_points, surface_area,
-                      wall)
+                      sample_anchors, sample_surface_points, wall)
 
 __all__ = [
     "__version__",
@@ -27,10 +26,9 @@ __all__ = [
     "Constraints", "CoverageReport", "FeasibilityPredicate", "MountSpec",
     "ParetoResult", "RobotConfig", "Stance", "StiffnessResult", "StudyConfig",
     "StudyReport", "Terrain",
-    "aggregate", "assign", "buckling_moment", "build_mounts", "build_stance",
-    "check_buckling", "corridor", "coverage_curve", "floor", "grasp_map",
-    "make_robot", "make_terrain", "manipulability", "one_boom_out",
-    "pareto_front", "run_study", "run_trials", "sample_anchors",
-    "sample_surface_points", "select_design", "stiffness", "surface_area",
+    "aggregate", "assign", "buckling_moment", "build_mounts", "check_buckling",
+    "corridor", "coverage_curve", "floor", "grasp_map", "make_robot",
+    "make_terrain", "manipulability", "pareto_front", "run_study", "run_trials",
+    "sample_anchors", "sample_surface_points", "select_design", "stiffness",
     "sym_eig", "total_mass", "wall",
 ]

@@ -20,6 +20,7 @@ from .config import ConfigError, load_config
 from .interference import coverage_csv_rows
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
+from .stance import BodyPose, world_mounts
 from .study import (EXPLICIT_LAYOUT, REL_EPS, Calibration, draw_pool, pareto_csv_rows,
                     pareto_front, run_study, stability_csv_rows, study_coverage,
                     summary_csv_rows, trial_stance)
@@ -114,19 +115,17 @@ def cmd_stance(args) -> int:
         raise ConfigError("--trial must be non-negative")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    st, _, pool, _ = trial_stance(sc, sc.robot(n), args.trial,
-                                  draw_pool(sc, args.trial, "anchors"))
-    _write_lines(out / "anchors.csv", anchors_to_csv_rows([pool]))
-    if st is None:
+    cfg, pose = sc.robot(n), BodyPose()
+    idx, _, pool, _ = trial_stance(sc, cfg, args.trial, draw_pool(sc, args.trial, "anchors"), pose)
+    _write_lines(out / "anchors.csv", anchors_to_csv_rows(pool, args.trial))
+    if idx is None:
         print("infeasible: no complete boom-to-anchor assignment")
         return EXIT_NO_DESIGN
+    shoulders, _ = world_mounts(list(cfg.mounts), pose)
+    st = Stance.from_pairs(shoulders, pool.points[idx], pose.position, pose.rotation)
     _write_json(out / "stance.json", st.to_dict())
-    # build_stance copies each assigned anchor's row of the pool exactly.
-    anchor_index = (st.anchors[:, None, :] == pool.points[None]).all(axis=2).argmax(axis=1)
-    rows = ["boom_index,anchor_index,length_m"]
-    for b, a in enumerate(anchor_index):
-        rows.append(f"{b},{a},{st.lengths[b]:.9g}")
-    _write_lines(out / "assignment.csv", rows)
+    _write_lines(out / "assignment.csv", ["boom_index,anchor_index,length_m"] + [
+        f"{b},{a},{st.lengths[b]:.9g}" for b, a in enumerate(idx)])
     print(f"stance with {n} booms, total length {st.lengths.sum():.6g} m")
     return EXIT_OK
 

@@ -76,7 +76,7 @@ def parse_config(raw: dict) -> StudyConfig:
                      "aggregate", "coverage_layout"}, "study")
     n_range = st.get("n_range", [1, 10])
     if (not isinstance(n_range, list) or len(n_range) != 2
-            or not all(isinstance(v, int) for v in n_range)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in n_range)):
         raise ConfigError("study.n_range must be [lo, hi] integers")
     n_range = (n_range[0], n_range[1])
 
@@ -95,6 +95,7 @@ def parse_config(raw: dict) -> StudyConfig:
 
     cs = dict(raw.get("constraints", {}))
     _check_keys(cs, {"tau_drill_nm", "M_CR_nm", "one_boom_out"}, "constraints")
+    tau_drill = _require_type(cs, "tau_drill_nm", (int, float), 4.0, "constraints.")
     m_cr = _require_type(cs, "M_CR_nm", (int, float), context="constraints.")
     one_out = cs.get("one_boom_out", True)
     if not isinstance(one_out, bool):
@@ -102,14 +103,15 @@ def parse_config(raw: dict) -> StudyConfig:
 
     cal = dict(raw.get("calibration", {}))
     _check_keys(cal, {"delta_ref_m"}, "calibration")
+    delta_ref = _require_type(cal, "delta_ref_m", (int, float), 0.1, "calibration.")
 
     try:
         template = make_robot(boom_count=max(n_range), layout=layout, mounts=mounts, **kwargs)
         constraints = Constraints(
-            tau_drill=float(cs.get("tau_drill_nm", 4.0)),
+            tau_drill=float(tau_drill),
             m_critical=float(m_cr) if m_cr is not None else None,
             one_boom_out=one_out)
-        calibration = Calibration(delta_ref=float(cal.get("delta_ref_m", 0.1)))
+        calibration = Calibration(delta_ref=float(delta_ref))
         return StudyConfig(
             terrain=terrain,
             robot_template=template,

@@ -6,8 +6,9 @@ along the boom, torque about the body center from the shoulder lever arm).
 Stiffness K = G W G^T is symmetric positive semidefinite; its minimum
 eigenvalue is the stability measure (resistance in the weakest wrench
 direction) and its maximum eigenvalue the wrench-capability proxy.
-``stance_metrics`` is the one kernel that computes the per-stance metrics
-the study and ``reachbot eval`` report, over a stack of grasp maps.
+``grasp_map_stack`` builds a stack of grasp maps from shoulder and anchor
+stacks, and ``stance_metrics``, the one kernel behind the metrics the study
+and ``reachbot eval`` report, evaluates such a stack.
 
 Two earlier draft stiffness formulations are kept as ``legacy_*`` functions
 for comparison; see their docstrings for the signatures that make them
@@ -44,8 +45,8 @@ class Stance:
             raise ValueError("stance needs at least one boom")
         if np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) > 1e-12:
             raise ValueError("boom directions must be unit vectors")
-        if np.max(np.abs(np.linalg.norm(a - s, axis=1) - L)) > 1e-9:
-            raise ValueError("boom lengths inconsistent with shoulder/anchor pairs")
+        if np.max(np.abs(u * L[:, None] - (a - s))) > 1e-9:
+            raise ValueError("boom directions or lengths inconsistent with shoulder/anchor pairs")
         for name, arr in (("shoulders", s), ("anchors", a), ("directions", u),
                           ("lengths", L), ("body_center", c), ("body_rotation", R)):
             object.__setattr__(self, name, arr)
@@ -78,11 +79,21 @@ class Stance:
         return cls.from_pairs(d["s"], d["a"], d["body_center"], np.asarray(d.get("body_rotation", np.eye(3))))
 
 
+def grasp_map_stack(shoulders: np.ndarray, anchors: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """(..., 6, N) grasp maps of (..., N, 3) shoulder and anchor stacks.
+
+    Column i is [u_i; (s_i - c) x u_i], with u_i computed as Stance.from_pairs
+    computes it, so each slice's map equals its stance's grasp map bit for bit.
+    """
+    d = anchors - shoulders
+    u = d / np.linalg.norm(d, axis=-1)[..., None]
+    torque = np.cross(shoulders - center, u)
+    return np.ascontiguousarray(np.swapaxes(np.concatenate([u, torque], axis=-1), -1, -2))
+
+
 def grasp_map(st: Stance) -> np.ndarray:
-    """6xN grasp map; column i = [u_i; (s_i - c) x u_i]."""
-    lever = st.shoulders - st.body_center
-    torque = np.cross(lever, st.directions)
-    return np.vstack([st.directions.T, torque.T])
+    """6xN grasp map of one stance; column i = [u_i; (s_i - c) x u_i]."""
+    return grasp_map_stack(st.shoulders, st.anchors, st.body_center)
 
 
 def sym_eig(K: np.ndarray) -> np.ndarray:
@@ -176,16 +187,6 @@ def stance_metrics(G: np.ndarray, weight: float, delta_ref: float) -> dict[str, 
     one_out = _one_out_stack(G, weight) if G.shape[2] >= 2 else (np.zeros(len(G)),) * 2
     return dict(zip(METRICS, (lam[:, 0], lam[:, -1], np.sqrt(np.where(det < 1e-12, 0.0, det)),
                               lam[:, -1] * delta_ref, torque * delta_ref, *one_out)))
-
-
-def one_boom_out(st: Stance, weights: float) -> tuple[float, float]:
-    """Worst-drop (lambda_min, lambda_max of that same drop)."""
-    if st.boom_count < 2:
-        raise ValueError("cannot drop the only boom")
-    if not weights > 0:
-        raise ValueError("stiffness weights must be positive")
-    oo_min, oo_max = _one_out_stack(grasp_map(st)[None], weights)
-    return float(oo_min[0]), float(oo_max[0])
 
 
 def legacy_stiffness_pointmass(st: Stance) -> StiffnessResult:

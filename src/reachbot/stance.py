@@ -1,8 +1,9 @@
-"""Stance construction: anchor feasibility and optimal assignment.
+"""Boom-to-anchor matching: anchor feasibility and optimal assignment.
 
 A boom can reach an anchor iff the anchor sits inside the shoulder's cone of
 motion and within the deployable length band. Booms are matched to anchors
-by an exact minimum-total-length rectangular assignment.
+by an exact minimum-total-length rectangular assignment, returned as each
+boom's row index into the anchor pool.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanics import Stance
 from .robot import MountSpec, RobotConfig
 from .terrain import AnchorSet
 
@@ -75,11 +75,11 @@ def feasibility_matrix(
     return ok, L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """Boom-to-anchor pairing minimizing total deployed length."""
 
-    pairs: tuple[tuple[int, int], ...]  # (boom index, anchor index), sorted by boom
+    anchor_index: np.ndarray  # (N,) pool row of each boom's anchor, in boom order
     total_length: float
 
 
@@ -103,26 +103,8 @@ def assign(
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
     ok, L = feasibility_matrix(mounts, pose, points, pred)
     cost = np.where(ok, L, _BIG)
+    # With N <= M booms every row is matched, so rows is arange(N).
     rows, cols = linear_sum_assignment(cost)
     if not ok[rows, cols].all():
         return None
-    order = np.argsort(rows)
-    pairs = tuple((int(rows[k]), int(cols[k])) for k in order)
-    return Assignment(pairs=pairs, total_length=float(L[rows, cols].sum()))
-
-
-def build_stance(
-    cfg: RobotConfig,
-    anchors: AnchorSet | np.ndarray,
-    pose: BodyPose | None = None,
-) -> Stance | None:
-    """Assign booms to anchors and materialize the stance; None if infeasible."""
-    pose = pose or BodyPose()
-    pred = FeasibilityPredicate.from_robot(cfg)
-    result = assign(list(cfg.mounts), pose, anchors, pred)
-    if result is None:
-        return None
-    points = anchors.points if isinstance(anchors, AnchorSet) else np.atleast_2d(anchors)
-    shoulders, _ = world_mounts(list(cfg.mounts), pose)
-    chosen = np.array([points[j] for _, j in result.pairs])
-    return Stance.from_pairs(shoulders, chosen, pose.position, pose.rotation)
+    return Assignment(anchor_index=cols, total_length=float(L[rows, cols].sum()))

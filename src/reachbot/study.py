@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .interference import CoverageReport, coverage_curve
-from .mechanics import METRICS, Stance, grasp_map, stance_metrics
+from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
-from .stance import BodyPose, build_stance
+from .stance import BodyPose, FeasibilityPredicate, assign, world_mounts
 from .terrain import AnchorSet, Terrain, sample_anchors
 
 log = logging.getLogger(__name__)
@@ -151,32 +151,33 @@ def draw_pool(sc: StudyConfig, trial: int, tag: str) -> tuple[AnchorSet, str]:
 
 
 def trial_stance(sc: StudyConfig, cfg: RobotConfig, trial: int,
-                 shared: tuple[AnchorSet, str], pose: BodyPose | None = None
-                 ) -> tuple[Stance | None, int, AnchorSet, str]:
-    """The stance of cell (cfg.boom_count, trial).
+                 shared: tuple[AnchorSet, str], pose: BodyPose
+                 ) -> tuple[np.ndarray | None, int, AnchorSet, str]:
+    """The boom-to-anchor assignment of cell (cfg.boom_count, trial).
 
     ``shared`` is the trial's ``draw_pool(sc, trial, "anchors")``. While no
     complete assignment exists, a fresh pool is drawn, up to MAX_RESAMPLES
-    times. Returns (stance or None, resamples, pool, pool hash); an
-    infeasible cell reports the shared pool.
+    times. Returns (each boom's anchor row or None, resamples, pool, pool
+    hash); an infeasible cell reports the shared pool.
     """
+    mounts, pred = list(cfg.mounts), FeasibilityPredicate.from_robot(cfg)
     pool, pool_hash = shared
-    st = build_stance(cfg, pool, pose)
+    match = assign(mounts, pose, pool, pred)
     resamples = 0
-    while st is None and resamples < MAX_RESAMPLES:
+    while match is None and resamples < MAX_RESAMPLES:
         resamples += 1
         pool, pool_hash = draw_pool(sc, trial, f"resample:{cfg.boom_count}:{resamples}")
-        st = build_stance(cfg, pool, pose)
-    if st is None:
-        pool, pool_hash = shared
-    return st, resamples, pool, pool_hash
+        match = assign(mounts, pose, pool, pred)
+    if match is None:
+        return None, resamples, *shared
+    return match.anchor_index, resamples, pool, pool_hash
 
 
 def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     """Evaluate every (boom count, trial) cell under common random numbers.
 
-    Stances are built cell by cell; their metrics are then taken per boom
-    count, over the stack of that count's feasible grasp maps at once.
+    Booms are matched to anchors cell by cell; each boom count's grasp maps
+    and metrics are then taken in one stacked call over its feasible cells.
     """
     pose = pose or BodyPose()
     robots = [sc.robot(n) for n in sc.boom_counts]
@@ -184,20 +185,21 @@ def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     feasible = np.zeros(shape, dtype=bool)
     resamples = np.zeros(shape, dtype=int)
     pool_hash = np.empty(shape, dtype="U16")
-    maps = [[] for _ in robots]  # per boom count, feasible trials' grasp maps
+    anchors = [[] for _ in robots]  # per boom count, feasible trials' assigned anchors
     for t in range(sc.trials):
         shared = draw_pool(sc, t, "anchors")
         for i, cfg in enumerate(robots):
-            st, resamples[i, t], _, pool_hash[i, t] = trial_stance(sc, cfg, t, shared, pose)
-            if st is not None:
+            idx, resamples[i, t], pool, pool_hash[i, t] = trial_stance(sc, cfg, t, shared, pose)
+            if idx is not None:
                 feasible[i, t] = True
-                maps[i].append(grasp_map(st))
+                anchors[i].append(pool.points[idx])
     columns = {"feasible": feasible, "resamples": resamples, "pool_hash": pool_hash,
                **{name: np.zeros(shape) for name in METRICS}}
     for i, cfg in enumerate(robots):
-        if maps[i]:
-            values = stance_metrics(np.stack(maps[i]), cfg.boom_stiffness,
-                                    sc.calibration.delta_ref)
+        if anchors[i]:
+            shoulders, _ = world_mounts(list(cfg.mounts), pose)
+            G = grasp_map_stack(shoulders, np.stack(anchors[i]), pose.position)
+            values = stance_metrics(G, cfg.boom_stiffness, sc.calibration.delta_ref)
             for name, value in values.items():
                 columns[name][i, feasible[i]] = value
     return MetricsTable(boom_counts=tuple(sc.boom_counts), columns=columns)

@@ -117,14 +117,6 @@ def make_terrain(spec: dict) -> Terrain:
     return Terrain(kind, tuple(dims), frame)
 
 
-def surface_area(t: Terrain) -> float:
-    """Analytic area of the graspable surface (cylinder lateral surface only)."""
-    a, b = t.dims
-    if t.kind == CORRIDOR:
-        return 2.0 * np.pi * a * b
-    return a * b
-
-
 @dataclass(frozen=True)
 class AnchorSet:
     """A batch of candidate anchor points on one terrain."""
@@ -179,10 +171,7 @@ def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator) -> n
     return t.frame.to_world(_sample_local(t, count, rng, None))
 
 
-def anchors_to_csv_rows(anchor_sets: list[AnchorSet]) -> list[str]:
-    """CSV lines (with header) for one or more trial anchor sets."""
-    rows = ["trial,index,x,y,z"]
-    for trial, aset in enumerate(anchor_sets):
-        for idx, p in enumerate(aset.points):
-            rows.append(f"{trial},{idx},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}")
-    return rows
+def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:
+    """CSV lines (with header) for one trial's anchor pool."""
+    return ["trial,index,x,y,z"] + [f"{trial},{idx},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}"
+                                    for idx, p in enumerate(pool.points)]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import reachbot as rb
+from reachbot.mechanics import stance_metrics
 from reachbot.rng import substream
-from reachbot.stance import feasibility_matrix
+from reachbot.stance import feasibility_matrix, world_mounts
+from reachbot.terrain import CORRIDOR
 
 
 @pytest.fixture
@@ -72,3 +74,37 @@ def drop_boom(st, i):
     keep = [j for j in range(n) if j != i]
     return rb.Stance(st.shoulders[keep], st.anchors[keep], st.directions[keep],
                      st.lengths[keep], st.body_center, st.body_rotation)
+
+
+def build_stance(cfg, anchors, pose=None):
+    """Assign booms to anchors and materialise the stance; None if infeasible.
+
+    The per-cell reference for the study, which keeps only anchor indices
+    and builds each boom count's grasp maps in one stacked call.
+    """
+    pose = pose or rb.BodyPose()
+    match = rb.assign(list(cfg.mounts), pose, anchors, rb.FeasibilityPredicate.from_robot(cfg))
+    if match is None:
+        return None
+    points = anchors.points if isinstance(anchors, rb.AnchorSet) else np.atleast_2d(anchors)
+    shoulders, _ = world_mounts(list(cfg.mounts), pose)
+    return rb.Stance.from_pairs(shoulders, points[match.anchor_index], pose.position,
+                                pose.rotation)
+
+
+def one_boom_out(st, weight):
+    """Worst-drop (lambda_min, lambda_max of that same drop), by the study's kernel."""
+    if st.boom_count < 2:
+        raise ValueError("cannot drop the only boom")
+    if not weight > 0:
+        raise ValueError("stiffness weights must be positive")
+    m = stance_metrics(rb.grasp_map(st)[None], weight, 1.0)
+    return float(m["one_out_lambda_min"][0]), float(m["one_out_lambda_max"][0])
+
+
+def surface_area(t):
+    """Analytic area of the graspable surface (cylinder lateral surface only)."""
+    a, b = t.dims
+    if t.kind == CORRIDOR:
+        return 2.0 * np.pi * a * b
+    return a * b

@@ -140,6 +140,8 @@ class TestStance:
         assert (out / "assignment.csv").exists()
         st = rb.Stance.from_dict(json.loads((out / "stance.json").read_text()))
         assert st.boom_count == 8
+        trials = np.loadtxt(out / "anchors.csv", delimiter=",", skiprows=1)[:, 0]
+        assert len(trials) == 3 * 8 and np.all(trials == 3)
 
     def test_reproduces_resampled_study_cell(self, config_path, tmp_path):
         main(["study", str(config_path), "--out-dir", str(tmp_path / "study"), "--json"])
@@ -182,19 +184,24 @@ class TestStance:
     ["stance", "--trial", "-1"],
     ["coverage", "--samples", "0"],
     ["coverage", "--samples", "-5"],
-    # A dict after the command edits the config's study block.
-    ["study", {"coverage_layout": "ring"}],
-    ["study", {"surface_samples": 0}],
-    ["study", {"surface_samples": -5}],
-    ["study", {"trials": 2.5}],
-    ["study", {"pool_multiplier": "3"}],
-    ["study", {"surface_samples": 2.5}],
+    # A dict after the command sets the config's "block.field" entries.
+    ["study", {"study.coverage_layout": "ring"}],
+    ["study", {"study.surface_samples": 0}],
+    ["study", {"study.surface_samples": -5}],
+    ["study", {"study.trials": 2.5}],
+    ["study", {"study.pool_multiplier": "3"}],
+    ["study", {"study.surface_samples": 2.5}],
+    ["study", {"calibration.delta_ref_m": "0.14"}],
+    ["study", {"constraints.tau_drill_nm": "4"}],
+    ["study", {"study.n_range": [True, 3]}],
 ])
 def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
     command, *flags = argv
     if flags and isinstance(flags[0], dict):
         cfg = json.loads(config_path.read_text())
-        cfg["study"].update(flags.pop(0))
+        for key, value in flags.pop(0).items():
+            block, field = key.split(".")
+            cfg[block][field] = value
         config_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, str(config_path), *flags, "--out-dir", str(out)]) == 1

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.mechanics import legacy_stiffness_cable, legacy_stiffness_pointmass
+from reachbot.mechanics import (grasp_map_stack, legacy_stiffness_cable,
+                                legacy_stiffness_pointmass)
 from reachbot.rng import substream
+from reachbot.stance import world_mounts
 from reachbot.study import REL_EPS
 from conftest import drop_boom, random_stance
 
@@ -90,6 +92,23 @@ class TestGraspMap:
             tau = G[3:, i]
             assert abs(tau @ st.directions[i]) < 1e-12
             assert abs(tau @ (st.shoulders[i] - st.body_center)) < 1e-12
+
+
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_stack_equals_per_stance_maps(self, rng, n):
+        # A posed body: rotated and off the origin, so the lever arms use c.
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pose = rb.BodyPose(position=np.array([3.0, -1.5, 2.0]), rotation=R)
+        shoulders, _ = world_mounts(rb.build_mounts(n), pose)
+        anchors = pose.position + rng.uniform(-15.0, 15.0, size=(4, n, 3))
+        G = grasp_map_stack(shoulders, anchors, pose.position)
+        assert G.shape == (4, 6, n) and G.flags.c_contiguous
+        for t in range(4):
+            st = rb.Stance.from_pairs(shoulders, anchors[t], pose.position, pose.rotation)
+            assert np.array_equal(G[t], rb.grasp_map(st))
+            # The column formula on the stance's own directions, bit for bit.
+            torque = np.cross(st.shoulders - st.body_center, st.directions)
+            assert np.array_equal(G[t], np.vstack([st.directions.T, torque.T]))
 
 
 class TestSymEig:
@@ -316,6 +335,13 @@ class TestStanceSerialization:
         assert np.allclose(st.shoulders, again.shoulders)
         assert np.allclose(st.anchors, again.anchors)
         assert np.allclose(st.lengths, again.lengths)
+
+    @pytest.mark.parametrize("u,L", [([0.0, 1.0, 0.0], 10.0), ([1.0, 0.0, 0.0], 9.0)])
+    def test_inconsistent_boom_rejected(self, u, L):
+        # grasp_map reads u from the anchors, so a stance's own u must agree.
+        with pytest.raises(ValueError, match="inconsistent"):
+            rb.Stance(shoulders=np.zeros((1, 3)), anchors=np.array([[10.0, 0, 0]]),
+                      directions=np.array([u]), lengths=np.array([L]), body_center=np.zeros(3))
 
     def test_invalid_direction_rejected(self):
         with pytest.raises(ValueError, match="unit"):

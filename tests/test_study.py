@@ -11,7 +11,7 @@ from reachbot.mechanics import METRICS
 from reachbot.rng import substream
 from reachbot.robot import fibonacci_sphere
 from reachbot.study import MAX_RESAMPLES, REL_EPS, MetricsTable, SummaryRow, anchor_window
-from conftest import default_config_dict, drop_boom, random_stance
+from conftest import build_stance, default_config_dict, drop_boom, one_boom_out, random_stance
 from test_mechanics import wrench_capability
 
 
@@ -154,12 +154,12 @@ class TestRunTrials:
 
             cfg = sc.robot_template.with_boom_count(n, sc.layout)
             shared = pool = draw("anchors")
-            st = rb.build_stance(cfg, pool)
+            st = build_stance(cfg, pool)
             resamples = 0
             while st is None and resamples < MAX_RESAMPLES:
                 resamples += 1
                 pool = draw(f"resample:{n}:{resamples}")
-                st = rb.build_stance(cfg, pool)
+                st = build_stance(cfg, pool)
             expect = dict(n=n, trial=c["trial"], feasible=st is not None, resamples=resamples)
             if st is None:
                 assert c == dict(expect, pool_hash=digest(shared), **dict.fromkeys(METRICS, 0.0))
@@ -212,7 +212,7 @@ class TestOneBoomOut:
         hits = 0
         for _ in range(10):
             st = random_stance(rng, 7)
-            oo_min, oo_max = rb.one_boom_out(st, 100.0)
+            oo_min, oo_max = one_boom_out(st, 100.0)
             full = rb.stiffness(rb.grasp_map(st), 100.0)
             assert oo_min <= full.stability + 1e-9 * full.wrench_capability
             if oo_min > REL_EPS * oo_max:
@@ -222,12 +222,12 @@ class TestOneBoomOut:
     def test_six_booms_always_fail(self, rng):
         for _ in range(10):
             st = random_stance(rng, 6)
-            oo_min, oo_max = rb.one_boom_out(st, 100.0)
+            oo_min, oo_max = one_boom_out(st, 100.0)
             assert oo_min <= REL_EPS * max(oo_max, 1.0)
 
     def test_matches_direct_minimum(self, rng):
         st = random_stance(rng, 8)
-        oo_min, _ = rb.one_boom_out(st, 100.0)
+        oo_min, _ = one_boom_out(st, 100.0)
         direct = min(rb.stiffness(rb.grasp_map(drop_boom(st, i)), 100.0).stability
                      for i in range(8))
         assert oo_min == pytest.approx(direct, rel=1e-12)
@@ -235,9 +235,9 @@ class TestOneBoomOut:
     def test_rejects_single_boom_and_bad_weight(self, rng):
         single = rb.Stance.from_pairs([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
         with pytest.raises(ValueError, match="only boom"):
-            rb.one_boom_out(single, 100.0)
+            one_boom_out(single, 100.0)
         with pytest.raises(ValueError, match="positive"):
-            rb.one_boom_out(random_stance(rng, 7), 0.0)
+            one_boom_out(random_stance(rng, 7), 0.0)
 
 
 class TestParetoFront:

@@ -5,6 +5,7 @@ from scipy import stats
 import reachbot as rb
 from reachbot.rng import substream
 from reachbot.terrain import CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows
+from conftest import surface_area
 
 
 def surface_distance(t: Terrain, pts: np.ndarray) -> np.ndarray:
@@ -53,7 +54,7 @@ def unit_square_coords(t: Terrain, pts: np.ndarray) -> np.ndarray:
 class TestConstruction:
     def test_corridor_area(self):
         t = rb.corridor(radius=15, length=100)
-        assert rb.surface_area(t) == pytest.approx(2 * np.pi * 15 * 100, abs=1e-6)
+        assert surface_area(t) == pytest.approx(2 * np.pi * 15 * 100, abs=1e-6)
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ValueError, match="radius must be positive"):
@@ -64,13 +65,13 @@ class TestConstruction:
             rb.corridor(radius=1, length=-5)
 
     def test_wall_area(self):
-        assert rb.surface_area(rb.wall(10, 30)) == pytest.approx(300)
+        assert surface_area(rb.wall(10, 30)) == pytest.approx(300)
 
     def test_floor_area(self):
-        assert rb.surface_area(rb.floor(2, 3)) == pytest.approx(6)
+        assert surface_area(rb.floor(2, 3)) == pytest.approx(6)
 
     def test_unit_corridor_area(self):
-        assert rb.surface_area(rb.corridor(1, 1)) == pytest.approx(2 * np.pi)
+        assert surface_area(rb.corridor(1, 1)) == pytest.approx(2 * np.pi)
 
     def test_make_terrain_defaults(self):
         t = rb.make_terrain({"kind": "corridor"})
@@ -149,7 +150,7 @@ class TestSampling:
 
 def test_anchor_csv_format(corridor):
     aset = rb.sample_anchors(corridor, 2, 40, substream(0, 0, "anchors"))
-    rows = anchors_to_csv_rows([aset])
+    rows = anchors_to_csv_rows(aset, 5)
     assert rows[0] == "trial,index,x,y,z"
     assert len(rows) == 3
-    assert rows[1].startswith("0,0,")
+    assert rows[1].startswith("5,0,") and rows[2].startswith("5,1,")
