@@ -26,7 +26,8 @@ def main() -> int:
     table = run_trials(sc)
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
     # raw rotational eigenvalue aggregate, independent of the configured delta_ref
-    raw = {r.n: r.agg_wrench_torque / sc.calibration.delta_ref for r in summary}
+    raw = dict(zip(summary["n"].tolist(),
+                   (summary["agg_wrench_torque"] / sc.calibration.delta_ref).tolist()))
     print(f"config: {path}")
     print(f"aggregate: {sc.aggregate_mode} over {sc.trials} trials, seed {sc.seed}")
     for n, m in raw.items():

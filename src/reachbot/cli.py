@@ -91,17 +91,17 @@ def cmd_study(args) -> int:
         _write_lines(out / "summary.csv", summary_csv_rows(report.summary))
         _write_lines(out / "coverage.csv", coverage_csv_rows(report.coverage))
         _write_lines(out / "pareto.csv", pareto_csv_rows(report.pareto))
+    verdicts = report.pareto.verdicts
+    failed = [(n, ", ".join(binding))
+              for n, binding in zip(verdicts["n"].tolist(), verdicts["binding"]) if binding]
     if report.selected_n is None:
         print("no feasible design")
-        for v in report.pareto.verdicts:
-            print(f"  N = {v.n}: fails {', '.join(v.binding)}")
+        for n, names in failed:
+            print(f"  N = {n}: fails {names}")
         return EXIT_NO_DESIGN
     print(f"selected N = {report.selected_n}")
-    binding = {v.n: v.binding for v in report.pareto.verdicts}
-    infeasible = [v.n for v in report.pareto.verdicts if not v.feasible]
-    if infeasible:
-        print("rejected: " + "; ".join(
-            f"N = {n} fails {', '.join(binding[n])}" for n in infeasible))
+    if failed:
+        print("rejected: " + "; ".join(f"N = {n} fails {names}" for n, names in failed))
     return EXIT_OK
 
 
@@ -159,10 +159,16 @@ def cmd_pareto(args) -> int:
     for col, _ in objectives:
         if col not in reader.fieldnames:
             raise ConfigError(f"column {col!r} not in points CSV")
+    for i, r in enumerate(rows, start=1):
+        if None in r or None in r.values():
+            raise ConfigError(f"points CSV data row {i} does not have one value per column")
     try:
         values = np.array([[float(r[c]) for c, _ in objectives] for r in rows])
     except ValueError as exc:
         raise ConfigError(f"non-numeric objective value: {exc}")
+    nan_rows = np.isnan(values).any(axis=1)
+    if nan_rows.any():
+        raise ConfigError(f"NaN objective value in data row {nan_rows.argmax() + 1}")
     keep = pareto_front(values, [s for _, s in objectives])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -179,7 +185,10 @@ def cmd_eval(args) -> int:
     if not path.exists():
         raise ConfigError(f"stance file not found: {path}")
     try:
-        st = Stance.from_dict(json.loads(path.read_text()))
+        raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("root must be a JSON object")
+        st = Stance.from_dict(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (KeyError, ValueError) as exc:

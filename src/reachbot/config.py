@@ -49,17 +49,18 @@ def parse_config(raw: dict) -> StudyConfig:
     if seed < 0:
         raise ConfigError("seed must be non-negative")
 
+    terrain_raw = _require_type(raw, "terrain", dict, {"kind": "corridor"})
     try:
-        terrain = make_terrain(raw.get("terrain", {"kind": "corridor"}))
+        terrain = make_terrain(terrain_raw)
     except ValueError as exc:
         raise ConfigError(f"terrain: {exc}") from exc
 
-    rb = dict(raw.get("robot", {}))
+    rb = _require_type(raw, "robot", dict, {})
     _check_keys(rb, {"body_mass", "body_radius", "L_max", "L_min", "cone_half_angle_rad",
                      "m_boom", "m_gripper", "m_shoulder", "k", "g", "layout", "mounts"},
                 "robot")
-    layout = rb.pop("layout", "uniform")
-    mounts_raw = rb.pop("mounts", None)
+    layout = _require_type(rb, "layout", str, "uniform", "robot.")
+    mounts_raw = rb.get("mounts")
     kwargs = {}
     for src, dst in (("body_mass", "body_mass"), ("body_radius", "body_radius"),
                      ("L_max", "L_max"), ("L_min", "L_min"),
@@ -71,7 +72,7 @@ def parse_config(raw: dict) -> StudyConfig:
         if value is not None:
             kwargs[dst] = float(value)
 
-    st = dict(raw.get("study", {}))
+    st = _require_type(raw, "study", dict, {})
     _check_keys(st, {"n_range", "trials", "pool_multiplier", "surface_samples",
                      "aggregate", "coverage_layout"}, "study")
     n_range = st.get("n_range", [1, 10])
@@ -93,15 +94,13 @@ def parse_config(raw: dict) -> StudyConfig:
         if len(mounts) != n_range[0]:
             raise ConfigError("robot.mounts length must equal the study boom count")
 
-    cs = dict(raw.get("constraints", {}))
+    cs = _require_type(raw, "constraints", dict, {})
     _check_keys(cs, {"tau_drill_nm", "M_CR_nm", "one_boom_out"}, "constraints")
     tau_drill = _require_type(cs, "tau_drill_nm", (int, float), 4.0, "constraints.")
     m_cr = _require_type(cs, "M_CR_nm", (int, float), context="constraints.")
-    one_out = cs.get("one_boom_out", True)
-    if not isinstance(one_out, bool):
-        raise ConfigError("constraints.one_boom_out must be a boolean")
+    one_out = _require_type(cs, "one_boom_out", bool, True, "constraints.")
 
-    cal = dict(raw.get("calibration", {}))
+    cal = _require_type(raw, "calibration", dict, {})
     _check_keys(cal, {"delta_ref_m"}, "calibration")
     delta_ref = _require_type(cal, "delta_ref_m", (int, float), 0.1, "calibration.")
 
@@ -121,8 +120,8 @@ def parse_config(raw: dict) -> StudyConfig:
             layout=layout if mounts is None else EXPLICIT_LAYOUT,
             pool_multiplier=_require_type(st, "pool_multiplier", int, 3, "study."),
             surface_samples=_require_type(st, "surface_samples", int, 20000, "study."),
-            coverage_layout=st.get("coverage_layout", "nested"),
-            aggregate_mode=st.get("aggregate", "median"),
+            coverage_layout=_require_type(st, "coverage_layout", str, "nested", "study."),
+            aggregate_mode=_require_type(st, "aggregate", str, "median", "study."),
             constraints=constraints,
             calibration=calibration)
     except ValueError as exc:

@@ -138,9 +138,10 @@ def make_robot(boom_count: int, layout: str = "uniform", mounts: list[MountSpec]
     return RobotConfig(boom_count=boom_count, mounts=tuple(mounts), **overrides)
 
 
-def total_mass(cfg: RobotConfig) -> float:
-    """Body plus per-boom assemblies; affine in boom count."""
-    return cfg.body_mass + cfg.boom_count * (cfg.m_boom + cfg.m_gripper + cfg.m_shoulder)
+def total_mass(cfg: RobotConfig, boom_count: int | np.ndarray | None = None):
+    """Body plus per-boom assemblies, affine in boom count (an array of counts, or cfg's)."""
+    n = cfg.boom_count if boom_count is None else boom_count
+    return cfg.body_mass + n * (cfg.m_boom + cfg.m_gripper + cfg.m_shoulder)
 
 
 def buckling_moment(m_gripper: float, m_boom: float, g: float, L: float) -> float:

@@ -11,6 +11,7 @@ import hashlib
 import logging
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -31,6 +32,9 @@ MAX_RESAMPLES = 100
 
 # StudyConfig.layout of a study whose config lists robot.mounts.
 EXPLICIT_LAYOUT = "explicit"
+
+# study.aggregate mode -> the reduction that aggregates a metric over trials
+AGGREGATES = {"median": np.median, "mean": np.mean, "min": np.min, "max": np.max}
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class StudyConfig:
             raise ValueError("seed must be non-negative")
         if self.pool_multiplier < 1:
             raise ValueError("pool_multiplier must be >= 1")
-        if self.aggregate_mode not in ("median", "mean", "min", "max"):
+        if self.aggregate_mode not in AGGREGATES:
             raise ValueError("aggregate_mode must be median, mean, min or max")
         if self.surface_samples < 1:
             raise ValueError("surface_samples must be >= 1")
@@ -123,14 +127,15 @@ class MetricsTable:
 
     def records(self) -> list[dict]:
         """One dict of Python scalars per cell, trial-major."""
-        cols = {name: col.T.tolist() for name, col in self.columns.items()}
-        return [{"n": n, "trial": t, **{name: col[t][i] for name, col in cols.items()}}
-                for t in range(self.trials) for i, n in enumerate(self.boom_counts)]
+        n, trial = np.meshgrid(self.boom_counts, range(self.trials))
+        return column_records({"n": n.ravel(), "trial": trial.ravel(),
+                               **{name: col.T.ravel() for name, col in self.columns.items()}})
 
 
-def _aggregate(values: np.ndarray, mode: str) -> float:
-    fn = {"median": np.median, "mean": np.mean, "min": np.min, "max": np.max}[mode]
-    return float(fn(values))
+def column_records(columns: dict) -> list[dict]:
+    """One dict of Python scalars per row of equal-length columns (arrays or lists)."""
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def anchor_window(terrain: Terrain, cfg: RobotConfig) -> float:
@@ -205,50 +210,31 @@ def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     return MetricsTable(boom_counts=tuple(sc.boom_counts), columns=columns)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    n: int
-    mass: float
-    worst_stability: float
-    mean_stability: float
-    mean_marginal_gain: float
-    mean_manipulability: float
-    agg_stability: float
-    agg_lambda_max: float
-    agg_wrench_full: float
-    agg_wrench_torque: float
-    one_out_worst: float
-    one_out_agg: float
-    one_out_agg_lambda_max: float
-    infeasible_trials: int
-
-
 def aggregate(table: MetricsTable, robot_template: RobotConfig,
-              mode: str = "median") -> list[SummaryRow]:
-    """Per-boom-count summary, including marginal stability gain vs N-1."""
-    rows = []
-    prev_lmin = None
-    for n in table.boom_counts:
-        lmin = table.column(n, "lambda_min")
-        gain = float(np.mean(lmin - prev_lmin)) if prev_lmin is not None else 0.0
-        rows.append(SummaryRow(
-            n=n,
-            mass=total_mass(robot_template.with_boom_count(n)),
-            worst_stability=float(lmin.min()),
-            mean_stability=float(lmin.mean()),
-            mean_marginal_gain=gain,
-            mean_manipulability=float(table.column(n, "manipulability").mean()),
-            agg_stability=_aggregate(lmin, mode),
-            agg_lambda_max=_aggregate(table.column(n, "lambda_max"), mode),
-            agg_wrench_full=_aggregate(table.column(n, "wrench_full"), mode),
-            agg_wrench_torque=_aggregate(table.column(n, "wrench_torque"), mode),
-            one_out_worst=float(table.column(n, "one_out_lambda_min").min()),
-            one_out_agg=_aggregate(table.column(n, "one_out_lambda_min"), mode),
-            one_out_agg_lambda_max=_aggregate(table.column(n, "one_out_lambda_max"), mode),
-            infeasible_trials=int((~table.column(n, "feasible")).sum()),
-        ))
-        prev_lmin = lmin
-    return rows
+              mode: str = "median") -> dict[str, np.ndarray]:
+    """Per-boom-count summary columns, each one reduction along the trial axis.
+
+    ``mean_marginal_gain`` is the mean paired lambda_min gain over the
+    previous boom count (0 at the first).
+    """
+    col, agg = table.columns, AGGREGATES[mode]
+    lmin, n = col["lambda_min"], np.array(table.boom_counts)
+    return {
+        "n": n,
+        "mass": total_mass(robot_template, n),
+        "worst_stability": lmin.min(axis=1),
+        "mean_stability": lmin.mean(axis=1),
+        "mean_marginal_gain": np.concatenate([[0.0], np.diff(lmin, axis=0).mean(axis=1)]),
+        "mean_manipulability": col["manipulability"].mean(axis=1),
+        "agg_stability": agg(lmin, axis=1),
+        "agg_lambda_max": agg(col["lambda_max"], axis=1),
+        "agg_wrench_full": agg(col["wrench_full"], axis=1),
+        "agg_wrench_torque": agg(col["wrench_torque"], axis=1),
+        "one_out_worst": col["one_out_lambda_min"].min(axis=1),
+        "one_out_agg": agg(col["one_out_lambda_min"], axis=1),
+        "one_out_agg_lambda_max": agg(col["one_out_lambda_max"], axis=1),
+        "infeasible_trials": (~col["feasible"]).sum(axis=1),
+    }
 
 
 def pareto_front(values: np.ndarray, senses: list[str]) -> list[int]:
@@ -277,31 +263,12 @@ def pareto_front(values: np.ndarray, senses: list[str]) -> list[int]:
     return keep
 
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
-    n: int
-    stability_ok: bool
-    torque_ok: bool
-    one_boom_out_ok: bool
-    buckling_ok: bool
-    feasible: bool
-    binding: tuple[str, ...]  # names of failed constraints
-
-
-@dataclass(frozen=True)
-class CandidatePoint:
-    n: int
-    mass: float
-    torque_capability: float
-    worst_stability: float
-    unique_pct: float
-    overlap_pct: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParetoResult:
-    candidates: tuple[CandidatePoint, ...]
-    verdicts: tuple[ConstraintVerdict, ...]
+    """Selection result; ``candidates`` and ``verdicts`` are per-N columns."""
+
+    candidates: dict[str, np.ndarray]
+    verdicts: dict[str, np.ndarray | list[tuple[str, ...]]]
     nondominated_n: tuple[int, ...]
     feasible_n: tuple[int, ...]
     selected_n: int | None
@@ -309,7 +276,7 @@ class ParetoResult:
 
 
 def select_design(
-    summary: list[SummaryRow],
+    summary: dict[str, np.ndarray],
     coverage: list[CoverageReport],
     constraints: Constraints,
     robot_template: RobotConfig,
@@ -317,54 +284,48 @@ def select_design(
     """Apply mission constraints, then pick the minimum-mass feasible design.
 
     Ties in mass are broken toward lower overlapping coverage (less
-    mechanical interference).
+    mechanical interference). A boom count without a coverage report
+    reads 0 coverage.
     """
-    cov_by_n = {c.boom_count: c for c in coverage}
+    n = summary["n"]
     buck = None
-    buckling_ok = True
     if constraints.m_critical is not None:
         buck = check_buckling(constraints.m_critical, robot_template)
-        buckling_ok = buck.satisfied
-
-    candidates, verdicts = [], []
-    for row in summary:
-        cov = cov_by_n.get(row.n)
-        candidates.append(CandidatePoint(
-            n=row.n, mass=row.mass, torque_capability=row.agg_wrench_torque,
-            worst_stability=row.worst_stability,
-            unique_pct=cov.unique_pct if cov else 0.0,
-            overlap_pct=cov.overlap_pct if cov else 0.0))
-        stability_ok = row.agg_stability > REL_EPS * abs(row.agg_lambda_max)
-        torque_ok = row.agg_wrench_torque >= constraints.tau_drill
-        obo_ok = (not constraints.one_boom_out
-                  or row.one_out_agg > REL_EPS * abs(row.one_out_agg_lambda_max))
-        binding = tuple(name for name, ok in (
-            ("stability", stability_ok), ("torque", torque_ok),
-            ("one_boom_out", obo_ok), ("buckling", buckling_ok)) if not ok)
-        verdicts.append(ConstraintVerdict(
-            n=row.n, stability_ok=stability_ok, torque_ok=torque_ok,
-            one_boom_out_ok=obo_ok, buckling_ok=buckling_ok,
-            feasible=not binding, binding=binding))
-
-    front = pareto_front(
-        np.array([[c.mass, c.torque_capability] for c in candidates]), ["min", "max"])
-    feasible = [v.n for v in verdicts if v.feasible]
+    pct = {c.boom_count: (c.unique_pct, c.overlap_pct) for c in coverage}
+    unique, overlap = np.array([pct.get(k, (0.0, 0.0)) for k in n.tolist()]).T
+    ok = {  # constraint name -> passes, per N; binding lists failures in this order
+        "stability": summary["agg_stability"] > REL_EPS * np.abs(summary["agg_lambda_max"]),
+        "torque": summary["agg_wrench_torque"] >= constraints.tau_drill,
+        "one_boom_out": np.logical_or(not constraints.one_boom_out, summary["one_out_agg"]
+                                      > REL_EPS * np.abs(summary["one_out_agg_lambda_max"])),
+        "buckling": np.full(n.shape, buck is None or buck.satisfied),
+    }
+    failed = ~np.column_stack(list(ok.values()))
+    feasible = ~failed.any(axis=1)
+    candidates = {"n": n, "mass": summary["mass"],
+                  "torque_capability": summary["agg_wrench_torque"],
+                  "worst_stability": summary["worst_stability"],
+                  "unique_pct": unique, "overlap_pct": overlap}
+    front = pareto_front(np.column_stack([summary["mass"], summary["agg_wrench_torque"]]),
+                         ["min", "max"])
     selected = None
-    if feasible:
-        by_n = {c.n: c for c in candidates}
-        selected = min(feasible, key=lambda n: (by_n[n].mass, by_n[n].overlap_pct, n))
+    if feasible.any():
+        order = np.lexsort((n[feasible], overlap[feasible], summary["mass"][feasible]))
+        selected = n[feasible][order[0]].item()
     return ParetoResult(
-        candidates=tuple(candidates), verdicts=tuple(verdicts),
-        nondominated_n=tuple(candidates[i].n for i in front),
-        feasible_n=tuple(feasible), selected_n=selected, buckling=buck)
+        candidates=candidates,
+        verdicts={"n": n, **{f"{name}_ok": v for name, v in ok.items()}, "feasible": feasible,
+                  "binding": [tuple(compress(ok, row)) for row in failed.tolist()]},
+        nondominated_n=tuple(n[front].tolist()), feasible_n=tuple(n[feasible].tolist()),
+        selected_n=selected, buckling=buck)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyReport:
     seed: int
     config_echo: dict
     table: MetricsTable
-    summary: list[SummaryRow]
+    summary: dict[str, np.ndarray]
     coverage: list[CoverageReport]
     pareto: ParetoResult
 
@@ -383,9 +344,9 @@ class StudyReport:
             "feasible_n": list(self.pareto.feasible_n),
             "nondominated_n": list(self.pareto.nondominated_n),
             "buckling": asdict(self.pareto.buckling) if self.pareto.buckling else None,
-            "verdicts": [asdict(v) for v in self.pareto.verdicts],
-            "candidates": [asdict(c) for c in self.pareto.candidates],
-            "summary": [asdict(r) for r in self.summary],
+            "verdicts": column_records(self.pareto.verdicts),
+            "candidates": column_records(self.pareto.candidates),
+            "summary": column_records(self.summary),
             "coverage": [asdict(c) for c in self.coverage],
             "trials": self.table.records(),
         }
@@ -434,32 +395,34 @@ def run_study(sc: StudyConfig, config_echo: dict | None = None,
                        summary=summary, coverage=cov, pareto=pareto)
 
 
+# summary.csv header -> summary column
+SUMMARY_CSV = {"N": "n", "mass_kg": "mass", "worst_stability": "worst_stability",
+               "mean_stability": "mean_stability", "mean_marginal_gain": "mean_marginal_gain",
+               "mean_manipulability": "mean_manipulability", "wrench_full": "agg_wrench_full",
+               "wrench_torque_nm": "agg_wrench_torque", "one_out_worst": "one_out_worst",
+               "one_out_agg": "one_out_agg", "infeasible_trials": "infeasible_trials"}
+
+
+def _csv_lines(columns: dict) -> list[str]:
+    """A header of column names, then one line per row with values in .12g."""
+    return [",".join(columns)] + [",".join(map("{:.12g}".format, row.values()))
+                                  for row in column_records(columns)]
+
+
 def stability_csv_rows(table: MetricsTable) -> list[str]:
     lmin = table.columns["lambda_min"].T.tolist()
     return ["N,trial,lambda_min"] + [f"{n},{t},{lmin[t][i]:.12g}" for t in range(table.trials)
                                      for i, n in enumerate(table.boom_counts)]
 
 
-def summary_csv_rows(summary: list[SummaryRow]) -> list[str]:
-    header = ("N,mass_kg,worst_stability,mean_stability,mean_marginal_gain,"
-              "mean_manipulability,wrench_full,wrench_torque_nm,one_out_worst,"
-              "one_out_agg,infeasible_trials")
-    rows = [header]
-    for r in summary:
-        rows.append(
-            f"{r.n},{r.mass:.12g},{r.worst_stability:.12g},{r.mean_stability:.12g},"
-            f"{r.mean_marginal_gain:.12g},{r.mean_manipulability:.12g},"
-            f"{r.agg_wrench_full:.12g},{r.agg_wrench_torque:.12g},"
-            f"{r.one_out_worst:.12g},{r.one_out_agg:.12g},{r.infeasible_trials}")
-    return rows
+def summary_csv_rows(summary: dict[str, np.ndarray]) -> list[str]:
+    return _csv_lines({head: summary[name] for head, name in SUMMARY_CSV.items()})
 
 
 def pareto_csv_rows(pr: ParetoResult) -> list[str]:
-    rows = ["N,mass_kg,torque_capability_nm,feasible,nondominated,selected"]
-    feas = set(pr.feasible_n)
-    front = set(pr.nondominated_n)
-    for c in pr.candidates:
-        rows.append(
-            f"{c.n},{c.mass:.12g},{c.torque_capability:.12g},"
-            f"{int(c.n in feas)},{int(c.n in front)},{int(c.n == pr.selected_n)}")
-    return rows
+    n = pr.candidates["n"]
+    return _csv_lines({"N": n, "mass_kg": pr.candidates["mass"],
+                       "torque_capability_nm": pr.candidates["torque_capability"],
+                       "feasible": pr.verdicts["feasible"],
+                       "nondominated": np.isin(n, pr.nondominated_n),
+                       "selected": n == pr.selected_n})

@@ -12,6 +12,7 @@ generator. Terrain values are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,10 +108,14 @@ def make_terrain(spec: dict) -> Terrain:
         value = spec.pop(name, default)
         if value is None:
             raise ValueError(f"terrain.{name} is required for kind {kind!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"terrain.{name} must be a number")
         dims.append(float(value))
     frame = Frame()
-    if "frame" in spec:
-        fr = spec.pop("frame")
+    fr = spec.pop("frame", None)  # null: the identity frame
+    if fr is not None:
+        if not isinstance(fr, dict):
+            raise ValueError("terrain.frame must be a JSON object")
         frame = Frame(np.asarray(fr.get("rotation", np.eye(3))), np.asarray(fr.get("origin", np.zeros(3))))
     if spec:
         raise ValueError(f"unknown terrain fields: {sorted(spec)}")

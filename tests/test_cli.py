@@ -9,6 +9,7 @@ import pytest
 
 import reachbot as rb
 from reachbot.cli import main
+from reachbot.config import load_config
 from reachbot.robot import fibonacci_sphere
 from conftest import default_config_dict, random_stance
 
@@ -41,6 +42,24 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert "malformed JSON at line" in err and "column" in err
+
+    @pytest.mark.parametrize("key", ["study.aggregate", "study.coverage_layout", "robot.layout",
+                                     "constraints.one_boom_out", "terrain", "robot", "study",
+                                     "constraints", "calibration"])
+    def test_null_means_default(self, tmp_path, capsys, key):
+        cfg = default_config_dict()
+        block, _, field = key.partition(".")
+        if field:
+            cfg[block][field] = None
+        else:
+            cfg[block] = None
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 0
+        sc, _ = load_config(path)
+        defaults = (sc.aggregate_mode, sc.coverage_layout, sc.layout,
+                    sc.constraints.one_boom_out)
+        assert defaults == ("median", "nested", "uniform", True)
 
     def test_unknown_field(self, tmp_path, capsys):
         cfg = default_config_dict()
@@ -194,14 +213,30 @@ class TestStance:
     ["study", {"calibration.delta_ref_m": "0.14"}],
     ["study", {"constraints.tau_drill_nm": "4"}],
     ["study", {"study.n_range": [True, 3]}],
+    # A key without a dot replaces a whole block.
+    ["study", {"terrain": 5}],
+    ["study", {"robot": "x"}],
+    ["study", {"study": "x"}],
+    ["study", {"constraints": [1]}],
+    ["study", {"calibration": 5}],
+    ["study", {"terrain.frame": 5}],
+    ["study", {"terrain.radius": True}],
+    ["study", {"terrain.length": "100"}],
+    ["study", {"robot.layout": 5}],
+    ["study", {"study.aggregate": 3}],
+    ["study", {"study.coverage_layout": 7}],
+    ["study", {"constraints.one_boom_out": "yes"}],
 ])
 def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
     command, *flags = argv
     if flags and isinstance(flags[0], dict):
         cfg = json.loads(config_path.read_text())
         for key, value in flags.pop(0).items():
-            block, field = key.split(".")
-            cfg[block][field] = value
+            if "." in key:
+                block, field = key.split(".")
+                cfg[block][field] = value
+            else:
+                cfg[key] = value
         config_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, str(config_path), *flags, "--out-dir", str(out)]) == 1
@@ -267,6 +302,20 @@ class TestPareto:
         pts.write_text("a,b\n1,2\n")
         assert main(["pareto", str(pts)]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n", "points CSV data row 2 does not have one value per column"),
+        ("a,b\n1,2\n3,4,5\n", "points CSV data row 2 does not have one value per column"),
+        ("a,b\n1,2\nnan,1\n", "NaN objective value in data row 2"),
+    ], ids=["short_row", "long_row", "nan"])
+    def test_bad_rows(self, tmp_path, capsys, text, message):
+        pts = tmp_path / "points.csv"
+        pts.write_text(text)
+        out = tmp_path / "pf"
+        assert main(["pareto", str(pts), "--minimize", "b", "--maximize", "a",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestEval:
     def test_five_boom_stance_reports_zero_stability(self, tmp_path, rng, capsys):
@@ -297,3 +346,12 @@ class TestEval:
         path.write_text('{"shoulders": []')
         assert main(["eval", str(path)]) == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("root", ["[1, 2]", "5", '"stance"', "null"])
+    def test_stance_root_not_object(self, tmp_path, capsys, root):
+        path = tmp_path / "stance.json"
+        path.write_text(root)
+        out = tmp_path / "eval"
+        assert main(["eval", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: invalid stance file: root must be a JSON object\n"
+        assert not out.exists()

@@ -10,7 +10,7 @@ from reachbot.interference import CoverageReport
 from reachbot.mechanics import METRICS
 from reachbot.rng import substream
 from reachbot.robot import fibonacci_sphere
-from reachbot.study import MAX_RESAMPLES, REL_EPS, MetricsTable, SummaryRow, anchor_window
+from reachbot.study import MAX_RESAMPLES, REL_EPS, MetricsTable, anchor_window
 from conftest import build_stance, default_config_dict, drop_boom, one_boom_out, random_stance
 from test_mechanics import wrench_capability
 
@@ -36,14 +36,38 @@ def assert_tables_equal(a, b):
         assert np.array_equal(a.columns[name], b.columns[name]), name
 
 
-def make_row(n, mass, **kw):
-    base = dict(n=n, mass=mass, worst_stability=1.0, mean_stability=1.0,
-                mean_marginal_gain=0.0, mean_manipulability=1.0,
-                agg_stability=1.0, agg_lambda_max=10.0, agg_wrench_full=5.0,
-                agg_wrench_torque=5.0, one_out_worst=0.5, one_out_agg=0.5,
-                one_out_agg_lambda_max=5.0, infeasible_trials=0)
-    base.update(kw)
-    return SummaryRow(**base)
+def make_summary(n, mass, **columns):
+    """Summary columns for boom counts ``n``; other columns are constant unless given."""
+    base = dict(worst_stability=1.0, mean_stability=1.0, mean_marginal_gain=0.0,
+                mean_manipulability=1.0, agg_stability=1.0, agg_lambda_max=10.0,
+                agg_wrench_full=5.0, agg_wrench_torque=5.0, one_out_worst=0.5,
+                one_out_agg=0.5, one_out_agg_lambda_max=5.0, infeasible_trials=0)
+    base.update(columns)
+    return {"n": np.array(n), "mass": np.array(mass, dtype=float),
+            **{name: np.broadcast_to(np.array(v), (len(n),)).copy() for name, v in base.items()}}
+
+
+def aggregate_reference(table, robot_template, mode):
+    """The summary computed one boom count at a time, as Python scalars."""
+    fn = {"median": np.median, "mean": np.mean, "min": np.min, "max": np.max}[mode]
+    rows, prev = [], None
+    for n in table.boom_counts:
+        col = {name: table.column(n, name) for name in table.columns}
+        lmin = col["lambda_min"]
+        rows.append(dict(
+            n=n, mass=rb.total_mass(robot_template.with_boom_count(n)),
+            worst_stability=float(lmin.min()), mean_stability=float(lmin.mean()),
+            mean_marginal_gain=float(np.mean(lmin - prev)) if prev is not None else 0.0,
+            mean_manipulability=float(col["manipulability"].mean()),
+            agg_stability=float(fn(lmin)), agg_lambda_max=float(fn(col["lambda_max"])),
+            agg_wrench_full=float(fn(col["wrench_full"])),
+            agg_wrench_torque=float(fn(col["wrench_torque"])),
+            one_out_worst=float(col["one_out_lambda_min"].min()),
+            one_out_agg=float(fn(col["one_out_lambda_min"])),
+            one_out_agg_lambda_max=float(fn(col["one_out_lambda_max"])),
+            infeasible_trials=int((~col["feasible"]).sum())))
+        prev = lmin
+    return rows
 
 
 def make_cov(n, unique=0.5, overlap=0.2):
@@ -184,27 +208,41 @@ class TestRunTrials:
 class TestAggregate:
     def test_marginal_gain(self):
         table = make_table((1, 2), [[1.0, 2.0], [1.5, 2.5]])
-        rows = rb.aggregate(table, rb.make_robot(1))
-        assert rows[0].mean_marginal_gain == 0.0
-        assert rows[1].mean_marginal_gain == pytest.approx(0.5)
-        assert rows[1].mean_stability == pytest.approx(2.0)
-        assert rows[1].worst_stability == pytest.approx(1.5)
+        summary = rb.aggregate(table, rb.make_robot(1))
+        assert summary["mean_marginal_gain"].tolist() == [0.0, pytest.approx(0.5)]
+        assert summary["mean_stability"][1] == pytest.approx(2.0)
+        assert summary["worst_stability"][1] == pytest.approx(1.5)
 
     def test_median_vs_mean(self):
         table = make_table((3,), [[0.0, 0.0, 9.0]])
-        med = rb.aggregate(table, rb.make_robot(1), "median")[0]
-        mean = rb.aggregate(table, rb.make_robot(1), "mean")[0]
-        assert med.agg_stability == 0.0
-        assert mean.agg_stability == pytest.approx(3.0)
+        med = rb.aggregate(table, rb.make_robot(1), "median")
+        mean = rb.aggregate(table, rb.make_robot(1), "mean")
+        assert med["agg_stability"].tolist() == [0.0]
+        assert mean["agg_stability"].tolist() == [pytest.approx(3.0)]
 
     def test_mass_from_template(self):
-        table = make_table((8,), [[1.0]])
-        rows = rb.aggregate(table, rb.make_robot(1))
-        assert rows[0].mass == pytest.approx(26.0)
+        table = make_table((7, 8), [[1.0], [1.0]])
+        summary = rb.aggregate(table, rb.make_robot(1))
+        assert summary["mass"].tolist() == [pytest.approx(24.0), pytest.approx(26.0)]
 
     def test_counts_infeasible(self):
-        table = make_table((2,), [[0.0, 0.0]], feasible=[[False, True]])
-        assert rb.aggregate(table, rb.make_robot(1))[0].infeasible_trials == 1
+        table = make_table((2, 3), [[0.0, 0.0], [0.0, 0.0]],
+                           feasible=[[False, True], [False, False]])
+        assert rb.aggregate(table, rb.make_robot(1))["infeasible_trials"].tolist() == [1, 2]
+
+    @pytest.mark.parametrize("mode", ["median", "mean", "min", "max"])
+    def test_columns_equal_per_n_reference(self, corridor, mode):
+        # A real table with resampled and infeasible cells.
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
+                          n_range=(1, 8), trials=5, seed=1, pool_multiplier=2)
+        table = rb.run_trials(sc)
+        assert not table.columns["feasible"].all()
+        summary = rb.aggregate(table, sc.robot_template, mode)
+        rows = aggregate_reference(table, sc.robot_template, mode)
+        assert list(summary) == list(rows[0])
+        for name, column in summary.items():
+            assert column.shape == (8,)
+            assert np.array_equal(column, [r[name] for r in rows]), name
 
 
 class TestOneBoomOut:
@@ -273,73 +311,82 @@ class TestParetoFront:
 
 class TestSelectDesign:
     def test_min_mass_feasible_wins(self):
-        rows = [make_row(6, 22.0), make_row(7, 24.0), make_row(8, 26.0)]
-        cov = [make_cov(n) for n in (6, 7, 8)]
-        res = rb.select_design(rows, cov, rb.Constraints(tau_drill=0.0, one_boom_out=False),
+        summary = make_summary([6, 7, 8], [22.0, 24.0, 26.0])
+        # overlap falls with N, so only mass can pick N = 6
+        cov = [make_cov(n, overlap=o) for n, o in ((6, 0.4), (7, 0.3), (8, 0.1))]
+        res = rb.select_design(summary, cov,
+                               rb.Constraints(tau_drill=0.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n == 6
         assert res.feasible_n == (6, 7, 8)
 
     def test_torque_constraint_binds(self):
-        rows = [make_row(6, 22.0, agg_wrench_torque=3.0),
-                make_row(7, 24.0, agg_wrench_torque=5.0)]
+        summary = make_summary([6, 7], [22.0, 24.0], agg_wrench_torque=[3.0, 5.0])
         cov = [make_cov(6), make_cov(7)]
-        res = rb.select_design(rows, cov, rb.Constraints(tau_drill=4.0, one_boom_out=False),
+        res = rb.select_design(summary, cov,
+                               rb.Constraints(tau_drill=4.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n == 7
-        assert res.verdicts[0].binding == ("torque",)
+        assert res.verdicts["binding"] == [("torque",), ()]
+        assert res.verdicts["torque_ok"].tolist() == [False, True]
 
     def test_one_boom_out_binds(self):
-        rows = [make_row(6, 22.0, one_out_agg=0.0), make_row(7, 24.0, one_out_agg=0.3)]
+        summary = make_summary([6, 7], [22.0, 24.0], one_out_agg=[0.0, 0.3])
         cov = [make_cov(6), make_cov(7)]
-        res = rb.select_design(rows, cov, rb.Constraints(tau_drill=0.0, one_boom_out=True),
+        res = rb.select_design(summary, cov,
+                               rb.Constraints(tau_drill=0.0, one_boom_out=True),
                                rb.make_robot(1))
         assert res.selected_n == 7
-        assert res.verdicts[0].binding == ("one_boom_out",)
+        assert res.verdicts["binding"][0] == ("one_boom_out",)
 
     def test_stability_always_enforced(self):
-        rows = [make_row(1, 12.0, agg_stability=0.0), make_row(6, 22.0)]
+        summary = make_summary([1, 6], [12.0, 22.0], agg_stability=[0.0, 1.0])
         cov = [make_cov(1), make_cov(6)]
-        res = rb.select_design(rows, cov, rb.Constraints(tau_drill=0.0, one_boom_out=False),
+        res = rb.select_design(summary, cov,
+                               rb.Constraints(tau_drill=0.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n == 6
-        assert res.verdicts[0].binding == ("stability",)
+        assert res.verdicts["binding"][0] == ("stability",)
 
     def test_mass_tie_breaks_on_overlap(self):
-        rows = [make_row(6, 22.0), make_row(7, 22.0)]
+        summary = make_summary([6, 7], [22.0, 22.0])
         cov = [make_cov(6, overlap=0.4), make_cov(7, overlap=0.1)]
-        res = rb.select_design(rows, cov, rb.Constraints(tau_drill=0.0, one_boom_out=False),
+        res = rb.select_design(summary, cov,
+                               rb.Constraints(tau_drill=0.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n == 7
+        assert res.candidates["overlap_pct"].tolist() == [0.4, 0.1]
 
     def test_no_feasible_design(self):
-        rows = [make_row(6, 22.0, agg_wrench_torque=1.0)]
-        res = rb.select_design(rows, [make_cov(6)],
+        summary = make_summary([6], [22.0], agg_wrench_torque=1.0)
+        res = rb.select_design(summary, [make_cov(6)],
                                rb.Constraints(tau_drill=4.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n is None
         assert res.feasible_n == ()
 
     def test_buckling_constraint(self):
-        rows = [make_row(8, 26.0)]
-        res = rb.select_design(rows, [make_cov(8)],
+        summary = make_summary([8], [26.0])
+        res = rb.select_design(summary, [make_cov(8)],
                                rb.Constraints(tau_drill=0.0, one_boom_out=False,
                                               m_critical=50.0),
                                rb.make_robot(8))
         assert res.selected_n is None
         assert res.buckling is not None and not res.buckling.satisfied
-        ok = rb.select_design(rows, [make_cov(8)],
+        ok = rb.select_design(summary, [make_cov(8)],
                               rb.Constraints(tau_drill=0.0, one_boom_out=False,
                                              m_critical=100.0),
                               rb.make_robot(8))
         assert ok.selected_n == 8
 
     def test_monotone_in_tau_drill(self):
-        rows = [make_row(n, 20.0 + n, agg_wrench_torque=float(n)) for n in range(5, 10)]
-        cov = [make_cov(n) for n in range(5, 10)]
+        ns = list(range(5, 10))
+        summary = make_summary(ns, [20.0 + n for n in ns], agg_wrench_torque=[float(n) for n in ns])
+        cov = [make_cov(n) for n in ns]
         prev = None
         for tau in (0.0, 5.5, 7.5, 9.5, 20.0):
-            res = rb.select_design(rows, cov, rb.Constraints(tau_drill=tau, one_boom_out=False),
+            res = rb.select_design(summary, cov,
+                                   rb.Constraints(tau_drill=tau, one_boom_out=False),
                                    rb.make_robot(1))
             feas = set(res.feasible_n)
             if prev is not None:
@@ -369,6 +416,33 @@ class TestRunStudy:
                      **dict.fromkeys(METRICS, float))
         for c in trials:
             assert {key: type(value) for key, value in c.items()} == types
+
+    def test_summary_candidates_verdicts_records(self, corridor):
+        sc = small_config(corridor, n_range=(5, 7), trials=3, seed=42,
+                          constraints=rb.Constraints(m_critical=50.0))
+        d = rb.run_study(sc).to_dict()
+        types = {
+            "summary": dict(n=int, mass=float, worst_stability=float, mean_stability=float,
+                            mean_marginal_gain=float, mean_manipulability=float,
+                            agg_stability=float, agg_lambda_max=float,
+                            agg_wrench_full=float, agg_wrench_torque=float,
+                            one_out_worst=float, one_out_agg=float,
+                            one_out_agg_lambda_max=float, infeasible_trials=int),
+            "candidates": dict(n=int, mass=float, torque_capability=float,
+                               worst_stability=float, unique_pct=float, overlap_pct=float),
+            "verdicts": dict(n=int, stability_ok=bool, torque_ok=bool, one_boom_out_ok=bool,
+                             buckling_ok=bool, feasible=bool, binding=tuple),
+        }
+        for key, expected in types.items():
+            assert [r["n"] for r in d[key]] == [5, 6, 7], key
+            for r in d[key]:
+                assert {k: type(v) for k, v in r.items()} == expected, key
+        for v in d["verdicts"]:
+            assert all(type(name) is str for name in v["binding"])
+            assert v["binding"] == tuple(name for name in (
+                "stability", "torque", "one_boom_out", "buckling") if not v[f"{name}_ok"])
+            assert v["feasible"] == (not v["binding"])
+        assert "buckling" in d["verdicts"][0]["binding"]
 
     def test_report_deterministic(self, corridor):
         sc = rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
