@@ -21,10 +21,10 @@ from .interference import coverage_csv_rows
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
 from .stance import BodyPose, world_mounts
-from .study import (EXPLICIT_LAYOUT, REL_EPS, Calibration, draw_pool, pareto_csv_rows,
-                    pareto_front, run_study, stability_csv_rows, study_coverage,
-                    summary_csv_rows, trial_stance)
-from .terrain import anchors_to_csv_rows
+from .study import (EXPLICIT_LAYOUT, REL_EPS, Calibration, draw_pools, match_rounds,
+                    pareto_csv_rows, pareto_front, run_study, stability_csv_rows,
+                    study_coverage, summary_csv_rows)
+from .terrain import AnchorSet, anchors_to_csv_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,14 +115,15 @@ def cmd_stance(args) -> int:
         raise ConfigError("--trial must be non-negative")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, pose = sc.robot(n), BodyPose()
-    idx, _, pool, _ = trial_stance(sc, cfg, args.trial, draw_pool(sc, args.trial, "anchors"), pose)
-    _write_lines(out / "anchors.csv", anchors_to_csv_rows(pool, args.trial))
-    if idx is None:
+    cfg, pose, trial = sc.robot(n), BodyPose(), np.array([args.trial])
+    shared = draw_pools(sc, trial, "anchors")
+    (feasible,), _, (pool,), (idx,) = match_rounds(sc, cfg, trial, shared, pose)
+    _write_lines(out / "anchors.csv", anchors_to_csv_rows(AnchorSet(pool, sc.terrain), args.trial))
+    if not feasible:
         print("infeasible: no complete boom-to-anchor assignment")
         return EXIT_NO_DESIGN
     shoulders, _ = world_mounts(list(cfg.mounts), pose)
-    st = Stance.from_pairs(shoulders, pool.points[idx], pose.position, pose.rotation)
+    st = Stance.from_pairs(shoulders, pool[idx], pose.position, pose.rotation)
     _write_json(out / "stance.json", st.to_dict())
     _write_lines(out / "assignment.csv", ["boom_index,anchor_index,length_m"] + [
         f"{b},{a},{st.lengths[b]:.9g}" for b, a in enumerate(idx)])

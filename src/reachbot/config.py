@@ -43,7 +43,8 @@ def parse_config(raw: dict) -> StudyConfig:
     _check_keys(raw, {"schema_version", "seed", "terrain", "robot", "study",
                       "constraints", "calibration"}, "config")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # type() not ==: true and 1.0 both equal 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unknown schema_version {version!r}; expected {SCHEMA_VERSION}")
     seed = _require_type(raw, "seed", int, 0)
     if seed < 0:

@@ -64,13 +64,13 @@ def feasibility_matrix(
     points: np.ndarray,
     pred: FeasibilityPredicate,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, lengths) arrays of shape (n_mounts, n_points)."""
+    """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3)."""
     shoulders, axes = world_mounts(mounts, pose)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts[None, :, :] - shoulders[:, None, :]  # (N, M, 3)
-    L = np.linalg.norm(d, axis=2)
+    d = pts[..., None, :, :] - shoulders[:, None, :]  # (..., N, M, 3)
+    L = np.linalg.norm(d, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_ang = np.einsum("nmk,nk->nm", d, axes) / np.where(L > 0, L, np.inf)
+        cos_ang = np.einsum("...nmk,nk->...nm", d, axes) / np.where(L > 0, L, np.inf)
     ok = (L >= pred.L_min) & (L <= pred.L_max) & (cos_ang >= math.cos(pred.cone_half_angle))
     return ok, L
 
@@ -83,28 +83,46 @@ class Assignment:
     total_length: float
 
 
+def match_pools(
+    mounts: list[MountSpec],
+    pose: BodyPose,
+    points: np.ndarray,
+    pred: FeasibilityPredicate,
+) -> tuple[list[Assignment | None], np.ndarray]:
+    """Exact minimum-total-length matching of booms to distinct anchors, per pool.
+
+    ``points`` stacks C pools as (C, M, 3). Returns each pool's Assignment,
+    or None when it holds no complete feasible assignment, and the (C,)
+    screen: a pool where some boom reaches no anchor cannot hold a complete
+    assignment, so only pools that pass the screen reach the solver.
+    """
+    # Imported here: scipy.optimize dominates the package's import time, and
+    # commands that never match booms (validate, pareto, eval) skip it.
+    from scipy.optimize import linear_sum_assignment
+
+    n, m = len(mounts), points.shape[-2]
+    if m < n:
+        raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
+    ok, L = feasibility_matrix(mounts, pose, points, pred)
+    screen = ok.any(axis=2).all(axis=1)
+    matches: list[Assignment | None] = [None] * len(points)
+    for c in np.flatnonzero(screen).tolist():
+        # With N <= M booms every row is matched, so rows is arange(N).
+        rows, cols = linear_sum_assignment(np.where(ok[c], L[c], _BIG))
+        if ok[c][rows, cols].all():
+            matches[c] = Assignment(anchor_index=cols, total_length=float(L[c][rows, cols].sum()))
+    return matches, screen
+
+
 def assign(
     mounts: list[MountSpec],
     pose: BodyPose,
     anchors: AnchorSet | np.ndarray,
     pred: FeasibilityPredicate,
 ) -> Assignment | None:
-    """Exact minimum-total-length matching of booms to distinct anchors.
+    """Exact minimum-total-length matching of booms to distinct anchors in one pool.
 
     Returns None when no complete feasible assignment exists.
     """
-    # Imported here: scipy.optimize dominates the package's import time, and
-    # commands that never match booms (validate, pareto, eval) skip it.
-    from scipy.optimize import linear_sum_assignment
-
     points = anchors.points if isinstance(anchors, AnchorSet) else np.atleast_2d(anchors)
-    n, m = len(mounts), len(points)
-    if m < n:
-        raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
-    ok, L = feasibility_matrix(mounts, pose, points, pred)
-    cost = np.where(ok, L, _BIG)
-    # With N <= M booms every row is matched, so rows is arange(N).
-    rows, cols = linear_sum_assignment(cost)
-    if not ok[rows, cols].all():
-        return None
-    return Assignment(anchor_index=cols, total_length=float(L[rows, cols].sum()))
+    return match_pools(mounts, pose, np.asarray(points, dtype=float)[None], pred)[0][0]

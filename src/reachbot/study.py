@@ -19,8 +19,8 @@ from .interference import CoverageReport, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
-from .stance import BodyPose, FeasibilityPredicate, assign, world_mounts
-from .terrain import AnchorSet, Terrain, sample_anchors
+from .stance import BodyPose, FeasibilityPredicate, match_pools, world_mounts
+from .terrain import Terrain, sample_pools
 
 log = logging.getLogger(__name__)
 
@@ -143,70 +143,73 @@ def anchor_window(terrain: Terrain, cfg: RobotConfig) -> float:
     return min(2.0 * cfg.L_max, terrain.longitudinal_extent)
 
 
-def draw_pool(sc: StudyConfig, trial: int, tag: str) -> tuple[AnchorSet, str]:
-    """A trial's anchor pool for one stream tag, and the pool's hash.
+def draw_pools(sc: StudyConfig, trials: np.ndarray, tag: str) -> np.ndarray:
+    """The trials' anchor pools for one stream tag, stacked as (len(trials), M, 3).
 
-    Every pool holds pool_multiplier * n_max anchors within the anchor
+    Every pool holds M = pool_multiplier * n_max anchors within the anchor
     window, whatever the boom count it serves.
     """
-    pool = sample_anchors(sc.terrain, sc.pool_multiplier * sc.n_range[1],
-                          anchor_window(sc.terrain, sc.robot_template),
-                          substream(sc.seed, trial, tag), seed=sc.seed)
-    return pool, hashlib.sha256(pool.points.tobytes()).hexdigest()[:16]
+    return sample_pools(sc.terrain, sc.pool_multiplier * sc.n_range[1],
+                        anchor_window(sc.terrain, sc.robot_template),
+                        [substream(sc.seed, t, tag) for t in trials.tolist()])
 
 
-def trial_stance(sc: StudyConfig, cfg: RobotConfig, trial: int,
-                 shared: tuple[AnchorSet, str], pose: BodyPose
-                 ) -> tuple[np.ndarray | None, int, AnchorSet, str]:
-    """The boom-to-anchor assignment of cell (cfg.boom_count, trial).
+def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray, shared: np.ndarray,
+                 pose: BodyPose) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The boom-to-anchor assignments of cells (cfg.boom_count, trials), round by round.
 
-    ``shared`` is the trial's ``draw_pool(sc, trial, "anchors")``. While no
-    complete assignment exists, a fresh pool is drawn, up to MAX_RESAMPLES
-    times. Returns (each boom's anchor row or None, resamples, pool, pool
-    hash); an infeasible cell reports the shared pool.
+    ``shared`` holds the trials' ``draw_pools(sc, trials, "anchors")``.
+    Round 0 matches every shared pool; round k = 1..MAX_RESAMPLES draws
+    ``resample:{N}:{k}`` for the trials still unmatched. Returns (feasible
+    (T,), resamples (T,), pools (T, M, 3), anchor rows (T, N)); an
+    infeasible cell reports the shared pool, and its anchor rows read 0.
     """
-    mounts, pred = list(cfg.mounts), FeasibilityPredicate.from_robot(cfg)
-    pool, pool_hash = shared
-    match = assign(mounts, pose, pool, pred)
-    resamples = 0
-    while match is None and resamples < MAX_RESAMPLES:
-        resamples += 1
-        pool, pool_hash = draw_pool(sc, trial, f"resample:{cfg.boom_count}:{resamples}")
-        match = assign(mounts, pose, pool, pred)
-    if match is None:
-        return None, resamples, *shared
-    return match.anchor_index, resamples, pool, pool_hash
+    mounts, pred, n = list(cfg.mounts), FeasibilityPredicate.from_robot(cfg), cfg.boom_count
+    feasible = np.zeros(len(trials), dtype=bool)
+    resamples = np.full(len(trials), MAX_RESAMPLES)
+    pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
+    pending, points, rounds, rejected, solved = np.arange(len(trials)), shared, 0, 0, 0
+    while pending.size and rounds <= MAX_RESAMPLES:
+        if rounds:
+            points = draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
+        matches, screen = match_pools(mounts, pose, points, pred)
+        rejected, solved = rejected + (~screen).sum(), solved + screen.sum()
+        hit = np.array([match is not None for match in matches])
+        done = pending[hit]
+        feasible[done], resamples[done], pools[done] = True, rounds, points[hit]
+        rows[done] = np.reshape([m.anchor_index for m in matches if m is not None], (-1, n))
+        pending, rounds = pending[~hit], rounds + 1
+    log.debug("N = %d: %d rounds, %d pools rejected by the screen, "
+              "%d linear_sum_assignment calls", n, rounds, rejected, solved)
+    return feasible, resamples, pools, rows
 
 
 def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
     """Evaluate every (boom count, trial) cell under common random numbers.
 
-    Booms are matched to anchors cell by cell; each boom count's grasp maps
-    and metrics are then taken in one stacked call over its feasible cells.
+    Each boom count's booms are matched in resample rounds over all trials;
+    its grasp maps and metrics are then taken in one stacked call over its
+    feasible cells.
     """
     pose = pose or BodyPose()
-    robots = [sc.robot(n) for n in sc.boom_counts]
-    shape = (len(robots), sc.trials)
-    feasible = np.zeros(shape, dtype=bool)
-    resamples = np.zeros(shape, dtype=int)
-    pool_hash = np.empty(shape, dtype="U16")
-    anchors = [[] for _ in robots]  # per boom count, feasible trials' assigned anchors
-    for t in range(sc.trials):
-        shared = draw_pool(sc, t, "anchors")
-        for i, cfg in enumerate(robots):
-            idx, resamples[i, t], pool, pool_hash[i, t] = trial_stance(sc, cfg, t, shared, pose)
-            if idx is not None:
-                feasible[i, t] = True
-                anchors[i].append(pool.points[idx])
-    columns = {"feasible": feasible, "resamples": resamples, "pool_hash": pool_hash,
+    trials = np.arange(sc.trials)
+    shared = draw_pools(sc, trials, "anchors")
+    shape = (len(sc.boom_counts), sc.trials)
+    columns = {"feasible": np.zeros(shape, dtype=bool), "resamples": np.zeros(shape, dtype=int),
+               "pool_hash": np.empty(shape, dtype="U16"),
                **{name: np.zeros(shape) for name in METRICS}}
-    for i, cfg in enumerate(robots):
-        if anchors[i]:
+    for i, n in enumerate(sc.boom_counts):
+        cfg = sc.robot(n)
+        feasible, resamples, pools, rows = match_rounds(sc, cfg, trials, shared, pose)
+        columns["feasible"][i], columns["resamples"][i] = feasible, resamples
+        columns["pool_hash"][i] = [hashlib.sha256(p.tobytes()).hexdigest()[:16] for p in pools]
+        if feasible.any():
             shoulders, _ = world_mounts(list(cfg.mounts), pose)
-            G = grasp_map_stack(shoulders, np.stack(anchors[i]), pose.position)
+            anchors = np.take_along_axis(pools[feasible], rows[feasible][..., None], axis=1)
+            G = grasp_map_stack(shoulders, anchors, pose.position)
             values = stance_metrics(G, cfg.boom_stiffness, sc.calibration.delta_ref)
             for name, value in values.items():
-                columns[name][i, feasible[i]] = value
+                columns[name][i, feasible] = value
     return MetricsTable(boom_counts=tuple(sc.boom_counts), columns=columns)
 
 
@@ -249,18 +252,9 @@ def pareto_front(values: np.ndarray, senses: list[str]) -> list[int]:
         raise ValueError("one sense per objective column required")
     signs = np.array([1.0 if s == "min" else -1.0 for s in senses])
     v = values * signs  # now all-minimize
-    keep = []
-    for i in range(len(v)):
-        dominated = False
-        for j in range(len(v)):
-            if j == i:
-                continue
-            if np.all(v[j] <= v[i]) and np.any(v[j] < v[i]):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
+    # dominates[j, i]: point j is no worse than point i everywhere and better somewhere
+    dominates = ((v[:, None] <= v[None]).all(axis=2) & (v[:, None] < v[None]).any(axis=2))
+    return np.flatnonzero(~dominates.any(axis=0)).tolist()
 
 
 @dataclass(frozen=True, eq=False)

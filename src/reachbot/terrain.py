@@ -42,10 +42,9 @@ class Frame:
         object.__setattr__(self, "origin", t)
 
     def to_world(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=float) @ self.rotation.T + self.origin
-
-    def to_local(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts, dtype=float) - self.origin) @ self.rotation
+        world = np.asarray(pts, dtype=float) @ self.rotation.T
+        world += self.origin  # in place: no second full-size temporary
+        return world
 
 
 @dataclass(frozen=True)
@@ -139,20 +138,32 @@ class AnchorSet:
         return len(self.points)
 
 
-def _sample_local(t: Terrain, count: int, rng: np.random.Generator, window: float | None) -> np.ndarray:
+def _sample_local(t: Terrain, count: int, rngs: list[np.random.Generator],
+                  window: float | None) -> np.ndarray:
     span = t.longitudinal_extent if window is None else float(window)
     if span > t.longitudinal_extent + 1e-12:
         raise ValueError("window exceeds terrain longitudinal extent")
-    u = rng.uniform(-span / 2.0, span / 2.0, count)
+    lo, hi = (0.0, 2.0 * np.pi) if t.kind == CORRIDOR else (-t.dims[0] / 2.0, t.dims[0] / 2.0)
+    u, v = np.stack([(rng.uniform(-span / 2.0, span / 2.0, count), rng.uniform(lo, hi, count))
+                     for rng in rngs], axis=1)
     if t.kind == CORRIDOR:
-        radius = t.dims[0]
-        theta = rng.uniform(0.0, 2.0 * np.pi, count)
-        return np.column_stack([u, radius * np.cos(theta), radius * np.sin(theta)])
-    half_w = t.dims[0] / 2.0
-    v = rng.uniform(-half_w, half_w, count)
+        return np.stack([u, t.dims[0] * np.cos(v), t.dims[0] * np.sin(v)], axis=-1)
     if t.kind == WALL:
-        return np.column_stack([np.zeros(count), v, u])
-    return np.column_stack([v, u, np.zeros(count)])
+        return np.stack([np.zeros_like(u), v, u], axis=-1)
+    return np.stack([v, u, np.zeros_like(u)], axis=-1)
+
+
+def sample_pools(t: Terrain, count: int, window: float | None,
+                 rngs: list[np.random.Generator]) -> np.ndarray:
+    """One draw of ``count`` area-uniform points per generator, as (len(rngs), count, 3).
+
+    Pool c holds, byte for byte, the points ``sample_anchors`` gives
+    ``rngs[c]``. ``window`` None spans the full longitudinal extent.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    # The local draw's temporaries are freed before the transform allocates.
+    return t.frame.to_world(_sample_local(t, count, rngs, window))
 
 
 def sample_anchors(
@@ -163,17 +174,12 @@ def sample_anchors(
     seed: int | None = None,
 ) -> AnchorSet:
     """Draw ``count`` i.i.d. area-uniform anchor points within the window."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    pts = t.frame.to_world(_sample_local(t, count, rng, window))
-    return AnchorSet(points=pts, terrain=t, seed=seed)
+    return AnchorSet(points=sample_pools(t, count, window, [rng])[0], terrain=t, seed=seed)
 
 
 def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` area-uniform test points over the full surface."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return t.frame.to_world(_sample_local(t, count, rng, None))
+    return sample_pools(t, count, None, [rng])[0]
 
 
 def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:

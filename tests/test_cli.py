@@ -61,6 +61,15 @@ class TestValidate:
                     sc.constraints.one_boom_out)
         assert defaults == ("median", "nested", "uniform", True)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+    def test_schema_version_must_be_int_1(self, tmp_path, capsys, version):
+        cfg = default_config_dict()
+        cfg["schema_version"] = version
+        path = tmp_path / "version.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 1
+        assert "schema_version" in capsys.readouterr().err
+
     def test_unknown_field(self, tmp_path, capsys):
         cfg = default_config_dict()
         cfg["robot"]["wheels"] = 4

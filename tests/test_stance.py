@@ -6,7 +6,8 @@ import pytest
 
 import reachbot as rb
 from reachbot.rng import substream
-from reachbot.stance import feasibility_matrix
+from reachbot.stance import feasibility_matrix, match_pools
+from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
 
 
@@ -187,6 +188,40 @@ class TestAssign:
             if a is not None:
                 assert np.array_equal(a.anchor_index, b.anchor_index)
                 assert a.total_length == b.total_length
+
+
+class TestMatchPools:
+    def test_matches_subset_dp(self, corridor):
+        # Random pools for N = 1..8 in a narrow window, plus a pool where two
+        # booms reach only the same anchor: it passes the screen, yet holds
+        # no complete matching.
+        twin = [x_mount(), rb.MountSpec(position=np.array([0.5, 0.1, 0]),
+                                        axis=np.array([1.0, 0, 0]))]
+        cases = [(twin, np.array([[[10.0, 0, 0], [-30.0, 0, 0], [0, 40.0, 0]]]))]
+        for n in range(1, 9):
+            rngs = [substream(11, trial, f"match:{n}") for trial in range(24)]
+            cases.append((list(rb.make_robot(n).mounts), sample_pools(corridor, n + 3, 12.0, rngs)))
+        kinds = {"rejected": 0, "screened_unmatched": 0, "matched": 0}
+        pred = rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
+        for mounts, pools in cases:
+            matches, screen = match_pools(mounts, rb.BodyPose(), pools, pred)
+            assert len(matches) == len(screen) == len(pools)
+            for match, passed, points in zip(matches, screen, pools):
+                oracle = subset_dp_assign(mounts, rb.BodyPose(), points, pred)
+                if not passed:
+                    assert oracle is None  # the screen drops only unmatchable pools
+                    kinds["rejected"] += 1
+                elif oracle is None:
+                    assert match is None
+                    kinds["screened_unmatched"] += 1
+                else:
+                    ok, L = feasibility_matrix(mounts, rb.BodyPose(), points, pred)
+                    rows = np.arange(len(mounts))
+                    assert len(set(match.anchor_index.tolist())) == len(mounts)
+                    assert ok[rows, match.anchor_index].all()
+                    assert match.total_length == pytest.approx(oracle, rel=1e-12)
+                    kinds["matched"] += 1
+        assert min(kinds.values()) > 0, kinds
 
 
 class TestBuildStance:

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +158,22 @@ class TestRunTrials:
         assert all(col.shape == (3, 3) for col in table.columns.values())
         assert [(c["n"], c["trial"]) for c in table.records()] == [
             (n, t) for t in range(3) for n in (2, 3, 4)]
+
+    def test_debug_log_counts_rounds(self, corridor, caplog):
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
+                          n_range=(6, 8), trials=4, seed=1, pool_multiplier=2)
+        with caplog.at_level(logging.DEBUG, logger="reachbot.study"):
+            table = rb.run_trials(sc)
+        lines = [r.getMessage() for r in caplog.records if "rounds" in r.getMessage()]
+        assert len(lines) == 3
+        for n, line in zip((6, 7, 8), lines):
+            rounds, rejected, solved = map(int, re.fullmatch(
+                rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, "
+                r"(\d+) linear_sum_assignment calls", line).groups())
+            resamples = table.column(n, "resamples")
+            assert rounds == resamples.max() + 1
+            assert rejected + solved == sc.trials + resamples.sum()  # every pool drawn
+            assert solved >= table.column(n, "feasible").sum()
 
     def test_cells_match_scalar_path(self, corridor):
         # Reference: each cell rebuilt on its own with the scalar functions.

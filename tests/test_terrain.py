@@ -4,13 +4,19 @@ from scipy import stats
 
 import reachbot as rb
 from reachbot.rng import substream
-from reachbot.terrain import CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows
+from reachbot.terrain import (CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows,
+                              sample_pools)
 from conftest import surface_area
+
+
+def to_local(frame: Frame, pts: np.ndarray) -> np.ndarray:
+    """World points in the frame's local coordinates (inverse of Frame.to_world)."""
+    return (np.asarray(pts, dtype=float) - frame.origin) @ frame.rotation
 
 
 def surface_distance(t: Terrain, pts: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to the finite graspable surface."""
-    local = t.frame.to_local(np.atleast_2d(pts))
+    local = to_local(t.frame, np.atleast_2d(pts))
     half_len = t.longitudinal_extent / 2.0
     if t.kind == CORRIDOR:
         radial = np.abs(np.hypot(local[:, 1], local[:, 2]) - t.dims[0])
@@ -34,7 +40,7 @@ def unit_square_coords(t: Terrain, pts: np.ndarray) -> np.ndarray:
     Useful for binned uniformity checks: area-uniform points map to
     uniform points on the unit square.
     """
-    local = t.frame.to_local(np.atleast_2d(pts))
+    local = to_local(t.frame, np.atleast_2d(pts))
     half_len = t.longitudinal_extent / 2.0
     if t.kind == CORRIDOR:
         theta = np.mod(np.arctan2(local[:, 2], local[:, 1]), 2.0 * np.pi)
@@ -146,6 +152,47 @@ class TestSampling:
         t = rb.corridor(5, 20, frame=Frame(rotation=rot, origin=np.array([1.0, 2.0, 3.0])))
         pts = rb.sample_surface_points(t, 500, substream(1, 0, "surface"))
         assert surface_distance(t, pts).max() < 1e-9
+
+
+def sample_reference(t: Terrain, count: int, window: float, rng) -> np.ndarray:
+    """One pool drawn on its own: the per-generator draw, trig and frame transform."""
+    u = rng.uniform(-window / 2.0, window / 2.0, count)
+    if t.kind == CORRIDOR:
+        theta = rng.uniform(0.0, 2.0 * np.pi, count)
+        local = np.column_stack([u, t.dims[0] * np.cos(theta), t.dims[0] * np.sin(theta)])
+    else:
+        v = rng.uniform(-t.dims[0] / 2.0, t.dims[0] / 2.0, count)
+        zeros = np.zeros(count)
+        local = np.column_stack([zeros, v, u] if t.kind == WALL else [v, u, zeros])
+    return local @ t.frame.rotation.T + t.frame.origin
+
+
+def tilted_frame() -> Frame:
+    """A rotation by 0.9 rad about (1, 2, 3) and an off-origin translation."""
+    k = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    rot = np.eye(3) + np.sin(0.9) * K + (1 - np.cos(0.9)) * K @ K
+    return Frame(rotation=rot, origin=np.array([3.5, -2.0, 7.25]))
+
+
+class TestSamplePools:
+    @pytest.mark.parametrize("frame", [Frame(), tilted_frame()], ids=["identity", "tilted"])
+    @pytest.mark.parametrize("make", [lambda f: rb.corridor(15, 100, frame=f),
+                                      lambda f: rb.wall(10, 30, frame=f),
+                                      lambda f: rb.floor(8, 12, frame=f)],
+                             ids=["corridor", "wall", "floor"])
+    def test_stacked_draw_is_per_generator_draw(self, make, frame):
+        t = make(frame)
+        window = min(10.0, t.longitudinal_extent)
+
+        def rngs():
+            return [substream(42, trial, "resample:8:3") for trial in (0, 5, 17, 99, 3)]
+
+        pools = sample_pools(t, 27, window, rngs())
+        assert pools.shape == (5, 27, 3)
+        for pool, rng_a, rng_b in zip(pools, rngs(), rngs()):
+            assert pool.tobytes() == sample_reference(t, 27, window, rng_a).tobytes()
+            assert pool.tobytes() == rb.sample_anchors(t, 27, window, rng_b).points.tobytes()
 
 
 def test_anchor_csv_format(corridor):
