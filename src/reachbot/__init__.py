@@ -8,7 +8,7 @@ placements, then selects a design by constrained Pareto analysis.
 
 __version__ = "0.1.0"
 
-from .interference import CoverageReport, coverage_curve
+from .interference import coverage_curve
 from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability, stiffness,
                         sym_eig)
 from .robot import (BucklingReport, MountSpec, RobotConfig, buckling_moment,
@@ -23,9 +23,8 @@ from .terrain import (AnchorSet, Terrain, corridor, floor, make_terrain,
 __all__ = [
     "__version__",
     "AnchorSet", "Assignment", "BodyPose", "BucklingReport", "Calibration",
-    "Constraints", "CoverageReport", "FeasibilityPredicate", "MountSpec",
-    "ParetoResult", "RobotConfig", "Stance", "StiffnessResult", "StudyConfig",
-    "StudyReport", "Terrain",
+    "Constraints", "FeasibilityPredicate", "MountSpec", "ParetoResult", "RobotConfig",
+    "Stance", "StiffnessResult", "StudyConfig", "StudyReport", "Terrain",
     "aggregate", "assign", "buckling_moment", "build_mounts", "check_buckling",
     "corridor", "coverage_curve", "floor", "grasp_map", "make_robot",
     "make_terrain", "manipulability", "pareto_front", "run_study", "run_trials",

@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config
-from .interference import coverage_csv_rows
+from .config import ConfigError, parse_config
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
 from .stance import BodyPose, world_mounts
-from .study import (EXPLICIT_LAYOUT, REL_EPS, Calibration, draw_pools, match_rounds,
+from .study import (REL_EPS, Calibration, coverage_csv_rows, draw_pools, match_rounds,
                     pareto_csv_rows, pareto_front, run_study, stability_csv_rows,
                     study_coverage, summary_csv_rows)
 from .terrain import AnchorSet, anchors_to_csv_rows
@@ -46,29 +45,23 @@ def _write_json(path: Path, obj):
 
 
 def _load(args) -> tuple:
+    """(StudyConfig, JSON echo) of the config file with any overrides written in."""
     try:
-        sc, echo = load_config(args.config)
+        raw = json.loads(Path(args.config).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     given = vars(args)  # validate has no overrides
-    overrides = {}
-    if given.get("seed") is not None:
-        overrides["seed"] = args.seed
-    if given.get("trials") is not None:
-        overrides["trials"] = args.trials
-    if given.get("n_range") is not None:
-        overrides["n_range"] = tuple(args.n_range)
-        if sc.layout == EXPLICIT_LAYOUT and overrides["n_range"] != sc.n_range:
-            raise ConfigError("--n-range cannot change the boom count of explicit robot.mounts")
-    if overrides:
-        import dataclasses
-        try:
-            sc = dataclasses.replace(sc, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return sc, echo
+    study = {key: given[key] for key in ("trials", "n_range") if given.get(key) is not None}
+    if isinstance(raw, dict):
+        if given.get("seed") is not None:
+            raw["seed"] = given["seed"]
+        if study and raw.get("study") is None:
+            raw["study"] = {}
+        if isinstance(raw.get("study"), dict):
+            raw["study"].update(study)
+    return parse_config(raw), raw
 
 
 def cmd_validate(args) -> int:
@@ -90,7 +83,7 @@ def cmd_study(args) -> int:
         _write_lines(out / "stability.csv", stability_csv_rows(report.table))
         _write_lines(out / "summary.csv", summary_csv_rows(report.summary))
         _write_lines(out / "coverage.csv", coverage_csv_rows(report.coverage))
-        _write_lines(out / "pareto.csv", pareto_csv_rows(report.pareto))
+        _write_lines(out / "pareto.csv", pareto_csv_rows(report.summary, report.pareto))
     verdicts = report.pareto.verdicts
     failed = [(n, ", ".join(binding))
               for n, binding in zip(verdicts["n"].tolist(), verdicts["binding"]) if binding]
@@ -117,7 +110,7 @@ def cmd_stance(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg, pose, trial = sc.robot(n), BodyPose(), np.array([args.trial])
     shared = draw_pools(sc, trial, "anchors")
-    (feasible,), _, (pool,), (idx,) = match_rounds(sc, cfg, trial, shared, pose)
+    (feasible,), _, (pool,), (idx,) = match_rounds(sc, cfg, trial, shared)
     _write_lines(out / "anchors.csv", anchors_to_csv_rows(AnchorSet(pool, sc.terrain), args.trial))
     if not feasible:
         print("infeasible: no complete boom-to-anchor assignment")
@@ -137,8 +130,8 @@ def cmd_coverage(args) -> int:
         raise ConfigError("--samples must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = study_coverage(sc, sc.surface_samples if args.samples is None else args.samples)
-    _write_lines(out / "coverage.csv", coverage_csv_rows(reports))
+    coverage = study_coverage(sc, sc.surface_samples if args.samples is None else args.samples)
+    _write_lines(out / "coverage.csv", coverage_csv_rows(coverage))
     print(f"coverage curve for N = {sc.n_range[0]}..{sc.n_range[1]} written")
     return EXIT_OK
 

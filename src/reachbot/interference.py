@@ -9,7 +9,6 @@ quantifies redundancy without new reachable terrain.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +21,11 @@ from .terrain import Terrain, sample_surface_points
 # (17 MiB for 16 mounts), whatever the sample count.
 COVERAGE_CHUNK = 16384
 
-
-@dataclass(frozen=True)
-class CoverageReport:
-    boom_count: int
-    sample_count: int
-    unique_pct: float  # fraction reachable by >= 1 boom
-    overlap_pct: float  # fraction reachable by >= 2 booms
-    per_boom_marginal: tuple[float, ...]  # new area added by boom i given 0..i-1
-    count_histogram: tuple[int, ...]  # index k = #points covered by exactly k booms
-
-    def __post_init__(self):
-        if not 0.0 <= self.overlap_pct <= self.unique_pct <= 1.0:
-            raise ValueError("coverage fractions must satisfy 0 <= overlap <= unique <= 1")
+# Coverage columns, one entry per boom count: boom_count, sample_count,
+# unique_pct and overlap_pct (fractions covered by >= 1 and >= 2 booms),
+# per_boom_marginal (lists: the area boom i adds to booms 0..i-1) and
+# count_histogram (lists: entry k counts points covered by exactly k booms).
+Coverage = dict[str, np.ndarray | list[list]]
 
 
 def _block_coverage(
@@ -42,8 +33,8 @@ def _block_coverage(
     pose: BodyPose,
     pred: FeasibilityPredicate,
     points: np.ndarray,
-) -> list[CoverageReport]:
-    """Coverage of every boom count that a list of mount blocks serves.
+) -> Coverage:
+    """Coverage columns of every boom count that a list of mount blocks serves.
 
     A block is (mounts, boom counts): boom count N is covered by the block's
     first N mounts. Per COVERAGE_CHUNK slice of the points and per block,
@@ -65,12 +56,16 @@ def _block_coverage(
             union += (counts[1:] >= 1).sum(axis=1)
             for n, h in hist.items():
                 h += np.bincount(counts[n], minlength=n + 1)
-    return [CoverageReport(boom_count=n, sample_count=s,
-                           unique_pct=float((s - h[0]) / s),
-                           overlap_pct=float((s - h[:2].sum()) / s),
-                           per_boom_marginal=tuple(np.diff(union[:n] / s, prepend=0.0).tolist()),
-                           count_histogram=tuple(h.tolist()))
-            for union, hist in zip(unions, hists) for n, h in hist.items()]
+    served = [(n, union[:n], h) for union, hist in zip(unions, hists) for n, h in hist.items()]
+    unique = np.array([s - h[0] for _, _, h in served]) / s
+    overlap = np.array([s - h[:2].sum() for _, _, h in served]) / s
+    if not np.all((0.0 <= overlap) & (overlap <= unique) & (unique <= 1.0)):
+        raise ValueError("coverage fractions must satisfy 0 <= overlap <= unique <= 1")
+    return {"boom_count": np.array([n for n, _, _ in served]),
+            "sample_count": np.full(len(served), s),
+            "unique_pct": unique, "overlap_pct": overlap,
+            "per_boom_marginal": [np.diff(u / s, prepend=0.0).tolist() for _, u, _ in served],
+            "count_histogram": [h.tolist() for _, _, h in served]}
 
 
 def coverage_from_mounts(
@@ -78,9 +73,9 @@ def coverage_from_mounts(
     pose: BodyPose,
     pred: FeasibilityPredicate,
     points: np.ndarray,
-) -> CoverageReport:
-    """Coverage statistics of fixed mounts over given surface sample points."""
-    return _block_coverage([(mounts, (len(mounts),))], pose, pred, points)[0]
+) -> Coverage:
+    """Coverage of fixed mounts over given surface sample points, as one row."""
+    return _block_coverage([(mounts, (len(mounts),))], pose, pred, points)
 
 
 def coverage_curve(
@@ -89,11 +84,10 @@ def coverage_curve(
     n_range: tuple[int, int],
     sample_count: int,
     rng: np.random.Generator,
-    pose: BodyPose | None = None,
     layout_policy: str = "nested",
     mounts: Sequence[Sequence[MountSpec]] | None = None,
-) -> list[CoverageReport]:
-    """Coverage for each boom count, sharing one surface sample set.
+) -> Coverage:
+    """Coverage columns, one row per boom count, sharing one surface sample set.
 
     ``mounts``, when given, lists each boom count's own mounts, lo first.
     Otherwise ``layout_policy`` places them on ``robot``'s body: ``nested``
@@ -121,14 +115,6 @@ def coverage_curve(
         blocks = [(build_mounts(n, robot.body_radius, layout_policy), (n,)) for n in ns]
     else:
         raise ValueError(f"unknown layout policy {layout_policy!r}")
-    return _block_coverage(blocks, pose or BodyPose(), FeasibilityPredicate.from_robot(robot),
+    return _block_coverage(blocks, BodyPose(), FeasibilityPredicate.from_robot(robot),
                            sample_surface_points(terrain, sample_count, rng))
 
-
-def coverage_csv_rows(reports: list[CoverageReport]) -> list[str]:
-    """Plot-ready CSV lines: N, unique, overlap and marginal percentages."""
-    rows = ["N,unique_pct,overlap_pct,marginal_pct"]
-    for rep in reports:
-        marginal = rep.per_boom_marginal[-1] if rep.per_boom_marginal else 0.0
-        rows.append(f"{rep.boom_count},{rep.unique_pct:.6f},{rep.overlap_pct:.6f},{marginal:.6f}")
-    return rows

@@ -88,13 +88,14 @@ def match_pools(
     pose: BodyPose,
     points: np.ndarray,
     pred: FeasibilityPredicate,
-) -> tuple[list[Assignment | None], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
 
-    ``points`` stacks C pools as (C, M, 3). Returns each pool's Assignment,
-    or None when it holds no complete feasible assignment, and the (C,)
-    screen: a pool where some boom reaches no anchor cannot hold a complete
-    assignment, so only pools that pass the screen reach the solver.
+    ``points`` stacks C pools as (C, M, 3). Returns the (C, N) anchor rows
+    of each pool's booms, the (C,) total lengths and the (C,) screen; a pool
+    that holds no complete feasible assignment has total length inf and
+    anchor rows 0. A pool where some boom reaches no anchor cannot hold one,
+    so only pools that pass the screen reach the solver.
     """
     # Imported here: scipy.optimize dominates the package's import time, and
     # commands that never match booms (validate, pareto, eval) skip it.
@@ -105,13 +106,13 @@ def match_pools(
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
     ok, L = feasibility_matrix(mounts, pose, points, pred)
     screen = ok.any(axis=2).all(axis=1)
-    matches: list[Assignment | None] = [None] * len(points)
+    rows, total = np.zeros((len(points), n), dtype=int), np.full(len(points), np.inf)
     for c in np.flatnonzero(screen).tolist():
-        # With N <= M booms every row is matched, so rows is arange(N).
-        rows, cols = linear_sum_assignment(np.where(ok[c], L[c], _BIG))
-        if ok[c][rows, cols].all():
-            matches[c] = Assignment(anchor_index=cols, total_length=float(L[c][rows, cols].sum()))
-    return matches, screen
+        # With N <= M booms every row is matched, so booms is arange(N).
+        booms, cols = linear_sum_assignment(np.where(ok[c], L[c], _BIG))
+        if ok[c][booms, cols].all():
+            rows[c], total[c] = cols, L[c][booms, cols].sum()
+    return rows, total, screen
 
 
 def assign(
@@ -125,4 +126,5 @@ def assign(
     Returns None when no complete feasible assignment exists.
     """
     points = anchors.points if isinstance(anchors, AnchorSet) else np.atleast_2d(anchors)
-    return match_pools(mounts, pose, np.asarray(points, dtype=float)[None], pred)[0][0]
+    (rows,), (total,), _ = match_pools(mounts, pose, np.asarray(points, dtype=float)[None], pred)
+    return Assignment(anchor_index=rows, total_length=float(total)) if total < np.inf else None

@@ -15,7 +15,7 @@ from itertools import compress
 
 import numpy as np
 
-from .interference import CoverageReport, coverage_curve
+from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
@@ -32,6 +32,11 @@ MAX_RESAMPLES = 100
 
 # StudyConfig.layout of a study whose config lists robot.mounts.
 EXPLICIT_LAYOUT = "explicit"
+
+# Rows of pareto_front's domination matrix taken at once. Its working memory
+# is about 3 bytes per chunk row and point, whatever the objective count:
+# 7.5 MiB at 10,000 points (tracemalloc peak).
+PARETO_CHUNK = 256
 
 # study.aggregate mode -> the reduction that aggregates a metric over trials
 AGGREGATES = {"median": np.median, "mean": np.mean, "min": np.min, "max": np.max}
@@ -154,8 +159,8 @@ def draw_pools(sc: StudyConfig, trials: np.ndarray, tag: str) -> np.ndarray:
                         [substream(sc.seed, t, tag) for t in trials.tolist()])
 
 
-def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray, shared: np.ndarray,
-                 pose: BodyPose) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
+                 shared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The boom-to-anchor assignments of cells (cfg.boom_count, trials), round by round.
 
     ``shared`` holds the trials' ``draw_pools(sc, trials, "anchors")``.
@@ -165,33 +170,32 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray, shared: 
     infeasible cell reports the shared pool, and its anchor rows read 0.
     """
     mounts, pred, n = list(cfg.mounts), FeasibilityPredicate.from_robot(cfg), cfg.boom_count
-    feasible = np.zeros(len(trials), dtype=bool)
+    pose, feasible = BodyPose(), np.zeros(len(trials), dtype=bool)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, points, rounds, rejected, solved = np.arange(len(trials)), shared, 0, 0, 0
     while pending.size and rounds <= MAX_RESAMPLES:
         if rounds:
             points = draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
-        matches, screen = match_pools(mounts, pose, points, pred)
+        matched, total, screen = match_pools(mounts, pose, points, pred)
         rejected, solved = rejected + (~screen).sum(), solved + screen.sum()
-        hit = np.array([match is not None for match in matches])
+        hit = total < np.inf
         done = pending[hit]
-        feasible[done], resamples[done], pools[done] = True, rounds, points[hit]
-        rows[done] = np.reshape([m.anchor_index for m in matches if m is not None], (-1, n))
+        feasible[done], resamples[done] = True, rounds
+        pools[done], rows[done] = points[hit], matched[hit]
         pending, rounds = pending[~hit], rounds + 1
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, "
               "%d linear_sum_assignment calls", n, rounds, rejected, solved)
     return feasible, resamples, pools, rows
 
 
-def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
+def run_trials(sc: StudyConfig) -> MetricsTable:
     """Evaluate every (boom count, trial) cell under common random numbers.
 
     Each boom count's booms are matched in resample rounds over all trials;
     its grasp maps and metrics are then taken in one stacked call over its
     feasible cells.
     """
-    pose = pose or BodyPose()
     trials = np.arange(sc.trials)
     shared = draw_pools(sc, trials, "anchors")
     shape = (len(sc.boom_counts), sc.trials)
@@ -200,13 +204,13 @@ def run_trials(sc: StudyConfig, pose: BodyPose | None = None) -> MetricsTable:
                **{name: np.zeros(shape) for name in METRICS}}
     for i, n in enumerate(sc.boom_counts):
         cfg = sc.robot(n)
-        feasible, resamples, pools, rows = match_rounds(sc, cfg, trials, shared, pose)
+        feasible, resamples, pools, rows = match_rounds(sc, cfg, trials, shared)
         columns["feasible"][i], columns["resamples"][i] = feasible, resamples
         columns["pool_hash"][i] = [hashlib.sha256(p.tobytes()).hexdigest()[:16] for p in pools]
         if feasible.any():
-            shoulders, _ = world_mounts(list(cfg.mounts), pose)
+            shoulders, _ = world_mounts(list(cfg.mounts), BodyPose())
             anchors = np.take_along_axis(pools[feasible], rows[feasible][..., None], axis=1)
-            G = grasp_map_stack(shoulders, anchors, pose.position)
+            G = grasp_map_stack(shoulders, anchors, np.zeros(3))
             values = stance_metrics(G, cfg.boom_stiffness, sc.calibration.delta_ref)
             for name, value in values.items():
                 columns[name][i, feasible] = value
@@ -252,16 +256,22 @@ def pareto_front(values: np.ndarray, senses: list[str]) -> list[int]:
         raise ValueError("one sense per objective column required")
     signs = np.array([1.0 if s == "min" else -1.0 for s in senses])
     v = values * signs  # now all-minimize
-    # dominates[j, i]: point j is no worse than point i everywhere and better somewhere
-    dominates = ((v[:, None] <= v[None]).all(axis=2) & (v[:, None] < v[None]).any(axis=2))
-    return np.flatnonzero(~dominates.any(axis=0)).tolist()
+    dominated = np.zeros(len(v), dtype=bool)
+    for start in range(0, len(v), PARETO_CHUNK):
+        w = v[start:start + PARETO_CHUNK]
+        # [j, i]: chunk point j is no worse than point i everywhere (le), better somewhere (lt)
+        le, lt = np.ones((len(w), len(v)), dtype=bool), np.zeros((len(w), len(v)), dtype=bool)
+        for a, b in zip(w.T, v.T):
+            le &= a[:, None] <= b
+            lt |= a[:, None] < b
+        dominated |= (le & lt).any(axis=0)
+    return np.flatnonzero(~dominated).tolist()
 
 
 @dataclass(frozen=True, eq=False)
 class ParetoResult:
-    """Selection result; ``candidates`` and ``verdicts`` are per-N columns."""
+    """Selection result; ``verdicts`` are per-N columns."""
 
-    candidates: dict[str, np.ndarray]
     verdicts: dict[str, np.ndarray | list[tuple[str, ...]]]
     nondominated_n: tuple[int, ...]
     feasible_n: tuple[int, ...]
@@ -271,22 +281,22 @@ class ParetoResult:
 
 def select_design(
     summary: dict[str, np.ndarray],
-    coverage: list[CoverageReport],
+    coverage: Coverage,
     constraints: Constraints,
     robot_template: RobotConfig,
 ) -> ParetoResult:
     """Apply mission constraints, then pick the minimum-mass feasible design.
 
     Ties in mass are broken toward lower overlapping coverage (less
-    mechanical interference). A boom count without a coverage report
-    reads 0 coverage.
+    mechanical interference). ``coverage`` must have the summary's boom
+    counts, in the same order.
     """
     n = summary["n"]
+    if not np.array_equal(coverage["boom_count"], n):
+        raise ValueError("coverage boom counts must equal the summary's")
     buck = None
     if constraints.m_critical is not None:
         buck = check_buckling(constraints.m_critical, robot_template)
-    pct = {c.boom_count: (c.unique_pct, c.overlap_pct) for c in coverage}
-    unique, overlap = np.array([pct.get(k, (0.0, 0.0)) for k in n.tolist()]).T
     ok = {  # constraint name -> passes, per N; binding lists failures in this order
         "stability": summary["agg_stability"] > REL_EPS * np.abs(summary["agg_lambda_max"]),
         "torque": summary["agg_wrench_torque"] >= constraints.tau_drill,
@@ -296,18 +306,14 @@ def select_design(
     }
     failed = ~np.column_stack(list(ok.values()))
     feasible = ~failed.any(axis=1)
-    candidates = {"n": n, "mass": summary["mass"],
-                  "torque_capability": summary["agg_wrench_torque"],
-                  "worst_stability": summary["worst_stability"],
-                  "unique_pct": unique, "overlap_pct": overlap}
     front = pareto_front(np.column_stack([summary["mass"], summary["agg_wrench_torque"]]),
                          ["min", "max"])
     selected = None
     if feasible.any():
-        order = np.lexsort((n[feasible], overlap[feasible], summary["mass"][feasible]))
+        order = np.lexsort((n[feasible], coverage["overlap_pct"][feasible],
+                            summary["mass"][feasible]))
         selected = n[feasible][order[0]].item()
     return ParetoResult(
-        candidates=candidates,
         verdicts={"n": n, **{f"{name}_ok": v for name, v in ok.items()}, "feasible": feasible,
                   "binding": [tuple(compress(ok, row)) for row in failed.tolist()]},
         nondominated_n=tuple(n[front].tolist()), feasible_n=tuple(n[feasible].tolist()),
@@ -320,7 +326,7 @@ class StudyReport:
     config_echo: dict
     table: MetricsTable
     summary: dict[str, np.ndarray]
-    coverage: list[CoverageReport]
+    coverage: Coverage
     pareto: ParetoResult
 
     @property
@@ -329,6 +335,7 @@ class StudyReport:
 
     def to_dict(self) -> dict:
         from . import __version__
+        per_n = {**self.summary, **self.coverage}
         return {
             "schema_version": 1,
             "tool_version": __version__,
@@ -339,15 +346,14 @@ class StudyReport:
             "nondominated_n": list(self.pareto.nondominated_n),
             "buckling": asdict(self.pareto.buckling) if self.pareto.buckling else None,
             "verdicts": column_records(self.pareto.verdicts),
-            "candidates": column_records(self.pareto.candidates),
+            "candidates": column_records({k: per_n[name] for k, name in CANDIDATES.items()}),
             "summary": column_records(self.summary),
-            "coverage": [asdict(c) for c in self.coverage],
+            "coverage": column_records(self.coverage),
             "trials": self.table.records(),
         }
 
 
-def study_coverage(sc: StudyConfig, sample_count: int,
-                   pose: BodyPose | None = None) -> list[CoverageReport]:
+def study_coverage(sc: StudyConfig, sample_count: int) -> Coverage:
     """The study's coverage curve over ``sample_count`` surface samples.
 
     Explicit robot.mounts are covered as given, on each ``sc.robot(n)``;
@@ -355,7 +361,7 @@ def study_coverage(sc: StudyConfig, sample_count: int,
     """
     explicit = sc.layout == EXPLICIT_LAYOUT
     return coverage_curve(sc.robot_template, sc.terrain, sc.n_range, sample_count,
-                          substream(sc.seed, 0, "surface"), pose, sc.coverage_layout,
+                          substream(sc.seed, 0, "surface"), sc.coverage_layout,
                           [sc.robot(n).mounts for n in sc.boom_counts] if explicit else None)
 
 
@@ -366,22 +372,21 @@ def _stage_done(stage: str, start: float, detail: str = "") -> float:
     return now
 
 
-def run_study(sc: StudyConfig, config_echo: dict | None = None,
-              pose: BodyPose | None = None) -> StudyReport:
+def run_study(sc: StudyConfig, config_echo: dict | None = None) -> StudyReport:
     """End-to-end study: trials, aggregation, coverage, constraints, selection.
 
     Logs one line per stage with its wall time at INFO; timings never enter
     the report.
     """
     start = time.perf_counter()
-    table = run_trials(sc, pose=pose)
+    table = run_trials(sc)
     feasible = table.columns["feasible"]
     start = _stage_done("trials", start, (
         f", {feasible.size} cells, {table.columns['resamples'].sum()} resamples, "
         f"{(~feasible).sum()} infeasible"))
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
     start = _stage_done("aggregate", start)
-    cov = study_coverage(sc, sc.surface_samples, pose)
+    cov = study_coverage(sc, sc.surface_samples)
     start = _stage_done("coverage", start)
     pareto = select_design(summary, cov, sc.constraints, sc.robot_template)
     _stage_done("selection", start)
@@ -395,6 +400,14 @@ SUMMARY_CSV = {"N": "n", "mass_kg": "mass", "worst_stability": "worst_stability"
                "mean_manipulability": "mean_manipulability", "wrench_full": "agg_wrench_full",
                "wrench_torque_nm": "agg_wrench_torque", "one_out_worst": "one_out_worst",
                "one_out_agg": "one_out_agg", "infeasible_trials": "infeasible_trials"}
+
+# report.json candidates key -> summary or coverage column
+CANDIDATES = {"n": "n", "mass": "mass", "torque_capability": "agg_wrench_torque",
+              "worst_stability": "worst_stability", "unique_pct": "unique_pct",
+              "overlap_pct": "overlap_pct"}
+
+# pareto.csv header -> summary column, before the selection flags
+PARETO_CSV = {"N": "n", "mass_kg": "mass", "torque_capability_nm": "agg_wrench_torque"}
 
 
 def _csv_lines(columns: dict) -> list[str]:
@@ -413,10 +426,16 @@ def summary_csv_rows(summary: dict[str, np.ndarray]) -> list[str]:
     return _csv_lines({head: summary[name] for head, name in SUMMARY_CSV.items()})
 
 
-def pareto_csv_rows(pr: ParetoResult) -> list[str]:
-    n = pr.candidates["n"]
-    return _csv_lines({"N": n, "mass_kg": pr.candidates["mass"],
-                       "torque_capability_nm": pr.candidates["torque_capability"],
+def coverage_csv_rows(coverage: Coverage) -> list[str]:
+    """Plot-ready CSV lines: N, unique, overlap and the last boom's marginal percentages."""
+    return ["N,unique_pct,overlap_pct,marginal_pct"] + [
+        f"{r['boom_count']},{r['unique_pct']:.6f},{r['overlap_pct']:.6f},"
+        f"{r['per_boom_marginal'][-1]:.6f}" for r in column_records(coverage)]
+
+
+def pareto_csv_rows(summary: dict[str, np.ndarray], pr: ParetoResult) -> list[str]:
+    n = summary["n"]
+    return _csv_lines({**{head: summary[name] for head, name in PARETO_CSV.items()},
                        "feasible": pr.verdicts["feasible"],
                        "nondominated": np.isin(n, pr.nondominated_n),
                        "selected": n == pr.selected_n})

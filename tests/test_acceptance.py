@@ -89,21 +89,21 @@ def test_4_coverage_saturation(corridor):
     template = rb.make_robot(1)
     reps = rb.coverage_curve(template, corridor, (1, 12), 20000,
                              substream(SEED, 0, "surface"))
-    unique = np.array([r.unique_pct for r in reps])
-    overlap = np.array([r.overlap_pct for r in reps])
+    unique = reps["unique_pct"]
+    overlap = reps["overlap_pct"]
     increasing = bool(np.all(np.diff(unique) > 0) and np.all(np.diff(overlap) > 0))
-    marg = np.array([r.per_boom_marginal[-1] for r in reps])
+    marg = np.array([m[-1] for m in reps["per_boom_marginal"]])
     saturating = marg[9:12].mean() < marg[5:8].mean()
     pred = FeasibilityPredicate.from_robot(template)
     from reachbot.robot import fibonacci_sphere
     d = fibonacci_sphere(12)[0]
     mount = rb.MountSpec(position=0.5 * d, axis=d)
     oracle = corridor_grid_coverage([mount], pred, 15.0, 100.0, 1000, 1000)
-    grid_ok = abs(reps[0].unique_pct - oracle.unique_pct) < 0.005
+    grid_ok = abs(reps["unique_pct"][0] - oracle["unique_pct"]) < 0.005
     elapsed = time.time() - start
     report(4, "coverage growth and saturation",
            increasing and saturating and grid_ok and elapsed < 60,
-           f"single-boom MC {reps[0].unique_pct:.4f} vs grid {oracle.unique_pct:.4f}")
+           f"single-boom MC {reps['unique_pct'][0]:.4f} vs grid {oracle['unique_pct']:.4f}")
 
 
 def test_5_buckling():

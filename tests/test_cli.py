@@ -114,6 +114,29 @@ class TestStudy:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 77
 
+    def test_config_echo_applies_overrides(self, config_path, tmp_path):
+        over, again = tmp_path / "over", tmp_path / "again"
+        code = main(["study", str(config_path), "--out-dir", str(over), "--json",
+                     "--seed", "7", "--trials", "2", "--n-range", "6", "7"])
+        report = json.loads((over / "report.json").read_text())
+        assert (report["config"]["seed"], report["config"]["study"]["trials"],
+                report["config"]["study"]["n_range"]) == (7, 2, [6, 7])
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(report["config"]))
+        assert main(["study", str(echo), "--out-dir", str(again), "--json"]) == code
+        assert (again / "report.json").read_bytes() == (over / "report.json").read_bytes()
+
+    def test_overrides_fill_an_absent_study_block(self, tmp_path):
+        cfg = default_config_dict(seed=3)
+        del cfg["study"]
+        path = tmp_path / "nostudy.json"
+        path.write_text(json.dumps(cfg))
+        main(["study", str(path), "--out-dir", str(tmp_path / "out"), "--json",
+              "--trials", "1", "--n-range", "6", "6"])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["study"] == {"trials": 1, "n_range": [6, 6]}
+        assert [c["n"] for c in report["trials"]] == [6]
+
     def test_low_boom_counts_exit_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "low"
         code = main(["study", str(config_path), "--out-dir", str(out),

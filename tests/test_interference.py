@@ -3,13 +3,14 @@ import pytest
 
 import reachbot as rb
 from reachbot import interference
-from reachbot.interference import CoverageReport, coverage_csv_rows, coverage_from_mounts
+from reachbot.interference import coverage_from_mounts
 from reachbot.rng import substream
 from reachbot.stance import BodyPose, FeasibilityPredicate, feasibility_matrix
+from reachbot.study import column_records, coverage_csv_rows
 
 
 def whole_array_coverage(mounts, pose, pred, points):
-    """Oracle: coverage of one mount set from a single unchunked feasibility matrix."""
+    """Oracle: the coverage record of one mount set from one unchunked feasibility matrix."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, s = len(mounts), len(points)
     ok, _ = feasibility_matrix(mounts, pose, points, pred)
@@ -17,21 +18,27 @@ def whole_array_coverage(mounts, pose, pred, points):
     prefix = np.logical_or.accumulate(ok, axis=0).mean(axis=1)
     marginal = np.diff(prefix, prepend=0.0)
     hist = np.bincount(counts, minlength=n + 1)
-    return CoverageReport(
+    return dict(
         boom_count=n,
         sample_count=s,
         unique_pct=float(np.mean(counts >= 1)),
         overlap_pct=float(np.mean(counts >= 2)),
-        per_boom_marginal=tuple(float(x) for x in marginal),
-        count_histogram=tuple(int(x) for x in hist),
+        per_boom_marginal=[float(x) for x in marginal],
+        count_histogram=[int(x) for x in hist],
     )
 
 
+def row(coverage):
+    """The only record of one-row coverage columns."""
+    (record,) = column_records(coverage)
+    return record
+
+
 def coverage(cfg, terrain, pose, sample_count, rng):
-    """Monte Carlo coverage of one robot configuration at a home pose."""
+    """Monte Carlo coverage record of one robot configuration at a home pose."""
     points = rb.sample_surface_points(terrain, sample_count, rng)
-    return coverage_from_mounts(list(cfg.mounts), pose, FeasibilityPredicate.from_robot(cfg),
-                                points)
+    return row(coverage_from_mounts(list(cfg.mounts), pose, FeasibilityPredicate.from_robot(cfg),
+                                    points))
 
 
 def corridor_grid_coverage(mounts, pred, radius, length, n_theta, n_x):
@@ -41,7 +48,7 @@ def corridor_grid_coverage(mounts, pred, radius, length, n_theta, n_x):
     T, X = np.meshgrid(theta, x, indexing="ij")
     pts = np.column_stack([X.ravel(), radius * np.cos(T).ravel(),
                            radius * np.sin(T).ravel()])
-    return coverage_from_mounts(mounts, BodyPose(), pred, pts)
+    return row(coverage_from_mounts(mounts, BodyPose(), pred, pts))
 
 
 @pytest.fixture
@@ -51,9 +58,9 @@ def pred(robot8):
 
 class TestCoverageFromMounts:
     def test_no_booms(self, pred):
-        rep = coverage_from_mounts([], BodyPose(), pred, np.zeros((10, 3)))
-        assert rep.unique_pct == 0.0 and rep.overlap_pct == 0.0
-        assert rep.count_histogram == (10,)
+        rep = row(coverage_from_mounts([], BodyPose(), pred, np.zeros((10, 3))))
+        assert rep["unique_pct"] == 0.0 and rep["overlap_pct"] == 0.0
+        assert rep["count_histogram"] == [10]
 
     def test_no_points_rejected(self, robot8, pred):
         with pytest.raises(ValueError, match="surface sample"):
@@ -62,31 +69,31 @@ class TestCoverageFromMounts:
     def test_identical_mounts_overlap_equals_unique(self, pred, corridor, rng):
         m = rb.MountSpec(position=np.array([0.5, 0, 0]), axis=np.array([1.0, 0, 0]))
         pts = rb.sample_surface_points(corridor, 4000, rng)
-        rep = coverage_from_mounts([m, m], BodyPose(), pred, pts)
-        assert rep.overlap_pct == pytest.approx(rep.unique_pct)
-        assert rep.per_boom_marginal[1] == pytest.approx(0.0)
+        rep = row(coverage_from_mounts([m, m], BodyPose(), pred, pts))
+        assert rep["overlap_pct"] == pytest.approx(rep["unique_pct"])
+        assert rep["per_boom_marginal"][1] == pytest.approx(0.0)
 
     def test_histogram_consistent(self, robot8, pred, corridor, rng):
         pts = rb.sample_surface_points(corridor, 5000, rng)
-        rep = coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, pts)
-        hist = np.array(rep.count_histogram)
+        rep = row(coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, pts))
+        hist = np.array(rep["count_histogram"])
         assert hist.sum() == 5000
-        assert rep.unique_pct == pytest.approx(hist[1:].sum() / 5000)
-        assert rep.overlap_pct == pytest.approx(hist[2:].sum() / 5000)
+        assert rep["unique_pct"] == pytest.approx(hist[1:].sum() / 5000)
+        assert rep["overlap_pct"] == pytest.approx(hist[2:].sum() / 5000)
 
     def test_marginals_sum_to_unique(self, robot8, pred, corridor, rng):
         pts = rb.sample_surface_points(corridor, 5000, rng)
-        rep = coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, pts)
-        assert sum(rep.per_boom_marginal) == pytest.approx(rep.unique_pct, abs=1e-12)
-        assert all(m >= 0 for m in rep.per_boom_marginal)
+        rep = row(coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, pts))
+        assert sum(rep["per_boom_marginal"]) == pytest.approx(rep["unique_pct"], abs=1e-12)
+        assert all(m >= 0 for m in rep["per_boom_marginal"])
 
 
 class TestCoverage:
     def test_matches_grid_oracle(self, robot8, pred, corridor):
         mc = coverage(robot8, corridor, BodyPose(), 20000, substream(42, 0, "surface"))
         oracle = corridor_grid_coverage(list(robot8.mounts), pred, 15.0, 100.0, 400, 400)
-        assert abs(mc.unique_pct - oracle.unique_pct) < 0.01
-        assert abs(mc.overlap_pct - oracle.overlap_pct) < 0.01
+        assert abs(mc["unique_pct"] - oracle["unique_pct"]) < 0.01
+        assert abs(mc["overlap_pct"] - oracle["overlap_pct"]) < 0.01
 
     def test_reproducible(self, robot8, corridor):
         a = coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
@@ -97,14 +104,14 @@ class TestCoverage:
         # error vs a large-sample reference shrinks like 1/sqrt(S) for most seeds
         ref = corridor_grid_coverage(
             list(robot8.mounts), FeasibilityPredicate.from_robot(robot8),
-            15.0, 100.0, 600, 600).unique_pct
+            15.0, 100.0, 600, 600)["unique_pct"]
         hits = 0
         seeds = range(20)
         for s in seeds:
             small = coverage(robot8, corridor, BodyPose(), 1000,
-                             substream(s, 0, "surface")).unique_pct
+                             substream(s, 0, "surface"))["unique_pct"]
             big = coverage(robot8, corridor, BodyPose(), 4000,
-                           substream(s, 1, "surface")).unique_pct
+                           substream(s, 1, "surface"))["unique_pct"]
             if abs(big - ref) <= 2.0 / np.sqrt(4000) and abs(small - ref) <= 2.0 / np.sqrt(1000):
                 hits += 1
         assert hits >= 17  # 2-sigma band holds for nearly all seeds
@@ -114,18 +121,18 @@ class TestCoverageCurve:
     def test_nested_unique_monotone(self, robot8, corridor):
         reps = rb.coverage_curve(robot8, corridor, (1, 12), 20000,
                                  substream(42, 0, "surface"))
-        unique = [r.unique_pct for r in reps]
+        unique = reps["unique_pct"]
         assert all(b > a for a, b in zip(unique, unique[1:]))
 
     def test_nested_overlap_monotone_past_two(self, robot8, corridor):
         reps = rb.coverage_curve(robot8, corridor, (2, 12), 20000,
                                  substream(42, 0, "surface"))
-        overlap = [r.overlap_pct for r in reps]
+        overlap = reps["overlap_pct"]
         assert all(b >= a for a, b in zip(overlap, overlap[1:]))
 
     def test_single_n(self, robot8, corridor, rng):
         reps = rb.coverage_curve(robot8, corridor, (3, 3), 1000, rng)
-        assert len(reps) == 1 and reps[0].boom_count == 3
+        assert reps["boom_count"].tolist() == [3]
 
     def test_bad_range(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="n_range"):
@@ -138,8 +145,8 @@ class TestCoverageCurve:
     def test_late_marginal_below_mid(self, robot8, corridor):
         reps = rb.coverage_curve(robot8, corridor, (1, 12), 20000,
                                  substream(42, 0, "surface"))
-        last = reps[-1].per_boom_marginal[-1]
-        mid = reps[5].per_boom_marginal[-1]
+        last = reps["per_boom_marginal"][-1][-1]
+        mid = reps["per_boom_marginal"][5][-1]
         assert last < mid
 
 
@@ -161,10 +168,10 @@ class TestChunkedCurve:
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
         pred = FeasibilityPredicate.from_robot(robot8)
         lo, hi = n_range
-        for n, rep in zip(range(lo, hi + 1), reps, strict=True):
-            mounts = (rb.build_mounts(hi)[:n] if policy == "nested"
-                      else rb.build_mounts(n, layout=policy))
-            assert rep == whole_array_coverage(mounts, BodyPose(), pred, points)
+        oracle = [whole_array_coverage(rb.build_mounts(hi)[:n] if policy == "nested"
+                                       else rb.build_mounts(n, layout=policy),
+                                       BodyPose(), pred, points) for n in range(lo, hi + 1)]
+        assert column_records(reps) == oracle
 
     def test_given_mounts_equal_oracle(self, robot8, corridor):
         given = [rb.build_mounts(n, layout="mission")[::-1] for n in (2, 3)]
@@ -173,8 +180,8 @@ class TestChunkedCurve:
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
         pred = FeasibilityPredicate.from_robot(robot8)
         oracle = [whole_array_coverage(m, BodyPose(), pred, points) for m in given]
-        assert reps == oracle
-        assert coverage_from_mounts(given[1], BodyPose(), pred, points) == oracle[1]
+        assert column_records(reps) == oracle
+        assert row(coverage_from_mounts(given[1], BodyPose(), pred, points)) == oracle[1]
 
     def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, rng, monkeypatch):
         sizes = []

@@ -204,22 +204,24 @@ class TestMatchPools:
         kinds = {"rejected": 0, "screened_unmatched": 0, "matched": 0}
         pred = rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
         for mounts, pools in cases:
-            matches, screen = match_pools(mounts, rb.BodyPose(), pools, pred)
-            assert len(matches) == len(screen) == len(pools)
-            for match, passed, points in zip(matches, screen, pools):
+            rows, total, screen = match_pools(mounts, rb.BodyPose(), pools, pred)
+            assert rows.shape == (len(pools), len(mounts))
+            assert len(total) == len(screen) == len(pools)
+            for idx, length, passed, points in zip(rows, total, screen, pools):
                 oracle = subset_dp_assign(mounts, rb.BodyPose(), points, pred)
                 if not passed:
                     assert oracle is None  # the screen drops only unmatchable pools
+                    assert length == np.inf and not idx.any()
                     kinds["rejected"] += 1
                 elif oracle is None:
-                    assert match is None
+                    assert length == np.inf and not idx.any()
                     kinds["screened_unmatched"] += 1
                 else:
                     ok, L = feasibility_matrix(mounts, rb.BodyPose(), points, pred)
-                    rows = np.arange(len(mounts))
-                    assert len(set(match.anchor_index.tolist())) == len(mounts)
-                    assert ok[rows, match.anchor_index].all()
-                    assert match.total_length == pytest.approx(oracle, rel=1e-12)
+                    booms = np.arange(len(mounts))
+                    assert len(set(idx.tolist())) == len(mounts)
+                    assert ok[booms, idx].all()
+                    assert length == pytest.approx(oracle, rel=1e-12)
                     kinds["matched"] += 1
         assert min(kinds.values()) > 0, kinds
 

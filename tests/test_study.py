@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import logging
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reachbot as rb
+from reachbot import study
 from reachbot.config import parse_config
-from reachbot.interference import CoverageReport
 from reachbot.mechanics import METRICS
 from reachbot.rng import substream
 from reachbot.robot import fibonacci_sphere
@@ -73,9 +75,13 @@ def aggregate_reference(table, robot_template, mode):
 
 
 def make_cov(n, unique=0.5, overlap=0.2):
-    return CoverageReport(boom_count=n, sample_count=100, unique_pct=unique,
-                          overlap_pct=overlap, per_boom_marginal=(unique,),
-                          count_histogram=(50, 50))
+    """Coverage columns for boom counts ``n``; fractions are constant unless given per N."""
+    unique, overlap = (np.broadcast_to(np.array(v, dtype=float), (len(n),)).copy()
+                       for v in (unique, overlap))
+    return {"boom_count": np.array(n), "sample_count": np.full(len(n), 100),
+            "unique_pct": unique, "overlap_pct": overlap,
+            "per_boom_marginal": [[u] for u in unique.tolist()],
+            "count_histogram": [[50, 50]] * len(n)}
 
 
 def small_config(corridor, **kw):
@@ -319,6 +325,25 @@ class TestParetoFront:
                 senses = ["min" if rng.uniform() < 0.5 else "max" for _ in range(k)]
                 assert rb.pareto_front(pts, senses) == pareto_oracle(pts, senses)
 
+    def test_chunked_against_matrix_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(study, "PARETO_CHUNK", 7)  # divides none of the point counts
+        for n, k in ((1, 2), (30, 2), (50, 3), (64, 2)):
+            # few distinct values: ties in every objective and duplicate points
+            pts = rng.integers(0, 4, size=(n, k)).astype(float)
+            pts[n // 2:] = pts[:n - n // 2]
+            senses = ["min" if rng.uniform() < 0.5 else "max" for _ in range(k)]
+            assert rb.pareto_front(pts, senses) == pareto_oracle(pts, senses)
+
+    def test_memory_bounded_by_chunk(self, rng):
+        pts = rng.uniform(size=(10_000, 2))
+        tracemalloc.start()
+        try:
+            rb.pareto_front(pts, ["min", "max"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34 * 2**20
+
     def test_permutation_invariant_as_set(self, rng):
         pts = rng.uniform(size=(25, 2))
         front = {tuple(pts[i]) for i in rb.pareto_front(pts, ["min", "max"])}
@@ -331,7 +356,7 @@ class TestSelectDesign:
     def test_min_mass_feasible_wins(self):
         summary = make_summary([6, 7, 8], [22.0, 24.0, 26.0])
         # overlap falls with N, so only mass can pick N = 6
-        cov = [make_cov(n, overlap=o) for n, o in ((6, 0.4), (7, 0.3), (8, 0.1))]
+        cov = make_cov([6, 7, 8], overlap=[0.4, 0.3, 0.1])
         res = rb.select_design(summary, cov,
                                rb.Constraints(tau_drill=0.0, one_boom_out=False),
                                rb.make_robot(1))
@@ -340,7 +365,7 @@ class TestSelectDesign:
 
     def test_torque_constraint_binds(self):
         summary = make_summary([6, 7], [22.0, 24.0], agg_wrench_torque=[3.0, 5.0])
-        cov = [make_cov(6), make_cov(7)]
+        cov = make_cov([6, 7])
         res = rb.select_design(summary, cov,
                                rb.Constraints(tau_drill=4.0, one_boom_out=False),
                                rb.make_robot(1))
@@ -350,7 +375,7 @@ class TestSelectDesign:
 
     def test_one_boom_out_binds(self):
         summary = make_summary([6, 7], [22.0, 24.0], one_out_agg=[0.0, 0.3])
-        cov = [make_cov(6), make_cov(7)]
+        cov = make_cov([6, 7])
         res = rb.select_design(summary, cov,
                                rb.Constraints(tau_drill=0.0, one_boom_out=True),
                                rb.make_robot(1))
@@ -359,7 +384,7 @@ class TestSelectDesign:
 
     def test_stability_always_enforced(self):
         summary = make_summary([1, 6], [12.0, 22.0], agg_stability=[0.0, 1.0])
-        cov = [make_cov(1), make_cov(6)]
+        cov = make_cov([1, 6])
         res = rb.select_design(summary, cov,
                                rb.Constraints(tau_drill=0.0, one_boom_out=False),
                                rb.make_robot(1))
@@ -368,16 +393,23 @@ class TestSelectDesign:
 
     def test_mass_tie_breaks_on_overlap(self):
         summary = make_summary([6, 7], [22.0, 22.0])
-        cov = [make_cov(6, overlap=0.4), make_cov(7, overlap=0.1)]
+        cov = make_cov([6, 7], overlap=[0.4, 0.1])
         res = rb.select_design(summary, cov,
                                rb.Constraints(tau_drill=0.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n == 7
-        assert res.candidates["overlap_pct"].tolist() == [0.4, 0.1]
+
+    @pytest.mark.parametrize("boom_counts", [[6, 7], [6, 8, 7], [6, 7, 8, 9], [5, 6, 7]])
+    def test_coverage_must_have_the_summary_boom_counts(self, boom_counts):
+        summary = make_summary([6, 7, 8], [22.0, 24.0, 26.0])
+        with pytest.raises(ValueError, match="coverage boom counts"):
+            rb.select_design(summary, make_cov(boom_counts),
+                             rb.Constraints(tau_drill=0.0, one_boom_out=False),
+                             rb.make_robot(1))
 
     def test_no_feasible_design(self):
         summary = make_summary([6], [22.0], agg_wrench_torque=1.0)
-        res = rb.select_design(summary, [make_cov(6)],
+        res = rb.select_design(summary, make_cov([6]),
                                rb.Constraints(tau_drill=4.0, one_boom_out=False),
                                rb.make_robot(1))
         assert res.selected_n is None
@@ -385,13 +417,13 @@ class TestSelectDesign:
 
     def test_buckling_constraint(self):
         summary = make_summary([8], [26.0])
-        res = rb.select_design(summary, [make_cov(8)],
+        res = rb.select_design(summary, make_cov([8]),
                                rb.Constraints(tau_drill=0.0, one_boom_out=False,
                                               m_critical=50.0),
                                rb.make_robot(8))
         assert res.selected_n is None
         assert res.buckling is not None and not res.buckling.satisfied
-        ok = rb.select_design(summary, [make_cov(8)],
+        ok = rb.select_design(summary, make_cov([8]),
                               rb.Constraints(tau_drill=0.0, one_boom_out=False,
                                              m_critical=100.0),
                               rb.make_robot(8))
@@ -400,7 +432,7 @@ class TestSelectDesign:
     def test_monotone_in_tau_drill(self):
         ns = list(range(5, 10))
         summary = make_summary(ns, [20.0 + n for n in ns], agg_wrench_torque=[float(n) for n in ns])
-        cov = [make_cov(n) for n in ns]
+        cov = make_cov(ns)
         prev = None
         for tau in (0.0, 5.5, 7.5, 9.5, 20.0):
             res = rb.select_design(summary, cov,
@@ -461,6 +493,27 @@ class TestRunStudy:
                 "stability", "torque", "one_boom_out", "buckling") if not v[f"{name}_ok"])
             assert v["feasible"] == (not v["binding"])
         assert "buckling" in d["verdicts"][0]["binding"]
+
+    def test_readme_documents_every_report_key(self, corridor):
+        sc = small_config(corridor, n_range=(5, 6), trials=2, seed=42,
+                          constraints=rb.Constraints(m_critical=50.0))
+        d = rb.run_study(sc, {"seed": 42}).to_dict()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## report.json\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"`([^`]+)`", section))
+        keys = set(d) | set(d["buckling"])
+        for block in ("summary", "candidates", "verdicts", "coverage", "trials"):
+            keys |= set(d[block][0])
+        assert sorted(keys - documented) == []
+
+    def test_candidates_project_summary_and_coverage(self, corridor):
+        rep = rb.run_study(small_config(corridor, n_range=(5, 7), trials=2))
+        candidates = rep.to_dict()["candidates"]
+        for key, column in (("mass", rep.summary["mass"]),
+                            ("torque_capability", rep.summary["agg_wrench_torque"]),
+                            ("unique_pct", rep.coverage["unique_pct"]),
+                            ("overlap_pct", rep.coverage["overlap_pct"])):
+            assert [c[key] for c in candidates] == column.tolist(), key
 
     def test_report_deterministic(self, corridor):
         sc = rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),
