@@ -3,7 +3,11 @@
 A boom can reach an anchor iff the anchor sits inside the shoulder's cone of
 motion and within the deployable length band. Booms are matched to anchors
 by an exact minimum-total-length rectangular assignment, returned as each
-boom's row index into the anchor pool.
+boom's row index into the anchor pool. The matcher needs only numpy: a pool
+whose booms' nearest reachable anchors are all distinct is settled by those
+row minima (their sum bounds every assignment from below); any other pool is
+solved by shortest augmenting paths (Crouse, IEEE TAES 2016; Jonker and
+Volgenant, Computing 1987), started from the row-reduction partial matching.
 """
 from __future__ import annotations
 
@@ -14,10 +18,6 @@ import numpy as np
 
 from .robot import MountSpec, RobotConfig
 from .terrain import AnchorSet
-
-# Penalty cost for infeasible pairs; any assignment using one is strictly
-# worse than any fully feasible assignment (real costs are boom lengths).
-_BIG = 1e9
 
 
 @dataclass(frozen=True)
@@ -83,36 +83,103 @@ class Assignment:
     total_length: float
 
 
+def _augmenting_paths(cost: np.ndarray, first: list[int]) -> list[int] | None:
+    """Each row's column in a minimum-cost assignment of rows to distinct columns.
+
+    ``cost`` is (N, M) with N <= M, inf marking a forbidden pair, and
+    ``first`` each row's argmin. The search starts from the row-reduction
+    partial matching: u = row minima, v = 0, and every row holds its argmin
+    unless an earlier row took it. That start is dual feasible and
+    complementary slack, so the shortest augmenting paths (Dijkstra's over
+    reduced costs) that match the remaining rows keep the result exact. Ties
+    go to an unassigned column, then the lowest index. Returns None when a
+    search reaches no further column at finite cost: the rows hold no
+    complete matching. Rows are read into lists only when a search reaches
+    them, and u and v are stored only for rows and columns it has reached.
+    """
+    rows, u, v, col4row, row4col = {}, {}, {}, [], {}
+    for i, j in enumerate(first):
+        col4row.append(-1 if j in row4col else j)
+        row4col.setdefault(j, i)
+    for free in [i for i, j in enumerate(col4row) if j < 0]:
+        frontier, scanned, path, i, low = {}, {}, {}, free, 0.0
+        while True:
+            if i not in rows:
+                rows[i] = cost[i].tolist()
+                u[i] = rows[i][first[i]]
+            h = low - u[i]
+            for j, c in enumerate(rows[i]):
+                if c < math.inf and j not in scanned:
+                    r = h + c - v.get(j, 0.0)
+                    if r < frontier.get(j, math.inf):
+                        frontier[j], path[j] = r, i
+            if not frontier:
+                return None
+            _, taken, j = min((d, j in row4col, j) for j, d in frontier.items())
+            low = scanned[j] = frontier.pop(j)
+            if not taken:
+                break
+            i = row4col[j]
+        # Dual update over the reached rows and columns, then augment.
+        u[free] += low
+        for k, d in scanned.items():
+            v[k] = v.get(k, 0.0) - (low - d)
+            if k != j:
+                u[row4col[k]] += low - d
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == free:
+                break
+    return col4row
+
+
 def match_pools(
     mounts: list[MountSpec],
     pose: BodyPose,
     points: np.ndarray,
     pred: FeasibilityPredicate,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
 
     ``points`` stacks C pools as (C, M, 3). Returns the (C, N) anchor rows
-    of each pool's booms, the (C,) total lengths and the (C,) screen; a pool
-    that holds no complete feasible assignment has total length inf and
-    anchor rows 0. A pool where some boom reaches no anchor cannot hold one,
-    so only pools that pass the screen reach the solver.
+    of each pool's booms, the (C,) total lengths, the (C,) screen and the
+    (C,) pools the row-minimum shortcut settled; a pool that holds no
+    complete feasible assignment has total length inf and anchor rows 0. A
+    pool where some boom reaches no anchor cannot hold one, so only pools
+    that pass the screen reach the solver.
     """
-    # Imported here: scipy.optimize dominates the package's import time, and
-    # commands that never match booms (validate, pareto, eval) skip it.
-    from scipy.optimize import linear_sum_assignment
-
     n, m = len(mounts), points.shape[-2]
     if m < n:
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
-    ok, L = feasibility_matrix(mounts, pose, points, pred)
+    return _match_lengths(*feasibility_matrix(mounts, pose, points, pred))
+
+
+def _match_lengths(ok: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``match_pools`` on (C, N, M) feasibility and length arrays, N <= M."""
+    n = ok.shape[1]
     screen = ok.any(axis=2).all(axis=1)
-    rows, total = np.zeros((len(points), n), dtype=int), np.full(len(points), np.inf)
-    for c in np.flatnonzero(screen).tolist():
-        # With N <= M booms every row is matched, so booms is arange(N).
-        booms, cols = linear_sum_assignment(np.where(ok[c], L[c], _BIG))
-        if ok[c][booms, cols].all():
-            rows[c], total[c] = cols, L[c][booms, cols].sum()
-    return rows, total, screen
+    rows, total = np.zeros((len(ok), n), dtype=int), np.full(len(ok), np.inf)
+    shortcut, pools = np.zeros(len(ok), dtype=bool), np.flatnonzero(screen)
+    if not pools.size:
+        return rows, total, screen, shortcut
+    L = L[pools]
+    cost = np.where(ok[pools], L, np.inf)
+    # Each boom's nearest reachable anchor. Where these are distinct they are
+    # the optimum: their total is a lower bound on every assignment.
+    cols = cost.argmin(axis=2)
+    ranked = np.sort(cols, axis=1)
+    found = (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
+    shortcut[pools] = found
+    for c in np.flatnonzero(~found).tolist():
+        best = _augmenting_paths(cost[c], cols[c].tolist())
+        if best is not None:
+            cols[c], found[c] = best, True
+    hit = np.flatnonzero(found)
+    rows[pools[hit]] = cols[hit]
+    total[pools[hit]] = L[hit[:, None], np.arange(n), cols[hit]].sum(axis=1)
+    return rows, total, screen, shortcut
 
 
 def assign(
@@ -126,5 +193,5 @@ def assign(
     Returns None when no complete feasible assignment exists.
     """
     points = anchors.points if isinstance(anchors, AnchorSet) else np.atleast_2d(anchors)
-    (rows,), (total,), _ = match_pools(mounts, pose, np.asarray(points, dtype=float)[None], pred)
+    (rows,), (total,), _, _ = match_pools(mounts, pose, np.asarray(points, dtype=float)[None], pred)
     return Assignment(anchor_index=rows, total_length=float(total)) if total < np.inf else None

@@ -173,19 +173,22 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     pose, feasible = BodyPose(), np.zeros(len(trials), dtype=bool)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
-    pending, points, rounds, rejected, solved = np.arange(len(trials)), shared, 0, 0, 0
+    pending, points, rounds = np.arange(len(trials)), shared, 0
+    rejected = solved = shortcuts = 0
     while pending.size and rounds <= MAX_RESAMPLES:
         if rounds:
             points = draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
-        matched, total, screen = match_pools(mounts, pose, points, pred)
+        matched, total, screen, shortcut = match_pools(mounts, pose, points, pred)
         rejected, solved = rejected + (~screen).sum(), solved + screen.sum()
+        shortcuts += shortcut.sum()
         hit = total < np.inf
         done = pending[hit]
         feasible[done], resamples[done] = True, rounds
         pools[done], rows[done] = points[hit], matched[hit]
         pending, rounds = pending[~hit], rounds + 1
-    log.debug("N = %d: %d rounds, %d pools rejected by the screen, "
-              "%d linear_sum_assignment calls", n, rounds, rejected, solved)
+    log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
+              "%d by the row-minimum shortcut, %d by augmenting paths",
+              n, rounds, rejected, solved, shortcuts, solved - shortcuts)
     return feasible, resamples, pools, rows
 
 

@@ -169,6 +169,21 @@ class TestStudy:
         assert "9 cells" in lines[0] and "resamples" in lines[0] and "infeasible" in lines[0]
         assert (logged / "report.json").read_bytes() == (quiet / "report.json").read_bytes()
 
+    def test_study_never_imports_scipy(self, config_path, tmp_path):
+        # Boom matching needs only numpy; scipy is a test-only dependency.
+        src = str(Path(rb.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from reachbot.cli import main; status = main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')); "
+                "sys.exit(status)")
+        done = subprocess.run([sys.executable, "-c", code, "study", str(config_path),
+                               "--out-dir", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "report.json").is_file()
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_n_range_override_rejects_explicit_mounts(self, tmp_path, capsys):
         cfg = default_config_dict(seed=1)
         cfg["study"]["n_range"] = [6, 6]

@@ -6,7 +6,7 @@ import pytest
 
 import reachbot as rb
 from reachbot.rng import substream
-from reachbot.stance import feasibility_matrix, match_pools
+from reachbot.stance import _match_lengths, feasibility_matrix, match_pools
 from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
 
@@ -17,7 +17,7 @@ def min_cost_matching(ok, L):
     Exhaustive bitmask dynamic programme over column subsets (Held-Karp
     style): rows are matched in order, and best[mask] is the cheapest way
     to match the first popcount(mask) rows to exactly the columns in mask.
-    Independent of the Hungarian solver; None when no complete matching
+    Independent of the matcher in ``stance``; None when no complete matching
     exists.
     """
     n, m = ok.shape
@@ -41,11 +41,16 @@ def subset_dp_assign(mounts, pose, points, pred):
 
 def permutation_matching(ok, L):
     """Reference for min_cost_matching: every injective row-to-column map."""
+    ranked = ranked_permutations(ok, L)
+    return ranked[0][0] if ranked else None
+
+
+def ranked_permutations(ok, L):
+    """Every feasible injective row-to-column map as (cost, columns), cheapest first."""
     n, m = ok.shape
-    costs = [sum(L[i, j] for i, j in enumerate(perm))
-             for perm in itertools.permutations(range(m), n)
-             if all(ok[i, j] for i, j in enumerate(perm))]
-    return min(costs) if costs else None
+    return sorted((sum(L[i, j] for i, j in enumerate(perm)), perm)
+                  for perm in itertools.permutations(range(m), n)
+                  if all(ok[i, j] for i, j in enumerate(perm)))
 
 
 def x_mount(body_radius=0.5):
@@ -204,9 +209,10 @@ class TestMatchPools:
         kinds = {"rejected": 0, "screened_unmatched": 0, "matched": 0}
         pred = rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
         for mounts, pools in cases:
-            rows, total, screen = match_pools(mounts, rb.BodyPose(), pools, pred)
+            rows, total, screen, shortcut = match_pools(mounts, rb.BodyPose(), pools, pred)
             assert rows.shape == (len(pools), len(mounts))
-            assert len(total) == len(screen) == len(pools)
+            assert len(total) == len(screen) == len(shortcut) == len(pools)
+            assert not (shortcut & ~screen).any()
             for idx, length, passed, points in zip(rows, total, screen, pools):
                 oracle = subset_dp_assign(mounts, rb.BodyPose(), points, pred)
                 if not passed:
@@ -224,6 +230,110 @@ class TestMatchPools:
                     assert length == pytest.approx(oracle, rel=1e-12)
                     kinds["matched"] += 1
         assert min(kinds.values()) > 0, kinds
+
+
+def random_stack(rng, n, m, kind, count=6):
+    """``count`` random (ok, L) pools of n booms and m anchors, stacked.
+
+    ``kind`` "random" draws each pair's feasibility and length; "collide"
+    gives every boom the same nearest anchor; "unmatchable" leaves booms 0
+    and 1 one shared anchor, so the pool passes the screen yet holds no
+    complete matching.
+    """
+    ok = rng.uniform(size=(count, n, m)) < rng.uniform(0.3, 1.0, size=(count, 1, 1))
+    L = rng.uniform(0.5, 20.0, size=(count, n, m))
+    ok[:, np.arange(n), rng.integers(0, m, size=n)] = True  # every boom reaches one
+    if kind == "collide":
+        j = int(rng.integers(m))
+        ok[:, :, j], L[:, :, j] = True, rng.uniform(0.1, 0.4, size=(count, n))
+    elif kind == "unmatchable":
+        ok[:, :2] = False
+        ok[:, :2, 0] = True
+    return ok, L
+
+
+def start_holders(ok, L):
+    """Rows holding their argmin in the row-reduction start: no earlier row took it."""
+    first = np.where(ok, L, np.inf).argmin(axis=1).tolist()
+    return [i for i, j in enumerate(first) if j not in first[:i]], first
+
+
+class TestMatchLengths:
+    KINDS = ("random", "collide", "unmatchable")
+
+    def stacks(self, seed):
+        rng = substream(seed, 0, "match_lengths")
+        for n in range(1, 9):
+            for m in (n, n + 1, n + 3):
+                for kind in self.KINDS[:3 if n > 1 else 2]:
+                    yield kind, random_stack(rng, n, m, kind)
+
+    def test_matches_exhaustive_oracles(self):
+        outcomes = {"shortcut": 0, "augmented": 0, "screened_unmatched": 0}
+        for _, (ok, L) in self.stacks(13):
+            n = ok.shape[1]
+            rows, total, screen, shortcut = _match_lengths(ok, L)
+            for k in range(len(ok)):
+                oracle = min_cost_matching(ok[k], L[k])
+                if ok.shape[2] <= 6:
+                    assert oracle == permutation_matching(ok[k], L[k])
+                if oracle is None:
+                    assert total[k] == np.inf and not rows[k].any() and not shortcut[k]
+                    outcomes["screened_unmatched"] += bool(screen[k])
+                else:
+                    assert len(set(rows[k].tolist())) == n
+                    assert ok[k][np.arange(n), rows[k]].all()
+                    assert total[k] == pytest.approx(oracle, rel=1e-12)
+                    assert total[k] == L[k][np.arange(n), rows[k]].sum()
+                    outcomes["shortcut" if shortcut[k] else "augmented"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_columns_are_the_unique_optimum(self):
+        checked = 0
+        for _, (ok, L) in self.stacks(17):
+            if ok.shape[2] > 6:
+                continue
+            rows, *_ = _match_lengths(ok, L)
+            for k in range(len(ok)):
+                ranked = ranked_permutations(ok[k], L[k])
+                if not ranked:
+                    continue
+                if len(ranked) > 1:
+                    assert ranked[1][0] - ranked[0][0] > 1e-9  # the optimum is unique
+                assert tuple(rows[k].tolist()) == ranked[0][1]
+                checked += 1
+        assert checked > 100
+
+    def test_both_branches_run(self):
+        # The shortcut settles pools whose argmins are distinct; an augmenting
+        # path of length >= 2 moves a row that held its argmin in the start.
+        shortcuts = long_paths = 0
+        for _, (ok, L) in self.stacks(19):
+            rows, total, _, shortcut = _match_lengths(ok, L)
+            for k in range(len(ok)):
+                holders, first = start_holders(ok[k], L[k])
+                if shortcut[k]:
+                    assert rows[k].tolist() == first
+                    shortcuts += 1
+                elif total[k] < np.inf and any(rows[k][i] != first[i] for i in holders):
+                    long_paths += 1
+        assert shortcuts > 0 and long_paths > 0, (shortcuts, long_paths)
+
+    def test_path_through_a_matched_row(self):
+        # Both rows' cheapest column is 0; row 0 holds it from the start, and
+        # the optimum moves row 0 to column 1 so that row 1 can take column 0.
+        ok = np.ones((1, 2, 2), dtype=bool)
+        L = np.array([[[1.0, 2.0], [1.0, 10.0]]])
+        rows, total, screen, shortcut = _match_lengths(ok, L)
+        assert rows.tolist() == [[1, 0]] and total.tolist() == [3.0]
+        assert screen.tolist() == [True] and shortcut.tolist() == [False]
+
+    def test_no_screened_pool(self):
+        ok = np.zeros((3, 2, 4), dtype=bool)
+        ok[:, 0] = True  # boom 1 reaches nothing
+        rows, total, screen, shortcut = _match_lengths(ok, np.ones((3, 2, 4)))
+        assert not screen.any() and not shortcut.any() and not rows.any()
+        assert (total == np.inf).all()
 
 
 class TestBuildStance:

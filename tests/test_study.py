@@ -173,13 +173,15 @@ class TestRunTrials:
         lines = [r.getMessage() for r in caplog.records if "rounds" in r.getMessage()]
         assert len(lines) == 3
         for n, line in zip((6, 7, 8), lines):
-            rounds, rejected, solved = map(int, re.fullmatch(
-                rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, "
-                r"(\d+) linear_sum_assignment calls", line).groups())
+            rounds, rejected, solved, shortcut, augmented = map(int, re.fullmatch(
+                rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, (\d+) pools "
+                r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths",
+                line).groups())
             resamples = table.column(n, "resamples")
             assert rounds == resamples.max() + 1
             assert rejected + solved == sc.trials + resamples.sum()  # every pool drawn
             assert solved >= table.column(n, "feasible").sum()
+            assert shortcut + augmented == solved
 
     def test_cells_match_scalar_path(self, corridor):
         # Reference: each cell rebuilt on its own with the scalar functions.
