@@ -5,20 +5,31 @@ feasibility predicate used for anchor grasping, so "can cover" and "can
 grasp" never disagree. Coverage is estimated by Monte Carlo over
 area-uniform surface samples. Overlap (area reachable by two or more booms)
 quantifies redundancy without new reachable terrain.
+
+Only the samples within reach of a mount block enter its feasibility pass.
+A boom reaches at most L_max from its shoulder, so by the triangle
+inequality no boom of the block reaches a sample farther than
+R = L_max + max |shoulder - body centre| from the body centre; such a sample
+is covered by no boom, and is counted as such without a feasibility matrix.
+The screen is exact: every count equals the unscreened pass's.
 """
 from __future__ import annotations
 
+import logging
 from collections.abc import Sequence
 
 import numpy as np
 
 from .robot import MountSpec, RobotConfig, build_mounts
-from .stance import BodyPose, FeasibilityPredicate, feasibility_matrix
+from .stance import BodyPose, FeasibilityPredicate, feasibility_matrix, world_mounts
 from .terrain import Terrain, sample_surface_points
 
+log = logging.getLogger(__name__)
+
 # Surface samples per feasibility pass. The pass's working memory is about
-# 70 bytes per mount-point pair of one chunk and the largest mount block
-# (17 MiB for 16 mounts), whatever the sample count.
+# 70 bytes per mount-point pair of the largest mount block and of the
+# chunk's samples within that block's reach (17 MiB for 16 mounts and a
+# whole chunk in reach), whatever the sample count.
 COVERAGE_CHUNK = 16384
 
 # Coverage columns, one entry per boom count: boom_count, sample_count,
@@ -38,8 +49,10 @@ def _block_coverage(
 
     A block is (mounts, boom counts): boom count N is covered by the block's
     first N mounts. Per COVERAGE_CHUNK slice of the points and per block,
-    one feasibility matrix and its running count of covering mounts give
-    every prefix's union count and each served N's histogram, as integers.
+    one feasibility matrix over the samples within the block's reach and its
+    running count of covering mounts give every prefix's union count and
+    each served N's histogram, as integers; the samples out of reach are
+    covered by no mount and go to bin 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     s = len(points)
@@ -47,15 +60,30 @@ def _block_coverage(
         raise ValueError("need at least one surface sample")
     unions = [np.zeros(len(mounts), dtype=np.int64) for mounts, _ in blocks]
     hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
+    # Reach of each block from the body centre; a block without mounts
+    # reaches nothing. The relative margin, far above the few ulps by which
+    # the computed norms can differ from the true ones, keeps rounding from
+    # dropping a sample that the predicate accepts.
+    reach = [(pred.L_max + np.linalg.norm(world_mounts(mounts, pose)[0] - pose.position,
+                                          axis=1).max(initial=-np.inf)) * (1 + 1e-9)
+             for mounts, _ in blocks]
+    within = [0] * len(blocks)
     for start in range(0, s, COVERAGE_CHUNK):
         chunk = points[start:start + COVERAGE_CHUNK]
-        for (mounts, _), union, hist in zip(blocks, unions, hists):
-            ok, _ = feasibility_matrix(mounts, pose, chunk, pred)
-            counts = np.zeros((len(mounts) + 1, len(chunk)), dtype=np.int32)
+        dist = np.linalg.norm(chunk - pose.position, axis=1)
+        for b, ((mounts, _), union, hist, r) in enumerate(zip(blocks, unions, hists, reach)):
+            near = chunk[dist <= r]
+            within[b] += len(near)
+            ok, _ = feasibility_matrix(mounts, pose, near, pred)
+            counts = np.zeros((len(mounts) + 1, len(near)), dtype=np.int32)
             np.cumsum(ok, axis=0, out=counts[1:])  # row n: how many of mounts 0..n-1 reach
             union += (counts[1:] >= 1).sum(axis=1)
             for n, h in hist.items():
                 h += np.bincount(counts[n], minlength=n + 1)
+                h[0] += len(chunk) - len(near)  # out of reach: covered by no mount
+    for (mounts, _), r, w in zip(blocks, reach, within):
+        log.debug("coverage pass over %d mounts: %d of %d samples within reach "
+                  "R = %.3f m", len(mounts), w, s, r)
     served = [(n, union[:n], h) for union, hist in zip(unions, hists) for n, h in hist.items()]
     unique = np.array([s - h[0] for _, _, h in served]) / s
     overlap = np.array([s - h[:2].sum() for _, _, h in served]) / s
@@ -97,9 +125,11 @@ def coverage_curve(
 
     The whole ``nested`` lattice is one mount block, served by one
     feasibility pass per chunk of COVERAGE_CHUNK samples; any other mount
-    set is a block of its own. Besides the samples themselves (24 bytes
-    each), working memory is about 70 bytes per mount of the largest block
-    and sample of one chunk: 17 MiB for 16 mounts, whatever ``sample_count``.
+    set is a block of its own. Only a chunk's samples within a block's reach
+    (see the module docstring) enter its pass, so besides the samples
+    themselves (24 bytes each), working memory is about 70 bytes per mount
+    of the largest block and in-reach sample of one chunk: at most 17 MiB
+    for 16 mounts, whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:

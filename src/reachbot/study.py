@@ -326,7 +326,7 @@ def select_design(
 @dataclass(frozen=True, eq=False)
 class StudyReport:
     seed: int
-    config_echo: dict
+    config_echo: dict | None  # None: run in-process without a config to echo
     table: MetricsTable
     summary: dict[str, np.ndarray]
     coverage: Coverage
@@ -393,7 +393,7 @@ def run_study(sc: StudyConfig, config_echo: dict | None = None) -> StudyReport:
     start = _stage_done("coverage", start)
     pareto = select_design(summary, cov, sc.constraints, sc.robot_template)
     _stage_done("selection", start)
-    return StudyReport(seed=sc.seed, config_echo=config_echo or {}, table=table,
+    return StudyReport(seed=sc.seed, config_echo=config_echo, table=table,
                        summary=summary, coverage=cov, pareto=pareto)
 
 

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -183,7 +186,7 @@ class TestChunkedCurve:
         assert column_records(reps) == oracle
         assert row(coverage_from_mounts(given[1], BodyPose(), pred, points)) == oracle[1]
 
-    def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, rng, monkeypatch):
+    def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, monkeypatch):
         sizes = []
 
         def recording(mounts, pose, points, pred):
@@ -191,14 +194,142 @@ class TestChunkedCurve:
             return feasibility_matrix(mounts, pose, points, pred)
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
-        rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, rng)
+        rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, substream(3, 0, "surface"))
+        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
+        in_reach = np.linalg.norm(points, axis=1) <= robot8.L_max + robot8.body_radius
         assert sizes and max(sizes) <= interference.COVERAGE_CHUNK
-        assert sum(sizes) == self.SAMPLES  # one pass: the nested lattice is one block
+        # one pass over the samples within reach: the nested lattice is one block
+        assert 0 < sum(sizes) == in_reach.sum() < self.SAMPLES
 
     def test_given_mounts_need_one_set_per_count(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="mounts"):
             rb.coverage_curve(robot8, corridor, (2, 3), 100, rng,
                               mounts=[rb.build_mounts(3), rb.build_mounts(2)])
+
+
+def unscreened_coverage(blocks, pose, pred, points):
+    """Reference: the coverage records of mount blocks, every sample through feasibility_matrix."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    s = len(points)
+    records = []
+    for mounts, ns in blocks:
+        ok, _ = feasibility_matrix(mounts, pose, points, pred)
+        counts = np.zeros((len(mounts) + 1, s), dtype=np.int32)
+        np.cumsum(ok, axis=0, out=counts[1:])
+        union = (counts[1:] >= 1).sum(axis=1)
+        for n in ns:
+            h = np.bincount(counts[n], minlength=n + 1)
+            records.append(dict(
+                boom_count=n, sample_count=s, unique_pct=float((s - h[0]) / s),
+                overlap_pct=float((s - h[:2].sum()) / s),
+                per_boom_marginal=np.diff(union[:n] / s, prepend=0.0).tolist(),
+                count_histogram=h.tolist()))
+    return records
+
+
+def rotation(axis, angle):
+    """Rotation matrix about a unit axis (Rodrigues)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
+
+
+class TestReachScreen:
+    """The screened pass against every sample through the feasibility matrix."""
+
+    SAMPLES = 3000
+
+    @pytest.fixture(autouse=True)
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 257)
+
+    @pytest.fixture
+    def points(self, corridor):
+        return rb.sample_surface_points(corridor, self.SAMPLES, substream(8, 0, "surface"))
+
+    def screened(self, blocks, pose, pred, points):
+        return column_records(interference._block_coverage(blocks, pose, pred, points))
+
+    def test_nested_block(self, pred, points):
+        blocks = [(rb.build_mounts(12), range(1, 13))]
+        assert self.screened(blocks, BodyPose(), pred, points) == \
+            unscreened_coverage(blocks, BodyPose(), pred, points)
+
+    def test_uniform_blocks(self, pred, points):
+        blocks = [(rb.build_mounts(n), (n,)) for n in range(1, 9)]
+        assert self.screened(blocks, BodyPose(), pred, points) == \
+            unscreened_coverage(blocks, BodyPose(), pred, points)
+
+    def test_mounts_off_the_body_sphere(self, robot8, pred, points):
+        far = rb.MountSpec(position=np.array([3.0, 0, 0]),
+                           axis=np.array([1.0, 1.0, 0]) / np.sqrt(2.0))
+        mounts = [*rb.build_mounts(4, robot8.body_radius), far]
+        blocks = [(mounts, (5,))]
+        assert self.screened(blocks, BodyPose(), pred, points) == \
+            unscreened_coverage(blocks, BodyPose(), pred, points)
+        # the far shoulder reaches samples that a body-radius bound would drop
+        ok, _ = feasibility_matrix([far], BodyPose(), points, pred)
+        beyond = np.linalg.norm(points, axis=1) > robot8.L_max + robot8.body_radius
+        assert (ok[0] & beyond).any()
+
+    def test_moved_and_turned_pose(self, robot8, pred, points):
+        pose = BodyPose(position=np.array([30.0, 2.0, -1.0]),
+                        rotation=rotation([1.0, 2.0, 0.5], 0.7))
+        mounts = [*rb.build_mounts(8, robot8.body_radius),
+                  rb.MountSpec(position=np.array([0, 3.0, 0]), axis=np.array([0, 1.0, 0]))]
+        got = row(coverage_from_mounts(mounts, pose, pred, points))
+        (want,) = unscreened_coverage([(mounts, (9,))], pose, pred, points)
+        assert got == want
+        assert 0 < want["unique_pct"]
+        assert np.linalg.norm(points - pose.position, axis=1).max() > pred.L_max + 3.0
+
+    def test_reach_boundary_counts(self, pred):
+        # Samples exactly L_max along each shoulder's axis: a sample the
+        # predicate accepts is covered even where rounding puts it past
+        # L_max + |shoulder| from the body centre.
+        past_bound = 0
+        for n in range(1, 41):
+            mounts = rb.build_mounts(n)
+            shoulders = np.array([m.position for m in mounts])
+            points = shoulders + pred.L_max * np.array([m.axis for m in mounts])
+            ok, _ = feasibility_matrix(mounts, BodyPose(), points, pred)
+            accepted = ok.diagonal()
+            past_bound += (accepted & (np.linalg.norm(points, axis=1)
+                                       > pred.L_max + np.linalg.norm(shoulders, axis=1))).sum()
+            got = row(coverage_from_mounts(mounts, BodyPose(), pred, points))
+            (want,) = unscreened_coverage([(mounts, (n,))], BodyPose(), pred, points)
+            assert got == want
+            assert round(got["unique_pct"] * n) >= accepted.sum()
+        assert past_bound > 0
+
+    def test_no_mounts(self, pred, points, monkeypatch):
+        sizes = []
+
+        def recording(mounts, pose, pts, pred):
+            sizes.append(len(pts))
+            return feasibility_matrix(mounts, pose, pts, pred)
+
+        monkeypatch.setattr(interference, "feasibility_matrix", recording)
+        rep = row(coverage_from_mounts([], BodyPose(), pred, points))
+        assert rep["count_histogram"] == [self.SAMPLES]
+        assert rep["unique_pct"] == 0.0 and sum(sizes) == 0
+
+    @pytest.mark.parametrize("policy,lines", [("nested", 1), ("uniform", 3)])
+    def test_debug_log_per_pass(self, robot8, corridor, caplog, policy, lines):
+        with caplog.at_level(logging.DEBUG, logger="reachbot.interference"):
+            rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
+                              substream(42, 0, "surface"), layout_policy=policy)
+        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(42, 0, "surface"))
+        reach = robot8.L_max + robot8.body_radius
+        in_reach = (np.linalg.norm(points, axis=1) <= reach).sum()
+        messages = [r.getMessage() for r in caplog.records if r.name == "reachbot.interference"]
+        assert len(messages) == lines
+        for n, message in zip((6,) if policy == "nested" else (4, 5, 6), messages):
+            within, total, r = re.fullmatch(
+                rf"coverage pass over {n} mounts: (\d+) of (\d+) samples within reach "
+                r"R = ([\d.]+) m", message).groups()
+            assert (int(within), int(total)) == (in_reach, self.SAMPLES)
+            assert float(r) == pytest.approx(reach, abs=1e-3)
 
 
 def test_coverage_csv(robot8, corridor):

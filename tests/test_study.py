@@ -508,6 +508,11 @@ class TestRunStudy:
             keys |= set(d[block][0])
         assert sorted(keys - documented) == []
 
+    def test_config_is_null_without_echo(self, corridor):
+        sc = small_config(corridor, n_range=(5, 5), trials=1)
+        assert rb.run_study(sc).to_dict()["config"] is None
+        assert rb.run_study(sc, {"seed": 0}).to_dict()["config"] == {"seed": 0}
+
     def test_candidates_project_summary_and_coverage(self, corridor):
         rep = rb.run_study(small_config(corridor, n_range=(5, 7), trials=2))
         candidates = rep.to_dict()["candidates"]
