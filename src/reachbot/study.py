@@ -17,7 +17,7 @@ import numpy as np
 
 from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
-from .rng import substream
+from .rng import substream, substream_uniforms
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
 from .stance import BodyPose, FeasibilityPredicate, match_pools, world_mounts
 from .terrain import Terrain, sample_pools
@@ -154,9 +154,9 @@ def draw_pools(sc: StudyConfig, trials: np.ndarray, tag: str) -> np.ndarray:
     Every pool holds M = pool_multiplier * n_max anchors within the anchor
     window, whatever the boom count it serves.
     """
-    return sample_pools(sc.terrain, sc.pool_multiplier * sc.n_range[1],
-                        anchor_window(sc.terrain, sc.robot_template),
-                        [substream(sc.seed, t, tag) for t in trials.tolist()])
+    count = sc.pool_multiplier * sc.n_range[1]
+    return sample_pools(sc.terrain, count, anchor_window(sc.terrain, sc.robot_template),
+                        substream_uniforms(sc.seed, trials, tag, 2 * count))
 
 
 def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
@@ -175,10 +175,14 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, points, rounds = np.arange(len(trials)), shared, 0
     rejected = solved = shortcuts = 0
+    draw_s = match_s = 0.0
     while pending.size and rounds <= MAX_RESAMPLES:
+        start = time.perf_counter()
         if rounds:
             points = draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
+        drawn = time.perf_counter()
         matched, total, screen, shortcut = match_pools(mounts, pose, points, pred)
+        draw_s, match_s = draw_s + drawn - start, match_s + time.perf_counter() - drawn
         rejected, solved = rejected + (~screen).sum(), solved + screen.sum()
         shortcuts += shortcut.sum()
         hit = total < np.inf
@@ -187,8 +191,9 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
         pools[done], rows[done] = points[hit], matched[hit]
         pending, rounds = pending[~hit], rounds + 1
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
-              "%d by the row-minimum shortcut, %d by augmenting paths",
-              n, rounds, rejected, solved, shortcuts, solved - shortcuts)
+              "%d by the row-minimum shortcut, %d by augmenting paths; "
+              "%.4f s drawing pools, %.4f s matching",
+              n, rounds, rejected, solved, shortcuts, solved - shortcuts, draw_s, match_s)
     return feasible, resamples, pools, rows
 
 

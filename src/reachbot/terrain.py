@@ -138,32 +138,44 @@ class AnchorSet:
         return len(self.points)
 
 
-def _sample_local(t: Terrain, count: int, rngs: list[np.random.Generator],
-                  window: float | None) -> np.ndarray:
+def _sample_local(t: Terrain, count: int, u: np.ndarray, window: float | None) -> np.ndarray:
+    """Local-frame points from unit draws ``u`` (C, 2 * count), which are scaled in place."""
+    if u.shape != (len(u), 2 * count):
+        raise ValueError("u must hold 2 * count draws per pool")
     span = t.longitudinal_extent if window is None else float(window)
     if span > t.longitudinal_extent + 1e-12:
         raise ValueError("window exceeds terrain longitudinal extent")
     lo, hi = (0.0, 2.0 * np.pi) if t.kind == CORRIDOR else (-t.dims[0] / 2.0, t.dims[0] / 2.0)
-    u, v = np.stack([(rng.uniform(-span / 2.0, span / 2.0, count), rng.uniform(lo, hi, count))
-                     for rng in rngs], axis=1)
+    along, across = u[:, :count], u[:, count:]
+    # In place, as Generator.uniform computes low + (high - low) * u.
+    for part, low, high in ((along, -span / 2.0, span / 2.0), (across, lo, hi)):
+        part *= high - low
+        part += low
     if t.kind == CORRIDOR:
-        return np.stack([u, t.dims[0] * np.cos(v), t.dims[0] * np.sin(v)], axis=-1)
+        return np.stack([along, t.dims[0] * np.cos(across), t.dims[0] * np.sin(across)], axis=-1)
     if t.kind == WALL:
-        return np.stack([np.zeros_like(u), v, u], axis=-1)
-    return np.stack([v, u, np.zeros_like(u)], axis=-1)
+        return np.stack([np.zeros_like(along), across, along], axis=-1)
+    return np.stack([across, along, np.zeros_like(along)], axis=-1)
 
 
-def sample_pools(t: Terrain, count: int, window: float | None,
-                 rngs: list[np.random.Generator]) -> np.ndarray:
-    """One draw of ``count`` area-uniform points per generator, as (len(rngs), count, 3).
+def sample_pools(t: Terrain, count: int, window: float | None, u: np.ndarray) -> np.ndarray:
+    """Area-uniform pools of ``count`` points from unit draws, as (C, count, 3).
 
-    Pool c holds, byte for byte, the points ``sample_anchors`` gives
-    ``rngs[c]``. ``window`` None spans the full longitudinal extent.
+    ``u`` is (C, 2 * count) doubles in [0, 1), such as
+    ``rng.substream_uniforms(seed, trials, tag, 2 * count)``; row c's first
+    ``count`` draws place pool c's points along the longitudinal window,
+    the rest across it. Pool c holds, byte for byte, the points
+    ``sample_anchors`` gives a generator whose ``random(2 * count)`` is
+    ``u[c]``. ``u`` is consumed: it is scaled in place. ``window`` None
+    spans the full longitudinal extent.
     """
+    return t.frame.to_world(_sample_local(t, count, u, window))
+
+
+def _unit_draws(count: int, rng: np.random.Generator) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be non-negative")
-    # The local draw's temporaries are freed before the transform allocates.
-    return t.frame.to_world(_sample_local(t, count, rngs, window))
+    return rng.random((1, 2 * count))
 
 
 def sample_anchors(
@@ -174,12 +186,17 @@ def sample_anchors(
     seed: int | None = None,
 ) -> AnchorSet:
     """Draw ``count`` i.i.d. area-uniform anchor points within the window."""
-    return AnchorSet(points=sample_pools(t, count, window, [rng])[0], terrain=t, seed=seed)
+    return AnchorSet(points=sample_pools(t, count, window, _unit_draws(count, rng))[0],
+                     terrain=t, seed=seed)
 
 
 def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` area-uniform test points over the full surface."""
-    return sample_pools(t, count, None, [rng])[0]
+    """Draw ``count`` area-uniform test points over the full surface.
+
+    This is ``sample_pools`` inlined, so that no frame holds the draws (2
+    doubles a sample) while the frame transform allocates the points.
+    """
+    return t.frame.to_world(_sample_local(t, count, _unit_draws(count, rng), None))[0]
 
 
 def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.rng import substream
+from reachbot.rng import substream, substream_uniforms
 from reachbot.stance import _match_lengths, feasibility_matrix, match_pools
 from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
@@ -204,8 +204,8 @@ class TestMatchPools:
                                         axis=np.array([1.0, 0, 0]))]
         cases = [(twin, np.array([[[10.0, 0, 0], [-30.0, 0, 0], [0, 40.0, 0]]]))]
         for n in range(1, 9):
-            rngs = [substream(11, trial, f"match:{n}") for trial in range(24)]
-            cases.append((list(rb.make_robot(n).mounts), sample_pools(corridor, n + 3, 12.0, rngs)))
+            u = substream_uniforms(11, range(24), f"match:{n}", 2 * (n + 3))
+            cases.append((list(rb.make_robot(n).mounts), sample_pools(corridor, n + 3, 12.0, u)))
         kinds = {"rejected": 0, "screened_unmatched": 0, "matched": 0}
         pred = rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
         for mounts, pools in cases:

@@ -168,20 +168,26 @@ class TestRunTrials:
     def test_debug_log_counts_rounds(self, corridor, caplog):
         sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
                           n_range=(6, 8), trials=4, seed=1, pool_multiplier=2)
-        with caplog.at_level(logging.DEBUG, logger="reachbot.study"):
-            table = rb.run_trials(sc)
-        lines = [r.getMessage() for r in caplog.records if "rounds" in r.getMessage()]
+        with caplog.at_level(logging.DEBUG, logger="reachbot"):
+            table = rb.run_study(sc).table
+        messages = [r.getMessage() for r in caplog.records]
+        (trials_s,) = [float(m.split()[1]) for m in messages if m.startswith("trials: ")]
+        lines = [m for m in messages if "rounds" in m]
         assert len(lines) == 3
+        stage_s = 0.0
         for n, line in zip((6, 7, 8), lines):
-            rounds, rejected, solved, shortcut, augmented = map(int, re.fullmatch(
+            *counts, draw_s, match_s = re.fullmatch(
                 rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, (\d+) pools "
-                r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths",
-                line).groups())
+                r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths; "
+                r"(\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching", line).groups()
+            rounds, rejected, solved, shortcut, augmented = map(int, counts)
             resamples = table.column(n, "resamples")
             assert rounds == resamples.max() + 1
             assert rejected + solved == sc.trials + resamples.sum()  # every pool drawn
             assert solved >= table.column(n, "feasible").sum()
             assert shortcut + augmented == solved
+            stage_s += float(draw_s) + float(match_s)
+        assert stage_s <= trials_s + 1e-3  # the logged figures are rounded
 
     def test_cells_match_scalar_path(self, corridor):
         # Reference: each cell rebuilt on its own with the scalar functions.

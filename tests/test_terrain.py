@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import reachbot as rb
-from reachbot.rng import substream
+from reachbot.rng import substream, substream_uniforms
 from reachbot.terrain import (CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows,
                               sample_pools)
 from conftest import surface_area
@@ -146,6 +148,21 @@ class TestSampling:
         chi2 = np.sum((counts - expected) ** 2 / expected)
         assert chi2 < stats.chi2.ppf(1 - 0.001, 63)
 
+    @pytest.mark.parametrize("terrain", [rb.corridor(15, 100), rb.wall(10, 30), rb.floor(8, 12)],
+                             ids=["corridor", "wall", "floor"])
+    def test_surface_draw_peak_memory(self, terrain):
+        # Live at the peak: the draws (2 doubles a sample), two trig columns
+        # and the stacked points (3), plus Python objects; one more
+        # full-size temporary adds at least 8 bytes a sample.
+        count, rng = 100_000, substream(42, 0, "surface")
+        tracemalloc.start()
+        try:
+            rb.sample_surface_points(terrain, count, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * count + 4096
+
     def test_rotated_frame_points_on_surface(self):
         c, s = np.cos(0.7), np.sin(0.7)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
@@ -184,15 +201,18 @@ class TestSamplePools:
     def test_stacked_draw_is_per_generator_draw(self, make, frame):
         t = make(frame)
         window = min(10.0, t.longitudinal_extent)
-
-        def rngs():
-            return [substream(42, trial, "resample:8:3") for trial in (0, 5, 17, 99, 3)]
-
-        pools = sample_pools(t, 27, window, rngs())
+        trials = (0, 5, 17, 99, 3)
+        pools = sample_pools(t, 27, window, substream_uniforms(42, trials, "resample:8:3", 54))
         assert pools.shape == (5, 27, 3)
-        for pool, rng_a, rng_b in zip(pools, rngs(), rngs()):
+        for pool, trial in zip(pools, trials):
+            rng_a, rng_b = substream(42, trial, "resample:8:3"), substream(42, trial, "resample:8:3")
             assert pool.tobytes() == sample_reference(t, 27, window, rng_a).tobytes()
             assert pool.tobytes() == rb.sample_anchors(t, 27, window, rng_b).points.tobytes()
+
+    def test_draws_are_consumed_in_place(self, corridor):
+        u = substream_uniforms(3, (0, 1), "anchors", 8)
+        pools = sample_pools(corridor, 4, 40.0, u)
+        assert np.array_equal(u[:, :4], pools[..., 0])  # scaled to the window, not copied
 
 
 def test_anchor_csv_format(corridor):
