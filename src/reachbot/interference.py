@@ -27,8 +27,8 @@ from .terrain import Terrain, sample_surface_points
 log = logging.getLogger(__name__)
 
 # Surface samples per feasibility pass. The pass's working memory is about
-# 70 bytes per mount-point pair of the largest mount block and of the
-# chunk's samples within that block's reach (17 MiB for 16 mounts and a
+# 45 bytes per mount-point pair of the largest mount block and of the
+# chunk's samples within that block's reach (11 MiB for 16 mounts and a
 # whole chunk in reach), whatever the sample count.
 COVERAGE_CHUNK = 16384
 
@@ -70,7 +70,8 @@ def _block_coverage(
     within = [0] * len(blocks)
     for start in range(0, s, COVERAGE_CHUNK):
         chunk = points[start:start + COVERAGE_CHUNK]
-        dist = np.linalg.norm(chunk - pose.position, axis=1)
+        # |p - body centre| coordinate by coordinate, in np.linalg.norm's sum order
+        dist = np.sqrt(sum((chunk[:, k] - pose.position[k]) ** 2 for k in range(3)))
         for b, ((mounts, _), union, hist, r) in enumerate(zip(blocks, unions, hists, reach)):
             near = chunk[dist <= r]
             within[b] += len(near)
@@ -127,8 +128,8 @@ def coverage_curve(
     feasibility pass per chunk of COVERAGE_CHUNK samples; any other mount
     set is a block of its own. Only a chunk's samples within a block's reach
     (see the module docstring) enter its pass, so besides the samples
-    themselves (24 bytes each), working memory is about 70 bytes per mount
-    of the largest block and in-reach sample of one chunk: at most 17 MiB
+    themselves (24 bytes each), working memory is about 45 bytes per mount
+    of the largest block and in-reach sample of one chunk: at most 11 MiB
     for 16 mounts, whatever ``sample_count``.
     """
     lo, hi = n_range

@@ -7,8 +7,8 @@ never perturbs the draws of another purpose.
 The stream of a key is numpy's: ``SeedSequence([seed, trial, crc32(tag)])``
 seeds a PCG64 generator, whose 64-bit outputs x become the 53-bit doubles
 (x >> 11) * 2**-53 in [0, 1). ``substream`` returns that generator.
-``substream_uniforms`` computes the first n doubles of many trials' streams
-in one vectorised pass, bit for bit those of
+``substream_uniforms`` computes the first n doubles of many (trial, tag)
+streams in one vectorised pass, bit for bit those of
 ``substream(seed, trial, tag).random(n)``: it runs SeedSequence's hash
 mixing over all rows at once, then jumps PCG64's 128-bit LCG (O'Neill,
 PCG, HMC-CS-2014-0905) straight to each of the n states.
@@ -43,25 +43,29 @@ def substream(seed: int, trial: int = 0, tag: str = "") -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial), key]))
 
 
-def substream_uniforms(seed: int, trials, tag: str, n: int) -> np.ndarray:
+def substream_uniforms(seed: int, trials, tags, n: int) -> np.ndarray:
     """The first ``n`` doubles of each trial's stream, as (len(trials), n) float64.
 
-    Row i equals ``substream(seed, trials[i], tag).random(n)`` bit for bit.
+    ``tags`` is one tag for every row or a sequence of one tag per row. Row
+    i equals ``substream(seed, trials[i], tags[i]).random(n)`` bit for bit.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     if trials.size and trials.min() < 0:
         raise ValueError("trial must be non-negative")
-    head, tail = _words(int(seed)), _words(zlib.crc32(tag.encode("utf-8")))
+    tags = [tags] if isinstance(tags, str) else list(tags)
+    crc = {tag: zlib.crc32(tag.encode("utf-8")) for tag in set(tags)}
+    keys = np.broadcast_to(np.array([crc[tag] for tag in tags], dtype=np.uint32), trials.shape)
+    head, low = _words(int(seed)), trials.astype(np.uint32)
     wide = trials > _M32  # such a trial is two entropy words, not one
     if wide.any():
         out = np.empty((len(trials), n))
-        out[~wide] = substream_uniforms(seed, trials[~wide], tag, n)
-        out[wide] = _uniforms(head, [trials[wide].astype(np.uint32),
-                                     (trials[wide] >> 32).astype(np.uint32)], tail, n)
+        out[~wide] = _uniforms(head, [low[~wide], keys[~wide]], n)
+        out[wide] = _uniforms(head, [low[wide], (trials[wide] >> 32).astype(np.uint32),
+                                     keys[wide]], n)
         return out
-    return _uniforms(head, [trials.astype(np.uint32)], tail, n)
+    return _uniforms(head, [low, keys], n)
 
 
 def _words(value: int) -> list[int]:
@@ -108,13 +112,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _uniforms(head: list[int], trial: list[np.ndarray], tail: list[int], n: int) -> np.ndarray:
-    """Rows of ``substream_uniforms`` whose entropy words are head + trial + tail."""
-    rows = len(trial[0])
-    words = head + [0] * len(trial) + tail
-    entropy = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)
-    entropy = entropy[:, None].repeat(rows, axis=1)
-    entropy[len(head):len(head) + len(trial)] = trial
+def _uniforms(head: list[int], words: list[np.ndarray], n: int) -> np.ndarray:
+    """Rows of ``substream_uniforms`` whose entropy words are head + words.
+
+    ``head`` holds the seed's words, shared by all rows; ``words`` one
+    uint32 array per further entropy word, one entry per row.
+    """
+    rows = len(words[0])
+    entropy = np.zeros((max(_POOL, len(head) + len(words)), rows), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head):len(head) + len(words)] = words
     pool = _hashmix(entropy[:_POOL], _FILL)  # a short entropy is padded with zeros
     for src, (dests, constants) in enumerate(_MIXING):
         pool[dests] = _mix(pool[dests], _hashmix(pool[src], constants))

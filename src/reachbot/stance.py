@@ -64,14 +64,36 @@ def feasibility_matrix(
     points: np.ndarray,
     pred: FeasibilityPredicate,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3)."""
+    """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3).
+
+    The offsets are one (..., N, M) array per coordinate, and every step
+    after them reuses their buffers. The length sums the squares in
+    coordinate order, as ``np.linalg.norm`` does; the cone's dot product
+    pairs its terms as (x + z) + y, as numpy 2.4's ``einsum`` contracts a
+    length-3 axis on an AVX-512 build. So both are bit for bit those of the
+    stacked (..., N, M, 3) formula, which ``tests/test_stance.py`` keeps as
+    the reference. A point at a shoulder (L = 0) has no cone angle, and
+    ``L_min > 0`` rejects it anyway.
+    """
     shoulders, axes = world_mounts(mounts, pose)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts[..., None, :, :] - shoulders[:, None, :]  # (..., N, M, 3)
-    L = np.linalg.norm(d, axis=-1)
+    d0, d1, d2 = (pts[..., None, :, k].copy() - shoulders[:, k, None] for k in range(3))
+    a0, a1, a2 = (axes[:, k, None] for k in range(3))
+    dot = d0 * a0
+    term = d2 * a2
+    dot += term
+    dot += np.multiply(d1, a1, out=term)
+    d0 *= d0
+    d1 *= d1
+    d2 *= d2
+    d0 += d1
+    d0 += d2
+    L = np.sqrt(d0, out=d0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos_ang = np.einsum("...nmk,nk->...nm", d, axes) / np.where(L > 0, L, np.inf)
-    ok = (L >= pred.L_min) & (L <= pred.L_max) & (cos_ang >= math.cos(pred.cone_half_angle))
+        dot /= L  # the cone angle's cosine; nan at L = 0
+    ok = L >= pred.L_min
+    ok &= L <= pred.L_max
+    ok &= dot >= math.cos(pred.cone_half_angle)
     return ok, L
 
 
@@ -140,6 +162,7 @@ def match_pools(
     pose: BodyPose,
     points: np.ndarray,
     pred: FeasibilityPredicate,
+    group: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
 
@@ -149,14 +172,18 @@ def match_pools(
     complete feasible assignment has total length inf and anchor rows 0. A
     pool where some boom reaches no anchor cannot hold one, so only pools
     that pass the screen reach the solver.
+
+    Each run of ``group`` consecutive pools holds alternatives in order of
+    preference: a group keeps only its first complete pool, the solver takes
+    none of the group's later pools, and those report inf.
     """
     n, m = len(mounts), points.shape[-2]
     if m < n:
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
-    return _match_lengths(*feasibility_matrix(mounts, pose, points, pred))
+    return _match_lengths(*feasibility_matrix(mounts, pose, points, pred), group)
 
 
-def _match_lengths(ok: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, ...]:
+def _match_lengths(ok: np.ndarray, L: np.ndarray, group: int = 1) -> tuple[np.ndarray, ...]:
     """``match_pools`` on (C, N, M) feasibility and length arrays, N <= M."""
     n = ok.shape[1]
     screen = ok.any(axis=2).all(axis=1)
@@ -172,11 +199,16 @@ def _match_lengths(ok: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, ...]:
     ranked = np.sort(cols, axis=1)
     found = (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
     shortcut[pools] = found
+    # Each group's first complete slot so far; the solver skips later slots.
+    group_of, slot = np.divmod(pools, group)
+    first = np.full(len(ok) // group, group)
+    np.minimum.at(first, group_of[found], slot[found])
     for c in np.flatnonzero(~found).tolist():
-        best = _augmenting_paths(cost[c], cols[c].tolist())
-        if best is not None:
-            cols[c], found[c] = best, True
-    hit = np.flatnonzero(found)
+        if slot[c] < first[group_of[c]]:
+            best = _augmenting_paths(cost[c], cols[c].tolist())
+            if best is not None:
+                cols[c], found[c], first[group_of[c]] = best, True, slot[c]
+    hit = np.flatnonzero(found & (slot == first[group_of]))
     rows[pools[hit]] = cols[hit]
     total[pools[hit]] = L[hit[:, None], np.arange(n), cols[hit]].sum(axis=1)
     return rows, total, screen, shortcut

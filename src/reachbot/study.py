@@ -148,15 +148,16 @@ def anchor_window(terrain: Terrain, cfg: RobotConfig) -> float:
     return min(2.0 * cfg.L_max, terrain.longitudinal_extent)
 
 
-def draw_pools(sc: StudyConfig, trials: np.ndarray, tag: str) -> np.ndarray:
-    """The trials' anchor pools for one stream tag, stacked as (len(trials), M, 3).
+def draw_pools(sc: StudyConfig, trials: np.ndarray, tags) -> np.ndarray:
+    """The trials' anchor pools, stacked as (len(trials), M, 3).
 
-    Every pool holds M = pool_multiplier * n_max anchors within the anchor
-    window, whatever the boom count it serves.
+    ``tags`` is one stream tag for every trial or one per trial. Every pool
+    holds M = pool_multiplier * n_max anchors within the anchor window,
+    whatever the boom count it serves.
     """
     count = sc.pool_multiplier * sc.n_range[1]
     return sample_pools(sc.terrain, count, anchor_window(sc.terrain, sc.robot_template),
-                        substream_uniforms(sc.seed, trials, tag, 2 * count))
+                        substream_uniforms(sc.seed, trials, tags, 2 * count))
 
 
 def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
@@ -168,32 +169,48 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     ``resample:{N}:{k}`` for the trials still unmatched. Returns (feasible
     (T,), resamples (T,), pools (T, M, 3), anchor rows (T, N)); an
     infeasible cell reports the shared pool, and its anchor rows read 0.
+
+    One pass draws, screens and matches b consecutive rounds of every
+    pending trial at once, and each trial keeps its first complete round,
+    so the results are those of one round at a time. b starts at 1 and
+    doubles from pass to pass, but no pass holds more pools than round 0.
     """
     mounts, pred, n = list(cfg.mounts), FeasibilityPredicate.from_robot(cfg), cfg.boom_count
     pose, feasible = BodyPose(), np.zeros(len(trials), dtype=bool)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
-    pending, points, rounds = np.arange(len(trials)), shared, 0
-    rejected = solved = shortcuts = 0
+    pending, points, first_round, width = np.arange(len(trials)), shared, 0, 1
+    rounds = rejected = solved = shortcuts = drawn = passes = 0
     draw_s = match_s = 0.0
-    while pending.size and rounds <= MAX_RESAMPLES:
+    while pending.size and first_round <= MAX_RESAMPLES:
         start = time.perf_counter()
-        if rounds:
-            points = draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
-        drawn = time.perf_counter()
-        matched, total, screen, shortcut = match_pools(mounts, pose, points, pred)
-        draw_s, match_s = draw_s + drawn - start, match_s + time.perf_counter() - drawn
-        rejected, solved = rejected + (~screen).sum(), solved + screen.sum()
-        shortcuts += shortcut.sum()
-        hit = total < np.inf
-        done = pending[hit]
-        feasible[done], resamples[done] = True, rounds
-        pools[done], rows[done] = points[hit], matched[hit]
-        pending, rounds = pending[~hit], rounds + 1
+        if first_round:
+            width = min(2 * width, len(trials) // len(pending), MAX_RESAMPLES + 1 - first_round)
+            tags = [f"resample:{n}:{k}" for k in range(first_round, first_round + width)]
+            points = draw_pools(sc, np.repeat(trials[pending], width), tags * len(pending))
+            drawn += len(points)
+        mid = time.perf_counter()
+        matched, total, screen, shortcut = match_pools(mounts, pose, points, pred, width)
+        draw_s, match_s = draw_s + mid - start, match_s + time.perf_counter() - mid
+        # Row (trial i, slot j) is round first_round + j of pending trial i.
+        hit = (total < np.inf).reshape(-1, width)
+        found = hit.any(axis=1)
+        # Each trial's last slot that one round at a time would have tried.
+        last = np.where(found, hit.argmax(axis=1), width - 1)
+        tried = (np.arange(width) <= last[:, None]).ravel()
+        rejected, solved = rejected + (tried & ~screen).sum(), solved + (tried & screen).sum()
+        shortcuts += (tried & shortcut).sum()
+        rounds, passes = first_round + last.max() + 1, passes + 1
+        pick = np.flatnonzero(found) * width + last[found]
+        done = pending[found]
+        feasible[done], resamples[done] = True, first_round + last[found]
+        pools[done], rows[done] = points[pick], matched[pick]
+        pending, first_round = pending[~found], first_round + width
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
               "%d by the row-minimum shortcut, %d by augmenting paths; "
-              "%.4f s drawing pools, %.4f s matching",
-              n, rounds, rejected, solved, shortcuts, solved - shortcuts, draw_s, match_s)
+              "%d pools drawn in %d passes; %.4f s drawing pools, %.4f s matching",
+              n, rounds, rejected, solved, shortcuts, solved - shortcuts, drawn, passes,
+              draw_s, match_s)
     return feasible, resamples, pools, rows
 
 

@@ -11,7 +11,10 @@ import reachbot as rb
 from reachbot.cli import main
 from reachbot.config import load_config
 from reachbot.robot import fibonacci_sphere
+from reachbot.study import draw_pools
+from reachbot.terrain import anchors_to_csv_rows
 from conftest import default_config_dict, random_stance
+from test_study import match_rounds_reference
 
 
 @pytest.fixture
@@ -227,6 +230,25 @@ class TestStance:
         used = np.loadtxt(out / "assignment.csv", delimiter=",", skiprows=1)[:, 1].astype(int)
         st = rb.Stance.from_dict(json.loads((out / "stance.json").read_text()))
         assert np.allclose(anchors[used], st.anchors, rtol=1e-8)
+
+    @pytest.mark.parametrize("n, trial, code", [(10, 66, 2), (10, 0, 0), (9, 10, 2)])
+    def test_sparse_pool_cell_matches_one_round_per_pass(self, tmp_path, capsys, n, trial, code):
+        # The sparse_pool benchmark workload: cells (10, 66) and (9, 10) are
+        # infeasible at seed 42 and report the shared pool.
+        cfg = default_config_dict(seed=42)
+        cfg["study"]["pool_multiplier"], cfg["robot"]["L_max"] = 2, 19.0
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "stance"
+        assert main(["stance", str(path), "--out-dir", str(out), "--n", str(n),
+                     "--trial", str(trial)]) == code
+        assert ("infeasible" in capsys.readouterr().out) == (code == 2)
+        sc, _ = load_config(path)
+        trials = np.array([trial])
+        _, _, (pool,), _ = match_rounds_reference(sc, sc.robot(n), trials,
+                                                  draw_pools(sc, trials, "anchors"))
+        assert (out / "anchors.csv").read_text().splitlines() == \
+            anchors_to_csv_rows(rb.AnchorSet(pool, sc.terrain), trial)
 
     def test_infeasible_draw_exits_2(self, config_path, tmp_path, capsys):
         # Booms shorter than the corridor radius reach no anchor in any resample.

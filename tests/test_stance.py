@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachbot as rb
 from reachbot.rng import substream, substream_uniforms
-from reachbot.stance import _match_lengths, feasibility_matrix, match_pools
+from reachbot.stance import _match_lengths, feasibility_matrix, match_pools, world_mounts
 from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
 
@@ -93,6 +95,73 @@ class TestFeasible:
         pts = np.tile([10.0, 0, 0], (5, 1))
         ok, L = feasibility_matrix(list(robot8.mounts), rb.BodyPose(), pts, pred)
         assert ok.shape == (8, 5) and L.shape == (8, 5)
+
+
+def stacked_feasibility(mounts, pose, points, pred):
+    """The feasibility kernel's reference: offsets stacked as (..., N, M, 3)."""
+    shoulders, axes = world_mounts(mounts, pose)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = pts[..., None, :, :] - shoulders[:, None, :]
+    L = np.linalg.norm(d, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_ang = np.einsum("...nmk,nk->...nm", d, axes) / np.where(L > 0, L, np.inf)
+    ok = (L >= pred.L_min) & (L <= pred.L_max) & (cos_ang >= math.cos(pred.cone_half_angle))
+    return ok, L
+
+
+def random_pose(rng):
+    """A rotated and translated body pose."""
+    q = rng.normal(size=4)
+    w, x, y, z = q / np.linalg.norm(q)
+    R = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                  [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    return rb.BodyPose(position=rng.uniform(-30, 30, 3), rotation=R)
+
+
+class TestKernelBitEquality:
+    """``feasibility_matrix`` against the stacked norm/einsum formula, byte for byte.
+
+    The coordinate-array kernel sums the squares in coordinate order and
+    pairs the cone's dot product as (x + z) + y, following numpy 2.4's
+    ``einsum`` pairing for a length-3 contraction on an AVX-512 build. A
+    numpy build that pairs the terms differently fails this test.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+           layout=st.sampled_from(["uniform", "mission"]),
+           shape=st.sampled_from([(40,), (3, 20), (2, 3, 10)]))
+    def test_matches_stacked_formula(self, seed, n, layout, shape):
+        rng = np.random.default_rng(seed)
+        pred = rb.FeasibilityPredicate(rng.uniform(0.2, 1.4), 0.5, rng.uniform(5.0, 25.0))
+        mounts = rb.build_mounts(n, rng.uniform(0.3, 1.0), layout)
+        pose = random_pose(rng)
+        shoulders, axes = world_mounts(mounts, pose)
+        points = pose.position + rng.uniform(-30, 30, (*shape, 3))
+        flat = points.reshape(-1, 3)
+        # A point at a shoulder (L = 0), points on the L_min and L_max
+        # boundaries along the cone axis, and on the cone's rim.
+        i = rng.integers(n, size=4)
+        rim = np.cross(axes[i[3]], rng.normal(size=3))
+        rim /= np.linalg.norm(rim)
+        h = pred.cone_half_angle
+        flat[rng.choice(len(flat), 4, replace=False)] = [
+            shoulders[i[0]], shoulders[i[1]] + pred.L_min * axes[i[1]],
+            shoulders[i[2]] + pred.L_max * axes[i[2]],
+            shoulders[i[3]] + pred.L_max / 2 * (math.cos(h) * axes[i[3]] + math.sin(h) * rim)]
+        ok, L = feasibility_matrix(mounts, pose, points, pred)
+        ref_ok, ref_L = stacked_feasibility(mounts, pose, points, pred)
+        assert ok.shape == ref_ok.shape == (*shape[:-1], n, shape[-1])
+        assert ok.dtype == ref_ok.dtype and L.dtype == ref_L.dtype
+        assert ok.tobytes() == ref_ok.tobytes()
+        assert L.tobytes() == ref_L.tobytes()
+        assert (L == 0).any()
+
+    def test_point_at_a_shoulder_is_rejected(self, robot8, pred):
+        shoulders, _ = world_mounts(list(robot8.mounts), rb.BodyPose())
+        ok, L = feasibility_matrix(list(robot8.mounts), rb.BodyPose(), shoulders, pred)
+        assert np.all(np.diag(L) == 0) and not np.diag(ok).any()
 
 
 class TestAssign:
@@ -230,6 +299,24 @@ class TestMatchPools:
                     assert length == pytest.approx(oracle, rel=1e-12)
                     kinds["matched"] += 1
         assert min(kinds.values()) > 0, kinds
+
+    @pytest.mark.parametrize("group", [2, 3, 8])
+    def test_group_keeps_its_first_complete_pool(self, corridor, group):
+        # 48 pools of 6 booms: each group reports only its first complete
+        # pool, exactly as matched alone, and inf with rows 0 elsewhere.
+        mounts, pred = list(rb.make_robot(6).mounts), rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
+        pools = sample_pools(corridor, 18, 40.0, substream_uniforms(3, range(48), "group", 36))
+        alone = match_pools(mounts, rb.BodyPose(), pools, pred)
+        rows, total, screen, shortcut = match_pools(mounts, rb.BodyPose(), pools, pred, group)
+        assert np.array_equal(screen, alone[2]) and np.array_equal(shortcut, alone[3])
+        complete = (alone[1] < np.inf).reshape(-1, group)
+        kept = np.zeros_like(complete)
+        kept[complete.any(axis=1), complete.argmax(axis=1)[complete.any(axis=1)]] = True
+        assert 0 < kept.sum() < complete.sum()  # some groups hold two complete pools
+        kept = kept.ravel()
+        assert total[kept].tobytes() == alone[1][kept].tobytes()
+        assert rows[kept].tobytes() == alone[0][kept].tobytes()
+        assert np.all(total[~kept] == np.inf) and not rows[~kept].any()
 
 
 def random_stack(rng, n, m, kind, count=6):

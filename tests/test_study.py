@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot import study
+from reachbot import stance, study
 from reachbot.config import parse_config
 from reachbot.mechanics import METRICS
 from reachbot.rng import substream
@@ -179,11 +179,15 @@ class TestRunTrials:
             *counts, draw_s, match_s = re.fullmatch(
                 rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, (\d+) pools "
                 r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths; "
+                r"(\d+) pools drawn in (\d+) passes; "
                 r"(\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching", line).groups()
-            rounds, rejected, solved, shortcut, augmented = map(int, counts)
+            rounds, rejected, solved, shortcut, augmented, drawn, passes = map(int, counts)
             resamples = table.column(n, "resamples")
             assert rounds == resamples.max() + 1
-            assert rejected + solved == sc.trials + resamples.sum()  # every pool drawn
+            # every pool up to each trial's first complete round
+            assert rejected + solved == sc.trials + resamples.sum()
+            assert drawn >= resamples.sum()  # a pass may draw rounds past a trial's hit
+            assert 1 <= passes <= rounds
             assert solved >= table.column(n, "feasible").sum()
             assert shortcut + augmented == solved
             stage_s += float(draw_s) + float(match_s)
@@ -235,6 +239,73 @@ class TestRunTrials:
                 manipulability=rb.manipulability(G), wrench_full=wc.full,
                 wrench_torque=wc.torque, one_out_lambda_min=worst[0],
                 one_out_lambda_max=worst[1], pool_hash=digest(pool))
+
+
+def match_rounds_reference(sc, cfg, trials, shared):
+    """``study.match_rounds`` with one resample round per pass: the multi-round passes' oracle."""
+    mounts, pred, n = list(cfg.mounts), rb.FeasibilityPredicate.from_robot(cfg), cfg.boom_count
+    feasible, resamples = np.zeros(len(trials), dtype=bool), np.full(len(trials), MAX_RESAMPLES)
+    pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
+    pending, points, rounds = np.arange(len(trials)), shared, 0
+    while pending.size and rounds <= MAX_RESAMPLES:
+        if rounds:
+            points = study.draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
+        matched, total, _, _ = study.match_pools(mounts, rb.BodyPose(), points, pred)
+        hit = total < np.inf
+        done = pending[hit]
+        feasible[done], resamples[done] = True, rounds
+        pools[done], rows[done] = points[hit], matched[hit]
+        pending, rounds = pending[~hit], rounds + 1
+    return feasible, resamples, pools, rows
+
+
+class TestMatchRounds:
+    @staticmethod
+    def solver_inputs(monkeypatch, fn, *args):
+        """fn's result and the sorted cost matrices it passes to the augmenting-path solver."""
+        seen, solve = [], stance._augmenting_paths
+
+        def recording(cost, first):
+            seen.append(cost.tobytes())
+            return solve(cost, first)
+
+        monkeypatch.setattr(stance, "_augmenting_paths", recording)
+        result = fn(*args)
+        monkeypatch.setattr(stance, "_augmenting_paths", solve)
+        return result, sorted(seen)
+
+    @pytest.mark.parametrize("trials", [[17], range(4), range(40)])
+    def test_equals_one_round_per_pass(self, corridor, monkeypatch, trials):
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
+                          n_range=(5, 8), trials=max(trials) + 1, seed=1, pool_multiplier=2)
+        trials = np.array(trials)
+        shared = study.draw_pools(sc, trials, "anchors")
+        resampled = infeasible = 0
+        for n in sc.boom_counts:
+            cfg = sc.robot(n)
+            got, got_costs = self.solver_inputs(monkeypatch, study.match_rounds,
+                                                sc, cfg, trials, shared)
+            want, want_costs = self.solver_inputs(monkeypatch, match_rounds_reference,
+                                                  sc, cfg, trials, shared)
+            for a, b in zip(got, want):  # feasible, resamples, pools, anchor rows
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert got_costs == want_costs  # the solver sees the same pools
+            resampled += (want[0] & (want[1] > 0)).sum()
+            infeasible += (~want[0]).sum()
+        if len(trials) > 1:
+            assert resampled and infeasible
+
+    def test_one_trial_keeps_one_round_per_pass(self, corridor, caplog):
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
+                          n_range=(8, 8), trials=1, seed=1, pool_multiplier=2)
+        trials = np.array([0])
+        with caplog.at_level(logging.DEBUG, logger="reachbot"):
+            study.match_rounds(sc, sc.robot(8), trials, study.draw_pools(sc, trials, "anchors"))
+        (line,) = [r.getMessage() for r in caplog.records if "passes" in r.getMessage()]
+        rounds, drawn, passes = map(int, re.search(
+            r"(\d+) rounds.*; (\d+) pools drawn in (\d+) passes", line).groups())
+        assert passes == rounds and drawn == rounds - 1
 
 
 class TestAggregate:
