@@ -13,7 +13,7 @@ from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability, stif
                         sym_eig)
 from .robot import (BucklingReport, MountSpec, RobotConfig, buckling_moment,
                     build_mounts, check_buckling, make_robot, total_mass)
-from .stance import Assignment, BodyPose, FeasibilityPredicate, assign
+from .stance import Assignment, assign
 from .study import (Calibration, Constraints, ParetoResult, StudyConfig,
                     StudyReport, aggregate, pareto_front, run_study, run_trials,
                     select_design)
@@ -22,9 +22,9 @@ from .terrain import (AnchorSet, Terrain, corridor, floor, make_terrain,
 
 __all__ = [
     "__version__",
-    "AnchorSet", "Assignment", "BodyPose", "BucklingReport", "Calibration",
-    "Constraints", "FeasibilityPredicate", "MountSpec", "ParetoResult", "RobotConfig",
-    "Stance", "StiffnessResult", "StudyConfig", "StudyReport", "Terrain",
+    "AnchorSet", "Assignment", "BucklingReport", "Calibration", "Constraints",
+    "MountSpec", "ParetoResult", "RobotConfig", "Stance", "StiffnessResult",
+    "StudyConfig", "StudyReport", "Terrain",
     "aggregate", "assign", "buckling_moment", "build_mounts", "check_buckling",
     "corridor", "coverage_curve", "floor", "grasp_map", "make_robot",
     "make_terrain", "manipulability", "pareto_front", "run_study", "run_trials",

@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, parse_config
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
-from .stance import BodyPose, world_mounts
+from .stance import mount_arrays
 from .study import (REL_EPS, Calibration, coverage_csv_rows, draw_pools, match_rounds,
                     pareto_csv_rows, pareto_front, run_study, stability_csv_rows,
                     study_coverage, summary_csv_rows)
@@ -108,15 +108,15 @@ def cmd_stance(args) -> int:
         raise ConfigError("--trial must be non-negative")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, pose, trial = sc.robot(n), BodyPose(), np.array([args.trial])
+    cfg, trial = sc.robot(n), np.array([args.trial])
     shared = draw_pools(sc, trial, "anchors")
     (feasible,), _, (pool,), (idx,) = match_rounds(sc, cfg, trial, shared)
     _write_lines(out / "anchors.csv", anchors_to_csv_rows(AnchorSet(pool, sc.terrain), args.trial))
     if not feasible:
         print("infeasible: no complete boom-to-anchor assignment")
         return EXIT_NO_DESIGN
-    shoulders, _ = world_mounts(list(cfg.mounts), pose)
-    st = Stance.from_pairs(shoulders, pool[idx], pose.position, pose.rotation)
+    shoulders, _ = mount_arrays(cfg)
+    st = Stance.from_pairs(shoulders, pool[idx], np.zeros(3))
     _write_json(out / "stance.json", st.to_dict())
     _write_lines(out / "assignment.csv", ["boom_index,anchor_index,length_m"] + [
         f"{b},{a},{st.lengths[b]:.9g}" for b, a in enumerate(idx)])

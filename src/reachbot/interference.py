@@ -1,16 +1,16 @@
 """Mechanical interference as terrain surface coverage.
 
-A surface point is accessible to a boom iff it satisfies the same
-feasibility predicate used for anchor grasping, so "can cover" and "can
-grasp" never disagree. Coverage is estimated by Monte Carlo over
+A surface point is accessible to a robot's boom iff ``feasibility_matrix``
+accepts it, the same test that anchor grasping uses, so "can cover" and
+"can grasp" never disagree. Coverage is estimated by Monte Carlo over
 area-uniform surface samples. Overlap (area reachable by two or more booms)
 quantifies redundancy without new reachable terrain.
 
-Only the samples within reach of a mount block enter its feasibility pass.
-A boom reaches at most L_max from its shoulder, so by the triangle
-inequality no boom of the block reaches a sample farther than
-R = L_max + max |shoulder - body centre| from the body centre; such a sample
-is covered by no boom, and is counted as such without a feasibility matrix.
+Only the samples within reach of a robot enter its feasibility pass. A
+boom reaches at most L_max from its shoulder, so by the triangle inequality
+no boom of the robot reaches a sample farther than R = L_max + max |shoulder|
+from the body centre (the origin of the robot's frame); such a sample is
+covered by no boom, and is counted as such without a feasibility matrix.
 The screen is exact: every count equals the unscreened pass's.
 """
 from __future__ import annotations
@@ -20,8 +20,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .robot import MountSpec, RobotConfig, build_mounts
-from .stance import BodyPose, FeasibilityPredicate, feasibility_matrix, world_mounts
+from .robot import RobotConfig
+from .stance import feasibility_matrix, mount_arrays
 from .terrain import Terrain, sample_surface_points
 
 log = logging.getLogger(__name__)
@@ -39,15 +39,11 @@ COVERAGE_CHUNK = 16384
 Coverage = dict[str, np.ndarray | list[list]]
 
 
-def _block_coverage(
-    blocks: list[tuple[Sequence[MountSpec], Sequence[int]]],
-    pose: BodyPose,
-    pred: FeasibilityPredicate,
-    points: np.ndarray,
-) -> Coverage:
+def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
+                    points: np.ndarray) -> Coverage:
     """Coverage columns of every boom count that a list of mount blocks serves.
 
-    A block is (mounts, boom counts): boom count N is covered by the block's
+    A block is (robot, boom counts): boom count N is covered by the robot's
     first N mounts. Per COVERAGE_CHUNK slice of the points and per block,
     one feasibility matrix over the samples within the block's reach and its
     running count of covering mounts give every prefix's union count and
@@ -58,33 +54,32 @@ def _block_coverage(
     s = len(points)
     if s < 1:
         raise ValueError("need at least one surface sample")
-    unions = [np.zeros(len(mounts), dtype=np.int64) for mounts, _ in blocks]
+    unions = [np.zeros(robot.boom_count, dtype=np.int64) for robot, _ in blocks]
     hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
-    # Reach of each block from the body centre; a block without mounts
-    # reaches nothing. The relative margin, far above the few ulps by which
-    # the computed norms can differ from the true ones, keeps rounding from
-    # dropping a sample that the predicate accepts.
-    reach = [(pred.L_max + np.linalg.norm(world_mounts(mounts, pose)[0] - pose.position,
-                                          axis=1).max(initial=-np.inf)) * (1 + 1e-9)
-             for mounts, _ in blocks]
+    # Reach of each block from the body centre. The relative margin, far
+    # above the few ulps by which the computed norms can differ from the true
+    # ones, keeps rounding from dropping a sample that feasibility_matrix
+    # accepts.
+    reach = [(robot.L_max + np.linalg.norm(mount_arrays(robot)[0], axis=1).max()) * (1 + 1e-9)
+             for robot, _ in blocks]
     within = [0] * len(blocks)
     for start in range(0, s, COVERAGE_CHUNK):
         chunk = points[start:start + COVERAGE_CHUNK]
-        # |p - body centre| coordinate by coordinate, in np.linalg.norm's sum order
-        dist = np.sqrt(sum((chunk[:, k] - pose.position[k]) ** 2 for k in range(3)))
-        for b, ((mounts, _), union, hist, r) in enumerate(zip(blocks, unions, hists, reach)):
+        # |p| coordinate by coordinate, in np.linalg.norm's sum order
+        dist = np.sqrt(sum(chunk[:, k] ** 2 for k in range(3)))
+        for b, ((robot, _), union, hist, r) in enumerate(zip(blocks, unions, hists, reach)):
             near = chunk[dist <= r]
             within[b] += len(near)
-            ok, _ = feasibility_matrix(mounts, pose, near, pred)
-            counts = np.zeros((len(mounts) + 1, len(near)), dtype=np.int32)
+            ok, _ = feasibility_matrix(robot, near)
+            counts = np.zeros((robot.boom_count + 1, len(near)), dtype=np.int32)
             np.cumsum(ok, axis=0, out=counts[1:])  # row n: how many of mounts 0..n-1 reach
             union += (counts[1:] >= 1).sum(axis=1)
             for n, h in hist.items():
                 h += np.bincount(counts[n], minlength=n + 1)
                 h[0] += len(chunk) - len(near)  # out of reach: covered by no mount
-    for (mounts, _), r, w in zip(blocks, reach, within):
+    for (robot, _), r, w in zip(blocks, reach, within):
         log.debug("coverage pass over %d mounts: %d of %d samples within reach "
-                  "R = %.3f m", len(mounts), w, s, r)
+                  "R = %.3f m", robot.boom_count, w, s, r)
     served = [(n, union[:n], h) for union, hist in zip(unions, hists) for n, h in hist.items()]
     unique = np.array([s - h[0] for _, _, h in served]) / s
     overlap = np.array([s - h[:2].sum() for _, _, h in served]) / s
@@ -97,14 +92,9 @@ def _block_coverage(
             "count_histogram": [h.tolist() for _, _, h in served]}
 
 
-def coverage_from_mounts(
-    mounts: list[MountSpec],
-    pose: BodyPose,
-    pred: FeasibilityPredicate,
-    points: np.ndarray,
-) -> Coverage:
-    """Coverage of fixed mounts over given surface sample points, as one row."""
-    return _block_coverage([(mounts, (len(mounts),))], pose, pred, points)
+def coverage_from_mounts(robot: RobotConfig, points: np.ndarray) -> Coverage:
+    """Coverage of a robot's mounts over given surface sample points, as one row."""
+    return _block_coverage([(robot, (robot.boom_count,))], points)
 
 
 def coverage_curve(
@@ -114,19 +104,19 @@ def coverage_curve(
     sample_count: int,
     rng: np.random.Generator,
     layout_policy: str = "nested",
-    mounts: Sequence[Sequence[MountSpec]] | None = None,
+    robots: Sequence[RobotConfig] | None = None,
 ) -> Coverage:
     """Coverage columns, one row per boom count, sharing one surface sample set.
 
-    ``mounts``, when given, lists each boom count's own mounts, lo first.
-    Otherwise ``layout_policy`` places them on ``robot``'s body: ``nested``
-    takes the first N of one golden-angle lattice of size n_max, so the
-    covered area grows with N by construction; ``uniform``/``mission`` build
-    each N's layout on its own, so monotonicity is only statistical.
+    ``robots``, when given, lists each boom count's own robot, lo first.
+    Otherwise ``layout_policy`` places the mounts on ``robot``'s body:
+    ``nested`` takes the first N of one golden-angle lattice of size n_max,
+    so the covered area grows with N by construction; ``uniform``/``mission``
+    build each N's layout on its own, so monotonicity is only statistical.
 
     The whole ``nested`` lattice is one mount block, served by one
-    feasibility pass per chunk of COVERAGE_CHUNK samples; any other mount
-    set is a block of its own. Only a chunk's samples within a block's reach
+    feasibility pass per chunk of COVERAGE_CHUNK samples; any other robot
+    is a block of its own. Only a chunk's samples within a block's reach
     (see the module docstring) enter its pass, so besides the samples
     themselves (24 bytes each), working memory is about 45 bytes per mount
     of the largest block and in-reach sample of one chunk: at most 11 MiB
@@ -136,16 +126,16 @@ def coverage_curve(
     if not 1 <= lo <= hi:
         raise ValueError("n_range must satisfy 1 <= lo <= hi")
     ns = range(lo, hi + 1)
-    if mounts is not None:
-        if [len(m) for m in mounts] != list(ns):
-            raise ValueError("mounts must list N mounts for each boom count N in n_range")
-        blocks = [(m, (n,)) for n, m in zip(ns, mounts)]
+    if robots is not None:
+        if [r.boom_count for r in robots] != list(ns):
+            raise ValueError("robots must hold a robot with N mounts for each boom count N "
+                             "in n_range")
+        blocks = [(r, (n,)) for n, r in zip(ns, robots)]
     elif layout_policy == "nested":
-        blocks = [(build_mounts(hi, robot.body_radius), ns)]
+        blocks = [(robot.with_boom_count(hi), ns)]
     elif layout_policy in ("uniform", "mission"):
-        blocks = [(build_mounts(n, robot.body_radius, layout_policy), (n,)) for n in ns]
+        blocks = [(robot.with_boom_count(n, layout_policy), (n,)) for n in ns]
     else:
         raise ValueError(f"unknown layout policy {layout_policy!r}")
-    return _block_coverage(blocks, BodyPose(), FeasibilityPredicate.from_robot(robot),
-                           sample_surface_points(terrain, sample_count, rng))
+    return _block_coverage(blocks, sample_surface_points(terrain, sample_count, rng))
 

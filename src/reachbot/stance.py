@@ -1,81 +1,48 @@
 """Boom-to-anchor matching: anchor feasibility and optimal assignment.
 
-A boom can reach an anchor iff the anchor sits inside the shoulder's cone of
-motion and within the deployable length band. Booms are matched to anchors
-by an exact minimum-total-length rectangular assignment, returned as each
-boom's row index into the anchor pool. The matcher needs only numpy: a pool
-whose booms' nearest reachable anchors are all distinct is settled by those
-row minima (their sum bounds every assignment from below); any other pool is
+A robot's boom can reach an anchor iff the anchor sits inside the
+shoulder's cone of motion and within the deployable length band. Reach is a
+property of the robot's design alone: a ``RobotConfig`` gives the mounts,
+the cone half-angle and the length band, in the body frame, whose origin is
+the body centre. Booms are matched to anchors by an exact
+minimum-total-length rectangular assignment, returned as each boom's row
+index into the anchor pool. The matcher needs only numpy: a pool whose
+booms' nearest reachable anchors are all distinct is settled by those row
+minima (their sum bounds every assignment from below); any other pool is
 solved by shortest augmenting paths (Crouse, IEEE TAES 2016; Jonker and
 Volgenant, Computing 1987), started from the row-reduction partial matching.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .robot import MountSpec, RobotConfig
+from .robot import RobotConfig
 from .terrain import AnchorSet
 
 
-@dataclass(frozen=True)
-class BodyPose:
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+def mount_arrays(robot: RobotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The robot's (N, 3) shoulder positions and cone axes.
 
-    def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3)
-        R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
-            raise ValueError("body rotation must be orthonormal")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "rotation", R)
+    Adding 0.0 turns the golden-angle lattice's -0.0 coordinates into +0.0,
+    so that ``stance.json`` writes them as 0.0.
+    """
+    shoulders = np.array([m.position for m in robot.mounts], dtype=float) + 0.0
+    return shoulders, np.array([m.axis for m in robot.mounts], dtype=float)
 
 
-@dataclass(frozen=True)
-class FeasibilityPredicate:
-    cone_half_angle: float
-    L_min: float
-    L_max: float
-
-    def __post_init__(self):
-        if not 0 < self.cone_half_angle < math.pi / 2:
-            raise ValueError("cone_half_angle must be in (0, pi/2)")
-        if not 0 < self.L_min < self.L_max:
-            raise ValueError("requires 0 < L_min < L_max")
-
-    @classmethod
-    def from_robot(cls, cfg: RobotConfig) -> "FeasibilityPredicate":
-        return cls(cfg.cone_half_angle, cfg.L_min, cfg.L_max)
-
-
-def world_mounts(mounts: list[MountSpec], pose: BodyPose) -> tuple[np.ndarray, np.ndarray]:
-    """Shoulder positions and cone axes in the world frame."""
-    pos = np.array([m.position for m in mounts], dtype=float).reshape(-1, 3)
-    ax = np.array([m.axis for m in mounts], dtype=float).reshape(-1, 3)
-    return pos @ pose.rotation.T + pose.position, ax @ pose.rotation.T
-
-
-def feasibility_matrix(
-    mounts: list[MountSpec],
-    pose: BodyPose,
-    points: np.ndarray,
-    pred: FeasibilityPredicate,
-) -> tuple[np.ndarray, np.ndarray]:
+def feasibility_matrix(robot: RobotConfig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3).
 
     The offsets are one (..., N, M) array per coordinate, and every step
     after them reuses their buffers. The length sums the squares in
-    coordinate order, as ``np.linalg.norm`` does; the cone's dot product
-    pairs its terms as (x + z) + y, as numpy 2.4's ``einsum`` contracts a
-    length-3 axis on an AVX-512 build. So both are bit for bit those of the
-    stacked (..., N, M, 3) formula, which ``tests/test_stance.py`` keeps as
-    the reference. A point at a shoulder (L = 0) has no cone angle, and
-    ``L_min > 0`` rejects it anyway.
+    coordinate order, as ``np.linalg.norm`` does, and the cone's dot product
+    is (x a0 + z a2) + y a1. A point at a shoulder (L = 0) has no cone
+    angle, and ``L_min > 0`` rejects it anyway.
     """
-    shoulders, axes = world_mounts(mounts, pose)
+    shoulders, axes = mount_arrays(robot)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d0, d1, d2 = (pts[..., None, :, k].copy() - shoulders[:, k, None] for k in range(3))
     a0, a1, a2 = (axes[:, k, None] for k in range(3))
@@ -91,9 +58,9 @@ def feasibility_matrix(
     L = np.sqrt(d0, out=d0)
     with np.errstate(invalid="ignore", divide="ignore"):
         dot /= L  # the cone angle's cosine; nan at L = 0
-    ok = L >= pred.L_min
-    ok &= L <= pred.L_max
-    ok &= dot >= math.cos(pred.cone_half_angle)
+    ok = L >= robot.L_min
+    ok &= L <= robot.L_max
+    ok &= dot >= math.cos(robot.cone_half_angle)
     return ok, L
 
 
@@ -157,13 +124,8 @@ def _augmenting_paths(cost: np.ndarray, first: list[int]) -> list[int] | None:
     return col4row
 
 
-def match_pools(
-    mounts: list[MountSpec],
-    pose: BodyPose,
-    points: np.ndarray,
-    pred: FeasibilityPredicate,
-    group: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def match_pools(robot: RobotConfig, points: np.ndarray,
+                group: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
 
     ``points`` stacks C pools as (C, M, 3). Returns the (C, N) anchor rows
@@ -177,10 +139,10 @@ def match_pools(
     preference: a group keeps only its first complete pool, the solver takes
     none of the group's later pools, and those report inf.
     """
-    n, m = len(mounts), points.shape[-2]
+    n, m = robot.boom_count, points.shape[-2]
     if m < n:
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
-    return _match_lengths(*feasibility_matrix(mounts, pose, points, pred), group)
+    return _match_lengths(*feasibility_matrix(robot, points), group)
 
 
 def _match_lengths(ok: np.ndarray, L: np.ndarray, group: int = 1) -> tuple[np.ndarray, ...]:
@@ -214,16 +176,11 @@ def _match_lengths(ok: np.ndarray, L: np.ndarray, group: int = 1) -> tuple[np.nd
     return rows, total, screen, shortcut
 
 
-def assign(
-    mounts: list[MountSpec],
-    pose: BodyPose,
-    anchors: AnchorSet | np.ndarray,
-    pred: FeasibilityPredicate,
-) -> Assignment | None:
+def assign(robot: RobotConfig, anchors: AnchorSet | np.ndarray) -> Assignment | None:
     """Exact minimum-total-length matching of booms to distinct anchors in one pool.
 
     Returns None when no complete feasible assignment exists.
     """
     points = anchors.points if isinstance(anchors, AnchorSet) else np.atleast_2d(anchors)
-    (rows,), (total,), _, _ = match_pools(mounts, pose, np.asarray(points, dtype=float)[None], pred)
+    (rows,), (total,), _, _ = match_pools(robot, np.asarray(points, dtype=float)[None])
     return Assignment(anchor_index=rows, total_length=float(total)) if total < np.inf else None

@@ -19,7 +19,7 @@ from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream, substream_uniforms
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
-from .stance import BodyPose, FeasibilityPredicate, match_pools, world_mounts
+from .stance import match_pools, mount_arrays
 from .terrain import Terrain, sample_pools
 
 log = logging.getLogger(__name__)
@@ -51,6 +51,8 @@ class Constraints:
     def __post_init__(self):
         if self.tau_drill < 0:
             raise ValueError("tau_drill must be non-negative")
+        if self.m_critical is not None and self.m_critical < 0:
+            raise ValueError("m_critical must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,7 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     so the results are those of one round at a time. b starts at 1 and
     doubles from pass to pass, but no pass holds more pools than round 0.
     """
-    mounts, pred, n = list(cfg.mounts), FeasibilityPredicate.from_robot(cfg), cfg.boom_count
-    pose, feasible = BodyPose(), np.zeros(len(trials), dtype=bool)
+    n, feasible = cfg.boom_count, np.zeros(len(trials), dtype=bool)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, points, first_round, width = np.arange(len(trials)), shared, 0, 1
@@ -190,7 +191,7 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
             points = draw_pools(sc, np.repeat(trials[pending], width), tags * len(pending))
             drawn += len(points)
         mid = time.perf_counter()
-        matched, total, screen, shortcut = match_pools(mounts, pose, points, pred, width)
+        matched, total, screen, shortcut = match_pools(cfg, points, width)
         draw_s, match_s = draw_s + mid - start, match_s + time.perf_counter() - mid
         # Row (trial i, slot j) is round first_round + j of pending trial i.
         hit = (total < np.inf).reshape(-1, width)
@@ -233,7 +234,7 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
         columns["feasible"][i], columns["resamples"][i] = feasible, resamples
         columns["pool_hash"][i] = [hashlib.sha256(p.tobytes()).hexdigest()[:16] for p in pools]
         if feasible.any():
-            shoulders, _ = world_mounts(list(cfg.mounts), BodyPose())
+            shoulders, _ = mount_arrays(cfg)
             anchors = np.take_along_axis(pools[feasible], rows[feasible][..., None], axis=1)
             G = grasp_map_stack(shoulders, anchors, np.zeros(3))
             values = stance_metrics(G, cfg.boom_stiffness, sc.calibration.delta_ref)
@@ -387,7 +388,7 @@ def study_coverage(sc: StudyConfig, sample_count: int) -> Coverage:
     explicit = sc.layout == EXPLICIT_LAYOUT
     return coverage_curve(sc.robot_template, sc.terrain, sc.n_range, sample_count,
                           substream(sc.seed, 0, "surface"), sc.coverage_layout,
-                          [sc.robot(n).mounts for n in sc.boom_counts] if explicit else None)
+                          [sc.robot(n) for n in sc.boom_counts] if explicit else None)
 
 
 def _stage_done(stage: str, start: float, detail: str = "") -> float:

@@ -6,7 +6,7 @@ import pytest
 import reachbot as rb
 from reachbot.mechanics import stance_metrics
 from reachbot.rng import substream
-from reachbot.stance import feasibility_matrix, world_mounts
+from reachbot.stance import feasibility_matrix, mount_arrays
 from reachbot.terrain import CORRIDOR
 
 
@@ -58,9 +58,9 @@ def default_config_dict(seed=0):
     }
 
 
-def feasible(mount, pose, anchor, pred):
-    """Whether one mount can reach one anchor."""
-    ok, _ = feasibility_matrix([mount], pose, np.asarray(anchor, dtype=float).reshape(1, 3), pred)
+def feasible(robot, anchor):
+    """Whether a one-boom robot can reach one anchor."""
+    ok, _ = feasibility_matrix(robot, np.asarray(anchor, dtype=float).reshape(1, 3))
     return bool(ok[0, 0])
 
 
@@ -76,20 +76,18 @@ def drop_boom(st, i):
                      st.lengths[keep], st.body_center, st.body_rotation)
 
 
-def build_stance(cfg, anchors, pose=None):
+def build_stance(cfg, anchors):
     """Assign booms to anchors and materialise the stance; None if infeasible.
 
     The per-cell reference for the study, which keeps only anchor indices
     and builds each boom count's grasp maps in one stacked call.
     """
-    pose = pose or rb.BodyPose()
-    match = rb.assign(list(cfg.mounts), pose, anchors, rb.FeasibilityPredicate.from_robot(cfg))
+    match = rb.assign(cfg, anchors)
     if match is None:
         return None
     points = anchors.points if isinstance(anchors, rb.AnchorSet) else np.atleast_2d(anchors)
-    shoulders, _ = world_mounts(list(cfg.mounts), pose)
-    return rb.Stance.from_pairs(shoulders, points[match.anchor_index], pose.position,
-                                pose.rotation)
+    shoulders, _ = mount_arrays(cfg)
+    return rb.Stance.from_pairs(shoulders, points[match.anchor_index], np.zeros(3))
 
 
 def one_boom_out(st, weight):

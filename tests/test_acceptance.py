@@ -15,10 +15,8 @@ import pytest
 import reachbot as rb
 from reachbot.cli import main
 from reachbot.config import load_config
-from reachbot.interference import coverage_from_mounts
 from reachbot.mechanics import legacy_stiffness_cable, legacy_stiffness_pointmass
 from reachbot.rng import substream
-from reachbot.stance import BodyPose, FeasibilityPredicate
 from reachbot.study import REL_EPS
 
 from conftest import random_stance
@@ -94,11 +92,10 @@ def test_4_coverage_saturation(corridor):
     increasing = bool(np.all(np.diff(unique) > 0) and np.all(np.diff(overlap) > 0))
     marg = np.array([m[-1] for m in reps["per_boom_marginal"]])
     saturating = marg[9:12].mean() < marg[5:8].mean()
-    pred = FeasibilityPredicate.from_robot(template)
     from reachbot.robot import fibonacci_sphere
     d = fibonacci_sphere(12)[0]
     mount = rb.MountSpec(position=0.5 * d, axis=d)
-    oracle = corridor_grid_coverage([mount], pred, 15.0, 100.0, 1000, 1000)
+    oracle = corridor_grid_coverage(rb.make_robot(1, mounts=[mount]), 15.0, 100.0, 1000, 1000)
     grid_ok = abs(reps["unique_pct"][0] - oracle["unique_pct"]) < 0.005
     elapsed = time.time() - start
     report(4, "coverage growth and saturation",
@@ -149,10 +146,9 @@ def test_7_oracle_suites(corridor):
         n = int(rng.integers(2, 8))
         m = int(rng.integers(n, 11))
         cfg = rb.make_robot(n)
-        pred = FeasibilityPredicate.from_robot(cfg)
         pool = rb.sample_anchors(corridor, m, 40.0, substream(SEED, k, "assign"))
-        res = rb.assign(list(cfg.mounts), BodyPose(), pool, pred)
-        oracle = subset_dp_assign(list(cfg.mounts), BodyPose(), pool.points, pred)
+        res = rb.assign(cfg, pool)
+        oracle = subset_dp_assign(cfg, pool.points)
         if oracle is None:
             assign_ok &= res is None
         else:

@@ -250,6 +250,16 @@ class TestStance:
         assert (out / "anchors.csv").read_text().splitlines() == \
             anchors_to_csv_rows(rb.AnchorSet(pool, sc.terrain), trial)
 
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_shoulders_hold_no_negative_zero(self, tmp_path, n):
+        # The golden-angle lattice has -0.0 coordinates; stance.json writes them as 0.0.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json"
+        out = tmp_path / "stance"
+        assert main(["stance", str(shipped), "--out-dir", str(out), "--n", str(n)]) == 0
+        zeros = [v for row in json.loads((out / "stance.json").read_text())["s"]
+                 for v in row if v == 0]
+        assert zeros and all(str(v) == "0.0" for v in zeros)
+
     def test_infeasible_draw_exits_2(self, config_path, tmp_path, capsys):
         # Booms shorter than the corridor radius reach no anchor in any resample.
         cfg = json.loads(config_path.read_text())
@@ -295,6 +305,8 @@ class TestStance:
     ["study", {"study.aggregate": 3}],
     ["study", {"study.coverage_layout": 7}],
     ["study", {"constraints.one_boom_out": "yes"}],
+    ["validate", {"constraints.M_CR_nm": -1}],
+    ["study", {"constraints.M_CR_nm": -1}],
 ])
 def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
     command, *flags = argv
@@ -308,7 +320,9 @@ def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
                 cfg[key] = value
         config_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main([command, str(config_path), *flags, "--out-dir", str(out)]) == 1
+    if command != "validate":  # validate writes nothing and takes no --out-dir
+        flags += ["--out-dir", str(out)]
+    assert main([command, str(config_path), *flags]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

@@ -8,15 +8,15 @@ import reachbot as rb
 from reachbot import interference
 from reachbot.interference import coverage_from_mounts
 from reachbot.rng import substream
-from reachbot.stance import BodyPose, FeasibilityPredicate, feasibility_matrix
+from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
 
 
-def whole_array_coverage(mounts, pose, pred, points):
-    """Oracle: the coverage record of one mount set from one unchunked feasibility matrix."""
+def whole_array_coverage(robot, points):
+    """Oracle: the coverage record of one robot from one unchunked feasibility matrix."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, s = len(mounts), len(points)
-    ok, _ = feasibility_matrix(mounts, pose, points, pred)
+    n, s = robot.boom_count, len(points)
+    ok, _ = feasibility_matrix(robot, points)
     counts = ok.sum(axis=0)
     prefix = np.logical_or.accumulate(ok, axis=0).mean(axis=1)
     marginal = np.diff(prefix, prepend=0.0)
@@ -37,84 +37,69 @@ def row(coverage):
     return record
 
 
-def coverage(cfg, terrain, pose, sample_count, rng):
-    """Monte Carlo coverage record of one robot configuration at a home pose."""
+def coverage(cfg, terrain, sample_count, rng):
+    """Monte Carlo coverage record of one robot configuration."""
     points = rb.sample_surface_points(terrain, sample_count, rng)
-    return row(coverage_from_mounts(list(cfg.mounts), pose, FeasibilityPredicate.from_robot(cfg),
-                                    points))
+    return row(coverage_from_mounts(cfg, points))
 
 
-def corridor_grid_coverage(mounts, pred, radius, length, n_theta, n_x):
+def corridor_grid_coverage(robot, radius, length, n_theta, n_x):
     """Deterministic quadrature oracle over an (angle, axial) grid."""
     theta = (np.arange(n_theta) + 0.5) * 2 * np.pi / n_theta
     x = -length / 2 + (np.arange(n_x) + 0.5) * length / n_x
     T, X = np.meshgrid(theta, x, indexing="ij")
     pts = np.column_stack([X.ravel(), radius * np.cos(T).ravel(),
                            radius * np.sin(T).ravel()])
-    return row(coverage_from_mounts(mounts, BodyPose(), pred, pts))
-
-
-@pytest.fixture
-def pred(robot8):
-    return FeasibilityPredicate.from_robot(robot8)
+    return row(coverage_from_mounts(robot, pts))
 
 
 class TestCoverageFromMounts:
-    def test_no_booms(self, pred):
-        rep = row(coverage_from_mounts([], BodyPose(), pred, np.zeros((10, 3))))
-        assert rep["unique_pct"] == 0.0 and rep["overlap_pct"] == 0.0
-        assert rep["count_histogram"] == [10]
-
-    def test_no_points_rejected(self, robot8, pred):
+    def test_no_points_rejected(self, robot8):
         with pytest.raises(ValueError, match="surface sample"):
-            coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, np.zeros((0, 3)))
+            coverage_from_mounts(robot8, np.zeros((0, 3)))
 
-    def test_identical_mounts_overlap_equals_unique(self, pred, corridor, rng):
+    def test_identical_mounts_overlap_equals_unique(self, corridor, rng):
         m = rb.MountSpec(position=np.array([0.5, 0, 0]), axis=np.array([1.0, 0, 0]))
         pts = rb.sample_surface_points(corridor, 4000, rng)
-        rep = row(coverage_from_mounts([m, m], BodyPose(), pred, pts))
+        rep = row(coverage_from_mounts(rb.make_robot(2, mounts=[m, m]), pts))
         assert rep["overlap_pct"] == pytest.approx(rep["unique_pct"])
         assert rep["per_boom_marginal"][1] == pytest.approx(0.0)
 
-    def test_histogram_consistent(self, robot8, pred, corridor, rng):
+    def test_histogram_consistent(self, robot8, corridor, rng):
         pts = rb.sample_surface_points(corridor, 5000, rng)
-        rep = row(coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, pts))
+        rep = row(coverage_from_mounts(robot8, pts))
         hist = np.array(rep["count_histogram"])
         assert hist.sum() == 5000
         assert rep["unique_pct"] == pytest.approx(hist[1:].sum() / 5000)
         assert rep["overlap_pct"] == pytest.approx(hist[2:].sum() / 5000)
 
-    def test_marginals_sum_to_unique(self, robot8, pred, corridor, rng):
+    def test_marginals_sum_to_unique(self, robot8, corridor, rng):
         pts = rb.sample_surface_points(corridor, 5000, rng)
-        rep = row(coverage_from_mounts(list(robot8.mounts), BodyPose(), pred, pts))
+        rep = row(coverage_from_mounts(robot8, pts))
         assert sum(rep["per_boom_marginal"]) == pytest.approx(rep["unique_pct"], abs=1e-12)
         assert all(m >= 0 for m in rep["per_boom_marginal"])
 
 
 class TestCoverage:
-    def test_matches_grid_oracle(self, robot8, pred, corridor):
-        mc = coverage(robot8, corridor, BodyPose(), 20000, substream(42, 0, "surface"))
-        oracle = corridor_grid_coverage(list(robot8.mounts), pred, 15.0, 100.0, 400, 400)
+    def test_matches_grid_oracle(self, robot8, corridor):
+        mc = coverage(robot8, corridor, 20000, substream(42, 0, "surface"))
+        oracle = corridor_grid_coverage(robot8, 15.0, 100.0, 400, 400)
         assert abs(mc["unique_pct"] - oracle["unique_pct"]) < 0.01
         assert abs(mc["overlap_pct"] - oracle["overlap_pct"]) < 0.01
 
     def test_reproducible(self, robot8, corridor):
-        a = coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
-        b = coverage(robot8, corridor, BodyPose(), 2000, substream(5, 0, "surface"))
+        a = coverage(robot8, corridor, 2000, substream(5, 0, "surface"))
+        b = coverage(robot8, corridor, 2000, substream(5, 0, "surface"))
         assert a == b
 
     def test_doubling_samples_converges(self, robot8, corridor):
         # error vs a large-sample reference shrinks like 1/sqrt(S) for most seeds
-        ref = corridor_grid_coverage(
-            list(robot8.mounts), FeasibilityPredicate.from_robot(robot8),
-            15.0, 100.0, 600, 600)["unique_pct"]
+        ref = corridor_grid_coverage(robot8, 15.0, 100.0, 600, 600)["unique_pct"]
         hits = 0
         seeds = range(20)
         for s in seeds:
-            small = coverage(robot8, corridor, BodyPose(), 1000,
-                             substream(s, 0, "surface"))["unique_pct"]
-            big = coverage(robot8, corridor, BodyPose(), 4000,
-                           substream(s, 1, "surface"))["unique_pct"]
+            small = coverage(robot8, corridor, 1000, substream(s, 0, "surface"))["unique_pct"]
+            big = coverage(robot8, corridor, 4000, substream(s, 1, "surface"))["unique_pct"]
             if abs(big - ref) <= 2.0 / np.sqrt(4000) and abs(small - ref) <= 2.0 / np.sqrt(1000):
                 hits += 1
         assert hits >= 17  # 2-sigma band holds for nearly all seeds
@@ -169,29 +154,28 @@ class TestChunkedCurve:
         reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
                                  substream(3, 0, "surface"), layout_policy=policy)
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
-        pred = FeasibilityPredicate.from_robot(robot8)
         lo, hi = n_range
-        oracle = [whole_array_coverage(rb.build_mounts(hi)[:n] if policy == "nested"
-                                       else rb.build_mounts(n, layout=policy),
-                                       BodyPose(), pred, points) for n in range(lo, hi + 1)]
+        robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
+                  else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
+        oracle = [whole_array_coverage(robot, points) for robot in robots]
         assert column_records(reps) == oracle
 
     def test_given_mounts_equal_oracle(self, robot8, corridor):
-        given = [rb.build_mounts(n, layout="mission")[::-1] for n in (2, 3)]
+        given = [rb.make_robot(n, mounts=rb.build_mounts(n, layout="mission")[::-1])
+                 for n in (2, 3)]
         reps = rb.coverage_curve(robot8, corridor, (2, 3), self.SAMPLES,
-                                 substream(3, 0, "surface"), mounts=given)
+                                 substream(3, 0, "surface"), robots=given)
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
-        pred = FeasibilityPredicate.from_robot(robot8)
-        oracle = [whole_array_coverage(m, BodyPose(), pred, points) for m in given]
+        oracle = [whole_array_coverage(r, points) for r in given]
         assert column_records(reps) == oracle
-        assert row(coverage_from_mounts(given[1], BodyPose(), pred, points)) == oracle[1]
+        assert row(coverage_from_mounts(given[1], points)) == oracle[1]
 
     def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, monkeypatch):
         sizes = []
 
-        def recording(mounts, pose, points, pred):
+        def recording(robot, points):
             sizes.append(len(points))
-            return feasibility_matrix(mounts, pose, points, pred)
+            return feasibility_matrix(robot, points)
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
         rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, substream(3, 0, "surface"))
@@ -204,17 +188,17 @@ class TestChunkedCurve:
     def test_given_mounts_need_one_set_per_count(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="mounts"):
             rb.coverage_curve(robot8, corridor, (2, 3), 100, rng,
-                              mounts=[rb.build_mounts(3), rb.build_mounts(2)])
+                              robots=[rb.make_robot(3), rb.make_robot(2)])
 
 
-def unscreened_coverage(blocks, pose, pred, points):
+def unscreened_coverage(blocks, points):
     """Reference: the coverage records of mount blocks, every sample through feasibility_matrix."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     s = len(points)
     records = []
-    for mounts, ns in blocks:
-        ok, _ = feasibility_matrix(mounts, pose, points, pred)
-        counts = np.zeros((len(mounts) + 1, s), dtype=np.int32)
+    for robot, ns in blocks:
+        ok, _ = feasibility_matrix(robot, points)
+        counts = np.zeros((robot.boom_count + 1, s), dtype=np.int32)
         np.cumsum(ok, axis=0, out=counts[1:])
         union = (counts[1:] >= 1).sum(axis=1)
         for n in ns:
@@ -225,13 +209,6 @@ def unscreened_coverage(blocks, pose, pred, points):
                 per_boom_marginal=np.diff(union[:n] / s, prepend=0.0).tolist(),
                 count_histogram=h.tolist()))
     return records
-
-
-def rotation(axis, angle):
-    """Rotation matrix about a unit axis (Rodrigues)."""
-    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
-    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * K @ K
 
 
 class TestReachScreen:
@@ -247,72 +224,35 @@ class TestReachScreen:
     def points(self, corridor):
         return rb.sample_surface_points(corridor, self.SAMPLES, substream(8, 0, "surface"))
 
-    def screened(self, blocks, pose, pred, points):
-        return column_records(interference._block_coverage(blocks, pose, pred, points))
+    def screened(self, blocks, points):
+        return column_records(interference._block_coverage(blocks, points))
 
-    def test_nested_block(self, pred, points):
-        blocks = [(rb.build_mounts(12), range(1, 13))]
-        assert self.screened(blocks, BodyPose(), pred, points) == \
-            unscreened_coverage(blocks, BodyPose(), pred, points)
+    def test_nested_block(self, points):
+        blocks = [(rb.make_robot(12), range(1, 13))]
+        assert self.screened(blocks, points) == unscreened_coverage(blocks, points)
 
-    def test_uniform_blocks(self, pred, points):
-        blocks = [(rb.build_mounts(n), (n,)) for n in range(1, 9)]
-        assert self.screened(blocks, BodyPose(), pred, points) == \
-            unscreened_coverage(blocks, BodyPose(), pred, points)
+    def test_uniform_blocks(self, points):
+        blocks = [(rb.make_robot(n), (n,)) for n in range(1, 9)]
+        assert self.screened(blocks, points) == unscreened_coverage(blocks, points)
 
-    def test_mounts_off_the_body_sphere(self, robot8, pred, points):
-        far = rb.MountSpec(position=np.array([3.0, 0, 0]),
-                           axis=np.array([1.0, 1.0, 0]) / np.sqrt(2.0))
-        mounts = [*rb.build_mounts(4, robot8.body_radius), far]
-        blocks = [(mounts, (5,))]
-        assert self.screened(blocks, BodyPose(), pred, points) == \
-            unscreened_coverage(blocks, BodyPose(), pred, points)
-        # the far shoulder reaches samples that a body-radius bound would drop
-        ok, _ = feasibility_matrix([far], BodyPose(), points, pred)
-        beyond = np.linalg.norm(points, axis=1) > robot8.L_max + robot8.body_radius
-        assert (ok[0] & beyond).any()
-
-    def test_moved_and_turned_pose(self, robot8, pred, points):
-        pose = BodyPose(position=np.array([30.0, 2.0, -1.0]),
-                        rotation=rotation([1.0, 2.0, 0.5], 0.7))
-        mounts = [*rb.build_mounts(8, robot8.body_radius),
-                  rb.MountSpec(position=np.array([0, 3.0, 0]), axis=np.array([0, 1.0, 0]))]
-        got = row(coverage_from_mounts(mounts, pose, pred, points))
-        (want,) = unscreened_coverage([(mounts, (9,))], pose, pred, points)
-        assert got == want
-        assert 0 < want["unique_pct"]
-        assert np.linalg.norm(points - pose.position, axis=1).max() > pred.L_max + 3.0
-
-    def test_reach_boundary_counts(self, pred):
-        # Samples exactly L_max along each shoulder's axis: a sample the
-        # predicate accepts is covered even where rounding puts it past
-        # L_max + |shoulder| from the body centre.
+    def test_reach_boundary_counts(self, robot8):
+        # Samples exactly L_max along each shoulder's axis: a sample that
+        # feasibility_matrix accepts is covered even where rounding puts it
+        # past L_max + |shoulder| from the body centre.
         past_bound = 0
         for n in range(1, 41):
-            mounts = rb.build_mounts(n)
-            shoulders = np.array([m.position for m in mounts])
-            points = shoulders + pred.L_max * np.array([m.axis for m in mounts])
-            ok, _ = feasibility_matrix(mounts, BodyPose(), points, pred)
+            robot = robot8.with_boom_count(n)
+            shoulders = np.array([m.position for m in robot.mounts])
+            points = shoulders + robot.L_max * np.array([m.axis for m in robot.mounts])
+            ok, _ = feasibility_matrix(robot, points)
             accepted = ok.diagonal()
             past_bound += (accepted & (np.linalg.norm(points, axis=1)
-                                       > pred.L_max + np.linalg.norm(shoulders, axis=1))).sum()
-            got = row(coverage_from_mounts(mounts, BodyPose(), pred, points))
-            (want,) = unscreened_coverage([(mounts, (n,))], BodyPose(), pred, points)
+                                       > robot.L_max + np.linalg.norm(shoulders, axis=1))).sum()
+            got = row(coverage_from_mounts(robot, points))
+            (want,) = unscreened_coverage([(robot, (n,))], points)
             assert got == want
             assert round(got["unique_pct"] * n) >= accepted.sum()
         assert past_bound > 0
-
-    def test_no_mounts(self, pred, points, monkeypatch):
-        sizes = []
-
-        def recording(mounts, pose, pts, pred):
-            sizes.append(len(pts))
-            return feasibility_matrix(mounts, pose, pts, pred)
-
-        monkeypatch.setattr(interference, "feasibility_matrix", recording)
-        rep = row(coverage_from_mounts([], BodyPose(), pred, points))
-        assert rep["count_histogram"] == [self.SAMPLES]
-        assert rep["unique_pct"] == 0.0 and sum(sizes) == 0
 
     @pytest.mark.parametrize("policy,lines", [("nested", 1), ("uniform", 3)])
     def test_debug_log_per_pass(self, robot8, corridor, caplog, policy, lines):

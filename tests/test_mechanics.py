@@ -7,7 +7,6 @@ import reachbot as rb
 from reachbot.mechanics import (grasp_map_stack, legacy_stiffness_cable,
                                 legacy_stiffness_pointmass)
 from reachbot.rng import substream
-from reachbot.stance import world_mounts
 from reachbot.study import REL_EPS
 from conftest import drop_boom, random_stance
 
@@ -98,13 +97,13 @@ class TestGraspMap:
     def test_stack_equals_per_stance_maps(self, rng, n):
         # A posed body: rotated and off the origin, so the lever arms use c.
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        pose = rb.BodyPose(position=np.array([3.0, -1.5, 2.0]), rotation=R)
-        shoulders, _ = world_mounts(rb.build_mounts(n), pose)
-        anchors = pose.position + rng.uniform(-15.0, 15.0, size=(4, n, 3))
-        G = grasp_map_stack(shoulders, anchors, pose.position)
+        center = np.array([3.0, -1.5, 2.0])
+        shoulders = np.array([m.position for m in rb.build_mounts(n)]) @ R.T + center
+        anchors = center + rng.uniform(-15.0, 15.0, size=(4, n, 3))
+        G = grasp_map_stack(shoulders, anchors, center)
         assert G.shape == (4, 6, n) and G.flags.c_contiguous
         for t in range(4):
-            st = rb.Stance.from_pairs(shoulders, anchors[t], pose.position, pose.rotation)
+            st = rb.Stance.from_pairs(shoulders, anchors[t], center, R)
             assert np.array_equal(G[t], rb.grasp_map(st))
             # The column formula on the stance's own directions, bit for bit.
             torque = np.cross(st.shoulders - st.body_center, st.directions)

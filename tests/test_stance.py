@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reachbot as rb
 from reachbot.rng import substream, substream_uniforms
-from reachbot.stance import _match_lengths, feasibility_matrix, match_pools, world_mounts
+from reachbot.stance import _match_lengths, feasibility_matrix, match_pools, mount_arrays
 from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
 
@@ -36,9 +36,9 @@ def min_cost_matching(ok, L):
     return min(best.values()) if best else None
 
 
-def subset_dp_assign(mounts, pose, points, pred):
+def subset_dp_assign(robot, points):
     """Exact minimum-total-length boom matching (oracle; small M only)."""
-    return min_cost_matching(*feasibility_matrix(mounts, pose, points, pred))
+    return min_cost_matching(*feasibility_matrix(robot, points))
 
 
 def permutation_matching(ok, L):
@@ -60,152 +60,179 @@ def x_mount(body_radius=0.5):
                         axis=np.array([1.0, 0, 0]))
 
 
-@pytest.fixture
-def pred(robot8):
-    return rb.FeasibilityPredicate.from_robot(robot8)
+def x_robot():
+    """A one-boom robot whose boom points along +x."""
+    return rb.make_robot(1, mounts=[x_mount()])
 
 
 class TestFeasible:
-    def test_on_axis_within_reach(self, pred):
-        assert feasible(x_mount(), rb.BodyPose(), np.array([10.5, 0, 0]), pred)
+    def test_on_axis_within_reach(self):
+        assert feasible(x_robot(), np.array([10.5, 0, 0]))
 
-    def test_beyond_max_length(self, pred):
-        assert not feasible(x_mount(), rb.BodyPose(), np.array([25.5, 0, 0]), pred)
+    def test_beyond_max_length(self):
+        assert not feasible(x_robot(), np.array([25.5, 0, 0]))
 
-    def test_inside_min_length(self, pred):
-        assert not feasible(x_mount(), rb.BodyPose(), np.array([0.6, 0, 0]), pred)
+    def test_inside_min_length(self):
+        assert not feasible(x_robot(), np.array([0.6, 0, 0]))
 
-    def test_outside_cone(self, pred):
+    def test_outside_cone(self):
         # 60 degrees off axis with a 45 degree cone
         a = np.array([0.5, 0, 0]) + 10.0 * np.array([math.cos(math.radians(60)),
                                                      math.sin(math.radians(60)), 0])
-        assert not feasible(x_mount(), rb.BodyPose(), a, pred)
+        assert not feasible(x_robot(), a)
 
-    def test_just_inside_cone(self, pred):
+    def test_just_inside_cone(self):
         a = np.array([0.5, 0, 0]) + 10.0 * np.array([math.cos(math.radians(40)),
                                                      math.sin(math.radians(40)), 0])
-        assert feasible(x_mount(), rb.BodyPose(), a, pred)
+        assert feasible(x_robot(), a)
 
-    def test_pose_translation_moves_reach(self, pred):
-        pose = rb.BodyPose(position=np.array([30.0, 0, 0]))
-        assert feasible(x_mount(), pose, np.array([40.5, 0, 0]), pred)
-        assert not feasible(x_mount(), rb.BodyPose(), np.array([40.5, 0, 0]), pred)
-
-    def test_matrix_shape(self, robot8, pred):
+    def test_matrix_shape(self, robot8):
         pts = np.tile([10.0, 0, 0], (5, 1))
-        ok, L = feasibility_matrix(list(robot8.mounts), rb.BodyPose(), pts, pred)
+        ok, L = feasibility_matrix(robot8, pts)
         assert ok.shape == (8, 5) and L.shape == (8, 5)
 
 
-def stacked_feasibility(mounts, pose, points, pred):
-    """The feasibility kernel's reference: offsets stacked as (..., N, M, 3)."""
-    shoulders, axes = world_mounts(mounts, pose)
+def coordinate_feasibility(robot, points):
+    """The feasibility kernel's reference, written out one coordinate at a time.
+
+    The cone's dot product is (x a0 + z a2) + y a1, and the squared length
+    sums the squares in coordinate order. Every step is one elementwise
+    IEEE operation, so the result does not depend on the numpy build.
+    """
+    shoulders = np.array([m.position for m in robot.mounts])
+    axes = np.array([m.axis for m in robot.mounts])
+    pts = np.atleast_2d(np.asarray(points, dtype=float))[..., None, :, :]
+    x, y, z = (pts[..., k] - shoulders[:, k, None] for k in range(3))
+    a0, a1, a2 = (axes[:, k, None] for k in range(3))
+    dot = (x * a0 + z * a2) + y * a1
+    L = np.sqrt((x * x + y * y) + z * z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_ang = dot / L
+    ok = (L >= robot.L_min) & (L <= robot.L_max) & (cos_ang >= math.cos(robot.cone_half_angle))
+    return ok, L
+
+
+def stacked_feasibility(robot, points):
+    """The feasibility test as a stacked (..., N, M, 3) norm/einsum formula: (ok, L, cos)."""
+    shoulders = np.array([m.position for m in robot.mounts])
+    axes = np.array([m.axis for m in robot.mounts])
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = pts[..., None, :, :] - shoulders[:, None, :]
     L = np.linalg.norm(d, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_ang = np.einsum("...nmk,nk->...nm", d, axes) / np.where(L > 0, L, np.inf)
-    ok = (L >= pred.L_min) & (L <= pred.L_max) & (cos_ang >= math.cos(pred.cone_half_angle))
-    return ok, L
+    ok = (L >= robot.L_min) & (L <= robot.L_max) & (cos_ang >= math.cos(robot.cone_half_angle))
+    return ok, L, cos_ang
 
 
-def random_pose(rng):
-    """A rotated and translated body pose."""
-    q = rng.normal(size=4)
-    w, x, y, z = q / np.linalg.norm(q)
-    R = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                  [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                  [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
-    return rb.BodyPose(position=rng.uniform(-30, 30, 3), rotation=R)
+def random_case(seed, n, layout, shape):
+    """A random robot and points of ``shape`` (3 appended), with edge cases planted.
+
+    A point at a shoulder (L = 0), points on the L_min and L_max boundaries
+    along a cone axis, and a point on a cone's rim.
+    """
+    rng = np.random.default_rng(seed)
+    robot = rb.make_robot(n, layout, body_radius=rng.uniform(0.3, 1.0),
+                          cone_half_angle=rng.uniform(0.2, 1.4), L_max=rng.uniform(5.0, 25.0))
+    shoulders, axes = mount_arrays(robot)
+    points = rng.uniform(-30, 30, (*shape, 3))
+    flat = points.reshape(-1, 3)
+    i = rng.integers(n, size=4)
+    rim = np.cross(axes[i[3]], rng.normal(size=3))
+    rim /= np.linalg.norm(rim)
+    h = robot.cone_half_angle
+    flat[rng.choice(len(flat), 4, replace=False)] = [
+        shoulders[i[0]], shoulders[i[1]] + robot.L_min * axes[i[1]],
+        shoulders[i[2]] + robot.L_max * axes[i[2]],
+        shoulders[i[3]] + robot.L_max / 2 * (math.cos(h) * axes[i[3]] + math.sin(h) * rim)]
+    return robot, points
+
+
+CASES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+             layout=st.sampled_from(["uniform", "mission"]),
+             shape=st.sampled_from([(40,), (3, 20), (2, 3, 10)]))
 
 
 class TestKernelBitEquality:
-    """``feasibility_matrix`` against the stacked norm/einsum formula, byte for byte.
+    """``feasibility_matrix`` against a coordinate reference byte for byte.
 
-    The coordinate-array kernel sums the squares in coordinate order and
-    pairs the cone's dot product as (x + z) + y, following numpy 2.4's
-    ``einsum`` pairing for a length-3 contraction on an AVX-512 build. A
-    numpy build that pairs the terms differently fails this test.
+    The stacked norm/einsum formula pairs the dot product's and the squared
+    length's terms as the numpy build chooses, so it is compared only to a
+    tolerance, and its ``ok`` only away from the length and cone boundaries.
     """
 
     @settings(max_examples=120, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
-           layout=st.sampled_from(["uniform", "mission"]),
-           shape=st.sampled_from([(40,), (3, 20), (2, 3, 10)]))
-    def test_matches_stacked_formula(self, seed, n, layout, shape):
-        rng = np.random.default_rng(seed)
-        pred = rb.FeasibilityPredicate(rng.uniform(0.2, 1.4), 0.5, rng.uniform(5.0, 25.0))
-        mounts = rb.build_mounts(n, rng.uniform(0.3, 1.0), layout)
-        pose = random_pose(rng)
-        shoulders, axes = world_mounts(mounts, pose)
-        points = pose.position + rng.uniform(-30, 30, (*shape, 3))
-        flat = points.reshape(-1, 3)
-        # A point at a shoulder (L = 0), points on the L_min and L_max
-        # boundaries along the cone axis, and on the cone's rim.
-        i = rng.integers(n, size=4)
-        rim = np.cross(axes[i[3]], rng.normal(size=3))
-        rim /= np.linalg.norm(rim)
-        h = pred.cone_half_angle
-        flat[rng.choice(len(flat), 4, replace=False)] = [
-            shoulders[i[0]], shoulders[i[1]] + pred.L_min * axes[i[1]],
-            shoulders[i[2]] + pred.L_max * axes[i[2]],
-            shoulders[i[3]] + pred.L_max / 2 * (math.cos(h) * axes[i[3]] + math.sin(h) * rim)]
-        ok, L = feasibility_matrix(mounts, pose, points, pred)
-        ref_ok, ref_L = stacked_feasibility(mounts, pose, points, pred)
+    @given(**CASES)
+    def test_matches_coordinate_reference(self, seed, n, layout, shape):
+        robot, points = random_case(seed, n, layout, shape)
+        ok, L = feasibility_matrix(robot, points)
+        ref_ok, ref_L = coordinate_feasibility(robot, points)
         assert ok.shape == ref_ok.shape == (*shape[:-1], n, shape[-1])
         assert ok.dtype == ref_ok.dtype and L.dtype == ref_L.dtype
         assert ok.tobytes() == ref_ok.tobytes()
         assert L.tobytes() == ref_L.tobytes()
         assert (L == 0).any()
 
-    def test_point_at_a_shoulder_is_rejected(self, robot8, pred):
-        shoulders, _ = world_mounts(list(robot8.mounts), rb.BodyPose())
-        ok, L = feasibility_matrix(list(robot8.mounts), rb.BodyPose(), shoulders, pred)
+    @settings(max_examples=120, deadline=None)
+    @given(**CASES)
+    def test_matches_stacked_formula(self, seed, n, layout, shape):
+        robot, points = random_case(seed, n, layout, shape)
+        ok, L = feasibility_matrix(robot, points)
+        ref_ok, ref_L, cos_ang = stacked_feasibility(robot, points)
+        assert ok.shape == ref_ok.shape == (*shape[:-1], n, shape[-1])
+        np.testing.assert_allclose(L, ref_L, rtol=1e-14, atol=0)
+        edge = (np.isclose(ref_L, robot.L_min, rtol=1e-12, atol=0)
+                | np.isclose(ref_L, robot.L_max, rtol=1e-12, atol=0)
+                | np.isclose(cos_ang, math.cos(robot.cone_half_angle), rtol=1e-12, atol=0))
+        assert edge.sum() >= 3 and np.array_equal(ok[~edge], ref_ok[~edge])
+
+    def test_point_at_a_shoulder_is_rejected(self, robot8):
+        shoulders, _ = mount_arrays(robot8)
+        ok, L = feasibility_matrix(robot8, shoulders)
         assert np.all(np.diag(L) == 0) and not np.diag(ok).any()
 
 
 class TestAssign:
-    def test_single_boom(self, pred):
+    def test_single_boom(self):
         points = np.array([[10.0, 0, 0], [12.0, 0, 0]])
-        res = rb.assign([x_mount()], rb.BodyPose(), points, pred)
+        res = rb.assign(x_robot(), points)
         assert res.anchor_index.tolist() == [0]
         assert res.total_length == pytest.approx(9.5)
 
-    def test_identity_pairing(self, pred):
+    def test_identity_pairing(self):
         # two opposed mounts, each with exactly one anchor in its own cone
         mounts = [x_mount(),
                   rb.MountSpec(position=np.array([-0.5, 0, 0]), axis=np.array([-1.0, 0, 0]))]
         points = np.array([[10.0, 0, 0], [-10.0, 0, 0]])
-        res = rb.assign(mounts, rb.BodyPose(), points, pred)
+        res = rb.assign(rb.make_robot(2, mounts=mounts), points)
         assert res.anchor_index.tolist() == [0, 1]
         assert res.total_length == pytest.approx(19.0)
 
-    def test_prefers_shorter_total(self, pred):
+    def test_prefers_shorter_total(self):
         points = np.array([[14.0, 0, 0], [6.0, 0, 0]])
-        res = rb.assign([x_mount()], rb.BodyPose(), points, pred)
+        res = rb.assign(x_robot(), points)
         assert res.anchor_index.tolist() == [1]
 
-    def test_none_when_no_feasible_anchor(self, pred):
+    def test_none_when_no_feasible_anchor(self):
         points = np.array([[30.0, 0, 0], [-10.0, 0, 0]])
-        assert rb.assign([x_mount()], rb.BodyPose(), points, pred) is None
+        assert rb.assign(x_robot(), points) is None
 
-    def test_pool_smaller_than_booms(self, robot8, pred):
+    def test_pool_smaller_than_booms(self, robot8):
         with pytest.raises(ValueError, match="anchor pool"):
-            rb.assign(list(robot8.mounts), rb.BodyPose(), np.array([[10.0, 0, 0]]), pred)
+            rb.assign(robot8, np.array([[10.0, 0, 0]]))
 
-    def test_distinct_anchors(self, corridor, robot8, pred):
+    def test_distinct_anchors(self, corridor, robot8):
         aset = rb.sample_anchors(corridor, 24, 40.0, substream(42, 0, "anchors"))
-        res = rb.assign(list(robot8.mounts), rb.BodyPose(), aset, pred)
+        res = rb.assign(robot8, aset)
         if res is not None:
             assert len(set(res.anchor_index.tolist())) == 8
 
     @pytest.mark.parametrize("trial", range(12))
     def test_matches_brute_force(self, corridor, trial):
         cfg = rb.make_robot(5)
-        pred = rb.FeasibilityPredicate.from_robot(cfg)
         aset = rb.sample_anchors(corridor, 9, 40.0, substream(7, trial, "anchors"))
-        res = rb.assign(list(cfg.mounts), rb.BodyPose(), aset, pred)
-        oracle = subset_dp_assign(list(cfg.mounts), rb.BodyPose(), aset.points, pred)
+        res = rb.assign(cfg, aset)
+        oracle = subset_dp_assign(cfg, aset.points)
         if oracle is None:
             assert res is None
         else:
@@ -221,14 +248,14 @@ class TestAssign:
             L = rng.uniform(0.5, 20.0, size=(n, m))
             assert min_cost_matching(ok, L) == permutation_matching(ok, L)
 
-    def test_never_beats_by_greedy(self, corridor, robot8, pred):
+    def test_never_beats_by_greedy(self, corridor, robot8):
         # exact matching total never exceeds the greedy nearest-anchor total
         for trial in range(8):
             aset = rb.sample_anchors(corridor, 24, 40.0, substream(3, trial, "anchors"))
-            res = rb.assign(list(robot8.mounts), rb.BodyPose(), aset, pred)
+            res = rb.assign(robot8, aset)
             if res is None:
                 continue
-            ok, L = feasibility_matrix(list(robot8.mounts), rb.BodyPose(), aset.points, pred)
+            ok, L = feasibility_matrix(robot8, aset.points)
             taken = set()
             greedy = 0.0
             complete = True
@@ -243,21 +270,21 @@ class TestAssign:
             if complete:
                 assert res.total_length <= greedy + 1e-9
 
-    def test_anchor_permutation_invariant_total(self, corridor, robot8, pred):
+    def test_anchor_permutation_invariant_total(self, corridor, robot8):
         aset = rb.sample_anchors(corridor, 24, 40.0, substream(8, 1, "anchors"))
-        res = rb.assign(list(robot8.mounts), rb.BodyPose(), aset, pred)
+        res = rb.assign(robot8, aset)
         perm = substream(8, 1, "perm").permutation(24)
-        res2 = rb.assign(list(robot8.mounts), rb.BodyPose(), aset.points[perm], pred)
+        res2 = rb.assign(robot8, aset.points[perm])
         assert (res is None) == (res2 is None)
         if res is not None:
             assert res.total_length == pytest.approx(res2.total_length, rel=1e-12)
 
-    def test_deterministic(self, corridor, robot8, pred):
+    def test_deterministic(self, corridor, robot8):
         # Trials 0-4 of this stream have no complete assignment; trial 5 has one.
         for trial in range(6):
             aset = rb.sample_anchors(corridor, 24, 40.0, substream(9, trial, "anchors"))
-            a = rb.assign(list(robot8.mounts), rb.BodyPose(), aset, pred)
-            b = rb.assign(list(robot8.mounts), rb.BodyPose(), aset, pred)
+            a = rb.assign(robot8, aset)
+            b = rb.assign(robot8, aset)
             assert (a is None) == (b is None) == (trial < 5)
             if a is not None:
                 assert np.array_equal(a.anchor_index, b.anchor_index)
@@ -269,21 +296,22 @@ class TestMatchPools:
         # Random pools for N = 1..8 in a narrow window, plus a pool where two
         # booms reach only the same anchor: it passes the screen, yet holds
         # no complete matching.
-        twin = [x_mount(), rb.MountSpec(position=np.array([0.5, 0.1, 0]),
+        twin = [x_mount(), rb.MountSpec(position=0.5 * np.array([math.cos(0.2), math.sin(0.2), 0]),
                                         axis=np.array([1.0, 0, 0]))]
-        cases = [(twin, np.array([[[10.0, 0, 0], [-30.0, 0, 0], [0, 40.0, 0]]]))]
+        cases = [(rb.make_robot(2, mounts=twin),
+                  np.array([[[10.0, 0, 0], [-30.0, 0, 0], [0, 40.0, 0]]]))]
         for n in range(1, 9):
             u = substream_uniforms(11, range(24), f"match:{n}", 2 * (n + 3))
-            cases.append((list(rb.make_robot(n).mounts), sample_pools(corridor, n + 3, 12.0, u)))
+            cases.append((rb.make_robot(n), sample_pools(corridor, n + 3, 12.0, u)))
         kinds = {"rejected": 0, "screened_unmatched": 0, "matched": 0}
-        pred = rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
-        for mounts, pools in cases:
-            rows, total, screen, shortcut = match_pools(mounts, rb.BodyPose(), pools, pred)
-            assert rows.shape == (len(pools), len(mounts))
+        for robot, pools in cases:
+            n = robot.boom_count
+            rows, total, screen, shortcut = match_pools(robot, pools)
+            assert rows.shape == (len(pools), n)
             assert len(total) == len(screen) == len(shortcut) == len(pools)
             assert not (shortcut & ~screen).any()
             for idx, length, passed, points in zip(rows, total, screen, pools):
-                oracle = subset_dp_assign(mounts, rb.BodyPose(), points, pred)
+                oracle = subset_dp_assign(robot, points)
                 if not passed:
                     assert oracle is None  # the screen drops only unmatchable pools
                     assert length == np.inf and not idx.any()
@@ -292,9 +320,9 @@ class TestMatchPools:
                     assert length == np.inf and not idx.any()
                     kinds["screened_unmatched"] += 1
                 else:
-                    ok, L = feasibility_matrix(mounts, rb.BodyPose(), points, pred)
-                    booms = np.arange(len(mounts))
-                    assert len(set(idx.tolist())) == len(mounts)
+                    ok, L = feasibility_matrix(robot, points)
+                    booms = np.arange(n)
+                    assert len(set(idx.tolist())) == n
                     assert ok[booms, idx].all()
                     assert length == pytest.approx(oracle, rel=1e-12)
                     kinds["matched"] += 1
@@ -304,10 +332,10 @@ class TestMatchPools:
     def test_group_keeps_its_first_complete_pool(self, corridor, group):
         # 48 pools of 6 booms: each group reports only its first complete
         # pool, exactly as matched alone, and inf with rows 0 elsewhere.
-        mounts, pred = list(rb.make_robot(6).mounts), rb.FeasibilityPredicate(math.pi / 4, 0.5, 20.0)
+        robot = rb.make_robot(6)
         pools = sample_pools(corridor, 18, 40.0, substream_uniforms(3, range(48), "group", 36))
-        alone = match_pools(mounts, rb.BodyPose(), pools, pred)
-        rows, total, screen, shortcut = match_pools(mounts, rb.BodyPose(), pools, pred, group)
+        alone = match_pools(robot, pools)
+        rows, total, screen, shortcut = match_pools(robot, pools, group)
         assert np.array_equal(screen, alone[2]) and np.array_equal(shortcut, alone[3])
         complete = (alone[1] < np.inf).reshape(-1, group)
         kept = np.zeros_like(complete)
@@ -447,7 +475,7 @@ class TestBuildStance:
         anchors = np.tile([50.0, 0, 0], (10, 1))
         assert build_stance(robot8, anchors) is None
 
-    def test_postcondition_every_pair_feasible(self, corridor, robot8, pred):
+    def test_postcondition_every_pair_feasible(self, corridor, robot8):
         aset = rb.sample_anchors(corridor, 24, 40.0, substream(21, 4, "anchors"))
         st = build_stance(robot8, aset)
         if st is not None:
@@ -457,13 +485,6 @@ class TestBuildStance:
             axes = np.array([m.axis for m in robot8.mounts])
             cos = np.einsum("ij,ij->i", d / L[:, None], axes)
             assert np.all(cos >= math.cos(robot8.cone_half_angle) - 1e-12)
-
-    def test_body_center_follows_pose(self, corridor, robot8):
-        pose = rb.BodyPose(position=np.array([5.0, 0, 0]))
-        aset = rb.sample_anchors(corridor, 40, 40.0, substream(33, 0, "anchors"))
-        st = build_stance(robot8, aset, pose)
-        if st is not None:
-            assert np.allclose(st.body_center, [5.0, 0, 0])
 
 
 class TestDropBoom:

@@ -243,14 +243,14 @@ class TestRunTrials:
 
 def match_rounds_reference(sc, cfg, trials, shared):
     """``study.match_rounds`` with one resample round per pass: the multi-round passes' oracle."""
-    mounts, pred, n = list(cfg.mounts), rb.FeasibilityPredicate.from_robot(cfg), cfg.boom_count
+    n = cfg.boom_count
     feasible, resamples = np.zeros(len(trials), dtype=bool), np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, points, rounds = np.arange(len(trials)), shared, 0
     while pending.size and rounds <= MAX_RESAMPLES:
         if rounds:
             points = study.draw_pools(sc, trials[pending], f"resample:{n}:{rounds}")
-        matched, total, _, _ = study.match_pools(mounts, rb.BodyPose(), points, pred)
+        matched, total, _, _ = study.match_pools(cfg, points)
         hit = total < np.inf
         done = pending[hit]
         feasible[done], resamples[done] = True, rounds
