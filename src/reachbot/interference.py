@@ -11,7 +11,10 @@ boom reaches at most L_max from its shoulder, so by the triangle inequality
 no boom of the robot reaches a sample farther than R = L_max + max |shoulder|
 from the body centre (the origin of the robot's frame); such a sample is
 covered by no boom, and is counted as such without a feasibility matrix.
-The screen is exact: every count equals the unscreened pass's.
+A coverage curve builds no such sample at all where its along coordinate
+on the terrain already rules it out (``sample_surface_points`` with
+``reach``); it is still drawn. The screen is exact: every count equals the
+unscreened pass's.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from .terrain import Terrain, sample_surface_points
 
 log = logging.getLogger(__name__)
 
-# Surface samples per feasibility pass. The pass's working memory is about
-# 45 bytes per mount-point pair of the largest mount block and of the
+# Built surface samples per feasibility pass. The pass's working memory is
+# about 45 bytes per mount-point pair of the largest mount block and of the
 # chunk's samples within that block's reach (11 MiB for 16 mounts and a
 # whole chunk in reach), whatever the sample count.
 COVERAGE_CHUNK = 16384
@@ -39,31 +42,37 @@ COVERAGE_CHUNK = 16384
 Coverage = dict[str, np.ndarray | list[list]]
 
 
+def _reach(robot: RobotConfig) -> float:
+    # No boom reaches farther than R from the body centre. The relative
+    # margin, far above the few ulps by which the computed norms can differ
+    # from the true ones, keeps rounding from dropping a sample that
+    # feasibility_matrix accepts.
+    return (robot.L_max + np.linalg.norm(mount_arrays(robot)[0], axis=1).max()) * (1 + 1e-9)
+
+
 def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
-                    points: np.ndarray) -> Coverage:
+                    points: np.ndarray, s: int | None = None) -> Coverage:
     """Coverage columns of every boom count that a list of mount blocks serves.
 
     A block is (robot, boom counts): boom count N is covered by the robot's
-    first N mounts. Per COVERAGE_CHUNK slice of the points and per block,
-    one feasibility matrix over the samples within the block's reach and its
-    running count of covering mounts give every prefix's union count and
-    each served N's histogram, as integers; the samples out of reach are
-    covered by no mount and go to bin 0.
+    first N mounts. ``points`` are the built samples of ``s`` (default: all
+    of them); the others lie beyond every block's reach. Per COVERAGE_CHUNK
+    slice of the points and per block, one feasibility matrix over the
+    samples within the block's reach and its running count of covering
+    mounts give every prefix's union count and each served N's histogram, as
+    integers; the samples out of reach, built or not, are covered by no
+    mount and go to bin 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    s = len(points)
+    s = len(points) if s is None else s
     if s < 1:
         raise ValueError("need at least one surface sample")
     unions = [np.zeros(robot.boom_count, dtype=np.int64) for robot, _ in blocks]
-    hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
-    # Reach of each block from the body centre. The relative margin, far
-    # above the few ulps by which the computed norms can differ from the true
-    # ones, keeps rounding from dropping a sample that feasibility_matrix
-    # accepts.
-    reach = [(robot.L_max + np.linalg.norm(mount_arrays(robot)[0], axis=1).max()) * (1 + 1e-9)
-             for robot, _ in blocks]
+    hists = [{n: np.array([s - len(points)] + [0] * n, dtype=np.int64) for n in ns}
+             for _, ns in blocks]
+    reach = [_reach(robot) for robot, _ in blocks]
     within = [0] * len(blocks)
-    for start in range(0, s, COVERAGE_CHUNK):
+    for start in range(0, len(points), COVERAGE_CHUNK):
         chunk = points[start:start + COVERAGE_CHUNK]
         # |p| coordinate by coordinate, in np.linalg.norm's sum order
         dist = np.sqrt(sum(chunk[:, k] ** 2 for k in range(3)))
@@ -72,14 +81,17 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
             within[b] += len(near)
             ok, _ = feasibility_matrix(robot, near)
             counts = np.zeros((robot.boom_count + 1, len(near)), dtype=np.int32)
-            np.cumsum(ok, axis=0, out=counts[1:])  # row n: how many of mounts 0..n-1 reach
+            # Row n: how many of mounts 0..n-1 reach. Adding row by row is
+            # several times faster than np.cumsum along axis 0.
+            for i, row in enumerate(ok):
+                np.add(counts[i], row, out=counts[i + 1])
             union += (counts[1:] >= 1).sum(axis=1)
             for n, h in hist.items():
                 h += np.bincount(counts[n], minlength=n + 1)
                 h[0] += len(chunk) - len(near)  # out of reach: covered by no mount
     for (robot, _), r, w in zip(blocks, reach, within):
-        log.debug("coverage pass over %d mounts: %d of %d samples within reach "
-                  "R = %.3f m", robot.boom_count, w, s, r)
+        log.debug("coverage pass over %d mounts: %d of %d samples built (along-axis window), "
+                  "%d within reach R = %.3f m", robot.boom_count, len(points), s, w, r)
     served = [(n, union[:n], h) for union, hist in zip(unions, hists) for n, h in hist.items()]
     unique = np.array([s - h[0] for _, _, h in served]) / s
     overlap = np.array([s - h[:2].sum() for _, _, h in served]) / s
@@ -116,11 +128,13 @@ def coverage_curve(
 
     The whole ``nested`` lattice is one mount block, served by one
     feasibility pass per chunk of COVERAGE_CHUNK samples; any other robot
-    is a block of its own. Only a chunk's samples within a block's reach
-    (see the module docstring) enter its pass, so besides the samples
-    themselves (24 bytes each), working memory is about 45 bytes per mount
-    of the largest block and in-reach sample of one chunk: at most 11 MiB
-    for 16 mounts, whatever ``sample_count``.
+    is a block of its own. Only samples that can lie within the largest
+    block's reach are built, and only a chunk's samples within a block's
+    reach enter its pass (see the module docstring). So besides the unit
+    draws (16 bytes a sample) and the built samples (24 bytes each), working
+    memory is about 45 bytes per mount of the largest block and in-reach
+    sample of one chunk: at most 11 MiB for 16 mounts, whatever
+    ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
@@ -137,5 +151,7 @@ def coverage_curve(
         blocks = [(robot.with_boom_count(n, layout_policy), (n,)) for n in ns]
     else:
         raise ValueError(f"unknown layout policy {layout_policy!r}")
-    return _block_coverage(blocks, sample_surface_points(terrain, sample_count, rng))
+    reach = max(_reach(r) for r, _ in blocks)
+    return _block_coverage(blocks, sample_surface_points(terrain, sample_count, rng, reach),
+                           sample_count)
 

@@ -38,8 +38,18 @@ EXPLICIT_LAYOUT = "explicit"
 # 7.5 MiB at 10,000 points (tracemalloc peak).
 PARETO_CHUNK = 256
 
+
+def _median(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.median byte for byte, without its NaN check's numpy.ma import (about 15 ms a process)."""
+    n = a.shape[axis]
+    part = np.partition(a, [(n - 1) // 2, n // 2, -1], axis=axis)
+    mid = np.take(part, range((n - 1) // 2, n // 2 + 1), axis=axis).mean(axis=axis)
+    last = np.take(part, -1, axis=axis)  # the largest value, or a NaN
+    return np.where(np.isnan(last), last, mid)  # as np.median: NaN where a row holds one
+
+
 # study.aggregate mode -> the reduction that aggregates a metric over trials
-AGGREGATES = {"median": np.median, "mean": np.mean, "min": np.min, "max": np.max}
+AGGREGATES = {"median": _median, "mean": np.mean, "min": np.min, "max": np.max}
 
 
 @dataclass(frozen=True)

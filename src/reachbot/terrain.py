@@ -138,8 +138,8 @@ class AnchorSet:
         return len(self.points)
 
 
-def _sample_local(t: Terrain, count: int, u: np.ndarray, window: float | None) -> np.ndarray:
-    """Local-frame points from unit draws ``u`` (C, 2 * count), which are scaled in place."""
+def _scale_draws(t: Terrain, count: int, u: np.ndarray, window: float | None):
+    """(along, across) views of unit draws ``u`` (C, 2 * count), scaled in place."""
     if u.shape != (len(u), 2 * count):
         raise ValueError("u must hold 2 * count draws per pool")
     span = t.longitudinal_extent if window is None else float(window)
@@ -151,11 +151,31 @@ def _sample_local(t: Terrain, count: int, u: np.ndarray, window: float | None) -
     for part, low, high in ((along, -span / 2.0, span / 2.0), (across, lo, hi)):
         part *= high - low
         part += low
+    return along, across
+
+
+def _local_points(t: Terrain, along: np.ndarray, across: np.ndarray) -> np.ndarray:
+    """Local-frame points from scaled draws, row by row (so a subset of draws gives those rows)."""
     if t.kind == CORRIDOR:
         return np.stack([along, t.dims[0] * np.cos(across), t.dims[0] * np.sin(across)], axis=-1)
     if t.kind == WALL:
         return np.stack([np.zeros_like(along), across, along], axis=-1)
     return np.stack([across, along, np.zeros_like(along)], axis=-1)
+
+
+def _along_window(t: Terrain, reach: float) -> tuple[float, float]:
+    """Bounds (lo > hi: none) on the along coordinate of surface points within ``reach`` of c = 0.
+
+    Along is a frame axis, so |p - c|^2 >= (along - c_along)^2 + h^2, h being c's distance to
+    the cross-section: |radius - |c_yz|| (corridor) or |c_normal|. The slack, far above
+    rounding, keeps every sample whose computed |p| is within ``reach``."""
+    c = -(t.frame.origin @ t.frame.rotation)  # the origin in local coordinates
+    along, h = {CORRIDOR: (c[0], abs(t.dims[0] - np.hypot(c[1], c[2]))),
+                WALL: (c[2], abs(c[0])), FLOOR: (c[1], abs(c[2]))}[t.kind]
+    slack = 1e-9 * (reach + np.linalg.norm(t.frame.origin) + t.dims[0])
+    r, h = reach + slack, max(h - slack, 0.0)
+    half = np.sqrt((r - h) * (r + h)) + slack if r > h else -1.0
+    return along - half, along + half
 
 
 def sample_pools(t: Terrain, count: int, window: float | None, u: np.ndarray) -> np.ndarray:
@@ -169,7 +189,7 @@ def sample_pools(t: Terrain, count: int, window: float | None, u: np.ndarray) ->
     ``u[c]``. ``u`` is consumed: it is scaled in place. ``window`` None
     spans the full longitudinal extent.
     """
-    return t.frame.to_world(_sample_local(t, count, u, window))
+    return t.frame.to_world(_local_points(t, *_scale_draws(t, count, u, window)))
 
 
 def _unit_draws(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,13 +210,22 @@ def sample_anchors(
                      terrain=t, seed=seed)
 
 
-def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator,
+                          reach: float | None = None) -> np.ndarray:
     """Draw ``count`` area-uniform test points over the full surface.
 
-    This is ``sample_pools`` inlined, so that no frame holds the draws (2
-    doubles a sample) while the frame transform allocates the points.
+    With ``reach``, only the points in ``_along_window`` are built: in order and byte for
+    byte, the rows of the full set that hold every point within ``reach`` of the world
+    origin. The draws are freed before the frame transform allocates the points.
     """
-    return t.frame.to_world(_sample_local(t, count, _unit_draws(count, rng), None))[0]
+    along, across = _scale_draws(t, count, _unit_draws(count, rng), None)
+    if reach is not None:
+        lo, hi = _along_window(t, reach)
+        keep = (along >= lo) & (along <= hi)
+        along, across = along[keep][None], across[keep][None]
+    local = _local_points(t, along, across)
+    del along, across
+    return t.frame.to_world(local)[0]
 
 
 def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:

@@ -10,6 +10,7 @@ from reachbot.interference import coverage_from_mounts
 from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
+from reachbot.terrain import Frame
 
 
 def whole_array_coverage(robot, points):
@@ -262,14 +263,146 @@ class TestReachScreen:
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(42, 0, "surface"))
         reach = robot8.L_max + robot8.body_radius
         in_reach = (np.linalg.norm(points, axis=1) <= reach).sum()
+        # On the corridor's axis the along-axis window is |x| <= sqrt(R^2 - radius^2).
+        in_window = (np.abs(points[:, 0]) <= np.sqrt(reach ** 2 - 15.0 ** 2) + 1e-6).sum()
         messages = [r.getMessage() for r in caplog.records if r.name == "reachbot.interference"]
         assert len(messages) == lines
         for n, message in zip((6,) if policy == "nested" else (4, 5, 6), messages):
-            within, total, r = re.fullmatch(
-                rf"coverage pass over {n} mounts: (\d+) of (\d+) samples within reach "
-                r"R = ([\d.]+) m", message).groups()
-            assert (int(within), int(total)) == (in_reach, self.SAMPLES)
+            built, total, within, r = re.fullmatch(
+                rf"coverage pass over {n} mounts: (\d+) of (\d+) samples built "
+                r"\(along-axis window\), (\d+) within reach R = ([\d.]+) m", message).groups()
+            assert (int(built), int(total), int(within)) == (in_window, self.SAMPLES, in_reach)
             assert float(r) == pytest.approx(reach, abs=1e-3)
+
+
+def tilt(a, b):
+    """A rotation about z by a, then about x by b."""
+    ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    return (np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1.0]])
+            @ np.array([[1, 0, 0], [0, cb, -sb], [0, sb, cb]]))
+
+
+WINDOW_TERRAINS = {
+    "corridor": rb.corridor(15, 100),
+    "corridor_tilted": rb.corridor(15, 100, Frame(tilt(0.7, 0.3), np.array([3.0, -2.0, 1.5]))),
+    "corridor_3m": rb.corridor(3, 100),
+    "robot_off_axis": rb.corridor(15, 100, Frame(origin=np.array([0.0, 9.0, -4.0]))),
+    "wall_tilted": rb.wall(30, 60, Frame(tilt(1.1, -0.4), np.array([-5.0, 2.0, 3.0]))),
+    "floor_tilted": rb.floor(30, 80, Frame(tilt(-0.5, 0.9), np.array([1.0, 2.0, -4.0]))),
+}
+
+
+class Draws:
+    """A generator stand-in whose unit draws are given; each call gets a fresh copy."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)[None]
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+class TestAlongWindow:
+    """Coverage that builds only the samples in the along-axis window, against
+    every sample of ``sample_surface_points`` through the oracles."""
+
+    SAMPLES = 3000
+
+    @pytest.fixture(autouse=True)
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 257)
+
+    @staticmethod
+    def curve_and_oracle(terrain, policy, n_range, rng_factory, samples):
+        lo, hi = n_range
+        robot = rb.make_robot(8)
+        reps = rb.coverage_curve(robot, terrain, n_range, samples, rng_factory(),
+                                 layout_policy=policy)
+        points = rb.sample_surface_points(terrain, samples, rng_factory())
+        robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
+                  else robot.with_boom_count(n, policy) for n in range(lo, hi + 1)]
+        return column_records(reps), [whole_array_coverage(r, points) for r in robots]
+
+    @pytest.mark.parametrize("policy,n_range", [("nested", (1, 12)), ("uniform", (1, 6))])
+    @pytest.mark.parametrize("name", WINDOW_TERRAINS)
+    def test_curve_equals_oracles(self, name, policy, n_range):
+        terrain = WINDOW_TERRAINS[name]
+        got, want = self.curve_and_oracle(terrain, policy, n_range,
+                                          lambda: substream(11, 0, "surface"), self.SAMPLES)
+        assert got == want
+        assert got[-1]["unique_pct"] > 0
+        lo, hi = n_range
+        blocks = ([(rb.make_robot(hi), range(lo, hi + 1))] if policy == "nested"
+                  else [(rb.make_robot(n), (n,)) for n in range(lo, hi + 1)])
+        points = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"))
+        assert got == unscreened_coverage(blocks, points)
+
+    @pytest.mark.parametrize("name", ["corridor", "wall_tilted"])
+    def test_window_serves_the_longest_reach(self, name):
+        # Robots of different reach: the samples are built for the longest one.
+        robots = [rb.make_robot(1), rb.make_robot(2, L_max=24.0)]
+        terrain = WINDOW_TERRAINS[name]
+        reps = rb.coverage_curve(robots[0], terrain, (1, 2), self.SAMPLES,
+                                 substream(11, 0, "surface"), robots=robots)
+        points = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"))
+        assert column_records(reps) == [whole_array_coverage(r, points) for r in robots]
+
+    @pytest.mark.parametrize("name", WINDOW_TERRAINS)
+    def test_built_rows_are_full_rows(self, name):
+        terrain, reach = WINDOW_TERRAINS[name], interference._reach(rb.make_robot(12))
+        full = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"))
+        built = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"),
+                                         reach)
+        row_of = {p.tobytes(): i for i, p in enumerate(full)}
+        assert len(row_of) == self.SAMPLES
+        rows = np.array([row_of.get(p.tobytes(), -1) for p in built])
+        # bit-identical rows, in draw order, and every full row within reach among them
+        assert (rows >= 0).all() and (np.diff(rows) > 0).all()
+        in_reach = np.flatnonzero(np.linalg.norm(full, axis=1) <= reach)
+        assert len(in_reach) > 0 and np.isin(in_reach, rows).all()
+        assert len(built) < self.SAMPLES
+
+    @pytest.mark.parametrize("name", ["corridor", "corridor_tilted", "robot_off_axis"])
+    def test_samples_on_the_window_bound(self, name):
+        # Along draws at c_along +- sqrt(R^2 - h^2), walked +-40 ulps, at the
+        # angle of the circle point nearest the body centre: distances
+        # straddle R, and every sample whose computed distance is within R
+        # must be built.
+        terrain = WINDOW_TERRAINS[name]
+        (radius, length), frame = terrain.dims, terrain.frame
+        reach = interference._reach(rb.make_robot(12))
+        c = -(frame.origin @ frame.rotation)
+        h = radius - np.hypot(c[1], c[2])
+        half = np.sqrt(reach ** 2 - h ** 2)
+        u_along = np.concatenate([u0 + np.arange(-40, 41) * np.spacing(u0) for u0 in (
+            (c[0] - half + length / 2) / length, (c[0] + half + length / 2) / length)])
+        angle = np.mod(np.arctan2(c[2], c[1]), 2 * np.pi) if np.hypot(c[1], c[2]) else 0.0
+        u = np.concatenate([u_along, np.full(len(u_along), angle / (2 * np.pi))])
+        full = rb.sample_surface_points(terrain, len(u_along), Draws(u))
+        dist = np.linalg.norm(full, axis=1)
+        assert (dist <= reach).any() and (dist > reach).any()
+        built = rb.sample_surface_points(terrain, len(u_along), Draws(u), reach)
+        assert np.isin(full[dist <= reach].view("V24"), built.view("V24")).all()
+        got, want = self.curve_and_oracle(terrain, "nested", (1, 12), lambda: Draws(u),
+                                          len(u_along))
+        assert got == want
+
+    @pytest.mark.parametrize("terrain", [
+        rb.corridor(15, 100, Frame(origin=np.array([500.0, 0, 0]))),
+        rb.floor(30, 80, Frame(tilt(0.2, 0.1), np.array([0, 0, -40.0])))],
+        ids=["corridor", "floor"])
+    def test_nothing_in_reach(self, terrain, caplog):
+        assert rb.sample_surface_points(terrain, 500, substream(11, 0, "surface"),
+                                        20.5).shape == (0, 3)
+        with caplog.at_level(logging.DEBUG, logger="reachbot.interference"):
+            records, oracle = self.curve_and_oracle(terrain, "nested", (1, 4),
+                                                    lambda: substream(11, 0, "surface"), 500)
+        assert "0 of 500 samples built" in caplog.text
+        assert records == oracle
+        for n, record in enumerate(records, 1):
+            assert record["unique_pct"] == record["overlap_pct"] == 0.0
+            assert record["count_histogram"] == [500] + [0] * n
 
 
 def test_coverage_csv(robot8, corridor):

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -521,6 +524,39 @@ class TestSelectDesign:
             if prev is not None:
                 assert feas <= prev
             prev = feas
+
+
+class TestMedian:
+    """study._median against np.median, byte for byte."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 7, 100, 101])
+    def test_equals_np_median(self, trials):
+        rng = np.random.default_rng(trials)
+        rows = [rng.normal(size=trials),
+                rng.integers(-2, 3, size=trials).astype(float),  # ties
+                np.full(trials, 0.3), np.where(rng.random(trials) < 0.3, -np.inf, 1.0),
+                np.where(np.arange(trials) == trials // 2, np.nan, rng.normal(size=trials)),
+                np.full(trials, np.nan)]
+        a = np.array(rows)
+        with np.errstate(invalid="ignore"):
+            got, want = study._median(a, axis=1), np.median(a, axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[-2:]).all()
+
+    def test_study_never_imports_numpy_ma(self, tmp_path):
+        # np.median's NaN check imports numpy.ma, about 15 ms a process.
+        src = str(Path(rb.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; import reachbot as rb; "
+                "rb.run_study(rb.StudyConfig(terrain=rb.corridor(), robot_template=rb.make_robot(1), "
+                "n_range=(6, 8), trials=5, seed=42, surface_samples=2000)); "
+                "print('numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestRunStudy:

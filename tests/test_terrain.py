@@ -163,6 +163,25 @@ class TestSampling:
             tracemalloc.stop()
         assert peak <= 7 * 8 * count + 4096
 
+    @pytest.mark.parametrize("terrain", [
+        rb.corridor(15, 100), rb.wall(30, 60, frame=Frame(origin=np.array([-5.0, 0, 0]))),
+        rb.floor(30, 80, frame=Frame(origin=np.array([0, 0, -4.0])))],
+        ids=["corridor", "wall", "floor"])
+    def test_windowed_draw_peak_memory(self, terrain):
+        # The draws (16 bytes a sample) and a mask (1) over every sample;
+        # trig columns, stacked and transformed points only for built ones.
+        count = 100_000
+        built = len(rb.sample_surface_points(terrain, count, substream(42, 0, "surface"), 20.5))
+        rng = substream(42, 0, "surface")
+        tracemalloc.start()
+        try:
+            rb.sample_surface_points(terrain, count, rng, 20.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < built < count
+        assert peak <= 17 * count + 7 * 8 * built + 4096
+
     def test_rotated_frame_points_on_surface(self):
         c, s = np.cos(0.7), np.sin(0.7)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
