@@ -40,8 +40,40 @@ def _write_lines(path: Path, lines: list[str]):
     path.write_text("\n".join(lines) + "\n")
 
 
+# The C encoder, separating a flat record's items as at depth 2 of an indent=2 document.
+_RECORD = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_records(value) -> bool:
+    return (type(value) is list and bool(value) and all(
+        type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in value))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    ``indent`` makes json use its pure-Python encoder. So a top-level list of
+    flat records (dicts of scalars, such as a report's ``trials``) is written
+    record by record with the C encoder, which puts a record's items on their
+    own indented lines; this adds the braces and the list around them.
+    """
+    if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
+        return json.dumps(obj, indent=2, sort_keys=True)
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        if _flat_records(value):
+            text = "[\n" + ",\n".join(f"    {{\n      {_RECORD.encode(r)[1:-1]}\n    }}"
+                                      for r in value) + "\n  ]"
+        else:  # encoded strings hold no raw newline, so this only indents
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(obj) + "\n")
 
 
 def _load(args) -> tuple:

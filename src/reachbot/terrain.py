@@ -12,6 +12,7 @@ generator. Terrain values are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass, field
 
@@ -210,22 +211,97 @@ def sample_anchors(
                      terrain=t, seed=seed)
 
 
+# Surface draws per chunk of surface_point_chunks. Its unit draws (2 MiB) are
+# the largest block the coverage stage frees, and glibc then keeps up to twice
+# that of free heap untrimmed, enough for a 16-mount feasibility pass. With
+# 65,536 draws, each pass faulted its pages in anew: 11,520 minor faults a
+# coverage pass on coverage_sweep, against none.
+SURFACE_CHUNK = 131072
+
+
+def _skip_draws(rng: np.random.Generator, n: int) -> None:
+    """Move ``rng`` past ``n`` doubles, where ``rng.random(n)`` leaves it.
+
+    ``advance`` also empties the bit generator's 32-bit buffer, which
+    ``random`` leaves alone; the buffer is put back."""
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(n)
+    moved = rng.bit_generator.state
+    moved.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    rng.bit_generator.state = moved
+
+
+def _chunk_local(t: Terrain, n: int, rng: np.random.Generator,
+                 across_rng: np.random.Generator, window: tuple[float, float] | None):
+    """(1, k, 3) local points of the next ``n`` along and across draws; with
+    ``window``, of its rows only."""
+    u = np.empty((1, 2 * n))
+    rng.random(out=u[0, :n])
+    across_rng.random(out=u[0, n:])
+    along, across = _scale_draws(t, n, u, None)
+    if window is not None:
+        keep = (along >= window[0]) & (along <= window[1])
+        along, across = along[keep][None], across[keep][None]
+    del u  # with a window, the draws are freed before the points are built
+    return _local_points(t, along, across)
+
+
+def _rows_to_world(frame: Frame, local: np.ndarray, alone: bool) -> np.ndarray:
+    """``frame.to_world(local)[0]``, each row as in a product of two rows or more.
+
+    numpy multiplies a single row by the rotation as a vector, which can round
+    differently; so a row that is not ``alone`` in its set goes with a copy."""
+    if local.shape[1] == 1 and not alone:
+        return frame.to_world(np.concatenate([local, local], axis=1))[0, :1]
+    return frame.to_world(local)[0]
+
+
+def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
+                         reach: float | None = None):
+    """Area-uniform test points over the full surface, SURFACE_CHUNK draws at a time.
+
+    Concatenated, the yielded (k, 3) arrays, one per chunk, are row for row
+    and byte for byte the points of one ``rng.random((1, 2 * count))`` draw:
+    ``count`` along, then ``count`` across. The along draws come from
+    ``rng``, the across draws from a copy of it advanced by ``count``
+    (``bit_generator.advance``: PCG64, which ``rng.substream`` gives, jumps
+    ``count`` doubles ahead in O(log count) steps); once every chunk is
+    drawn, ``rng`` sits where that one call leaves it. With ``reach``, only
+    the points in ``_along_window`` are built: in order, the rows of the
+    full set that hold every point within ``reach`` of the world origin. No
+    array is sized by ``count``.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    window = None if reach is None else _along_window(t, reach)
+    across_rng = copy.deepcopy(rng)
+    across_rng.bit_generator.advance(count)
+    # A first row that a chunk builds alone waits for the next rows: if none
+    # follow, it is the whole set and is transformed alone, as in one product.
+    held, before = None, False
+    for start in range(0, count, SURFACE_CHUNK):
+        n = min(SURFACE_CHUNK, count - start)
+        local = _chunk_local(t, n, rng, across_rng, window)
+        if held is not None:
+            local, held = np.concatenate([held, local], axis=1), None
+        if local.shape[1] == 1 and not before and start + n < count:
+            local, held = local[:, :0], local
+        points = _rows_to_world(t.frame, local, alone=not before)
+        before = before or len(points) > 0
+        del local  # no array of this chunk is alive while the next is drawn
+        yield points
+        del points
+    _skip_draws(rng, count)
+
+
 def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator,
                           reach: float | None = None) -> np.ndarray:
-    """Draw ``count`` area-uniform test points over the full surface.
+    """Draw ``count`` area-uniform test points over the full surface, as (k, 3).
 
-    With ``reach``, only the points in ``_along_window`` are built: in order and byte for
-    byte, the rows of the full set that hold every point within ``reach`` of the world
-    origin. The draws are freed before the frame transform allocates the points.
+    The concatenation of ``surface_point_chunks``: all ``count`` points, or
+    with ``reach`` the rows that can lie within ``reach`` of the world origin.
     """
-    along, across = _scale_draws(t, count, _unit_draws(count, rng), None)
-    if reach is not None:
-        lo, hi = _along_window(t, reach)
-        keep = (along >= lo) & (along <= hi)
-        along, across = along[keep][None], across[keep][None]
-    local = _local_points(t, along, across)
-    del along, across
-    return t.frame.to_world(local)[0]
+    return np.concatenate([*surface_point_chunks(t, count, rng, reach), np.empty((0, 3))])
 
 
 def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.cli import main
-from reachbot.config import load_config
+from reachbot.cli import _json_text, main
+from reachbot.config import load_config, parse_config
 from reachbot.robot import fibonacci_sphere
-from reachbot.study import draw_pools
+from reachbot.study import draw_pools, run_study
 from reachbot.terrain import anchors_to_csv_rows
 from conftest import default_config_dict, random_stance
 from test_study import match_rounds_reference
@@ -197,6 +197,43 @@ class TestStudy:
         assert main(["study", str(path), "--n-range", "5", "7",
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert "robot.mounts" in capsys.readouterr().err
+
+
+class TestJsonWriter:
+    """The report writer against json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json"
+
+    @staticmethod
+    def same_text(obj):
+        return _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("trials", [100, 1000])
+    def test_shipped_report(self, trials):
+        raw = json.loads(self.SHIPPED.read_text())
+        raw["study"]["trials"] = trials
+        report = run_study(parse_config(raw), raw).to_dict()
+        assert len(report["trials"]) == 10 * trials
+        assert self.same_text(report)
+
+    def test_nan_aggregates(self):
+        cfg = default_config_dict(seed=3)
+        cfg["study"].update(n_range=[5, 7], trials=3, surface_samples=500)
+        report = run_study(parse_config(cfg), cfg).to_dict()
+        report["summary"][0]["agg_stability"] = float("nan")
+        report["summary"][1]["mass"] = float("inf")
+        report["trials"][0].update(lambda_min=float("nan"), lambda_max=-float("inf"))
+        assert "NaN" in json.dumps(report["trials"][0]) and self.same_text(report)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], 1.5, {"a": []}, {"a": [{}]}, {"a": [{"x": 1}, {}]},
+        {"t": [{"x": [1, 2]}], "u": [{"y": {"z": 1}}]},  # records that are not flat
+        {"t": [{"b": "},\n    {", "a": "\u00e9", "c": None, "d": True, "e": 2 ** 70}]},
+        {"b": {"c": [1, {"d": "x"}]}, "a": [{"y": 1.0, "x": -0.0}, {"x": 1e300}]},
+        {"k": [{10: "int keys", 2: 0}]}, {3: [{"x": 1}], 1: {"y": 2}},
+    ])
+    def test_edge_shapes(self, obj):
+        assert self.same_text(obj)
 
 
 class TestStance:

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from reachbot.interference import coverage_from_mounts
 from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
-from reachbot.terrain import Frame
+from reachbot.terrain import Frame, sample_pools
 
 
 def whole_array_coverage(robot, points):
@@ -186,6 +187,19 @@ class TestChunkedCurve:
         # one pass over the samples within reach: the nested lattice is one block
         assert 0 < sum(sizes) == in_reach.sum() < self.SAMPLES
 
+    @pytest.mark.parametrize("policy,n_range", [("nested", (1, 12)), ("uniform", (3, 6))])
+    def test_draw_chunks_of_seven(self, robot8, corridor, monkeypatch, policy, n_range):
+        # Seven draws per chunk as well: the one-shot draw of every sample is the oracle.
+        monkeypatch.setattr("reachbot.terrain.SURFACE_CHUNK", 7)
+        reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
+                                 substream(3, 0, "surface"), layout_policy=policy)
+        u = substream(3, 0, "surface").random((1, 2 * self.SAMPLES))
+        points = sample_pools(corridor, self.SAMPLES, None, u)[0]
+        lo, hi = n_range
+        robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
+                  else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
+        assert column_records(reps) == [whole_array_coverage(r, points) for r in robots]
+
     def test_given_mounts_need_one_set_per_count(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="mounts"):
             rb.coverage_curve(robot8, corridor, (2, 3), 100, rng,
@@ -226,7 +240,7 @@ class TestReachScreen:
         return rb.sample_surface_points(corridor, self.SAMPLES, substream(8, 0, "surface"))
 
     def screened(self, blocks, points):
-        return column_records(interference._block_coverage(blocks, points))
+        return column_records(interference._block_coverage(blocks, [points], len(points)))
 
     def test_nested_block(self, points):
         blocks = [(rb.make_robot(12), range(1, 13))]
@@ -268,11 +282,40 @@ class TestReachScreen:
         messages = [r.getMessage() for r in caplog.records if r.name == "reachbot.interference"]
         assert len(messages) == lines
         for n, message in zip((6,) if policy == "nested" else (4, 5, 6), messages):
-            built, total, within, r = re.fullmatch(
+            built, total, within, r, chunks, pairs = re.fullmatch(
                 rf"coverage pass over {n} mounts: (\d+) of (\d+) samples built "
-                r"\(along-axis window\), (\d+) within reach R = ([\d.]+) m", message).groups()
+                r"\(along-axis window\), (\d+) within reach R = ([\d.]+) m; "
+                r"(\d+) chunk\(s\) drawn, largest feasibility pass (\d+) mount-sample pairs",
+                message).groups()
             assert (int(built), int(total), int(within)) == (in_window, self.SAMPLES, in_reach)
             assert float(r) == pytest.approx(reach, abs=1e-3)
+            assert int(chunks) == 1 and 0 < int(pairs) <= n * interference.COVERAGE_CHUNK
+
+    @pytest.mark.parametrize("policy", ["nested", "uniform"])
+    def test_debug_log_counts_chunks_and_passes(self, robot8, corridor, caplog, monkeypatch,
+                                                policy):
+        # 3,000 draws in chunks of 1,000: three chunks; the largest pass is the
+        # largest feasibility matrix each block's robot was given.
+        monkeypatch.setattr("reachbot.terrain.SURFACE_CHUNK", 1000)
+        largest = {}
+
+        def recording(robot, points):
+            n = robot.boom_count
+            largest[n] = max(largest.get(n, 0), n * len(points))
+            return feasibility_matrix(robot, points)
+
+        monkeypatch.setattr(interference, "feasibility_matrix", recording)
+        with caplog.at_level(logging.DEBUG, logger="reachbot.interference"):
+            rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
+                              substream(42, 0, "surface"), layout_policy=policy)
+        logged = {}
+        for record in caplog.records:
+            n, chunks, pairs = re.search(
+                r"over (\d+) mounts: .*; (\d+) chunk\(s\) drawn, largest feasibility pass (\d+) ",
+                record.getMessage()).groups()
+            assert int(chunks) == 3
+            logged[int(n)] = int(pairs)
+        assert logged == largest and len(logged) == (1 if policy == "nested" else 3)
 
 
 def tilt(a, b):
@@ -293,14 +336,31 @@ WINDOW_TERRAINS = {
 
 
 class Draws:
-    """A generator stand-in whose unit draws are given; each call gets a fresh copy."""
+    """A generator stand-in that hands out the given unit draws in order.
+
+    It is its own bit generator: ``advance`` skips draws and ``state`` is the
+    position, as ``surface_point_chunks`` uses them on a PCG64 generator."""
 
     def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)[None]
+        self.u, self.pos, self.bit_generator = np.asarray(u, dtype=float), 0, self
 
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u.copy()
+    def random(self, out):
+        out[...] = self.u[self.pos:self.pos + len(out)]
+        self.advance(len(out))
+        return out
+
+    def advance(self, n):
+        self.pos += n
+        assert self.pos <= len(self.u)
+        return self
+
+    @property
+    def state(self):
+        return {"pos": self.pos, "has_uint32": 0, "uinteger": 0}
+
+    @state.setter
+    def state(self, state):
+        self.pos = state["pos"]
 
 
 class TestAlongWindow:
@@ -403,6 +463,24 @@ class TestAlongWindow:
         for n, record in enumerate(records, 1):
             assert record["unique_pct"] == record["overlap_pct"] == 0.0
             assert record["count_histogram"] == [500] + [0] * n
+
+
+def test_coverage_peak_memory_flat_in_samples(corridor):
+    # Live at the peak: one chunk's unit draws (2 MiB) or one 16-mount
+    # feasibility pass over COVERAGE_CHUNK samples (about 3 MiB) and its
+    # chunk's built points; no array grows with the sample count (measured:
+    # 3.6 MiB at both counts).
+    peaks = {}
+    for count in (200_000, 2_000_000):
+        rng = substream(42, 0, "surface")
+        tracemalloc.start()
+        try:
+            rb.coverage_curve(rb.make_robot(16), corridor, (1, 16), count, rng)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2_000_000] <= peaks[200_000] + 64 * 1024
+    assert peaks[2_000_000] < 5 * 2 ** 20
 
 
 def test_coverage_csv(robot8, corridor):

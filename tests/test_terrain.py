@@ -5,10 +5,12 @@ import pytest
 from scipy import stats
 
 import reachbot as rb
+from reachbot import terrain
 from reachbot.rng import substream, substream_uniforms
 from reachbot.terrain import (CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows,
-                              sample_pools)
+                              sample_pools, surface_point_chunks)
 from conftest import surface_area
+from test_interference import Draws
 
 
 def to_local(frame: Frame, pts: np.ndarray) -> np.ndarray:
@@ -232,6 +234,111 @@ class TestSamplePools:
         u = substream_uniforms(3, (0, 1), "anchors", 8)
         pools = sample_pools(corridor, 4, 40.0, u)
         assert np.array_equal(u[:, :4], pools[..., 0])  # scaled to the window, not copied
+
+
+def one_shot_points(t: Terrain, u: np.ndarray, reach=None) -> np.ndarray:
+    """Reference: the points of one (1, 2 * count) draw ``u``, windowed as a whole."""
+    along, across = terrain._scale_draws(t, u.shape[1] // 2, u, None)
+    if reach is not None:
+        lo, hi = terrain._along_window(t, reach)
+        keep = (along >= lo) & (along <= hi)
+        along, across = along[keep][None], across[keep][None]
+    return t.frame.to_world(terrain._local_points(t, along, across))[0]
+
+
+STREAM_TERRAINS = {
+    "corridor": rb.corridor(15, 100),
+    "corridor_tilted": rb.corridor(15, 100, tilted_frame()),
+    "robot_off_axis": rb.corridor(15, 100, Frame(origin=np.array([0.0, 9.0, -4.0]))),
+    "wall": rb.wall(30, 60, Frame(origin=np.array([-5.0, 0, 0]))),
+    "floor": rb.floor(30, 80, tilted_frame()),
+}
+
+
+class TestSurfaceChunks:
+    """The chunked surface stream against one whole draw of the same generator."""
+
+    @staticmethod
+    def assert_same_generator(rng, ref):
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    @pytest.mark.parametrize("reach", [None, 20.5], ids=["full", "reach"])
+    @pytest.mark.parametrize("name", STREAM_TERRAINS)
+    def test_chunks_of_seven_are_the_one_shot_rows(self, name, reach, count, monkeypatch):
+        monkeypatch.setattr(terrain, "SURFACE_CHUNK", 7)  # divides no count but 0
+        t = STREAM_TERRAINS[name]
+        rng, ref = substream(11, 0, "surface"), substream(11, 0, "surface")
+        chunks = list(surface_point_chunks(t, count, rng, reach))
+        want = one_shot_points(t, ref.random((1, 2 * count)), reach)
+        assert len(chunks) == -(-count // 7)
+        if reach is None:
+            assert [len(c) for c in chunks] == [min(7, count - i) for i in range(0, count, 7)]
+        elif count == 1000:
+            assert 0 < len(want) < count
+        got = np.concatenate([np.empty((0, 3)), *chunks])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        self.assert_same_generator(rng, ref)
+        rng, ref = substream(11, 0, "surface"), substream(11, 0, "surface")
+        assert rb.sample_surface_points(t, count, rng, reach).tobytes() == want.tobytes()
+        ref.random((1, 2 * count))
+        self.assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("name", ["corridor", "wall"])
+    def test_default_chunks(self, name):
+        t, count = STREAM_TERRAINS[name], 2 * terrain.SURFACE_CHUNK + 3
+        for reach in (None, 20.5):
+            rng, ref = substream(5, 0, "surface"), substream(5, 0, "surface")
+            want = one_shot_points(t, ref.random((1, 2 * count)), reach)
+            assert rb.sample_surface_points(t, count, rng, reach).tobytes() == want.tobytes()
+            self.assert_same_generator(rng, ref)
+
+    def test_caller_buffer_kept(self, corridor):
+        # A 32-bit draw leaves half a 64-bit output buffered; the one-shot
+        # draw of doubles keeps it, and so must the jump ahead.
+        rng, ref = substream(9, 0, "surface"), substream(9, 0, "surface")
+        for g in (rng, ref):
+            g.integers(0, 2 ** 32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        got = rb.sample_surface_points(corridor, 50, rng, 20.5)
+        assert got.tobytes() == one_shot_points(corridor, ref.random((1, 100)), 20.5).tobytes()
+        assert (rng.integers(0, 2 ** 32, dtype=np.uint32)
+                == ref.integers(0, 2 ** 32, dtype=np.uint32))
+        self.assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("pattern", [
+        (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 4, 0), (1, 0, 1), (3, 0, 1), (2, 1, 1), (0, 1, 5)])
+    def test_lone_rows(self, pattern, monkeypatch):
+        # Three chunks of 7 draws, holding pattern[i] draws inside the along
+        # window: a row built alone in its chunk must come out as in the
+        # one-shot product, which multiplies a lone row (the whole set of one)
+        # as a vector and every other row as a matrix row.
+        monkeypatch.setattr(terrain, "SURFACE_CHUNK", 7)
+        t, reach = STREAM_TERRAINS["corridor_tilted"], 20.5
+        length, frame = t.longitudinal_extent, t.frame
+        lo, hi = terrain._along_window(t, reach)
+        assert -length / 2 < lo < hi < length / 2
+        u_in, u_out = ((lo + hi) / 2 + length / 2) / length, 0.0
+        # angle draws whose point rounds differently as a vector and as a matrix row
+        angles = []
+        for a in np.arange(1, 400) / 400:
+            local = terrain._local_points(t, *terrain._scale_draws(t, 1, np.array([[u_in, a]]),
+                                                                    None))
+            if (frame.to_world(local).tobytes()
+                    != frame.to_world(np.concatenate([local, local], axis=1))[:, :1].tobytes()):
+                angles.append(a)
+        assert len(angles) >= 21
+        along = np.concatenate([[u_in] * k + [u_out] * (7 - k) for k in pattern])
+        u = np.concatenate([along, angles[:21]])
+        chunks = list(surface_point_chunks(t, 21, Draws(u), reach))
+        want = one_shot_points(t, u[None].copy(), reach)
+        assert len(chunks) == 3 and len(want) == sum(pattern)
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+    def test_negative_count(self, corridor, rng):
+        with pytest.raises(ValueError, match="non-negative"):
+            rb.sample_surface_points(corridor, -1, rng)
 
 
 def test_anchor_csv_format(corridor):
