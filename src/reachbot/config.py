@@ -61,7 +61,7 @@ def parse_config(raw: dict) -> StudyConfig:
                      "m_boom", "m_gripper", "m_shoulder", "k", "g", "layout", "mounts"},
                 "robot")
     layout = _require_type(rb, "layout", str, "uniform", "robot.")
-    mounts_raw = rb.get("mounts")
+    mounts_raw = _require_type(rb, "mounts", list, context="robot.")
     kwargs = {}
     for src, dst in (("body_mass", "body_mass"), ("body_radius", "body_radius"),
                      ("L_max", "L_max"), ("L_min", "L_min"),
@@ -86,12 +86,16 @@ def parse_config(raw: dict) -> StudyConfig:
     if mounts_raw is not None:
         if n_range[0] != n_range[1]:
             raise ConfigError("robot.mounts requires a single-N study.n_range")
-        try:
-            mounts = [MountSpec(position=np.asarray(m["position"], dtype=float),
-                                axis=np.asarray(m["axis"], dtype=float))
-                      for m in mounts_raw]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"robot.mounts: {exc}") from exc
+        mounts = []
+        for i, m in enumerate(mounts_raw):
+            if not isinstance(m, dict):
+                raise ConfigError(f"robot.mounts[{i}] must be a JSON object")
+            _check_keys(m, {"position", "axis"}, f"robot.mounts[{i}]")
+            try:
+                mounts.append(MountSpec(position=np.asarray(m["position"], dtype=float),
+                                        axis=np.asarray(m["axis"], dtype=float)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"robot.mounts[{i}]: {exc}") from exc
         if len(mounts) != n_range[0]:
             raise ConfigError("robot.mounts length must equal the study boom count")
 

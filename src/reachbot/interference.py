@@ -6,22 +6,22 @@ accepts it, the same test that anchor grasping uses, so "can cover" and
 area-uniform surface samples. Overlap (area reachable by two or more booms)
 quantifies redundancy without new reachable terrain.
 
-Only the samples within reach of a robot enter its feasibility pass. A
-boom reaches at most L_max from its shoulder, so by the triangle inequality
-no boom of the robot reaches a sample farther than R = L_max + max |shoulder|
-from the body centre (the origin of the robot's frame); such a sample is
-covered by no boom, and is counted as such without a feasibility matrix.
-A coverage curve builds no such sample at all where its along coordinate
-on the terrain already rules it out (``surface_point_chunks`` with
-``reach``); it is still drawn and counted. The screen is exact: every count
-equals the unscreened pass's.
+Only the samples within reach enter the feasibility passes. A boom
+reaches at most L_max from its shoulder, so by the triangle inequality no
+boom of the robot reaches a sample farther than R = L_max + max |shoulder|
+from the body centre (the origin of the robot's frame). ``coverage_curve``
+takes the largest R of its robots, the surface stream
+(``surface_point_chunks`` with ``reach``) yields only the samples within
+it, and every other sample drawn is counted as covered by no boom. The
+screen is exact: every count equals the unscreened pass's (a robot of
+shorter R rejects the samples beyond it in its own feasibility matrix).
 
 The samples stream through in chunks: ``terrain.surface_point_chunks``
 draws SURFACE_CHUNK of them at a time, the same draws bit for bit as one
-whole draw, and each chunk's built samples go through feasibility passes
-of COVERAGE_CHUNK. No array is sized by the sample count: at 16 mounts the
-tracemalloc peak of a coverage curve is 4.1 MiB at both 200,000 and
-2,000,000 samples.
+whole draw, and each chunk's samples within R go through feasibility
+passes of COVERAGE_CHUNK. No array is sized by the sample count: at 16
+mounts the tracemalloc peak of a coverage curve is 3.5 MiB at both
+200,000 and 2,000,000 samples.
 """
 from __future__ import annotations
 
@@ -36,15 +36,15 @@ from .terrain import Terrain, surface_point_chunks
 
 log = logging.getLogger(__name__)
 
-# Built surface samples per feasibility pass. The pass's working memory is
-# about 45 bytes per mount-point pair of the largest mount block and of the
-# pass's samples within that block's reach: 2.8 MiB for 16 mounts and a whole
-# pass in reach, whatever the sample count. That fits in the free heap that
-# glibc keeps after a SURFACE_CHUNK draw, so no feasibility pass faults in new
-# pages. On coverage_sweep (16 mounts, 400,000 samples), per warm coverage
-# curve: 4,096 samples, 0 minor faults and 62 ms; 8,192, 11,904 faults and
-# 74 ms; 16,384, 16,070 faults and 95 ms; whole-array draws with 16,384,
-# 3,310 faults and 66 ms (process time, 2-vCPU host).
+# Surface samples per feasibility pass. The pass's working memory is about
+# 45 bytes per mount-point pair of the largest mount block and of the pass's
+# samples: 2.8 MiB for 16 mounts and a whole pass, whatever the sample count.
+# That fits in the free heap that glibc keeps after a SURFACE_CHUNK draw, so
+# no feasibility pass faults in new pages. On coverage_sweep (16 mounts,
+# 400,000 samples), per warm coverage curve: 4,096 samples, 0 minor faults
+# and 62 ms; 8,192, 11,904 faults and 74 ms; 16,384, 16,070 faults and 95 ms;
+# whole-array draws with 16,384, 3,310 faults and 66 ms (process time,
+# 2-vCPU host).
 COVERAGE_CHUNK = 4096
 
 # Coverage columns, one entry per boom count: boom_count, sample_count,
@@ -67,30 +67,22 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
     """Coverage columns of every boom count that a list of mount blocks serves.
 
     A block is (robot, boom counts): boom count N is covered by the robot's
-    first N mounts. ``chunks`` are (k, 3) arrays of the built samples among
-    ``s`` drawn; the others lie beyond every block's reach. Per COVERAGE_CHUNK
-    slice of a chunk and per block, one feasibility matrix over the samples
-    within the block's reach and its running count of covering mounts give
-    every prefix's union count and each served N's histogram, as integers;
-    the samples out of reach, built or not, are covered by no mount and go to
-    bin 0.
+    first N mounts. ``chunks`` are (k, 3) arrays of the samples, among ``s``
+    drawn, that may be covered; the others lie beyond every block's reach,
+    are covered by no mount and go to bin 0. Per COVERAGE_CHUNK slice of a
+    chunk and per block, one feasibility matrix and its running count of
+    covering mounts give every prefix's union count and each served N's
+    histogram, as integers.
     """
     if s < 1:
         raise ValueError("need at least one surface sample")
     unions = [np.zeros(robot.boom_count, dtype=np.int64) for robot, _ in blocks]
     hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
-    reach = [_reach(robot) for robot, _ in blocks]
-    within, pairs = [0] * len(blocks), [0] * len(blocks)
 
     def count_pass(batch):
-        # |p| coordinate by coordinate, in np.linalg.norm's sum order
-        dist = np.sqrt(sum(batch[:, k] ** 2 for k in range(3)))
-        for b, ((robot, _), union, hist, r) in enumerate(zip(blocks, unions, hists, reach)):
-            near = batch[dist <= r]
-            within[b] += len(near)
-            pairs[b] = max(pairs[b], robot.boom_count * len(near))
-            ok, _ = feasibility_matrix(robot, near)
-            counts = np.zeros((robot.boom_count + 1, len(near)), dtype=np.int32)
+        for (robot, _), union, hist in zip(blocks, unions, hists):
+            ok, _ = feasibility_matrix(robot, batch)
+            counts = np.zeros((robot.boom_count + 1, len(batch)), dtype=np.int32)
             # Row n: how many of mounts 0..n-1 reach. Adding row by row is
             # several times faster than np.cumsum along axis 0.
             for i, row in enumerate(ok):
@@ -98,22 +90,20 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
             union += (counts[1:] >= 1).sum(axis=1)
             for n, h in hist.items():
                 h += np.bincount(counts[n], minlength=n + 1)
-                h[0] += len(batch) - len(near)  # out of reach: covered by no mount
 
-    built = drawn_chunks = 0
+    given = largest = 0
     for points in chunks:
-        built += len(points)
-        drawn_chunks += 1
+        given += len(points)
+        largest = max(largest, min(len(points), COVERAGE_CHUNK))
         for start in range(0, len(points), COVERAGE_CHUNK):
             count_pass(points[start:start + COVERAGE_CHUNK])
         del points  # freed before the next chunk is drawn
     for hist in hists:
         for h in hist.values():
-            h[0] += s - built  # not built: beyond every block's reach
-    for (robot, _), r, w, m in zip(blocks, reach, within, pairs):
-        log.debug("coverage pass over %d mounts: %d of %d samples built (along-axis window), "
-                  "%d within reach R = %.3f m; %d chunk(s) drawn, largest feasibility pass "
-                  "%d mount-sample pairs", robot.boom_count, built, s, w, r, drawn_chunks, m)
+            h[0] += s - given  # not given: beyond every block's reach
+    log.debug("coverage over %d mount block(s): %d of %d samples given, feasibility passes "
+              "of up to %d samples, largest %d mount-sample pairs", len(blocks), given, s,
+              largest, largest * max(robot.boom_count for robot, _ in blocks))
     served = [(n, union[:n], h) for union, hist in zip(unions, hists) for n, h in hist.items()]
     unique = np.array([s - h[0] for _, _, h in served]) / s
     overlap = np.array([s - h[:2].sum() for _, _, h in served]) / s
@@ -150,14 +140,13 @@ def coverage_curve(
     build each N's layout on its own, so monotonicity is only statistical.
 
     The whole ``nested`` lattice is one mount block, served by one
-    feasibility pass per COVERAGE_CHUNK built samples; any other robot is a
-    block of its own. The samples are drawn SURFACE_CHUNK at a time; only
-    those that can lie within the largest block's reach are built, and only
-    a pass's samples within a block's reach enter its feasibility matrix
-    (see the module docstring). So working memory is one chunk's unit draws
-    (2 MiB) or one pass (about 45 bytes per mount of the largest block and
-    in-reach sample: 2.8 MiB for 16 mounts) next to the chunk's built
-    points, whatever ``sample_count``.
+    feasibility pass per COVERAGE_CHUNK samples; any other robot is a block
+    of its own. The samples are drawn SURFACE_CHUNK at a time, and only
+    those within the largest block's reach R come out of the stream (see the
+    module docstring). So working memory is one chunk's unit draws (2 MiB)
+    or one pass (about 45 bytes per mount of the largest block and sample:
+    2.8 MiB for 16 mounts) next to the chunk's points within R, whatever
+    ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:

@@ -13,10 +13,13 @@ generator. Terrain values are immutable and safe to share across threads.
 from __future__ import annotations
 
 import copy
+import logging
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 CORRIDOR = "corridor"
 WALL = "wall"
@@ -43,7 +46,15 @@ class Frame:
         object.__setattr__(self, "origin", t)
 
     def to_world(self, pts: np.ndarray) -> np.ndarray:
-        world = np.asarray(pts, dtype=float) @ self.rotation.T
+        """World coordinates of local points (..., k, 3), each row rounded alike at any k.
+
+        numpy multiplies a lone row by the rotation as a vector, which can
+        round differently, so a lone row goes with a copy of itself."""
+        pts = np.asarray(pts, dtype=float)
+        lone = pts.shape[-2:-1] == (1,)
+        world = (np.concatenate([pts, pts], axis=-2) if lone else pts) @ self.rotation.T
+        if lone:
+            world = world[..., :1, :]
         world += self.origin  # in place: no second full-size temporary
         return world
 
@@ -116,6 +127,9 @@ def make_terrain(spec: dict) -> Terrain:
     if fr is not None:
         if not isinstance(fr, dict):
             raise ValueError("terrain.frame must be a JSON object")
+        unknown = sorted(set(fr) - {"rotation", "origin"})
+        if unknown:
+            raise ValueError(f"unknown terrain.frame fields: {unknown}")
         frame = Frame(np.asarray(fr.get("rotation", np.eye(3))), np.asarray(fr.get("origin", np.zeros(3))))
     if spec:
         raise ValueError(f"unknown terrain fields: {sorted(spec)}")
@@ -246,16 +260,6 @@ def _chunk_local(t: Terrain, n: int, rng: np.random.Generator,
     return _local_points(t, along, across)
 
 
-def _rows_to_world(frame: Frame, local: np.ndarray, alone: bool) -> np.ndarray:
-    """``frame.to_world(local)[0]``, each row as in a product of two rows or more.
-
-    numpy multiplies a single row by the rotation as a vector, which can round
-    differently; so a row that is not ``alone`` in its set goes with a copy."""
-    if local.shape[1] == 1 and not alone:
-        return frame.to_world(np.concatenate([local, local], axis=1))[0, :1]
-    return frame.to_world(local)[0]
-
-
 def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
                          reach: float | None = None):
     """Area-uniform test points over the full surface, SURFACE_CHUNK draws at a time.
@@ -267,31 +271,31 @@ def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
     (``bit_generator.advance``: PCG64, which ``rng.substream`` gives, jumps
     ``count`` doubles ahead in O(log count) steps); once every chunk is
     drawn, ``rng`` sits where that one call leaves it. With ``reach``, only
-    the points in ``_along_window`` are built: in order, the rows of the
-    full set that hold every point within ``reach`` of the world origin. No
-    array is sized by ``count``.
+    the points in ``_along_window`` are built, and of those only the points
+    whose |p| (in ``np.linalg.norm``'s sum order) is at most ``reach`` are
+    yielded: in order, the rows of the full set within ``reach`` of the
+    world origin. No array is sized by ``count``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     window = None if reach is None else _along_window(t, reach)
     across_rng = copy.deepcopy(rng)
     across_rng.bit_generator.advance(count)
-    # A first row that a chunk builds alone waits for the next rows: if none
-    # follow, it is the whole set and is transformed alone, as in one product.
-    held, before = None, False
+    built = within = 0
     for start in range(0, count, SURFACE_CHUNK):
         n = min(SURFACE_CHUNK, count - start)
-        local = _chunk_local(t, n, rng, across_rng, window)
-        if held is not None:
-            local, held = np.concatenate([held, local], axis=1), None
-        if local.shape[1] == 1 and not before and start + n < count:
-            local, held = local[:, :0], local
-        points = _rows_to_world(t.frame, local, alone=not before)
-        before = before or len(points) > 0
-        del local  # no array of this chunk is alive while the next is drawn
+        points = t.frame.to_world(_chunk_local(t, n, rng, across_rng, window))[0]
+        built += len(points)
+        if reach is not None:
+            points = points[np.sqrt(sum(points[:, k] ** 2 for k in range(3))) <= reach]
+        within += len(points)
         yield points
-        del points
+        del points  # no array of this chunk is alive while the next is drawn
     _skip_draws(rng, count)
+    if reach is not None:
+        log.debug("surface stream: %d samples drawn in %d chunk(s), %d built (along-axis "
+                  "window), %d within R = %.3f m", count, -(-count // SURFACE_CHUNK), built,
+                  within, reach)
 
 
 def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator,
@@ -299,7 +303,7 @@ def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator,
     """Draw ``count`` area-uniform test points over the full surface, as (k, 3).
 
     The concatenation of ``surface_point_chunks``: all ``count`` points, or
-    with ``reach`` the rows that can lie within ``reach`` of the world origin.
+    with ``reach`` the rows within ``reach`` of the world origin.
     """
     return np.concatenate([*surface_point_chunks(t, count, rng, reach), np.empty((0, 3))])
 

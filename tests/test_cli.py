@@ -81,6 +81,23 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "wheels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda cfg: cfg["terrain"].update(frame={"orgin": [0, 9, -4]}), "orgin"),
+        (lambda cfg: cfg["robot"]["mounts"][1].update(boresight=[0, 0, 1]), "boresight"),
+        (lambda cfg: cfg["robot"]["mounts"].__setitem__(2, "up"), "robot.mounts[2]"),
+        (lambda cfg: cfg["robot"].update(mounts={"position": [0, 0, 0.5]}), "robot.mounts"),
+    ], ids=["frame_key", "mount_key", "mount_not_object", "mounts_not_list"])
+    def test_unknown_nested_field(self, tmp_path, capsys, edit, field):
+        cfg = default_config_dict()
+        cfg["study"]["n_range"] = [4, 4]
+        cfg["robot"]["mounts"] = [{"position": m.position.tolist(), "axis": m.axis.tolist()}
+                                  for m in rb.build_mounts(4)]
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
 
 class TestStudy:
     def test_runs_and_writes_outputs(self, config_path, tmp_path, capsys):

@@ -251,8 +251,9 @@ class TestReachScreen:
         assert self.screened(blocks, points) == unscreened_coverage(blocks, points)
 
     def test_reach_boundary_counts(self, robot8):
-        # Samples exactly L_max along each shoulder's axis: a sample that
-        # feasibility_matrix accepts is covered even where rounding puts it
+        # Samples exactly L_max along each shoulder's axis, each the centre of
+        # a small floor: a sample that feasibility_matrix accepts comes out
+        # of the surface stream, and is covered, even where rounding puts it
         # past L_max + |shoulder| from the body centre.
         past_bound = 0
         for n in range(1, 41):
@@ -263,15 +264,19 @@ class TestReachScreen:
             accepted = ok.diagonal()
             past_bound += (accepted & (np.linalg.norm(points, axis=1)
                                        > robot.L_max + np.linalg.norm(shoulders, axis=1))).sum()
-            got = row(coverage_from_mounts(robot, points))
-            (want,) = unscreened_coverage([(robot, (n,))], points)
-            assert got == want
-            assert round(got["unique_pct"] * n) >= accepted.sum()
+            reach = interference._reach(robot)
+            for p, covered in zip(points, accepted):
+                floor = rb.floor(1.0, 1.0, Frame(origin=p))
+                kept = rb.sample_surface_points(floor, 1, Draws([0.5, 0.5]), reach)
+                assert np.array_equal(kept, [p])  # the same values (0.0 for a -0.0)
+                record = row(rb.coverage_curve(robot, floor, (n, n), 1, Draws([0.5, 0.5]),
+                                               robots=[robot]))
+                assert record["count_histogram"][0] == (0 if covered else 1)
         assert past_bound > 0
 
-    @pytest.mark.parametrize("policy,lines", [("nested", 1), ("uniform", 3)])
-    def test_debug_log_per_pass(self, robot8, corridor, caplog, policy, lines):
-        with caplog.at_level(logging.DEBUG, logger="reachbot.interference"):
+    @pytest.mark.parametrize("policy,blocks", [("nested", 1), ("uniform", 3)])
+    def test_debug_log_per_pass(self, robot8, corridor, caplog, policy, blocks):
+        with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               substream(42, 0, "surface"), layout_policy=policy)
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(42, 0, "surface"))
@@ -279,43 +284,41 @@ class TestReachScreen:
         in_reach = (np.linalg.norm(points, axis=1) <= reach).sum()
         # On the corridor's axis the along-axis window is |x| <= sqrt(R^2 - radius^2).
         in_window = (np.abs(points[:, 0]) <= np.sqrt(reach ** 2 - 15.0 ** 2) + 1e-6).sum()
-        messages = [r.getMessage() for r in caplog.records if r.name == "reachbot.interference"]
-        assert len(messages) == lines
-        for n, message in zip((6,) if policy == "nested" else (4, 5, 6), messages):
-            built, total, within, r, chunks, pairs = re.fullmatch(
-                rf"coverage pass over {n} mounts: (\d+) of (\d+) samples built "
-                r"\(along-axis window\), (\d+) within reach R = ([\d.]+) m; "
-                r"(\d+) chunk\(s\) drawn, largest feasibility pass (\d+) mount-sample pairs",
-                message).groups()
-            assert (int(built), int(total), int(within)) == (in_window, self.SAMPLES, in_reach)
-            assert float(r) == pytest.approx(reach, abs=1e-3)
-            assert int(chunks) == 1 and 0 < int(pairs) <= n * interference.COVERAGE_CHUNK
+        (stream,) = [r.getMessage() for r in caplog.records if r.name == "reachbot.terrain"]
+        (passes,) = [r.getMessage() for r in caplog.records if r.name == "reachbot.interference"]
+        total, chunks, built, within, r = re.fullmatch(
+            r"surface stream: (\d+) samples drawn in (\d+) chunk\(s\), (\d+) built "
+            r"\(along-axis window\), (\d+) within R = ([\d.]+) m", stream).groups()
+        assert (int(total), int(chunks), int(built), int(within)) == (
+            self.SAMPLES, 1, in_window, in_reach)
+        assert float(r) == pytest.approx(reach, abs=1e-3)
+        n_blocks, given, total, size, pairs = re.fullmatch(
+            r"coverage over (\d+) mount block\(s\): (\d+) of (\d+) samples given, feasibility "
+            r"passes of up to (\d+) samples, largest (\d+) mount-sample pairs", passes).groups()
+        assert (int(n_blocks), int(given), int(total)) == (blocks, in_reach, self.SAMPLES)
+        assert int(size) == interference.COVERAGE_CHUNK < in_reach and int(pairs) == 6 * int(size)
 
     @pytest.mark.parametrize("policy", ["nested", "uniform"])
     def test_debug_log_counts_chunks_and_passes(self, robot8, corridor, caplog, monkeypatch,
                                                 policy):
         # 3,000 draws in chunks of 1,000: three chunks; the largest pass is the
-        # largest feasibility matrix each block's robot was given.
+        # largest feasibility matrix any block's robot was given.
         monkeypatch.setattr("reachbot.terrain.SURFACE_CHUNK", 1000)
-        largest = {}
+        sizes = []
 
         def recording(robot, points):
-            n = robot.boom_count
-            largest[n] = max(largest.get(n, 0), n * len(points))
+            sizes.append((len(points), robot.boom_count * len(points)))
             return feasibility_matrix(robot, points)
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
-        with caplog.at_level(logging.DEBUG, logger="reachbot.interference"):
+        with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               substream(42, 0, "surface"), layout_policy=policy)
-        logged = {}
-        for record in caplog.records:
-            n, chunks, pairs = re.search(
-                r"over (\d+) mounts: .*; (\d+) chunk\(s\) drawn, largest feasibility pass (\d+) ",
-                record.getMessage()).groups()
-            assert int(chunks) == 3
-            logged[int(n)] = int(pairs)
-        assert logged == largest and len(logged) == (1 if policy == "nested" else 3)
+        (chunks,) = re.findall(r"drawn in (\d+) chunk\(s\)", caplog.text)
+        ((size, pairs),) = re.findall(r"passes of up to (\d+) samples, largest (\d+) ",
+                                      caplog.text)
+        assert int(chunks) == 3
+        assert (int(size), int(pairs)) == tuple(map(max, zip(*sizes)))
 
 
 def tilt(a, b):
@@ -455,10 +458,12 @@ class TestAlongWindow:
     def test_nothing_in_reach(self, terrain, caplog):
         assert rb.sample_surface_points(terrain, 500, substream(11, 0, "surface"),
                                         20.5).shape == (0, 3)
-        with caplog.at_level(logging.DEBUG, logger="reachbot.interference"):
+        with caplog.at_level(logging.DEBUG, logger="reachbot"):
             records, oracle = self.curve_and_oracle(terrain, "nested", (1, 4),
                                                     lambda: substream(11, 0, "surface"), 500)
-        assert "0 of 500 samples built" in caplog.text
+        assert ("500 samples drawn in 1 chunk(s), 0 built (along-axis window), 0 within R"
+                in caplog.text)
+        assert "0 of 500 samples given" in caplog.text
         assert records == oracle
         for n, record in enumerate(records, 1):
             assert record["unique_pct"] == record["overlap_pct"] == 0.0

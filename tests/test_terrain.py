@@ -213,6 +213,23 @@ def tilted_frame() -> Frame:
     return Frame(rotation=rot, origin=np.array([3.5, -2.0, 7.25]))
 
 
+def test_to_world_rounds_rows_alike_at_any_count():
+    # On a tilted frame a lone row, each row of a (C, 1, 3) pool stack and
+    # the same rows inside products of 2, 7 and 4,096 rows have the same bytes.
+    frame = tilted_frame()
+    local = np.random.default_rng(4).uniform(-20.0, 20.0, (4096, 3))
+    many = frame.to_world(local)
+    vector = np.array([row @ frame.rotation.T + frame.origin for row in local])
+    assert (vector != many).any(axis=1).sum() > 100  # numpy's lone-row path rounds apart
+    assert np.concatenate([frame.to_world(row[None]) for row in local]).tobytes() == many.tobytes()
+    assert frame.to_world(local[:, None]).tobytes() == many.tobytes()
+    for k in (2, 7):
+        m = len(local) // k * k
+        pieces = [frame.to_world(local[i:i + k]) for i in range(0, m, k)]
+        assert np.concatenate(pieces).tobytes() == many[:m].tobytes()
+        assert frame.to_world(local[:m].reshape(-1, k, 3)).tobytes() == many[:m].tobytes()
+
+
 class TestSamplePools:
     @pytest.mark.parametrize("frame", [Frame(), tilted_frame()], ids=["identity", "tilted"])
     @pytest.mark.parametrize("make", [lambda f: rb.corridor(15, 100, frame=f),
@@ -237,13 +254,15 @@ class TestSamplePools:
 
 
 def one_shot_points(t: Terrain, u: np.ndarray, reach=None) -> np.ndarray:
-    """Reference: the points of one (1, 2 * count) draw ``u``, windowed as a whole."""
+    """Reference: the points of one (1, 2 * count) draw ``u``, windowed and
+    screened to |p| <= ``reach`` as a whole."""
     along, across = terrain._scale_draws(t, u.shape[1] // 2, u, None)
     if reach is not None:
         lo, hi = terrain._along_window(t, reach)
         keep = (along >= lo) & (along <= hi)
         along, across = along[keep][None], across[keep][None]
-    return t.frame.to_world(terrain._local_points(t, along, across))[0]
+    points = t.frame.to_world(terrain._local_points(t, along, across))[0]
+    return points if reach is None else points[np.linalg.norm(points, axis=1) <= reach]
 
 
 STREAM_TERRAINS = {
@@ -311,22 +330,22 @@ class TestSurfaceChunks:
         (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 4, 0), (1, 0, 1), (3, 0, 1), (2, 1, 1), (0, 1, 5)])
     def test_lone_rows(self, pattern, monkeypatch):
         # Three chunks of 7 draws, holding pattern[i] draws inside the along
-        # window: a row built alone in its chunk must come out as in the
-        # one-shot product, which multiplies a lone row (the whole set of one)
-        # as a vector and every other row as a matrix row.
+        # window, all within reach: a row built alone in its chunk, or alone
+        # in the whole set, must come out as in the one-shot product. The
+        # angles are ones whose point a vector product (numpy's path for a
+        # lone row) rounds differently from a matrix row.
         monkeypatch.setattr(terrain, "SURFACE_CHUNK", 7)
-        t, reach = STREAM_TERRAINS["corridor_tilted"], 20.5
+        t, reach = STREAM_TERRAINS["corridor_tilted"], 40.0
         length, frame = t.longitudinal_extent, t.frame
         lo, hi = terrain._along_window(t, reach)
         assert -length / 2 < lo < hi < length / 2
         u_in, u_out = ((lo + hi) / 2 + length / 2) / length, 0.0
-        # angle draws whose point rounds differently as a vector and as a matrix row
         angles = []
         for a in np.arange(1, 400) / 400:
             local = terrain._local_points(t, *terrain._scale_draws(t, 1, np.array([[u_in, a]]),
                                                                     None))
-            if (frame.to_world(local).tobytes()
-                    != frame.to_world(np.concatenate([local, local], axis=1))[:, :1].tobytes()):
+            vector = local @ frame.rotation.T + frame.origin
+            if vector.tobytes() != frame.to_world(local).tobytes():
                 angles.append(a)
         assert len(angles) >= 21
         along = np.concatenate([[u_in] * k + [u_out] * (7 - k) for k in pattern])
