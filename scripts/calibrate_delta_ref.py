@@ -14,7 +14,7 @@ Usage: python3 scripts/calibrate_delta_ref.py [config.json]
 import sys
 from pathlib import Path
 
-from reachbot.config import load_config
+from reachbot.config import ConfigError, load_config
 from reachbot.study import aggregate, run_trials
 
 TARGET_N = 8
@@ -22,7 +22,13 @@ TARGET_N = 8
 
 def main() -> int:
     path = sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "configs" / "mars_lava_tube.json"
-    sc, _ = load_config(path)
+    try:
+        sc, _ = load_config(path)
+        if not sc.n_range[0] < TARGET_N <= sc.n_range[1]:
+            raise ConfigError(f"study.n_range must include N={TARGET_N - 1} and N={TARGET_N}")
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     table = run_trials(sc)
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
     # raw rotational eigenvalue aggregate, independent of the configured delta_ref

@@ -8,6 +8,7 @@ placements, then selects a design by constrained Pareto analysis.
 
 __version__ = "0.1.0"
 
+from .config import make_terrain
 from .interference import coverage_curve
 from .mechanics import (Stance, StiffnessResult, grasp_map, manipulability, stiffness,
                         sym_eig)
@@ -17,8 +18,8 @@ from .stance import Assignment, assign
 from .study import (Calibration, Constraints, ParetoResult, StudyConfig,
                     StudyReport, aggregate, pareto_front, run_study, run_trials,
                     select_design)
-from .terrain import (AnchorSet, Terrain, corridor, floor, make_terrain,
-                      sample_anchors, sample_surface_points, wall)
+from .terrain import (AnchorSet, Terrain, corridor, floor, sample_anchors,
+                      sample_surface_points, wall)
 
 __all__ = [
     "__version__",

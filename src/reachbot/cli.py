@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, load_config, read_json
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
 from .stance import mount_arrays
@@ -78,22 +78,8 @@ def _write_json(path: Path, obj):
 
 def _load(args) -> tuple:
     """(StudyConfig, JSON echo) of the config file with any overrides written in."""
-    try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    given = vars(args)  # validate has no overrides
-    study = {key: given[key] for key in ("trials", "n_range") if given.get(key) is not None}
-    if isinstance(raw, dict):
-        if given.get("seed") is not None:
-            raw["seed"] = given["seed"]
-        if study and raw.get("study") is None:
-            raw["study"] = {}
-        if isinstance(raw.get("study"), dict):
-            raw["study"].update(study)
-    return parse_config(raw), raw
+    given = vars(args)  # validate and eval take no overrides
+    return load_config(args.config, given.get("seed"), given.get("trials"), given.get("n_range"))
 
 
 def cmd_validate(args) -> int:
@@ -207,16 +193,11 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    path = Path(args.stance)
-    if not path.exists():
-        raise ConfigError(f"stance file not found: {path}")
+    raw = read_json(Path(args.stance), "stance")
     try:
-        raw = json.loads(path.read_text())
         if not isinstance(raw, dict):
             raise ValueError("root must be a JSON object")
         st = Stance.from_dict(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid stance file: {exc}")
     k, delta_ref = RobotConfig.boom_stiffness, Calibration.delta_ref

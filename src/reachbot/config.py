@@ -1,142 +1,160 @@
-"""Study config files: versioned JSON schema, validation, defaults.
+"""Study config files: the versioned JSON schema, read and checked in one place.
 
 Top-level blocks: terrain, robot, study, constraints, calibration. All unit
-fields carry a unit suffix in the file (e.g. tau_drill_nm, delta_ref_m).
+fields carry a unit suffix in the file (e.g. tau_drill_nm, delta_ref_m). One
+table per block maps each file field to its JSON type and to the constructor
+argument it sets. A field that is absent or null is not passed, so the
+default is the one of the class or function it sets. JSON has no NaN or
+Infinity, and ``read_json`` refuses them.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .robot import MountSpec, make_robot
 from .study import EXPLICIT_LAYOUT, Calibration, Constraints, StudyConfig
-from .terrain import make_terrain
+from .terrain import CORRIDOR, FLOOR, WALL, Frame, Terrain, corridor, floor, wall
 
 SCHEMA_VERSION = 1
+NUMBER = (int, float)
+
+# file field -> (JSON type, constructor argument)
+CONFIG = {"schema_version": (int, "schema_version"), "seed": (int, "seed"),
+          "terrain": (dict, "terrain"), "robot": (dict, "robot_template"),
+          "study": (dict, "study"), "constraints": (dict, "constraints"),
+          "calibration": (dict, "calibration")}
+TERRAIN = {"kind": (str, "kind"), "frame": (dict, "frame"),
+           "radius": (NUMBER, "radius"), "length": (NUMBER, "length"),
+           "width": (NUMBER, "width"), "height": (NUMBER, "height")}
+FRAME = {"rotation": (list, "rotation"), "origin": (list, "origin")}
+ROBOT = {"body_mass": (NUMBER, "body_mass"), "body_radius": (NUMBER, "body_radius"),
+         "L_max": (NUMBER, "L_max"), "L_min": (NUMBER, "L_min"),
+         "cone_half_angle_rad": (NUMBER, "cone_half_angle"), "m_boom": (NUMBER, "m_boom"),
+         "m_gripper": (NUMBER, "m_gripper"), "m_shoulder": (NUMBER, "m_shoulder"),
+         "k": (NUMBER, "boom_stiffness"), "g": (NUMBER, "gravity"),
+         "layout": (str, "layout"), "mounts": (list, "mounts")}
+MOUNT = {"position": (list, "position"), "axis": (list, "axis")}
+STUDY = {"n_range": (list, "n_range"), "trials": (int, "trials"),
+         "pool_multiplier": (int, "pool_multiplier"), "surface_samples": (int, "surface_samples"),
+         "aggregate": (str, "aggregate_mode"), "coverage_layout": (str, "coverage_layout")}
+CONSTRAINTS = {"tau_drill_nm": (NUMBER, "tau_drill"), "M_CR_nm": (NUMBER, "m_critical"),
+               "one_boom_out": (bool, "one_boom_out")}
+CALIBRATION = {"delta_ref_m": (NUMBER, "delta_ref")}
+
+_TERRAINS = {CORRIDOR: corridor, WALL: wall, FLOOR: floor}
 
 
 class ConfigError(ValueError):
     """A config file failed validation; message names the offending field."""
 
 
-def _require_type(block: dict, field: str, types, default=None, context=""):
-    value = block.get(field)
-    if value is None:  # absent or null: the default
-        return default
-    if not isinstance(value, types) or isinstance(value, bool) and types != bool:
-        raise ConfigError(f"{context}{field} has invalid type {type(value).__name__}")
-    return value
+def read_json(path: str | Path, what: str):
+    """Parsed JSON of a file; a missing file, malformed JSON, NaN or Infinity is a ConfigError."""
+    def finite(text: str) -> float:
+        value = float(text)
+        if value - value != 0:  # NaN or ±Infinity, also from a literal past the float range
+            raise ConfigError(f"{what} file holds {text}, not a finite number")
+        return value
+
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=finite, parse_float=finite)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
-def _check_keys(block: dict, allowed: set[str], context: str):
-    unknown = set(block) - allowed
+def _fields(block, table: dict, path: str) -> dict:
+    """Constructor arguments of one config block, absent and null fields left out."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path or 'config root'} must be a JSON object")
+    unknown = set(block) - set(table)
     if unknown:
-        raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown {path or 'config'} fields: {sorted(unknown)}")
+    args = {}
+    for name, (types, arg) in table.items():
+        value = block.get(name)
+        if value is None:
+            continue
+        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+            where = f"{path}.{name}" if path else name
+            raise ConfigError(f"{where} has invalid type {type(value).__name__}")
+        args[arg] = float(value) if types is NUMBER else value  # 10 and 10.0 report alike
+    return args
+
+
+def make_terrain(spec: dict) -> Terrain:
+    """Build a Terrain from a config-file block like {"kind": "corridor", ...}."""
+    args = _fields(spec, TERRAIN, "terrain")
+    kind = args.pop("kind", None)
+    if kind not in _TERRAINS:
+        raise ConfigError(f"terrain.kind must be one of {tuple(_TERRAINS)}, got {kind!r}")
+    frame = _fields(args.pop("frame", {}), FRAME, "terrain.frame")
+    try:  # a TypeError names a dimension the kind lacks or requires
+        return _TERRAINS[kind](frame=Frame(**frame), **args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"terrain: {exc}") from exc
+
+
+def _mounts(entries: list) -> list[MountSpec]:
+    mounts = []
+    for i, entry in enumerate(entries):
+        path = f"robot.mounts[{i}]"
+        args = _fields(entry, MOUNT, path)
+        try:
+            mounts.append(MountSpec(**args))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return mounts
 
 
 def parse_config(raw: dict) -> StudyConfig:
     """Validate a parsed JSON study config and build a StudyConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, {"schema_version", "seed", "terrain", "robot", "study",
-                      "constraints", "calibration"}, "config")
-    version = raw.get("schema_version")
-    # type() not ==: true and 1.0 both equal 1
-    if type(version) is not int or version != SCHEMA_VERSION:
+    args = _fields(raw, CONFIG, "")
+    version = args.pop("schema_version", None)
+    if version != SCHEMA_VERSION:
         raise ConfigError(f"unknown schema_version {version!r}; expected {SCHEMA_VERSION}")
-    seed = _require_type(raw, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-
-    terrain_raw = _require_type(raw, "terrain", dict, {"kind": "corridor"})
-    try:
-        terrain = make_terrain(terrain_raw)
-    except ValueError as exc:
-        raise ConfigError(f"terrain: {exc}") from exc
-
-    rb = _require_type(raw, "robot", dict, {})
-    _check_keys(rb, {"body_mass", "body_radius", "L_max", "L_min", "cone_half_angle_rad",
-                     "m_boom", "m_gripper", "m_shoulder", "k", "g", "layout", "mounts"},
-                "robot")
-    layout = _require_type(rb, "layout", str, "uniform", "robot.")
-    mounts_raw = _require_type(rb, "mounts", list, context="robot.")
-    kwargs = {}
-    for src, dst in (("body_mass", "body_mass"), ("body_radius", "body_radius"),
-                     ("L_max", "L_max"), ("L_min", "L_min"),
-                     ("cone_half_angle_rad", "cone_half_angle"),
-                     ("m_boom", "m_boom"), ("m_gripper", "m_gripper"),
-                     ("m_shoulder", "m_shoulder"), ("k", "boom_stiffness"),
-                     ("g", "gravity")):
-        value = _require_type(rb, src, (int, float), context="robot.")
-        if value is not None:
-            kwargs[dst] = float(value)
-
-    st = _require_type(raw, "study", dict, {})
-    _check_keys(st, {"n_range", "trials", "pool_multiplier", "surface_samples",
-                     "aggregate", "coverage_layout"}, "study")
-    n_range = st.get("n_range", [1, 10])
-    if (not isinstance(n_range, list) or len(n_range) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in n_range)):
+    args["terrain"] = make_terrain(args["terrain"]) if "terrain" in args else corridor()
+    robot = _fields(args.pop("robot_template", {}), ROBOT, "robot")
+    study = _fields(args.pop("study", {}), STUDY, "study")
+    n_range = study["n_range"] = tuple(study.get("n_range", StudyConfig.n_range))
+    if len(n_range) != 2 or not all(type(n) is int for n in n_range):
         raise ConfigError("study.n_range must be [lo, hi] integers")
-    n_range = (n_range[0], n_range[1])
-
-    mounts = None
-    if mounts_raw is not None:
+    if "mounts" in robot:
         if n_range[0] != n_range[1]:
             raise ConfigError("robot.mounts requires a single-N study.n_range")
-        mounts = []
-        for i, m in enumerate(mounts_raw):
-            if not isinstance(m, dict):
-                raise ConfigError(f"robot.mounts[{i}] must be a JSON object")
-            _check_keys(m, {"position", "axis"}, f"robot.mounts[{i}]")
-            try:
-                mounts.append(MountSpec(position=np.asarray(m["position"], dtype=float),
-                                        axis=np.asarray(m["axis"], dtype=float)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"robot.mounts[{i}]: {exc}") from exc
-        if len(mounts) != n_range[0]:
+        robot["mounts"] = _mounts(robot["mounts"])
+        if len(robot["mounts"]) != n_range[0]:
             raise ConfigError("robot.mounts length must equal the study boom count")
-
-    cs = _require_type(raw, "constraints", dict, {})
-    _check_keys(cs, {"tau_drill_nm", "M_CR_nm", "one_boom_out"}, "constraints")
-    tau_drill = _require_type(cs, "tau_drill_nm", (int, float), 4.0, "constraints.")
-    m_cr = _require_type(cs, "M_CR_nm", (int, float), context="constraints.")
-    one_out = _require_type(cs, "one_boom_out", bool, True, "constraints.")
-
-    cal = _require_type(raw, "calibration", dict, {})
-    _check_keys(cal, {"delta_ref_m"}, "calibration")
-    delta_ref = _require_type(cal, "delta_ref_m", (int, float), 0.1, "calibration.")
-
+        study["layout"] = EXPLICIT_LAYOUT
+    elif "layout" in robot:
+        study["layout"] = robot["layout"]
+    constraints = _fields(args.pop("constraints", {}), CONSTRAINTS, "constraints")
+    calibration = _fields(args.pop("calibration", {}), CALIBRATION, "calibration")
     try:
-        template = make_robot(boom_count=max(n_range), layout=layout, mounts=mounts, **kwargs)
-        constraints = Constraints(
-            tau_drill=float(tau_drill),
-            m_critical=float(m_cr) if m_cr is not None else None,
-            one_boom_out=one_out)
-        calibration = Calibration(delta_ref=float(delta_ref))
         return StudyConfig(
-            terrain=terrain,
-            robot_template=template,
-            n_range=n_range,
-            trials=_require_type(st, "trials", int, 100, "study."),
-            seed=int(seed),
-            layout=layout if mounts is None else EXPLICIT_LAYOUT,
-            pool_multiplier=_require_type(st, "pool_multiplier", int, 3, "study."),
-            surface_samples=_require_type(st, "surface_samples", int, 20000, "study."),
-            coverage_layout=_require_type(st, "coverage_layout", str, "nested", "study."),
-            aggregate_mode=_require_type(st, "aggregate", str, "median", "study."),
-            constraints=constraints,
-            calibration=calibration)
+            robot_template=make_robot(max(n_range), **robot),
+            constraints=Constraints(**constraints), calibration=Calibration(**calibration),
+            **study, **args)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path: str | Path) -> tuple[StudyConfig, dict]:
-    """Read and validate a config file; returns (config, raw JSON echo)."""
-    text = Path(path).read_text()
-    raw = json.loads(text)  # JSONDecodeError carries line/column
+def load_config(path: str | Path, seed: int | None = None, trials: int | None = None,
+                n_range: list[int] | None = None) -> tuple[StudyConfig, dict]:
+    """Read and validate a config file; returns (config, JSON echo).
+
+    Overrides that are not None are written into the echo before it is
+    checked, so the report records the study that ran."""
+    raw = read_json(path, "config")
+    study = {key: value for key, value in (("trials", trials), ("n_range", n_range))
+             if value is not None}
+    if isinstance(raw, dict):
+        if seed is not None:
+            raw["seed"] = seed
+        if study and raw.get("study") is None:
+            raw["study"] = {}
+        if isinstance(raw.get("study"), dict):
+            raw["study"].update(study)
     return parse_config(raw), raw

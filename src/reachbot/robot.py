@@ -132,7 +132,7 @@ class RobotConfig:
 
 def make_robot(boom_count: int, layout: str = "uniform", mounts: list[MountSpec] | None = None, **overrides) -> RobotConfig:
     """Convenience factory: place mounts (unless given) and validate."""
-    body_radius = overrides.get("body_radius", 0.5)
+    body_radius = overrides.get("body_radius", RobotConfig.body_radius)
     if mounts is None:
         mounts = build_mounts(boom_count, body_radius=body_radius, layout=layout)
     return RobotConfig(boom_count=boom_count, mounts=tuple(mounts), **overrides)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,36 +103,6 @@ def wall(width: float, height: float, frame: Frame | None = None) -> Terrain:
 
 def floor(width: float, length: float, frame: Frame | None = None) -> Terrain:
     return Terrain(FLOOR, (width, length), frame or Frame())
-
-
-def make_terrain(spec: dict) -> Terrain:
-    """Build a Terrain from a config-file block like {"kind": "corridor", ...}."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in _KINDS:
-        raise ValueError(f"terrain kind must be one of {_KINDS}, got {kind!r}")
-    names = _DIM_NAMES[kind]
-    defaults = {CORRIDOR: (15.0, 100.0)}.get(kind, (None, None))
-    dims = []
-    for name, default in zip(names, defaults):
-        value = spec.pop(name, default)
-        if value is None:
-            raise ValueError(f"terrain.{name} is required for kind {kind!r}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"terrain.{name} must be a number")
-        dims.append(float(value))
-    frame = Frame()
-    fr = spec.pop("frame", None)  # null: the identity frame
-    if fr is not None:
-        if not isinstance(fr, dict):
-            raise ValueError("terrain.frame must be a JSON object")
-        unknown = sorted(set(fr) - {"rotation", "origin"})
-        if unknown:
-            raise ValueError(f"unknown terrain.frame fields: {unknown}")
-        frame = Frame(np.asarray(fr.get("rotation", np.eye(3))), np.asarray(fr.get("origin", np.zeros(3))))
-    if spec:
-        raise ValueError(f"unknown terrain fields: {sorted(spec)}")
-    return Terrain(kind, tuple(dims), frame)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -30,6 +31,14 @@ def config_path(tmp_path):
     return path
 
 
+def set_key(cfg: dict, key: str, value):
+    """Set the config entry at dotted ``key``, adding absent blocks (terrain.frame)."""
+    *blocks, field = key.split(".")
+    for block in blocks:
+        cfg = cfg.setdefault(block, {})
+    cfg[field] = value
+
+
 class TestValidate:
     def test_ok(self, config_path, capsys):
         assert main(["validate", str(config_path)]) == 0
@@ -48,21 +57,54 @@ class TestValidate:
 
     @pytest.mark.parametrize("key", ["study.aggregate", "study.coverage_layout", "robot.layout",
                                      "constraints.one_boom_out", "terrain", "robot", "study",
-                                     "constraints", "calibration"])
+                                     "constraints", "calibration", "terrain.frame.rotation",
+                                     "terrain.frame.origin", "terrain.radius", "study.n_range"])
     def test_null_means_default(self, tmp_path, capsys, key):
         cfg = default_config_dict()
-        block, _, field = key.partition(".")
-        if field:
-            cfg[block][field] = None
-        else:
-            cfg[block] = None
+        set_key(cfg, key, None)
         path = tmp_path / "null.json"
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) == 0
         sc, _ = load_config(path)
         defaults = (sc.aggregate_mode, sc.coverage_layout, sc.layout,
-                    sc.constraints.one_boom_out)
-        assert defaults == ("median", "nested", "uniform", True)
+                    sc.constraints.one_boom_out, sc.n_range, sc.terrain.dims)
+        assert defaults == ("median", "nested", "uniform", True, (1, 10), (15.0, 100.0))
+        assert np.array_equal(sc.terrain.frame.rotation, np.eye(3))
+        assert np.array_equal(sc.terrain.frame.origin, np.zeros(3))
+
+    def test_defaults_come_from_the_classes(self):
+        """A bare config and one with every default spelled out build the same study."""
+        bare, full = parse_config({"schema_version": 1}), parse_config(default_config_dict())
+        for f in dataclasses.fields(rb.StudyConfig):
+            if f.name not in ("terrain", "robot_template"):
+                assert getattr(bare, f.name) == getattr(full, f.name), f.name
+        assert (bare.terrain.kind, bare.terrain.dims) == (full.terrain.kind, full.terrain.dims)
+        for f in dataclasses.fields(rb.RobotConfig):
+            if f.name != "mounts":
+                assert getattr(bare.robot_template, f.name) == getattr(full.robot_template, f.name)
+        for a, b in zip(bare.robot_template.mounts, full.robot_template.mounts, strict=True):
+            assert np.array_equal(a.position, b.position) and np.array_equal(a.axis, b.axis)
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("study", "robot.body_mass", "NaN"),
+        ("validate", "robot.L_max", "Infinity"),
+        ("validate", "robot.g", "Infinity"),
+        ("validate", "constraints.tau_drill_nm", "NaN"),
+        ("validate", "constraints.M_CR_nm", "NaN"),
+        ("validate", "constraints.M_CR_nm", "-Infinity"),
+        ("validate", "terrain.frame.origin", "NaN"),
+        ("validate", "robot.L_max", "1e999"),  # a literal past the float range reads as inf
+    ])
+    def test_nan_and_infinity_rejected(self, tmp_path, capsys, command, key, value):
+        cfg = default_config_dict()
+        set_key(cfg, key, [0.0, 12345.5, 0.0] if key.endswith("origin") else 12345.5)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg).replace("12345.5", value))
+        out = tmp_path / "out"
+        flags = ["--out-dir", str(out)] if command == "study" else []
+        assert main([command, str(path), *flags]) == 1
+        assert capsys.readouterr().err == f"error: config file holds {value}, not a finite number\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
     def test_schema_version_must_be_int_1(self, tmp_path, capsys, version):
@@ -483,6 +525,16 @@ class TestEval:
         path.write_text('{"shoulders": []')
         assert main(["eval", str(path)]) == 1
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_nan_anchor_rejected(self, tmp_path, rng, capsys):
+        raw = random_stance(rng, 7).to_dict()
+        raw["a"][3][1] = float("nan")
+        path = tmp_path / "stance.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "eval"
+        assert main(["eval", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: stance file holds NaN, not a finite number\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("root", ["[1, 2]", "5", '"stance"', "null"])
     def test_stance_root_not_object(self, tmp_path, capsys, root):

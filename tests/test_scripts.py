@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # stdout of scripts/calibrate_delta_ref.py on configs/mars_lava_tube.json,
@@ -23,13 +25,38 @@ recommended delta_ref_m: 0.141
 """
 
 
-def test_calibrate_delta_ref_shipped_config(monkeypatch, capsys):
-    script = ROOT / "scripts" / "calibrate_delta_ref.py"
-    spec = importlib.util.spec_from_file_location("calibrate_delta_ref", script)
+SCRIPT = ROOT / "scripts" / "calibrate_delta_ref.py"
+
+
+def calibrate(monkeypatch, *args) -> int:
+    """Exit code of the calibration script run with command-line ``args``."""
+    spec = importlib.util.spec_from_file_location("calibrate_delta_ref", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(script)])  # no argument: the shipped config
-    assert module.main() == 0
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *map(str, args)])
+    return module.main()
+
+
+def test_calibrate_delta_ref_shipped_config(monkeypatch, capsys):
+    assert calibrate(monkeypatch) == 0  # no argument: the shipped config
     first, rest = capsys.readouterr().out.split("\n", 1)
     assert first == f"config: {ROOT / 'configs' / 'mars_lava_tube.json'}"
     assert rest == CALIBRATION
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "config file not found"),
+    ('{"schema_version": 2}', "unknown schema_version 2"),
+    ('{"schema_version": 1, "study": {"n_range": [1, 7], "trials": 2}}',
+     "study.n_range must include N=7 and N=8"),
+    ('{"schema_version": 1, "study": {"n_range": [8, 10], "trials": 2}}',
+     "study.n_range must include N=7 and N=8"),
+], ids=["missing", "invalid", "below_target", "above_target"])
+def test_calibrate_delta_ref_bad_config(monkeypatch, capsys, tmp_path, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert calibrate(monkeypatch, path) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
