@@ -50,7 +50,8 @@ class ConfigError(ValueError):
 
 
 def read_json(path: str | Path, what: str):
-    """Parsed JSON of a file; a missing file, malformed JSON, NaN or Infinity is a ConfigError."""
+    """Parsed JSON of a file; an unreadable or non-UTF-8 file, malformed JSON, NaN or
+    Infinity is a ConfigError."""
     def finite(text: str) -> float:
         value = float(text)
         if value - value != 0:  # NaN or ±Infinity, also from a literal past the float range
@@ -58,9 +59,14 @@ def read_json(path: str | Path, what: str):
         return value
 
     try:
-        return json.loads(Path(path).read_text(), parse_constant=finite, parse_float=finite)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite,
+                          parse_float=finite)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} file is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
@@ -77,10 +83,15 @@ def _fields(block, table: dict, path: str) -> dict:
         value = block.get(name)
         if value is None:
             continue
+        where = f"{path}.{name}" if path else name
         if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-            where = f"{path}.{name}" if path else name
             raise ConfigError(f"{where} has invalid type {type(value).__name__}")
-        args[arg] = float(value) if types is NUMBER else value  # 10 and 10.0 report alike
+        if types is NUMBER:
+            try:
+                value = float(value)  # 10 and 10.0 report alike
+            except OverflowError:  # an integer past the float range
+                raise ConfigError(f"{where} is past the float range") from None
+        args[arg] = value
     return args
 
 
@@ -93,7 +104,7 @@ def make_terrain(spec: dict) -> Terrain:
     frame = _fields(args.pop("frame", {}), FRAME, "terrain.frame")
     try:  # a TypeError names a dimension the kind lacks or requires
         return _TERRAINS[kind](frame=Frame(**frame), **args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"terrain: {exc}") from exc
 
 
@@ -104,7 +115,7 @@ def _mounts(entries: list) -> list[MountSpec]:
         args = _fields(entry, MOUNT, path)
         try:
             mounts.append(MountSpec(**args))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return mounts
 

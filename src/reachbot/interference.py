@@ -2,8 +2,11 @@
 
 A surface point is accessible to a robot's boom iff ``feasibility_matrix``
 accepts it, the same test that anchor grasping uses, so "can cover" and
-"can grasp" never disagree. Coverage is estimated by Monte Carlo over
-area-uniform surface samples. Overlap (area reachable by two or more booms)
+"can grasp" never disagree. Coverage is the fraction of the points of a
+randomly shifted golden lattice on the surface (``surface_point_chunks``)
+that the booms reach: the shift is drawn from the caller's generator, so
+the estimate is unbiased over it, and its error is far below that of as
+many independent draws. Overlap (area reachable by two or more booms)
 quantifies redundancy without new reachable terrain.
 
 Only the samples within reach enter the feasibility passes. A boom
@@ -12,16 +15,13 @@ boom of the robot reaches a sample farther than R = L_max + max |shoulder|
 from the body centre (the origin of the robot's frame). ``coverage_curve``
 takes the largest R of its robots, the surface stream
 (``surface_point_chunks`` with ``reach``) yields only the samples within
-it, and every other sample drawn is counted as covered by no boom. The
-screen is exact: every count equals the unscreened pass's (a robot of
-shorter R rejects the samples beyond it in its own feasibility matrix).
+it, and every other lattice point, generated or not, is counted as covered
+by no boom. The screen is exact: every count equals the unscreened pass's
+(a robot of shorter R rejects the samples beyond it in its own feasibility
+matrix).
 
-The samples stream through in chunks: ``terrain.surface_point_chunks``
-draws SURFACE_CHUNK of them at a time, the same draws bit for bit as one
-whole draw, and each chunk's samples within R go through feasibility
-passes of COVERAGE_CHUNK. No array is sized by the sample count: at 16
-mounts the tracemalloc peak of a coverage curve is 3.5 MiB at both
-200,000 and 2,000,000 samples.
+Each chunk of the stream, at most COVERAGE_CHUNK samples, is one
+feasibility pass. No array is sized by the sample count.
 """
 from __future__ import annotations
 
@@ -32,20 +32,9 @@ import numpy as np
 
 from .robot import RobotConfig
 from .stance import feasibility_matrix, mount_arrays
-from .terrain import Terrain, surface_point_chunks
+from .terrain import COVERAGE_CHUNK, Terrain, surface_point_chunks
 
 log = logging.getLogger(__name__)
-
-# Surface samples per feasibility pass. The pass's working memory is about
-# 45 bytes per mount-point pair of the largest mount block and of the pass's
-# samples: 2.8 MiB for 16 mounts and a whole pass, whatever the sample count.
-# That fits in the free heap that glibc keeps after a SURFACE_CHUNK draw, so
-# no feasibility pass faults in new pages. On coverage_sweep (16 mounts,
-# 400,000 samples), per warm coverage curve: 4,096 samples, 0 minor faults
-# and 62 ms; 8,192, 11,904 faults and 74 ms; 16,384, 16,070 faults and 95 ms;
-# whole-array draws with 16,384, 3,310 faults and 66 ms (process time,
-# 2-vCPU host).
-COVERAGE_CHUNK = 4096
 
 # Coverage columns, one entry per boom count: boom_count, sample_count,
 # unique_pct and overlap_pct (fractions covered by >= 1 and >= 2 booms),
@@ -63,23 +52,25 @@ def _reach(robot: RobotConfig) -> float:
 
 
 def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
-                    chunks: Iterable[np.ndarray], s: int) -> Coverage:
+                    passes: Iterable[np.ndarray], s: int) -> Coverage:
     """Coverage columns of every boom count that a list of mount blocks serves.
 
     A block is (robot, boom counts): boom count N is covered by the robot's
-    first N mounts. ``chunks`` are (k, 3) arrays of the samples, among ``s``
-    drawn, that may be covered; the others lie beyond every block's reach,
-    are covered by no mount and go to bin 0. Per COVERAGE_CHUNK slice of a
-    chunk and per block, one feasibility matrix and its running count of
-    covering mounts give every prefix's union count and each served N's
-    histogram, as integers.
+    first N mounts. ``passes`` are (k, 3) arrays of the samples, among
+    ``s``, that may be covered; the others lie beyond every block's reach,
+    are covered by no mount and go to bin 0. Per pass and per block, one
+    feasibility matrix and its running count of covering mounts give every
+    prefix's union count and each served N's histogram, as integers.
     """
     if s < 1:
         raise ValueError("need at least one surface sample")
     unions = [np.zeros(robot.boom_count, dtype=np.int64) for robot, _ in blocks]
     hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
 
-    def count_pass(batch):
+    given = largest = 0
+    for batch in passes:
+        given += len(batch)
+        largest = max(largest, len(batch))
         for (robot, _), union, hist in zip(blocks, unions, hists):
             ok, _ = feasibility_matrix(robot, batch)
             counts = np.zeros((robot.boom_count + 1, len(batch)), dtype=np.int32)
@@ -90,14 +81,7 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
             union += (counts[1:] >= 1).sum(axis=1)
             for n, h in hist.items():
                 h += np.bincount(counts[n], minlength=n + 1)
-
-    given = largest = 0
-    for points in chunks:
-        given += len(points)
-        largest = max(largest, min(len(points), COVERAGE_CHUNK))
-        for start in range(0, len(points), COVERAGE_CHUNK):
-            count_pass(points[start:start + COVERAGE_CHUNK])
-        del points  # freed before the next chunk is drawn
+        del batch  # freed before the next pass is generated
     for hist in hists:
         for h in hist.values():
             h[0] += s - given  # not given: beyond every block's reach
@@ -119,7 +103,8 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
 def coverage_from_mounts(robot: RobotConfig, points: np.ndarray) -> Coverage:
     """Coverage of a robot's mounts over given surface sample points, as one row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _block_coverage([(robot, (robot.boom_count,))], [points], len(points))
+    passes = (points[i:i + COVERAGE_CHUNK] for i in range(0, len(points), COVERAGE_CHUNK))
+    return _block_coverage([(robot, (robot.boom_count,))], passes, len(points))
 
 
 def coverage_curve(
@@ -140,13 +125,11 @@ def coverage_curve(
     build each N's layout on its own, so monotonicity is only statistical.
 
     The whole ``nested`` lattice is one mount block, served by one
-    feasibility pass per COVERAGE_CHUNK samples; any other robot is a block
-    of its own. The samples are drawn SURFACE_CHUNK at a time, and only
-    those within the largest block's reach R come out of the stream (see the
-    module docstring). So working memory is one chunk's unit draws (2 MiB)
-    or one pass (about 45 bytes per mount of the largest block and sample:
-    2.8 MiB for 16 mounts) next to the chunk's points within R, whatever
-    ``sample_count``.
+    feasibility pass per chunk of the surface stream; any other robot is a
+    block of its own. Only the lattice points within the largest block's
+    reach R come out of the stream (see the module docstring), so working
+    memory is one pass (about 45 bytes per mount of the largest block and
+    sample: 2.8 MiB for 16 mounts), whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:

@@ -7,13 +7,15 @@ Three topologies are supported:
 * wall -- a vertical rectangle in the local y-z plane, normal +x;
 * floor -- a horizontal rectangle in the local x-y plane, normal +z.
 
-All sampling is uniform by surface area and deterministic given the caller's
-generator. Terrain values are immutable and safe to share across threads.
+Anchor pools are i.i.d. area-uniform draws; coverage test points are a
+randomly shifted lattice whose every point is area-uniform. Both are
+deterministic given the caller's generator. Terrain values are immutable and
+safe to share across threads.
 """
 from __future__ import annotations
 
-import copy
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,82 +196,78 @@ def sample_anchors(
                      terrain=t, seed=seed)
 
 
-# Surface draws per chunk of surface_point_chunks. Its unit draws (2 MiB) are
-# the largest block the coverage stage frees, and glibc then keeps up to twice
-# that of free heap untrimmed, enough for a 16-mount feasibility pass. With
-# 65,536 draws, each pass faulted its pages in anew: 11,520 minor faults a
-# coverage pass on coverage_sweep, against none.
-SURFACE_CHUNK = 131072
+# Lattice points per chunk of surface_point_chunks, and so the most samples one
+# coverage feasibility pass takes: about 45 bytes per mount and sample, 2.8 MiB
+# for 16 mounts.
+COVERAGE_CHUNK = 4096
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden lattice's across step, 1/phi
 
 
-def _skip_draws(rng: np.random.Generator, n: int) -> None:
-    """Move ``rng`` past ``n`` doubles, where ``rng.random(n)`` leaves it.
+def _window_ranges(count: int, s0: float, a: float, b: float) -> list[tuple[int, int]]:
+    """Ascending index ranges [start, stop) that hold every lattice index i
+    with u_i = frac((i + 1/2) / count + s0) in [a, b] (a > b: none).
 
-    ``advance`` also empties the bit generator's 32-bit buffer, which
-    ``random`` leaves alone; the buffer is put back."""
-    state = rng.bit_generator.state
-    rng.bit_generator.advance(n)
-    moved = rng.bit_generator.state
-    moved.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
-    rng.bit_generator.state = moved
-
-
-def _chunk_local(t: Terrain, n: int, rng: np.random.Generator,
-                 across_rng: np.random.Generator, window: tuple[float, float] | None):
-    """(1, k, 3) local points of the next ``n`` along and across draws; with
-    ``window``, of its rows only."""
-    u = np.empty((1, 2 * n))
-    rng.random(out=u[0, :n])
-    across_rng.random(out=u[0, n:])
-    along, across = _scale_draws(t, n, u, None)
-    if window is not None:
-        keep = (along >= window[0]) & (along <= window[1])
-        along, across = along[keep][None], across[keep][None]
-    del u  # with a window, the draws are freed before the points are built
-    return _local_points(t, along, across)
+    u_i rises with i up to one wrap, so these are at most two ranges; a
+    margin of two indices on each side covers rounding."""
+    if a > b:
+        return []
+    first = math.floor(count * (a - s0) - 0.5) - 2
+    size = math.ceil(count * (b - s0) - 0.5) + 3 - first
+    if size >= count:
+        return [(0, count)]
+    start = first % count
+    stop = start + size
+    return [(start, stop)] if stop <= count else [(0, stop - count), (start, count)]
 
 
 def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
                          reach: float | None = None):
-    """Area-uniform test points over the full surface, SURFACE_CHUNK draws at a time.
+    """Area-uniform test points over the full surface, as (k, 3) arrays of at
+    most COVERAGE_CHUNK rows.
 
-    Concatenated, the yielded (k, 3) arrays, one per chunk, are row for row
-    and byte for byte the points of one ``rng.random((1, 2 * count))`` draw:
-    ``count`` along, then ``count`` across. The along draws come from
-    ``rng``, the across draws from a copy of it advanced by ``count``
-    (``bit_generator.advance``: PCG64, which ``rng.substream`` gives, jumps
-    ``count`` doubles ahead in O(log count) steps); once every chunk is
-    drawn, ``rng`` sits where that one call leaves it. With ``reach``, only
-    the points in ``_along_window`` are built, and of those only the points
-    whose |p| (in ``np.linalg.norm``'s sum order) is at most ``reach`` are
-    yielded: in order, the rows of the full set within ``reach`` of the
-    world origin. No array is sized by ``count``.
+    The points are a randomly shifted golden lattice: point i of ``count``
+    has unit coordinates u_i = frac((i + 1/2) / count + s0) along and
+    v_i = frac(i / phi + s1) across, scaled as ``sample_pools`` scales unit
+    draws over the full longitudinal extent. The shift (s0, s1) is
+    ``rng.random(2)``, the only draws taken, so every point is uniform on the
+    surface and any area fraction estimated from them is unbiased over the
+    shift. Concatenated, the chunks are the lattice's rows in index order.
+    With ``reach``, only the indices whose u_i can fall in ``_along_window``
+    are generated (one or two index ranges: no point outside them can lie
+    within ``reach``), and of those only the points whose |p| (in
+    ``np.linalg.norm``'s sum order) is at most ``reach`` are yielded: in
+    order, the rows of the full lattice within ``reach`` of the world
+    origin. No array is sized by ``count``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    window = None if reach is None else _along_window(t, reach)
-    across_rng = copy.deepcopy(rng)
-    across_rng.bit_generator.advance(count)
-    built = within = 0
-    for start in range(0, count, SURFACE_CHUNK):
-        n = min(SURFACE_CHUNK, count - start)
-        points = t.frame.to_world(_chunk_local(t, n, rng, across_rng, window))[0]
-        built += len(points)
-        if reach is not None:
-            points = points[np.sqrt(sum(points[:, k] ** 2 for k in range(3))) <= reach]
-        within += len(points)
-        yield points
-        del points  # no array of this chunk is alive while the next is drawn
-    _skip_draws(rng, count)
+    s0, s1 = rng.random(2)
+    ranges = [(0, count)]
     if reach is not None:
-        log.debug("surface stream: %d samples drawn in %d chunk(s), %d built (along-axis "
-                  "window), %d within R = %.3f m", count, -(-count // SURFACE_CHUNK), built,
-                  within, reach)
+        lo, hi = _along_window(t, reach)
+        span = t.longitudinal_extent
+        ranges = _window_ranges(count, s0, max(lo / span + 0.5, 0.0), min(hi / span + 0.5, 1.0))
+    within = 0
+    for start, stop in ranges:
+        for first in range(start, stop, COVERAGE_CHUNK):
+            i = np.arange(first, min(first + COVERAGE_CHUNK, stop), dtype=float)
+            u = np.concatenate([(i + 0.5) / count + s0, i * _INV_PHI + s1])[None]
+            u -= np.floor(u)
+            points = t.frame.to_world(_local_points(t, *_scale_draws(t, len(i), u, None)))[0]
+            if reach is not None:
+                points = points[np.sqrt(sum(points[:, k] ** 2 for k in range(3))) <= reach]
+            within += len(points)
+            yield points
+    if reach is not None:
+        log.debug("surface stream: shifted lattice of %d points, %d generated in %d index "
+                  "range(s) of the along-axis window, %d within R = %.3f m", count,
+                  sum(stop - start for start, stop in ranges), len(ranges), within, reach)
 
 
 def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator,
                           reach: float | None = None) -> np.ndarray:
-    """Draw ``count`` area-uniform test points over the full surface, as (k, 3).
+    """The ``count`` points of a shifted lattice over the full surface, as (k, 3).
 
     The concatenation of ``surface_point_chunks``: all ``count`` points, or
     with ``reach`` the rows within ``reach`` of the world origin.

@@ -7,6 +7,7 @@ import reachbot as rb
 from reachbot.mechanics import stance_metrics
 from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix, mount_arrays
+from reachbot import terrain
 from reachbot.terrain import CORRIDOR
 
 
@@ -106,3 +107,32 @@ def surface_area(t):
     if t.kind == CORRIDOR:
         return 2.0 * np.pi * a * b
     return a * b
+
+
+class Shift:
+    """A generator stand-in whose ``random(2)`` is the given lattice shift."""
+
+    def __init__(self, s0, s1):
+        self.shift = np.array([s0, s1], dtype=float)
+
+    def random(self, size):
+        assert size == 2
+        return self.shift.copy()
+
+
+def lattice_local(t, count, shift):
+    """Reference: the local points, (1, count, 3), of the shifted golden
+    lattice u_i = frac((i + 1/2) / count + s0) along, v_i = frac(i / phi + s1)
+    across, each coordinate computed over the whole lattice at once."""
+    i = np.arange(count, dtype=float)
+    u = np.concatenate([(i + 0.5) / count + shift[0],
+                        i * ((np.sqrt(5.0) - 1.0) / 2.0) + shift[1]])[None]
+    u -= np.floor(u)
+    return terrain._local_points(t, *terrain._scale_draws(t, count, u, None))
+
+
+def lattice_points(t, count, shift, reach=None):
+    """Reference: the whole lattice's world points as one product; with
+    ``reach``, then screened to |p| <= ``reach``."""
+    points = t.frame.to_world(lattice_local(t, count, shift))[0]
+    return points if reach is None else points[np.linalg.norm(points, axis=1) <= reach]

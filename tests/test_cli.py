@@ -106,6 +106,33 @@ class TestValidate:
         assert capsys.readouterr().err == f"error: config file holds {value}, not a finite number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'\xff\xfe{"schema_version": 1}')
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        what = "config" if command == "validate" else "stance"
+        assert err == (f"error: cannot read {what} file {path}: Is a directory\n"
+                       if kind == "directory" else
+                       f"error: {what} file is not UTF-8 text: {path}\n")
+
+    @pytest.mark.parametrize("key,message", [
+        ("robot.body_mass", "robot.body_mass is past the float range"),
+        ("terrain.frame.origin", "terrain: int too large to convert to float"),
+    ], ids=["body_mass", "frame_origin"])
+    def test_integer_past_float_range(self, tmp_path, capsys, key, message):
+        cfg = default_config_dict()
+        set_key(cfg, key, [10 ** 400, 0, 0] if key.endswith("origin") else 10 ** 400)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
     def test_schema_version_must_be_int_1(self, tmp_path, capsys, version):
         cfg = default_config_dict()

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot import interference
+from reachbot import interference, terrain
 from reachbot.interference import coverage_from_mounts
 from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
-from reachbot.terrain import Frame, sample_pools
+from reachbot.terrain import Frame
+from conftest import Shift, lattice_points
 
 
 def whole_array_coverage(robot, points):
@@ -40,7 +41,7 @@ def row(coverage):
 
 
 def coverage(cfg, terrain, sample_count, rng):
-    """Monte Carlo coverage record of one robot configuration."""
+    """Coverage record of one robot configuration over shifted-lattice surface samples."""
     points = rb.sample_surface_points(terrain, sample_count, rng)
     return row(coverage_from_mounts(cfg, points))
 
@@ -95,7 +96,7 @@ class TestCoverage:
         assert a == b
 
     def test_doubling_samples_converges(self, robot8, corridor):
-        # error vs a large-sample reference shrinks like 1/sqrt(S) for most seeds
+        # error vs a fine-grid reference within independent draws' 2-sigma band for most seeds
         ref = corridor_grid_coverage(robot8, 15.0, 100.0, 600, 600)["unique_pct"]
         hits = 0
         seeds = range(20)
@@ -105,6 +106,17 @@ class TestCoverage:
             if abs(big - ref) <= 2.0 / np.sqrt(4000) and abs(small - ref) <= 2.0 / np.sqrt(1000):
                 hits += 1
         assert hits >= 17  # 2-sigma band holds for nearly all seeds
+
+    def test_lattice_error_far_below_independent_draws(self, robot8, corridor):
+        # At 20,000 samples, seeds 0-9: independent area-uniform draws missed
+        # this oracle by up to 4.8e-3 (unique) and 3.6e-3 (overlap), the
+        # shifted lattice by 3.6e-4 and 7.1e-4. The grid's own error is below
+        # 1e-4 (a 4000 x 4000 grid moves it by 2.5e-5 and 5.8e-5).
+        oracle = corridor_grid_coverage(robot8, 15.0, 100.0, 2000, 2000)
+        for seed in range(10):
+            got = coverage(robot8, corridor, 20000, substream(seed, 0, "surface"))
+            assert abs(got["unique_pct"] - oracle["unique_pct"]) < 1.5e-3
+            assert abs(got["overlap_pct"] - oracle["overlap_pct"]) < 1.5e-3
 
 
 class TestCoverageCurve:
@@ -147,7 +159,8 @@ class TestChunkedCurve:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 7)  # does not divide 1,000
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 7)  # does not divide 1,000
+        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 7)  # coverage_from_mounts' passes
 
     @pytest.mark.parametrize("policy,n_range", [
         ("nested", (1, 12)), ("nested", (4, 9)), ("uniform", (1, 8)),
@@ -183,18 +196,16 @@ class TestChunkedCurve:
         rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, substream(3, 0, "surface"))
         points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
         in_reach = np.linalg.norm(points, axis=1) <= robot8.L_max + robot8.body_radius
-        assert sizes and max(sizes) <= interference.COVERAGE_CHUNK
+        assert sizes and max(sizes) <= terrain.COVERAGE_CHUNK
         # one pass over the samples within reach: the nested lattice is one block
         assert 0 < sum(sizes) == in_reach.sum() < self.SAMPLES
 
     @pytest.mark.parametrize("policy,n_range", [("nested", (1, 12)), ("uniform", (3, 6))])
-    def test_draw_chunks_of_seven(self, robot8, corridor, monkeypatch, policy, n_range):
-        # Seven draws per chunk as well: the one-shot draw of every sample is the oracle.
-        monkeypatch.setattr("reachbot.terrain.SURFACE_CHUNK", 7)
+    def test_draw_chunks_of_seven(self, robot8, corridor, policy, n_range):
+        # Seven lattice points per chunk: the whole lattice, built at once, is the oracle.
         reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
                                  substream(3, 0, "surface"), layout_policy=policy)
-        u = substream(3, 0, "surface").random((1, 2 * self.SAMPLES))
-        points = sample_pools(corridor, self.SAMPLES, None, u)[0]
+        points = lattice_points(corridor, self.SAMPLES, substream(3, 0, "surface").random(2))
         lo, hi = n_range
         robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
                   else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
@@ -233,14 +244,15 @@ class TestReachScreen:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 257)
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
 
     @pytest.fixture
     def points(self, corridor):
         return rb.sample_surface_points(corridor, self.SAMPLES, substream(8, 0, "surface"))
 
     def screened(self, blocks, points):
-        return column_records(interference._block_coverage(blocks, [points], len(points)))
+        passes = [points[i:i + 257] for i in range(0, len(points), 257)]
+        return column_records(interference._block_coverage(blocks, passes, len(points)))
 
     def test_nested_block(self, points):
         blocks = [(rb.make_robot(12), range(1, 13))]
@@ -267,9 +279,9 @@ class TestReachScreen:
             reach = interference._reach(robot)
             for p, covered in zip(points, accepted):
                 floor = rb.floor(1.0, 1.0, Frame(origin=p))
-                kept = rb.sample_surface_points(floor, 1, Draws([0.5, 0.5]), reach)
+                kept = rb.sample_surface_points(floor, 1, Shift(0.0, 0.5), reach)
                 assert np.array_equal(kept, [p])  # the same values (0.0 for a -0.0)
-                record = row(rb.coverage_curve(robot, floor, (n, n), 1, Draws([0.5, 0.5]),
+                record = row(rb.coverage_curve(robot, floor, (n, n), 1, Shift(0.0, 0.5),
                                                robots=[robot]))
                 assert record["count_histogram"][0] == (0 if covered else 1)
         assert past_bound > 0
@@ -286,24 +298,28 @@ class TestReachScreen:
         in_window = (np.abs(points[:, 0]) <= np.sqrt(reach ** 2 - 15.0 ** 2) + 1e-6).sum()
         (stream,) = [r.getMessage() for r in caplog.records if r.name == "reachbot.terrain"]
         (passes,) = [r.getMessage() for r in caplog.records if r.name == "reachbot.interference"]
-        total, chunks, built, within, r = re.fullmatch(
-            r"surface stream: (\d+) samples drawn in (\d+) chunk\(s\), (\d+) built "
-            r"\(along-axis window\), (\d+) within R = ([\d.]+) m", stream).groups()
-        assert (int(total), int(chunks), int(built), int(within)) == (
-            self.SAMPLES, 1, in_window, in_reach)
+        total, generated, ranges, within, r = re.fullmatch(
+            r"surface stream: shifted lattice of (\d+) points, (\d+) generated in (\d+) index "
+            r"range\(s\) of the along-axis window, (\d+) within R = ([\d.]+) m", stream).groups()
+        assert (int(total), int(within)) == (self.SAMPLES, in_reach)
+        # The index ranges hold the window's points and a margin of two or
+        # three indices at each end of the window.
+        assert in_window + 4 <= int(generated) <= in_window + 6
+        assert int(ranges) in (1, 2)
         assert float(r) == pytest.approx(reach, abs=1e-3)
         n_blocks, given, total, size, pairs = re.fullmatch(
             r"coverage over (\d+) mount block\(s\): (\d+) of (\d+) samples given, feasibility "
             r"passes of up to (\d+) samples, largest (\d+) mount-sample pairs", passes).groups()
         assert (int(n_blocks), int(given), int(total)) == (blocks, in_reach, self.SAMPLES)
-        assert int(size) == interference.COVERAGE_CHUNK < in_reach and int(pairs) == 6 * int(size)
+        assert int(size) == terrain.COVERAGE_CHUNK < in_reach and int(pairs) == 6 * int(size)
 
     @pytest.mark.parametrize("policy", ["nested", "uniform"])
     def test_debug_log_counts_chunks_and_passes(self, robot8, corridor, caplog, monkeypatch,
                                                 policy):
-        # 3,000 draws in chunks of 1,000: three chunks; the largest pass is the
-        # largest feasibility matrix any block's robot was given.
-        monkeypatch.setattr("reachbot.terrain.SURFACE_CHUNK", 1000)
+        # Chunks of 100 lattice points: every pass holds one chunk's points
+        # within R, and the largest pass is the largest feasibility matrix
+        # any block's robot was given.
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 100)
         sizes = []
 
         def recording(robot, points):
@@ -314,10 +330,13 @@ class TestReachScreen:
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               substream(42, 0, "surface"), layout_policy=policy)
-        (chunks,) = re.findall(r"drawn in (\d+) chunk\(s\)", caplog.text)
+        ((generated, within),) = re.findall(r"(\d+) generated in .* (\d+) within R", caplog.text)
         ((size, pairs),) = re.findall(r"passes of up to (\d+) samples, largest (\d+) ",
                                       caplog.text)
-        assert int(chunks) == 3
+        blocks = 1 if policy == "nested" else 3
+        assert len(sizes) % blocks == 0
+        assert -(-int(within) // 100) <= len(sizes) // blocks <= -(-int(generated) // 100) + 1
+        assert sum(n for n, _ in sizes) == blocks * int(within)
         assert (int(size), int(pairs)) == tuple(map(max, zip(*sizes)))
 
 
@@ -338,34 +357,6 @@ WINDOW_TERRAINS = {
 }
 
 
-class Draws:
-    """A generator stand-in that hands out the given unit draws in order.
-
-    It is its own bit generator: ``advance`` skips draws and ``state`` is the
-    position, as ``surface_point_chunks`` uses them on a PCG64 generator."""
-
-    def __init__(self, u):
-        self.u, self.pos, self.bit_generator = np.asarray(u, dtype=float), 0, self
-
-    def random(self, out):
-        out[...] = self.u[self.pos:self.pos + len(out)]
-        self.advance(len(out))
-        return out
-
-    def advance(self, n):
-        self.pos += n
-        assert self.pos <= len(self.u)
-        return self
-
-    @property
-    def state(self):
-        return {"pos": self.pos, "has_uint32": 0, "uinteger": 0}
-
-    @state.setter
-    def state(self, state):
-        self.pos = state["pos"]
-
-
 class TestAlongWindow:
     """Coverage that builds only the samples in the along-axis window, against
     every sample of ``sample_surface_points`` through the oracles."""
@@ -374,7 +365,7 @@ class TestAlongWindow:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 257)
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
 
     @staticmethod
     def curve_and_oracle(terrain, policy, n_range, rng_factory, samples):
@@ -428,28 +419,30 @@ class TestAlongWindow:
 
     @pytest.mark.parametrize("name", ["corridor", "corridor_tilted", "robot_off_axis"])
     def test_samples_on_the_window_bound(self, name):
-        # Along draws at c_along +- sqrt(R^2 - h^2), walked +-40 ulps, at the
-        # angle of the circle point nearest the body centre: distances
-        # straddle R, and every sample whose computed distance is within R
-        # must be built.
+        # One-point lattices at c_along +- sqrt(R^2 - h^2), walked +-40 ulps,
+        # at the angle of the circle point nearest the body centre: distances
+        # straddle R, and every point whose computed distance is within R
+        # must come out of the stream and be covered as the oracle says.
         terrain = WINDOW_TERRAINS[name]
         (radius, length), frame = terrain.dims, terrain.frame
-        reach = interference._reach(rb.make_robot(12))
+        robot = rb.make_robot(12)
+        reach = interference._reach(robot)
         c = -(frame.origin @ frame.rotation)
         h = radius - np.hypot(c[1], c[2])
         half = np.sqrt(reach ** 2 - h ** 2)
-        u_along = np.concatenate([u0 + np.arange(-40, 41) * np.spacing(u0) for u0 in (
-            (c[0] - half + length / 2) / length, (c[0] + half + length / 2) / length)])
         angle = np.mod(np.arctan2(c[2], c[1]), 2 * np.pi) if np.hypot(c[1], c[2]) else 0.0
-        u = np.concatenate([u_along, np.full(len(u_along), angle / (2 * np.pi))])
-        full = rb.sample_surface_points(terrain, len(u_along), Draws(u))
-        dist = np.linalg.norm(full, axis=1)
-        assert (dist <= reach).any() and (dist > reach).any()
-        built = rb.sample_surface_points(terrain, len(u_along), Draws(u), reach)
-        assert np.isin(full[dist <= reach].view("V24"), built.view("V24")).all()
-        got, want = self.curve_and_oracle(terrain, "nested", (1, 12), lambda: Draws(u),
-                                          len(u_along))
-        assert got == want
+        inside = 0
+        for u0 in ((c[0] - half) / length + 0.5, (c[0] + half) / length + 0.5):
+            for s0 in u0 - 0.5 + np.arange(-40, 41) * np.spacing(u0):
+                full = rb.sample_surface_points(terrain, 1, Shift(s0, angle / (2 * np.pi)))
+                within = np.linalg.norm(full, axis=1)[0] <= reach
+                inside += within
+                built = rb.sample_surface_points(terrain, 1, Shift(s0, angle / (2 * np.pi)), reach)
+                assert built.tobytes() == (full.tobytes() if within else b"")
+                record = row(rb.coverage_curve(robot, terrain, (12, 12), 1,
+                                               Shift(s0, angle / (2 * np.pi))))
+                assert record == whole_array_coverage(robot, full)
+        assert 0 < inside < 162
 
     @pytest.mark.parametrize("terrain", [
         rb.corridor(15, 100, Frame(origin=np.array([500.0, 0, 0]))),
@@ -461,8 +454,8 @@ class TestAlongWindow:
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             records, oracle = self.curve_and_oracle(terrain, "nested", (1, 4),
                                                     lambda: substream(11, 0, "surface"), 500)
-        assert ("500 samples drawn in 1 chunk(s), 0 built (along-axis window), 0 within R"
-                in caplog.text)
+        assert ("shifted lattice of 500 points, 0 generated in 0 index range(s) of the "
+                "along-axis window, 0 within R" in caplog.text)
         assert "0 of 500 samples given" in caplog.text
         assert records == oracle
         for n, record in enumerate(records, 1):
@@ -471,10 +464,8 @@ class TestAlongWindow:
 
 
 def test_coverage_peak_memory_flat_in_samples(corridor):
-    # Live at the peak: one chunk's unit draws (2 MiB) or one 16-mount
-    # feasibility pass over COVERAGE_CHUNK samples (about 3 MiB) and its
-    # chunk's built points; no array grows with the sample count (measured:
-    # 3.6 MiB at both counts).
+    # Live at the peak: one 16-mount feasibility pass over COVERAGE_CHUNK
+    # samples (about 3 MiB); no array grows with the sample count.
     peaks = {}
     for count in (200_000, 2_000_000):
         rng = substream(42, 0, "surface")

@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,10 +9,9 @@ from scipy import stats
 import reachbot as rb
 from reachbot import terrain
 from reachbot.rng import substream, substream_uniforms
-from reachbot.terrain import (CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows,
-                              sample_pools, surface_point_chunks)
-from conftest import surface_area
-from test_interference import Draws
+from reachbot.terrain import (CORRIDOR, COVERAGE_CHUNK, WALL, Frame, Terrain,
+                              anchors_to_csv_rows, sample_pools, surface_point_chunks)
+from conftest import Shift, lattice_local, lattice_points, surface_area
 
 
 def to_local(frame: Frame, pts: np.ndarray) -> np.ndarray:
@@ -153,9 +154,8 @@ class TestSampling:
     @pytest.mark.parametrize("terrain", [rb.corridor(15, 100), rb.wall(10, 30), rb.floor(8, 12)],
                              ids=["corridor", "wall", "floor"])
     def test_surface_draw_peak_memory(self, terrain):
-        # Live at the peak: the draws (2 doubles a sample), two trig columns
-        # and the stacked points (3), plus Python objects; one more
-        # full-size temporary adds at least 8 bytes a sample.
+        # Live at the peak: the yielded chunks and their concatenation (48
+        # bytes a point), or one chunk's temporaries.
         count, rng = 100_000, substream(42, 0, "surface")
         tracemalloc.start()
         try:
@@ -163,15 +163,15 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 8 * count + 4096
+        assert peak <= 48 * count + 128 * COVERAGE_CHUNK
 
     @pytest.mark.parametrize("terrain", [
         rb.corridor(15, 100), rb.wall(30, 60, frame=Frame(origin=np.array([-5.0, 0, 0]))),
         rb.floor(30, 80, frame=Frame(origin=np.array([0, 0, -4.0])))],
         ids=["corridor", "wall", "floor"])
     def test_windowed_draw_peak_memory(self, terrain):
-        # The draws (16 bytes a sample) and a mask (1) over every sample;
-        # trig columns, stacked and transformed points only for built ones.
+        # As above, for the points within reach only: no array spans the
+        # lattice points outside the along-axis window.
         count = 100_000
         built = len(rb.sample_surface_points(terrain, count, substream(42, 0, "surface"), 20.5))
         rng = substream(42, 0, "surface")
@@ -182,7 +182,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert 0 < built < count
-        assert peak <= 17 * count + 7 * 8 * built + 4096
+        assert peak <= 48 * built + 128 * COVERAGE_CHUNK
 
     def test_rotated_frame_points_on_surface(self):
         c, s = np.cos(0.7), np.sin(0.7)
@@ -253,18 +253,6 @@ class TestSamplePools:
         assert np.array_equal(u[:, :4], pools[..., 0])  # scaled to the window, not copied
 
 
-def one_shot_points(t: Terrain, u: np.ndarray, reach=None) -> np.ndarray:
-    """Reference: the points of one (1, 2 * count) draw ``u``, windowed and
-    screened to |p| <= ``reach`` as a whole."""
-    along, across = terrain._scale_draws(t, u.shape[1] // 2, u, None)
-    if reach is not None:
-        lo, hi = terrain._along_window(t, reach)
-        keep = (along >= lo) & (along <= hi)
-        along, across = along[keep][None], across[keep][None]
-    points = t.frame.to_world(terrain._local_points(t, along, across))[0]
-    return points if reach is None else points[np.linalg.norm(points, axis=1) <= reach]
-
-
 STREAM_TERRAINS = {
     "corridor": rb.corridor(15, 100),
     "corridor_tilted": rb.corridor(15, 100, tilted_frame()),
@@ -275,85 +263,99 @@ STREAM_TERRAINS = {
 
 
 class TestSurfaceChunks:
-    """The chunked surface stream against one whole draw of the same generator."""
+    """The chunked, windowed surface stream against the whole shifted lattice."""
 
     @staticmethod
     def assert_same_generator(rng, ref):
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random(3).tobytes() == ref.random(3).tobytes()
 
+    @staticmethod
+    def stream(t, count, rng, reach):
+        chunks = list(surface_point_chunks(t, count, rng, reach))
+        assert all(len(c) <= terrain.COVERAGE_CHUNK for c in chunks)
+        return chunks, np.concatenate([np.empty((0, 3)), *chunks])
+
     @pytest.mark.parametrize("count", [0, 1, 1000])
     @pytest.mark.parametrize("reach", [None, 20.5], ids=["full", "reach"])
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
     def test_chunks_of_seven_are_the_one_shot_rows(self, name, reach, count, monkeypatch):
-        monkeypatch.setattr(terrain, "SURFACE_CHUNK", 7)  # divides no count but 0
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 7)  # divides no count but 0
         t = STREAM_TERRAINS[name]
         rng, ref = substream(11, 0, "surface"), substream(11, 0, "surface")
-        chunks = list(surface_point_chunks(t, count, rng, reach))
-        want = one_shot_points(t, ref.random((1, 2 * count)), reach)
-        assert len(chunks) == -(-count // 7)
+        chunks, got = self.stream(t, count, rng, reach)
+        want = lattice_points(t, count, ref.random(2), reach)
         if reach is None:
             assert [len(c) for c in chunks] == [min(7, count - i) for i in range(0, count, 7)]
         elif count == 1000:
             assert 0 < len(want) < count
-        got = np.concatenate([np.empty((0, 3)), *chunks])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         self.assert_same_generator(rng, ref)
         rng, ref = substream(11, 0, "surface"), substream(11, 0, "surface")
         assert rb.sample_surface_points(t, count, rng, reach).tobytes() == want.tobytes()
-        ref.random((1, 2 * count))
+        ref.random(2)
         self.assert_same_generator(rng, ref)
 
     @pytest.mark.parametrize("name", ["corridor", "wall"])
     def test_default_chunks(self, name):
-        t, count = STREAM_TERRAINS[name], 2 * terrain.SURFACE_CHUNK + 3
+        t, count = STREAM_TERRAINS[name], 2 * terrain.COVERAGE_CHUNK + 3
         for reach in (None, 20.5):
             rng, ref = substream(5, 0, "surface"), substream(5, 0, "surface")
-            want = one_shot_points(t, ref.random((1, 2 * count)), reach)
-            assert rb.sample_surface_points(t, count, rng, reach).tobytes() == want.tobytes()
+            want = lattice_points(t, count, ref.random(2), reach)
+            assert self.stream(t, count, rng, reach)[1].tobytes() == want.tobytes()
             self.assert_same_generator(rng, ref)
 
     def test_caller_buffer_kept(self, corridor):
-        # A 32-bit draw leaves half a 64-bit output buffered; the one-shot
-        # draw of doubles keeps it, and so must the jump ahead.
+        # The shift is two doubles: a 32-bit value buffered by an earlier
+        # draw stays buffered, as it would after rng.random(2).
         rng, ref = substream(9, 0, "surface"), substream(9, 0, "surface")
         for g in (rng, ref):
             g.integers(0, 2 ** 32, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == 1
         got = rb.sample_surface_points(corridor, 50, rng, 20.5)
-        assert got.tobytes() == one_shot_points(corridor, ref.random((1, 100)), 20.5).tobytes()
+        assert got.tobytes() == lattice_points(corridor, 50, ref.random(2), 20.5).tobytes()
         assert (rng.integers(0, 2 ** 32, dtype=np.uint32)
                 == ref.integers(0, 2 ** 32, dtype=np.uint32))
         self.assert_same_generator(rng, ref)
 
-    @pytest.mark.parametrize("pattern", [
-        (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 4, 0), (1, 0, 1), (3, 0, 1), (2, 1, 1), (0, 1, 5)])
-    def test_lone_rows(self, pattern, monkeypatch):
-        # Three chunks of 7 draws, holding pattern[i] draws inside the along
-        # window, all within reach: a row built alone in its chunk, or alone
-        # in the whole set, must come out as in the one-shot product. The
-        # angles are ones whose point a vector product (numpy's path for a
-        # lone row) rounds differently from a matrix row.
-        monkeypatch.setattr(terrain, "SURFACE_CHUNK", 7)
-        t, reach = STREAM_TERRAINS["corridor_tilted"], 40.0
-        length, frame = t.longitudinal_extent, t.frame
+    @pytest.mark.parametrize("where", ["window_centre", "window_start", "near_one"])
+    @pytest.mark.parametrize("name", STREAM_TERRAINS)
+    def test_window_across_the_wrap(self, name, where, caplog):
+        # Lattice index 0 at the window's centre or on its start puts the
+        # window's indices in two ranges, at the start and at the end; s0
+        # just below 1 puts index 0 at the far end of the terrain.
+        t, count, reach = STREAM_TERRAINS[name], 1000, 20.5
         lo, hi = terrain._along_window(t, reach)
-        assert -length / 2 < lo < hi < length / 2
-        u_in, u_out = ((lo + hi) / 2 + length / 2) / length, 0.0
-        angles = []
-        for a in np.arange(1, 400) / 400:
-            local = terrain._local_points(t, *terrain._scale_draws(t, 1, np.array([[u_in, a]]),
-                                                                    None))
-            vector = local @ frame.rotation.T + frame.origin
-            if vector.tobytes() != frame.to_world(local).tobytes():
-                angles.append(a)
-        assert len(angles) >= 21
-        along = np.concatenate([[u_in] * k + [u_out] * (7 - k) for k in pattern])
-        u = np.concatenate([along, angles[:21]])
-        chunks = list(surface_point_chunks(t, 21, Draws(u), reach))
-        want = one_shot_points(t, u[None].copy(), reach)
-        assert len(chunks) == 3 and len(want) == sum(pattern)
-        assert np.concatenate(chunks).tobytes() == want.tobytes()
+        a, b = max(lo / t.longitudinal_extent + 0.5, 0.0), hi / t.longitudinal_extent + 0.5
+        s0 = {"window_centre": np.mod((a + b) / 2 - 0.5 / count, 1.0),
+              "window_start": np.mod(a - 0.5 / count, 1.0),
+              "near_one": np.nextafter(1.0, 0.0)}[where]
+        with caplog.at_level(logging.DEBUG, logger="reachbot.terrain"):
+            got = self.stream(t, count, Shift(s0, 0.3), reach)[1]
+        want = lattice_points(t, count, (s0, 0.3), reach)
+        assert 0 < len(want) < count
+        assert got.tobytes() == want.tobytes()
+        ranges = int(re.search(r"in (\d) index range", caplog.text).group(1))
+        assert ranges == (1 if where == "near_one" else 2)
+
+    @pytest.mark.parametrize("pattern", [
+        (1, 0.0), (1, 0.61), (2, 0.5), (3, 0.13), (5, 0.9), (7, 0.37), (8, 0.75),
+        (1, np.nextafter(1.0, 0.0))])
+    def test_lone_rows(self, pattern, monkeypatch):
+        # Chunks of `chunk` lattice points (1: every row is built alone) on a
+        # tilted corridor, where numpy's vector path for a lone row rounds
+        # differently from a matrix row: every chunking gives the bytes of
+        # the one-shot lattice.
+        chunk, s0 = pattern
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", chunk)
+        t, count, reach = STREAM_TERRAINS["corridor_tilted"], 400, 40.0
+        full = lattice_points(t, count, (s0, 0.2))
+        vector = np.array([row @ t.frame.rotation.T + t.frame.origin
+                           for row in lattice_local(t, count, (s0, 0.2))[0]])
+        assert (vector != full).any()
+        for r, want in ((None, full), (reach, lattice_points(t, count, (s0, 0.2), reach))):
+            assert 20 < len(want) and (r is None or len(want) < count)
+            assert self.stream(t, count, Shift(s0, 0.2), r)[1].tobytes() == want.tobytes()
 
     def test_negative_count(self, corridor, rng):
         with pytest.raises(ValueError, match="non-negative"):
