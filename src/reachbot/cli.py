@@ -50,30 +50,36 @@ def _flat_records(value) -> bool:
         type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in value))
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+def _json_pieces(obj):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, piece by piece.
 
     ``indent`` makes json use its pure-Python encoder. So a top-level list of
-    flat records (dicts of scalars, such as a report's ``trials``) is written
+    flat records (dicts of scalars, such as a report's ``trials``) is encoded
     record by record with the C encoder, which puts a record's items on their
-    own indented lines; this adds the braces and the list around them.
+    own indented lines; this adds the braces and the list around them. Each
+    top-level key, record and other value is one piece.
     """
     if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
-        return json.dumps(obj, indent=2, sort_keys=True)
-    items = []
-    for key in sorted(obj):
+        yield json.dumps(obj, indent=2, sort_keys=True)
+        return
+    for i, key in enumerate(sorted(obj)):
+        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
         value = obj[key]
         if _flat_records(value):
-            text = "[\n" + ",\n".join(f"    {{\n      {_RECORD.encode(r)[1:-1]}\n    }}"
-                                      for r in value) + "\n  ]"
+            for j, r in enumerate(value):
+                yield f"{',' if j else '['}\n    {{\n      {_RECORD.encode(r)[1:-1]}\n    }}"
+            yield "\n  ]"
         else:  # encoded strings hold no raw newline, so this only indents
-            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _write_json(path: Path, obj):
-    path.write_text(_json_text(obj) + "\n")
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for
+    byte, one ``_json_pieces`` piece at a time: the whole text is never held."""
+    with open(path, "w") as fh:
+        fh.writelines(_json_pieces(obj))
+        fh.write("\n")
 
 
 def _load(args) -> tuple:

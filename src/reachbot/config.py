@@ -50,17 +50,24 @@ class ConfigError(ValueError):
 
 
 def read_json(path: str | Path, what: str):
-    """Parsed JSON of a file; an unreadable or non-UTF-8 file, malformed JSON, NaN or
-    Infinity is a ConfigError."""
+    """Parsed JSON of a file; an unreadable or non-UTF-8 file, malformed JSON, NaN,
+    Infinity or an integer past Python's digit limit is a ConfigError."""
     def finite(text: str) -> float:
         value = float(text)
         if value - value != 0:  # NaN or ±Infinity, also from a literal past the float range
             raise ConfigError(f"{what} file holds {text}, not a finite number")
         return value
 
+    def integer(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ConfigError(f"{what} file holds an integer of {len(text.lstrip('-'))} "
+                              "digits, too long to read") from None
+
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite,
-                          parse_float=finite)
+                          parse_float=finite, parse_int=integer)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:  # a directory, or no permission

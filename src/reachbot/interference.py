@@ -4,9 +4,12 @@ A surface point is accessible to a robot's boom iff ``feasibility_matrix``
 accepts it, the same test that anchor grasping uses, so "can cover" and
 "can grasp" never disagree. Coverage is the fraction of the points of a
 randomly shifted golden lattice on the surface (``surface_point_chunks``)
-that the booms reach: the shift is drawn from the caller's generator, so
-the estimate is unbiased over it, and its error is far below that of as
-many independent draws. Overlap (area reachable by two or more booms)
+that the booms reach. The lattice's shift is two unit doubles the caller
+gives: the study's are the first two of stream ``surface``, computed by
+``rng.substream_uniforms`` (``rng.substream(seed, 0, "surface").random(2)``
+gives the same doubles, but imports ``numpy.random``). The estimate is
+unbiased over a uniform shift, and its error is far below that of as many
+independent draws. Overlap (area reachable by two or more booms)
 quantifies redundancy without new reachable terrain.
 
 Only the samples within reach enter the feasibility passes. A boom
@@ -112,12 +115,14 @@ def coverage_curve(
     terrain: Terrain,
     n_range: tuple[int, int],
     sample_count: int,
-    rng: np.random.Generator,
+    shift,
     layout_policy: str = "nested",
     robots: Sequence[RobotConfig] | None = None,
 ) -> Coverage:
     """Coverage columns, one row per boom count, sharing one surface sample set.
 
+    The samples are the ``sample_count`` points of the golden lattice shifted
+    by ``shift``, two unit doubles (see ``surface_point_chunks``).
     ``robots``, when given, lists each boom count's own robot, lo first.
     Otherwise ``layout_policy`` places the mounts on ``robot``'s body:
     ``nested`` takes the first N of one golden-angle lattice of size n_max,
@@ -147,6 +152,6 @@ def coverage_curve(
     else:
         raise ValueError(f"unknown layout policy {layout_policy!r}")
     reach = max(_reach(r) for r, _ in blocks)
-    return _block_coverage(blocks, surface_point_chunks(terrain, sample_count, rng, reach),
+    return _block_coverage(blocks, surface_point_chunks(terrain, sample_count, shift, reach),
                            sample_count)
 

@@ -6,12 +6,17 @@ never perturbs the draws of another purpose.
 
 The stream of a key is numpy's: ``SeedSequence([seed, trial, crc32(tag)])``
 seeds a PCG64 generator, whose 64-bit outputs x become the 53-bit doubles
-(x >> 11) * 2**-53 in [0, 1). ``substream`` returns that generator.
-``substream_uniforms`` computes the first n doubles of many (trial, tag)
-streams in one vectorised pass, bit for bit those of
-``substream(seed, trial, tag).random(n)``: it runs SeedSequence's hash
-mixing over all rows at once, then jumps PCG64's 128-bit LCG (O'Neill,
-PCG, HMC-CS-2014-0905) straight to each of the n states.
+(x >> 11) * 2**-53 in [0, 1). ``substream_uniforms`` computes the first n
+doubles of many (trial, tag) streams in one vectorised pass: it runs
+SeedSequence's hash mixing over all rows at once, then jumps PCG64's 128-bit
+LCG (O'Neill, PCG, HMC-CS-2014-0905) straight to each of the n states. It
+is every draw a study takes (anchor pools, and the coverage lattice's
+shift), so a study never imports ``numpy.random``.
+
+``substream`` returns numpy's own generator of a key. The study does not
+call it: it is the reference that ``substream_uniforms`` equals bit for bit
+(row i is ``substream(seed, trials[i], tags[i]).random(n)``), and the
+generator that ``terrain.sample_anchors`` takes.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
-from .rng import substream, substream_uniforms
+from .rng import substream_uniforms
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
 from .stance import match_pools, mount_arrays
 from .terrain import Terrain, sample_pools
@@ -392,12 +392,14 @@ class StudyReport:
 def study_coverage(sc: StudyConfig, sample_count: int) -> Coverage:
     """The study's coverage curve over ``sample_count`` surface samples.
 
-    Explicit robot.mounts are covered as given, on each ``sc.robot(n)``;
-    generated robots' mounts are placed by ``coverage_layout``.
+    The lattice shift is the first two doubles of stream ``surface`` of
+    trial 0. Explicit robot.mounts are covered as given, on each
+    ``sc.robot(n)``; generated robots' mounts are placed by ``coverage_layout``.
     """
     explicit = sc.layout == EXPLICIT_LAYOUT
-    return coverage_curve(sc.robot_template, sc.terrain, sc.n_range, sample_count,
-                          substream(sc.seed, 0, "surface"), sc.coverage_layout,
+    shift = substream_uniforms(sc.seed, [0], "surface", 2)[0]
+    return coverage_curve(sc.robot_template, sc.terrain, sc.n_range, sample_count, shift,
+                          sc.coverage_layout,
                           [sc.robot(n) for n in sc.boom_counts] if explicit else None)
 
 

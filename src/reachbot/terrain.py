@@ -7,10 +7,13 @@ Three topologies are supported:
 * wall -- a vertical rectangle in the local y-z plane, normal +x;
 * floor -- a horizontal rectangle in the local x-y plane, normal +z.
 
-Anchor pools are i.i.d. area-uniform draws; coverage test points are a
-randomly shifted lattice whose every point is area-uniform. Both are
-deterministic given the caller's generator. Terrain values are immutable and
-safe to share across threads.
+Anchor pools are i.i.d. area-uniform draws: ``sample_pools`` scales the
+caller's unit doubles (the study's come from ``rng.substream_uniforms``),
+and ``sample_anchors`` draws one pool from a numpy generator such as
+``rng.substream``, the reference that the tests and the benchmark check the
+study's pools against. Coverage test points are a lattice shifted by two
+unit doubles the caller gives; every point is area-uniform over the shift.
+Terrain values are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -221,18 +224,18 @@ def _window_ranges(count: int, s0: float, a: float, b: float) -> list[tuple[int,
     return [(start, stop)] if stop <= count else [(0, stop - count), (start, count)]
 
 
-def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
-                         reach: float | None = None):
+def surface_point_chunks(t: Terrain, count: int, shift, reach: float | None = None):
     """Area-uniform test points over the full surface, as (k, 3) arrays of at
     most COVERAGE_CHUNK rows.
 
     The points are a randomly shifted golden lattice: point i of ``count``
     has unit coordinates u_i = frac((i + 1/2) / count + s0) along and
     v_i = frac(i / phi + s1) across, scaled as ``sample_pools`` scales unit
-    draws over the full longitudinal extent. The shift (s0, s1) is
-    ``rng.random(2)``, the only draws taken, so every point is uniform on the
-    surface and any area fraction estimated from them is unbiased over the
-    shift. Concatenated, the chunks are the lattice's rows in index order.
+    draws over the full longitudinal extent. ``shift`` is (s0, s1); the
+    study's is the first two doubles of stream ``surface``, in [0, 1). Over
+    a uniform shift every point is uniform on the surface, so any area
+    fraction estimated from them is unbiased. Concatenated, the chunks are
+    the lattice's rows in index order.
     With ``reach``, only the indices whose u_i can fall in ``_along_window``
     are generated (one or two index ranges: no point outside them can lie
     within ``reach``), and of those only the points whose |p| (in
@@ -242,7 +245,10 @@ def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    s0, s1 = rng.random(2)
+    shift = np.asarray(shift, dtype=float)
+    if shift.shape != (2,) or not np.isfinite(shift).all():
+        raise ValueError("shift must be two finite doubles")
+    s0, s1 = shift
     ranges = [(0, count)]
     if reach is not None:
         lo, hi = _along_window(t, reach)
@@ -265,14 +271,14 @@ def surface_point_chunks(t: Terrain, count: int, rng: np.random.Generator,
                   sum(stop - start for start, stop in ranges), len(ranges), within, reach)
 
 
-def sample_surface_points(t: Terrain, count: int, rng: np.random.Generator,
+def sample_surface_points(t: Terrain, count: int, shift,
                           reach: float | None = None) -> np.ndarray:
     """The ``count`` points of a shifted lattice over the full surface, as (k, 3).
 
     The concatenation of ``surface_point_chunks``: all ``count`` points, or
     with ``reach`` the rows within ``reach`` of the world origin.
     """
-    return np.concatenate([*surface_point_chunks(t, count, rng, reach), np.empty((0, 3))])
+    return np.concatenate([*surface_point_chunks(t, count, shift, reach), np.empty((0, 3))])
 
 
 def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:

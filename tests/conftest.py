@@ -109,15 +109,10 @@ def surface_area(t):
     return a * b
 
 
-class Shift:
-    """A generator stand-in whose ``random(2)`` is the given lattice shift."""
-
-    def __init__(self, s0, s1):
-        self.shift = np.array([s0, s1], dtype=float)
-
-    def random(self, size):
-        assert size == 2
-        return self.shift.copy()
+def surface_shift(seed, trial=0):
+    """The coverage lattice's shift of a seed: the first two doubles of its
+    stream ``surface``, by numpy's own generator."""
+    return substream(seed, trial, "surface").random(2)
 
 
 def lattice_local(t, count, shift):

@@ -19,7 +19,7 @@ from reachbot.mechanics import legacy_stiffness_cable, legacy_stiffness_pointmas
 from reachbot.rng import substream
 from reachbot.study import REL_EPS
 
-from conftest import random_stance
+from conftest import random_stance, surface_shift
 from test_interference import corridor_grid_coverage
 from test_mechanics import charpoly_coeffs
 from test_stance import subset_dp_assign
@@ -86,7 +86,7 @@ def test_4_coverage_saturation(corridor):
     start = time.time()
     template = rb.make_robot(1)
     reps = rb.coverage_curve(template, corridor, (1, 12), 20000,
-                             substream(SEED, 0, "surface"))
+                             surface_shift(SEED))
     unique = reps["unique_pct"]
     overlap = reps["overlap_pct"]
     increasing = bool(np.all(np.diff(unique) > 0) and np.all(np.diff(overlap) > 0))
@@ -117,7 +117,7 @@ def test_6_constraint_selection(corridor, table):
     template = rb.make_robot(1)
     summary = rb.aggregate(table, template)
     cov = rb.coverage_curve(template, corridor, (1, 10), 20000,
-                            substream(SEED, 0, "surface"))
+                            surface_shift(SEED))
     obo_only = rb.select_design(summary, cov,
                                 rb.Constraints(tau_drill=0.0, one_boom_out=True),
                                 template)

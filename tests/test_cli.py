@@ -1,15 +1,17 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.cli import _json_text, main
+from reachbot.cli import _write_json, main
 from reachbot.config import load_config, parse_config
 from reachbot.robot import fibonacci_sphere
 from reachbot.study import draw_pools, run_study
@@ -132,6 +134,23 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "eval"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, command, sign):
+        # Python reads at most 4,300 digits of an integer string by default.
+        digits = "1" + "0" * 5000
+        path = tmp_path / "input.json"
+        if command == "validate":
+            cfg = default_config_dict()
+            cfg["robot"]["body_mass"] = 12345.5
+            path.write_text(json.dumps(cfg).replace("12345.5", sign + digits))
+        else:
+            path.write_text(f'{{"n_booms": {sign}{digits}}}')
+        assert main([command, str(path)]) == 1
+        what = "config" if command == "validate" else "stance"
+        assert capsys.readouterr().err == (
+            f"error: {what} file holds an integer of 5001 digits, too long to read\n")
 
     @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
     def test_schema_version_must_be_int_1(self, tmp_path, capsys, version):
@@ -286,30 +305,52 @@ class TestStudy:
 
 
 class TestJsonWriter:
-    """The report writer against json.dumps(indent=2, sort_keys=True), byte for byte."""
+    """The file the report writer writes against json.dumps(indent=2, sort_keys=True)
+    and a newline, byte for byte."""
 
     SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json"
 
     @staticmethod
-    def same_text(obj):
-        return _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    @functools.cache
+    def shipped_report(trials):
+        raw = json.loads(TestJsonWriter.SHIPPED.read_text())
+        raw["study"]["trials"] = trials
+        return run_study(parse_config(raw), raw).to_dict()
+
+    @staticmethod
+    def same_text(obj, path):
+        _write_json(path, obj)
+        return path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
     @pytest.mark.parametrize("trials", [100, 1000])
-    def test_shipped_report(self, trials):
-        raw = json.loads(self.SHIPPED.read_text())
-        raw["study"]["trials"] = trials
-        report = run_study(parse_config(raw), raw).to_dict()
+    def test_shipped_report(self, trials, tmp_path):
+        report = self.shipped_report(trials)
         assert len(report["trials"]) == 10 * trials
-        assert self.same_text(report)
+        assert self.same_text(report, tmp_path / "report.json")
 
-    def test_nan_aggregates(self):
+    def test_streamed_peak_memory(self, tmp_path):
+        # The 1,000-trial report's text is 4.29 MB; written piece by piece,
+        # no copy of it is held, so the peak stays below a quarter of it.
+        report = self.shipped_report(1000)
+        size = len(json.dumps(report, indent=2, sort_keys=True)) + 1
+        tracemalloc.start()
+        try:
+            _write_json(tmp_path / "report.json", report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report.json").stat().st_size == size > 4_000_000
+        assert peak < size / 4
+
+    def test_nan_aggregates(self, tmp_path):
         cfg = default_config_dict(seed=3)
         cfg["study"].update(n_range=[5, 7], trials=3, surface_samples=500)
         report = run_study(parse_config(cfg), cfg).to_dict()
         report["summary"][0]["agg_stability"] = float("nan")
         report["summary"][1]["mass"] = float("inf")
         report["trials"][0].update(lambda_min=float("nan"), lambda_max=-float("inf"))
-        assert "NaN" in json.dumps(report["trials"][0]) and self.same_text(report)
+        assert "NaN" in json.dumps(report["trials"][0])
+        assert self.same_text(report, tmp_path / "report.json")
 
     @pytest.mark.parametrize("obj", [
         {}, [], 1.5, {"a": []}, {"a": [{}]}, {"a": [{"x": 1}, {}]},
@@ -318,8 +359,8 @@ class TestJsonWriter:
         {"b": {"c": [1, {"d": "x"}]}, "a": [{"y": 1.0, "x": -0.0}, {"x": 1e300}]},
         {"k": [{10: "int keys", 2: 0}]}, {3: [{"x": 1}], 1: {"y": 2}},
     ])
-    def test_edge_shapes(self, obj):
-        assert self.same_text(obj)
+    def test_edge_shapes(self, obj, tmp_path):
+        assert self.same_text(obj, tmp_path / "out.json")
 
 
 class TestStance:

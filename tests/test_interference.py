@@ -8,11 +8,10 @@ import pytest
 import reachbot as rb
 from reachbot import interference, terrain
 from reachbot.interference import coverage_from_mounts
-from reachbot.rng import substream
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
 from reachbot.terrain import Frame
-from conftest import Shift, lattice_points
+from conftest import lattice_points, surface_shift
 
 
 def whole_array_coverage(robot, points):
@@ -40,9 +39,9 @@ def row(coverage):
     return record
 
 
-def coverage(cfg, terrain, sample_count, rng):
+def coverage(cfg, terrain, sample_count, shift):
     """Coverage record of one robot configuration over shifted-lattice surface samples."""
-    points = rb.sample_surface_points(terrain, sample_count, rng)
+    points = rb.sample_surface_points(terrain, sample_count, shift)
     return row(coverage_from_mounts(cfg, points))
 
 
@@ -63,13 +62,13 @@ class TestCoverageFromMounts:
 
     def test_identical_mounts_overlap_equals_unique(self, corridor, rng):
         m = rb.MountSpec(position=np.array([0.5, 0, 0]), axis=np.array([1.0, 0, 0]))
-        pts = rb.sample_surface_points(corridor, 4000, rng)
+        pts = rb.sample_surface_points(corridor, 4000, rng.random(2))
         rep = row(coverage_from_mounts(rb.make_robot(2, mounts=[m, m]), pts))
         assert rep["overlap_pct"] == pytest.approx(rep["unique_pct"])
         assert rep["per_boom_marginal"][1] == pytest.approx(0.0)
 
     def test_histogram_consistent(self, robot8, corridor, rng):
-        pts = rb.sample_surface_points(corridor, 5000, rng)
+        pts = rb.sample_surface_points(corridor, 5000, rng.random(2))
         rep = row(coverage_from_mounts(robot8, pts))
         hist = np.array(rep["count_histogram"])
         assert hist.sum() == 5000
@@ -77,7 +76,7 @@ class TestCoverageFromMounts:
         assert rep["overlap_pct"] == pytest.approx(hist[2:].sum() / 5000)
 
     def test_marginals_sum_to_unique(self, robot8, corridor, rng):
-        pts = rb.sample_surface_points(corridor, 5000, rng)
+        pts = rb.sample_surface_points(corridor, 5000, rng.random(2))
         rep = row(coverage_from_mounts(robot8, pts))
         assert sum(rep["per_boom_marginal"]) == pytest.approx(rep["unique_pct"], abs=1e-12)
         assert all(m >= 0 for m in rep["per_boom_marginal"])
@@ -85,14 +84,14 @@ class TestCoverageFromMounts:
 
 class TestCoverage:
     def test_matches_grid_oracle(self, robot8, corridor):
-        mc = coverage(robot8, corridor, 20000, substream(42, 0, "surface"))
+        mc = coverage(robot8, corridor, 20000, surface_shift(42))
         oracle = corridor_grid_coverage(robot8, 15.0, 100.0, 400, 400)
         assert abs(mc["unique_pct"] - oracle["unique_pct"]) < 0.01
         assert abs(mc["overlap_pct"] - oracle["overlap_pct"]) < 0.01
 
     def test_reproducible(self, robot8, corridor):
-        a = coverage(robot8, corridor, 2000, substream(5, 0, "surface"))
-        b = coverage(robot8, corridor, 2000, substream(5, 0, "surface"))
+        a = coverage(robot8, corridor, 2000, surface_shift(5))
+        b = coverage(robot8, corridor, 2000, surface_shift(5))
         assert a == b
 
     def test_doubling_samples_converges(self, robot8, corridor):
@@ -101,8 +100,8 @@ class TestCoverage:
         hits = 0
         seeds = range(20)
         for s in seeds:
-            small = coverage(robot8, corridor, 1000, substream(s, 0, "surface"))["unique_pct"]
-            big = coverage(robot8, corridor, 4000, substream(s, 1, "surface"))["unique_pct"]
+            small = coverage(robot8, corridor, 1000, surface_shift(s))["unique_pct"]
+            big = coverage(robot8, corridor, 4000, surface_shift(s, 1))["unique_pct"]
             if abs(big - ref) <= 2.0 / np.sqrt(4000) and abs(small - ref) <= 2.0 / np.sqrt(1000):
                 hits += 1
         assert hits >= 17  # 2-sigma band holds for nearly all seeds
@@ -114,7 +113,7 @@ class TestCoverage:
         # 1e-4 (a 4000 x 4000 grid moves it by 2.5e-5 and 5.8e-5).
         oracle = corridor_grid_coverage(robot8, 15.0, 100.0, 2000, 2000)
         for seed in range(10):
-            got = coverage(robot8, corridor, 20000, substream(seed, 0, "surface"))
+            got = coverage(robot8, corridor, 20000, surface_shift(seed))
             assert abs(got["unique_pct"] - oracle["unique_pct"]) < 1.5e-3
             assert abs(got["overlap_pct"] - oracle["overlap_pct"]) < 1.5e-3
 
@@ -122,31 +121,32 @@ class TestCoverage:
 class TestCoverageCurve:
     def test_nested_unique_monotone(self, robot8, corridor):
         reps = rb.coverage_curve(robot8, corridor, (1, 12), 20000,
-                                 substream(42, 0, "surface"))
+                                 surface_shift(42))
         unique = reps["unique_pct"]
         assert all(b > a for a, b in zip(unique, unique[1:]))
 
     def test_nested_overlap_monotone_past_two(self, robot8, corridor):
         reps = rb.coverage_curve(robot8, corridor, (2, 12), 20000,
-                                 substream(42, 0, "surface"))
+                                 surface_shift(42))
         overlap = reps["overlap_pct"]
         assert all(b >= a for a, b in zip(overlap, overlap[1:]))
 
     def test_single_n(self, robot8, corridor, rng):
-        reps = rb.coverage_curve(robot8, corridor, (3, 3), 1000, rng)
+        reps = rb.coverage_curve(robot8, corridor, (3, 3), 1000, rng.random(2))
         assert reps["boom_count"].tolist() == [3]
 
     def test_bad_range(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="n_range"):
-            rb.coverage_curve(robot8, corridor, (4, 2), 1000, rng)
+            rb.coverage_curve(robot8, corridor, (4, 2), 1000, rng.random(2))
 
     def test_unknown_policy(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="layout policy"):
-            rb.coverage_curve(robot8, corridor, (1, 3), 1000, rng, layout_policy="ring")
+            rb.coverage_curve(robot8, corridor, (1, 3), 1000, rng.random(2),
+                              layout_policy="ring")
 
     def test_late_marginal_below_mid(self, robot8, corridor):
         reps = rb.coverage_curve(robot8, corridor, (1, 12), 20000,
-                                 substream(42, 0, "surface"))
+                                 surface_shift(42))
         last = reps["per_boom_marginal"][-1][-1]
         mid = reps["per_boom_marginal"][5][-1]
         assert last < mid
@@ -167,8 +167,8 @@ class TestChunkedCurve:
         ("uniform", (3, 6)), ("mission", (2, 7))])
     def test_equals_whole_array_oracle(self, robot8, corridor, policy, n_range):
         reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
-                                 substream(3, 0, "surface"), layout_policy=policy)
-        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
+                                 surface_shift(3), layout_policy=policy)
+        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
         lo, hi = n_range
         robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
                   else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
@@ -179,8 +179,8 @@ class TestChunkedCurve:
         given = [rb.make_robot(n, mounts=rb.build_mounts(n, layout="mission")[::-1])
                  for n in (2, 3)]
         reps = rb.coverage_curve(robot8, corridor, (2, 3), self.SAMPLES,
-                                 substream(3, 0, "surface"), robots=given)
-        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
+                                 surface_shift(3), robots=given)
+        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
         oracle = [whole_array_coverage(r, points) for r in given]
         assert column_records(reps) == oracle
         assert row(coverage_from_mounts(given[1], points)) == oracle[1]
@@ -193,8 +193,8 @@ class TestChunkedCurve:
             return feasibility_matrix(robot, points)
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
-        rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, substream(3, 0, "surface"))
-        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(3, 0, "surface"))
+        rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, surface_shift(3))
+        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
         in_reach = np.linalg.norm(points, axis=1) <= robot8.L_max + robot8.body_radius
         assert sizes and max(sizes) <= terrain.COVERAGE_CHUNK
         # one pass over the samples within reach: the nested lattice is one block
@@ -204,8 +204,8 @@ class TestChunkedCurve:
     def test_draw_chunks_of_seven(self, robot8, corridor, policy, n_range):
         # Seven lattice points per chunk: the whole lattice, built at once, is the oracle.
         reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
-                                 substream(3, 0, "surface"), layout_policy=policy)
-        points = lattice_points(corridor, self.SAMPLES, substream(3, 0, "surface").random(2))
+                                 surface_shift(3), layout_policy=policy)
+        points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
         lo, hi = n_range
         robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
                   else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
@@ -213,7 +213,7 @@ class TestChunkedCurve:
 
     def test_given_mounts_need_one_set_per_count(self, robot8, corridor, rng):
         with pytest.raises(ValueError, match="mounts"):
-            rb.coverage_curve(robot8, corridor, (2, 3), 100, rng,
+            rb.coverage_curve(robot8, corridor, (2, 3), 100, rng.random(2),
                               robots=[rb.make_robot(3), rb.make_robot(2)])
 
 
@@ -248,7 +248,7 @@ class TestReachScreen:
 
     @pytest.fixture
     def points(self, corridor):
-        return rb.sample_surface_points(corridor, self.SAMPLES, substream(8, 0, "surface"))
+        return rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(8))
 
     def screened(self, blocks, points):
         passes = [points[i:i + 257] for i in range(0, len(points), 257)]
@@ -279,9 +279,9 @@ class TestReachScreen:
             reach = interference._reach(robot)
             for p, covered in zip(points, accepted):
                 floor = rb.floor(1.0, 1.0, Frame(origin=p))
-                kept = rb.sample_surface_points(floor, 1, Shift(0.0, 0.5), reach)
+                kept = rb.sample_surface_points(floor, 1, (0.0, 0.5), reach)
                 assert np.array_equal(kept, [p])  # the same values (0.0 for a -0.0)
-                record = row(rb.coverage_curve(robot, floor, (n, n), 1, Shift(0.0, 0.5),
+                record = row(rb.coverage_curve(robot, floor, (n, n), 1, (0.0, 0.5),
                                                robots=[robot]))
                 assert record["count_histogram"][0] == (0 if covered else 1)
         assert past_bound > 0
@@ -290,8 +290,8 @@ class TestReachScreen:
     def test_debug_log_per_pass(self, robot8, corridor, caplog, policy, blocks):
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
-                              substream(42, 0, "surface"), layout_policy=policy)
-        points = rb.sample_surface_points(corridor, self.SAMPLES, substream(42, 0, "surface"))
+                              surface_shift(42), layout_policy=policy)
+        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(42))
         reach = robot8.L_max + robot8.body_radius
         in_reach = (np.linalg.norm(points, axis=1) <= reach).sum()
         # On the corridor's axis the along-axis window is |x| <= sqrt(R^2 - radius^2).
@@ -329,7 +329,7 @@ class TestReachScreen:
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
-                              substream(42, 0, "surface"), layout_policy=policy)
+                              surface_shift(42), layout_policy=policy)
         ((generated, within),) = re.findall(r"(\d+) generated in .* (\d+) within R", caplog.text)
         ((size, pairs),) = re.findall(r"passes of up to (\d+) samples, largest (\d+) ",
                                       caplog.text)
@@ -368,12 +368,12 @@ class TestAlongWindow:
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
 
     @staticmethod
-    def curve_and_oracle(terrain, policy, n_range, rng_factory, samples):
+    def curve_and_oracle(terrain, policy, n_range, shift, samples):
         lo, hi = n_range
         robot = rb.make_robot(8)
-        reps = rb.coverage_curve(robot, terrain, n_range, samples, rng_factory(),
+        reps = rb.coverage_curve(robot, terrain, n_range, samples, shift,
                                  layout_policy=policy)
-        points = rb.sample_surface_points(terrain, samples, rng_factory())
+        points = rb.sample_surface_points(terrain, samples, shift)
         robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
                   else robot.with_boom_count(n, policy) for n in range(lo, hi + 1)]
         return column_records(reps), [whole_array_coverage(r, points) for r in robots]
@@ -383,13 +383,13 @@ class TestAlongWindow:
     def test_curve_equals_oracles(self, name, policy, n_range):
         terrain = WINDOW_TERRAINS[name]
         got, want = self.curve_and_oracle(terrain, policy, n_range,
-                                          lambda: substream(11, 0, "surface"), self.SAMPLES)
+                                          surface_shift(11), self.SAMPLES)
         assert got == want
         assert got[-1]["unique_pct"] > 0
         lo, hi = n_range
         blocks = ([(rb.make_robot(hi), range(lo, hi + 1))] if policy == "nested"
                   else [(rb.make_robot(n), (n,)) for n in range(lo, hi + 1)])
-        points = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"))
+        points = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
         assert got == unscreened_coverage(blocks, points)
 
     @pytest.mark.parametrize("name", ["corridor", "wall_tilted"])
@@ -398,15 +398,15 @@ class TestAlongWindow:
         robots = [rb.make_robot(1), rb.make_robot(2, L_max=24.0)]
         terrain = WINDOW_TERRAINS[name]
         reps = rb.coverage_curve(robots[0], terrain, (1, 2), self.SAMPLES,
-                                 substream(11, 0, "surface"), robots=robots)
-        points = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"))
+                                 surface_shift(11), robots=robots)
+        points = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
         assert column_records(reps) == [whole_array_coverage(r, points) for r in robots]
 
     @pytest.mark.parametrize("name", WINDOW_TERRAINS)
     def test_built_rows_are_full_rows(self, name):
         terrain, reach = WINDOW_TERRAINS[name], interference._reach(rb.make_robot(12))
-        full = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"))
-        built = rb.sample_surface_points(terrain, self.SAMPLES, substream(11, 0, "surface"),
+        full = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
+        built = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11),
                                          reach)
         row_of = {p.tobytes(): i for i, p in enumerate(full)}
         assert len(row_of) == self.SAMPLES
@@ -434,13 +434,13 @@ class TestAlongWindow:
         inside = 0
         for u0 in ((c[0] - half) / length + 0.5, (c[0] + half) / length + 0.5):
             for s0 in u0 - 0.5 + np.arange(-40, 41) * np.spacing(u0):
-                full = rb.sample_surface_points(terrain, 1, Shift(s0, angle / (2 * np.pi)))
+                full = rb.sample_surface_points(terrain, 1, (s0, angle / (2 * np.pi)))
                 within = np.linalg.norm(full, axis=1)[0] <= reach
                 inside += within
-                built = rb.sample_surface_points(terrain, 1, Shift(s0, angle / (2 * np.pi)), reach)
+                built = rb.sample_surface_points(terrain, 1, (s0, angle / (2 * np.pi)), reach)
                 assert built.tobytes() == (full.tobytes() if within else b"")
                 record = row(rb.coverage_curve(robot, terrain, (12, 12), 1,
-                                               Shift(s0, angle / (2 * np.pi))))
+                                               (s0, angle / (2 * np.pi))))
                 assert record == whole_array_coverage(robot, full)
         assert 0 < inside < 162
 
@@ -449,11 +449,11 @@ class TestAlongWindow:
         rb.floor(30, 80, Frame(tilt(0.2, 0.1), np.array([0, 0, -40.0])))],
         ids=["corridor", "floor"])
     def test_nothing_in_reach(self, terrain, caplog):
-        assert rb.sample_surface_points(terrain, 500, substream(11, 0, "surface"),
+        assert rb.sample_surface_points(terrain, 500, surface_shift(11),
                                         20.5).shape == (0, 3)
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             records, oracle = self.curve_and_oracle(terrain, "nested", (1, 4),
-                                                    lambda: substream(11, 0, "surface"), 500)
+                                                    surface_shift(11), 500)
         assert ("shifted lattice of 500 points, 0 generated in 0 index range(s) of the "
                 "along-axis window, 0 within R" in caplog.text)
         assert "0 of 500 samples given" in caplog.text
@@ -468,10 +468,10 @@ def test_coverage_peak_memory_flat_in_samples(corridor):
     # samples (about 3 MiB); no array grows with the sample count.
     peaks = {}
     for count in (200_000, 2_000_000):
-        rng = substream(42, 0, "surface")
+        shift = surface_shift(42)
         tracemalloc.start()
         try:
-            rb.coverage_curve(rb.make_robot(16), corridor, (1, 16), count, rng)
+            rb.coverage_curve(rb.make_robot(16), corridor, (1, 16), count, shift)
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -480,7 +480,7 @@ def test_coverage_peak_memory_flat_in_samples(corridor):
 
 
 def test_coverage_csv(robot8, corridor):
-    reps = rb.coverage_curve(robot8, corridor, (1, 3), 1000, substream(1, 0, "surface"))
+    reps = rb.coverage_curve(robot8, corridor, (1, 3), 1000, surface_shift(1))
     rows = coverage_csv_rows(reps)
     assert rows[0] == "N,unique_pct,overlap_pct,marginal_pct"
     assert len(rows) == 4

@@ -559,6 +559,37 @@ class TestMedian:
         assert done.stdout.splitlines()[-1] == "False"
 
 
+class TestSurfaceShift:
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 32, 2 ** 64 + 1])
+    def test_shift_is_the_surface_streams_first_two_doubles(self, corridor, seed, monkeypatch):
+        seen = []
+
+        def recording(robot, terrain, n_range, sample_count, shift, *args):
+            seen.append(shift)
+            return {}
+
+        monkeypatch.setattr(study, "coverage_curve", recording)
+        study.study_coverage(small_config(corridor, n_range=(2, 3), seed=seed), 100)
+        (shift,) = seen
+        assert shift.tobytes() == substream(seed, 0, "surface").random(2).tobytes()
+
+    @pytest.mark.parametrize("command", ["study", "coverage"])
+    def test_cli_never_imports_numpy_random(self, tmp_path, command):
+        # Every draw of a study comes from substream_uniforms; importing
+        # numpy.random would cost about 8 ms and 2 MiB a launch.
+        root = Path(rb.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from reachbot.cli import main; "
+                f"code = main([{command!r}, {str(root / 'configs' / 'mars_lava_tube.json')!r}, "
+                f"'--out-dir', {str(tmp_path)!r}]); "
+                "print(code, 'numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
+
 class TestRunStudy:
     def test_end_to_end_small(self, corridor):
         sc = rb.StudyConfig(terrain=corridor, robot_template=rb.make_robot(1),

@@ -11,7 +11,7 @@ from reachbot import terrain
 from reachbot.rng import substream, substream_uniforms
 from reachbot.terrain import (CORRIDOR, COVERAGE_CHUNK, WALL, Frame, Terrain,
                               anchors_to_csv_rows, sample_pools, surface_point_chunks)
-from conftest import Shift, lattice_local, lattice_points, surface_area
+from conftest import lattice_local, lattice_points, surface_area, surface_shift
 
 
 def to_local(frame: Frame, pts: np.ndarray) -> np.ndarray:
@@ -119,18 +119,18 @@ class TestSampling:
             rb.sample_anchors(corridor, 5, 200, rng)
 
     def test_single_surface_point(self, corridor, rng):
-        pts = rb.sample_surface_points(corridor, 1, rng)
+        pts = rb.sample_surface_points(corridor, 1, rng.random(2))
         assert pts.shape == (1, 3)
         assert surface_distance(corridor, pts).max() < 1e-9
 
     def test_angle_half_fraction(self, corridor):
-        pts = rb.sample_surface_points(corridor, 20000, substream(3, 0, "surface"))
+        pts = rb.sample_surface_points(corridor, 20000, surface_shift(3))
         angle = np.mod(np.arctan2(pts[:, 2], pts[:, 1]), 2 * np.pi)
         frac = np.mean(angle < np.pi)
         assert abs(frac - 0.5) < 0.02
 
     def test_empty_surface_points(self, corridor, rng):
-        assert rb.sample_surface_points(corridor, 0, rng).shape == (0, 3)
+        assert rb.sample_surface_points(corridor, 0, rng.random(2)).shape == (0, 3)
 
     def test_reproducible(self, corridor):
         a = rb.sample_anchors(corridor, 500, 40, substream(11, 2, "anchors"))
@@ -139,12 +139,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("terrain", [rb.corridor(15, 100), rb.wall(10, 30), rb.floor(8, 12)])
     def test_on_surface_all_kinds(self, terrain):
-        pts = rb.sample_surface_points(terrain, 2000, substream(5, 0, "surface"))
+        pts = rb.sample_surface_points(terrain, 2000, surface_shift(5))
         assert surface_distance(terrain, pts).max() < 1e-9
 
     def test_chi_square_area_density(self, corridor):
         # 8x8 grid over area-preserving parameters, significance 0.001
-        pts = rb.sample_surface_points(corridor, 20000, substream(13, 0, "surface"))
+        pts = rb.sample_surface_points(corridor, 20000, surface_shift(13))
         ab = unit_square_coords(corridor, pts)
         counts, _, _ = np.histogram2d(ab[:, 0], ab[:, 1], bins=8, range=[[0, 1], [0, 1]])
         expected = 20000 / 64.0
@@ -156,10 +156,10 @@ class TestSampling:
     def test_surface_draw_peak_memory(self, terrain):
         # Live at the peak: the yielded chunks and their concatenation (48
         # bytes a point), or one chunk's temporaries.
-        count, rng = 100_000, substream(42, 0, "surface")
+        count, shift = 100_000, surface_shift(42)
         tracemalloc.start()
         try:
-            rb.sample_surface_points(terrain, count, rng)
+            rb.sample_surface_points(terrain, count, shift)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -173,11 +173,11 @@ class TestSampling:
         # As above, for the points within reach only: no array spans the
         # lattice points outside the along-axis window.
         count = 100_000
-        built = len(rb.sample_surface_points(terrain, count, substream(42, 0, "surface"), 20.5))
-        rng = substream(42, 0, "surface")
+        shift = surface_shift(42)
+        built = len(rb.sample_surface_points(terrain, count, shift, 20.5))
         tracemalloc.start()
         try:
-            rb.sample_surface_points(terrain, count, rng, 20.5)
+            rb.sample_surface_points(terrain, count, shift, 20.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,7 +188,7 @@ class TestSampling:
         c, s = np.cos(0.7), np.sin(0.7)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         t = rb.corridor(5, 20, frame=Frame(rotation=rot, origin=np.array([1.0, 2.0, 3.0])))
-        pts = rb.sample_surface_points(t, 500, substream(1, 0, "surface"))
+        pts = rb.sample_surface_points(t, 500, surface_shift(1))
         assert surface_distance(t, pts).max() < 1e-9
 
 
@@ -266,13 +266,8 @@ class TestSurfaceChunks:
     """The chunked, windowed surface stream against the whole shifted lattice."""
 
     @staticmethod
-    def assert_same_generator(rng, ref):
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random(3).tobytes() == ref.random(3).tobytes()
-
-    @staticmethod
-    def stream(t, count, rng, reach):
-        chunks = list(surface_point_chunks(t, count, rng, reach))
+    def stream(t, count, shift, reach):
+        chunks = list(surface_point_chunks(t, count, shift, reach))
         assert all(len(c) <= terrain.COVERAGE_CHUNK for c in chunks)
         return chunks, np.concatenate([np.empty((0, 3)), *chunks])
 
@@ -281,42 +276,38 @@ class TestSurfaceChunks:
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
     def test_chunks_of_seven_are_the_one_shot_rows(self, name, reach, count, monkeypatch):
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 7)  # divides no count but 0
-        t = STREAM_TERRAINS[name]
-        rng, ref = substream(11, 0, "surface"), substream(11, 0, "surface")
-        chunks, got = self.stream(t, count, rng, reach)
-        want = lattice_points(t, count, ref.random(2), reach)
+        t, shift = STREAM_TERRAINS[name], surface_shift(11)
+        chunks, got = self.stream(t, count, shift, reach)
+        want = lattice_points(t, count, shift, reach)
         if reach is None:
             assert [len(c) for c in chunks] == [min(7, count - i) for i in range(0, count, 7)]
         elif count == 1000:
             assert 0 < len(want) < count
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        self.assert_same_generator(rng, ref)
-        rng, ref = substream(11, 0, "surface"), substream(11, 0, "surface")
-        assert rb.sample_surface_points(t, count, rng, reach).tobytes() == want.tobytes()
-        ref.random(2)
-        self.assert_same_generator(rng, ref)
+        assert rb.sample_surface_points(t, count, shift, reach).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["corridor", "wall"])
     def test_default_chunks(self, name):
-        t, count = STREAM_TERRAINS[name], 2 * terrain.COVERAGE_CHUNK + 3
+        t, count, shift = STREAM_TERRAINS[name], 2 * terrain.COVERAGE_CHUNK + 3, surface_shift(5)
         for reach in (None, 20.5):
-            rng, ref = substream(5, 0, "surface"), substream(5, 0, "surface")
-            want = lattice_points(t, count, ref.random(2), reach)
-            assert self.stream(t, count, rng, reach)[1].tobytes() == want.tobytes()
-            self.assert_same_generator(rng, ref)
+            want = lattice_points(t, count, shift, reach)
+            assert self.stream(t, count, shift, reach)[1].tobytes() == want.tobytes()
 
     def test_caller_buffer_kept(self, corridor):
-        # The shift is two doubles: a 32-bit value buffered by an earlier
-        # draw stays buffered, as it would after rng.random(2).
-        rng, ref = substream(9, 0, "surface"), substream(9, 0, "surface")
-        for g in (rng, ref):
-            g.integers(0, 2 ** 32, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        got = rb.sample_surface_points(corridor, 50, rng, 20.5)
-        assert got.tobytes() == lattice_points(corridor, 50, ref.random(2), 20.5).tobytes()
-        assert (rng.integers(0, 2 ** 32, dtype=np.uint32)
-                == ref.integers(0, 2 ** 32, dtype=np.uint32))
-        self.assert_same_generator(rng, ref)
+        # The stream scales its unit coordinates in place, but never the
+        # caller's shift: the same array serves a second stream unchanged.
+        shift = surface_shift(9)
+        kept = shift.copy()
+        first = rb.sample_surface_points(corridor, 50, shift, 20.5)
+        assert shift.tobytes() == kept.tobytes()
+        assert first.tobytes() == rb.sample_surface_points(corridor, 50, shift, 20.5).tobytes()
+        assert first.tobytes() == lattice_points(corridor, 50, kept, 20.5).tobytes()
+
+    @pytest.mark.parametrize("shift", [(0.5,), (0.1, 0.2, 0.3), (float("nan"), 0.2),
+                                       (0.2, float("inf"))])
+    def test_shift_must_be_two_finite_doubles(self, corridor, shift):
+        with pytest.raises(ValueError, match="shift must be two finite doubles"):
+            rb.sample_surface_points(corridor, 10, shift)
 
     @pytest.mark.parametrize("where", ["window_centre", "window_start", "near_one"])
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
@@ -331,7 +322,7 @@ class TestSurfaceChunks:
               "window_start": np.mod(a - 0.5 / count, 1.0),
               "near_one": np.nextafter(1.0, 0.0)}[where]
         with caplog.at_level(logging.DEBUG, logger="reachbot.terrain"):
-            got = self.stream(t, count, Shift(s0, 0.3), reach)[1]
+            got = self.stream(t, count, (s0, 0.3), reach)[1]
         want = lattice_points(t, count, (s0, 0.3), reach)
         assert 0 < len(want) < count
         assert got.tobytes() == want.tobytes()
@@ -355,11 +346,11 @@ class TestSurfaceChunks:
         assert (vector != full).any()
         for r, want in ((None, full), (reach, lattice_points(t, count, (s0, 0.2), reach))):
             assert 20 < len(want) and (r is None or len(want) < count)
-            assert self.stream(t, count, Shift(s0, 0.2), r)[1].tobytes() == want.tobytes()
+            assert self.stream(t, count, (s0, 0.2), r)[1].tobytes() == want.tobytes()
 
     def test_negative_count(self, corridor, rng):
         with pytest.raises(ValueError, match="non-negative"):
-            rb.sample_surface_points(corridor, -1, rng)
+            rb.sample_surface_points(corridor, -1, rng.random(2))
 
 
 def test_anchor_csv_format(corridor):
