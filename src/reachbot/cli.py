@@ -19,11 +19,10 @@ import numpy as np
 from .config import ConfigError, load_config, read_json
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
 from .robot import RobotConfig
-from .stance import mount_arrays
 from .study import (REL_EPS, Calibration, coverage_csv_rows, draw_pools, match_rounds,
                     pareto_csv_rows, pareto_front, run_study, stability_csv_rows,
                     study_coverage, summary_csv_rows)
-from .terrain import AnchorSet, anchors_to_csv_rows
+from .terrain import anchors_to_csv_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -130,17 +129,18 @@ def cmd_stance(args) -> int:
         raise ConfigError(f"--n {n} is outside n_range [{lo}, {hi}]")
     if args.trial < 0:
         raise ConfigError("--trial must be non-negative")
+    if args.trial >= 2**63:  # trials are int64 in the pool streams
+        raise ConfigError("--trial must be below 2**63")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg, trial = sc.robot(n), np.array([args.trial])
+    cfg, trial = sc.robot_template.with_boom_count(n), np.array([args.trial])
     shared = draw_pools(sc, trial, "anchors")
     (feasible,), _, (pool,), (idx,) = match_rounds(sc, cfg, trial, shared)
-    _write_lines(out / "anchors.csv", anchors_to_csv_rows(AnchorSet(pool, sc.terrain), args.trial))
+    _write_lines(out / "anchors.csv", anchors_to_csv_rows(pool, args.trial))
     if not feasible:
         print("infeasible: no complete boom-to-anchor assignment")
         return EXIT_NO_DESIGN
-    shoulders, _ = mount_arrays(cfg)
-    st = Stance.from_pairs(shoulders, pool[idx], np.zeros(3))
+    st = Stance.from_pairs(cfg.shoulders, pool[idx], np.zeros(3))
     _write_json(out / "stance.json", st.to_dict())
     _write_lines(out / "assignment.csv", ["boom_index,anchor_index,length_m"] + [
         f"{b},{a},{st.lengths[b]:.9g}" for b, a in enumerate(idx)])

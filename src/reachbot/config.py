@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .robot import MountSpec, make_robot
-from .study import EXPLICIT_LAYOUT, Calibration, Constraints, StudyConfig
+from .study import Calibration, Constraints, StudyConfig
 from .terrain import CORRIDOR, FLOOR, WALL, Frame, Terrain, corridor, floor, wall
 
 SCHEMA_VERSION = 1
@@ -145,9 +145,6 @@ def parse_config(raw: dict) -> StudyConfig:
         robot["mounts"] = _mounts(robot["mounts"])
         if len(robot["mounts"]) != n_range[0]:
             raise ConfigError("robot.mounts length must equal the study boom count")
-        study["layout"] = EXPLICIT_LAYOUT
-    elif "layout" in robot:
-        study["layout"] = robot["layout"]
     constraints = _fields(args.pop("constraints", {}), CONSTRAINTS, "constraints")
     calibration = _fields(args.pop("calibration", {}), CALIBRATION, "calibration")
     try:

@@ -12,15 +12,18 @@ unbiased over a uniform shift, and its error is far below that of as many
 independent draws. Overlap (area reachable by two or more booms)
 quantifies redundancy without new reachable terrain.
 
+An explicit robot (``layout`` ``explicit``) is covered as given, at its own
+boom count; any other robot's mounts come from ``with_boom_count``.
+
 Only the samples within reach enter the feasibility passes. A boom
 reaches at most L_max from its shoulder, so by the triangle inequality no
 boom of the robot reaches a sample farther than R = L_max + max |shoulder|
 from the body centre (the origin of the robot's frame). ``coverage_curve``
-takes the largest R of its robots, the surface stream
+takes the largest R of its mount blocks, the surface stream
 (``surface_point_chunks`` with ``reach``) yields only the samples within
 it, and every other lattice point, generated or not, is counted as covered
 by no boom. The screen is exact: every count equals the unscreened pass's
-(a robot of shorter R rejects the samples beyond it in its own feasibility
+(a block of shorter R rejects the samples beyond it in its own feasibility
 matrix).
 
 Each chunk of the stream, at most COVERAGE_CHUNK samples, is one
@@ -34,7 +37,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .robot import RobotConfig
-from .stance import feasibility_matrix, mount_arrays
+from .stance import feasibility_matrix
 from .terrain import COVERAGE_CHUNK, Terrain, surface_point_chunks
 
 log = logging.getLogger(__name__)
@@ -51,7 +54,7 @@ def _reach(robot: RobotConfig) -> float:
     # margin, far above the few ulps by which the computed norms can differ
     # from the true ones, keeps rounding from dropping a sample that
     # feasibility_matrix accepts.
-    return (robot.L_max + np.linalg.norm(mount_arrays(robot)[0], axis=1).max()) * (1 + 1e-9)
+    return (robot.L_max + np.linalg.norm(robot.shoulders, axis=1).max()) * (1 + 1e-9)
 
 
 def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
@@ -117,14 +120,13 @@ def coverage_curve(
     sample_count: int,
     shift,
     layout_policy: str = "nested",
-    robots: Sequence[RobotConfig] | None = None,
 ) -> Coverage:
     """Coverage columns, one row per boom count, sharing one surface sample set.
 
     The samples are the ``sample_count`` points of the golden lattice shifted
-    by ``shift``, two unit doubles (see ``surface_point_chunks``).
-    ``robots``, when given, lists each boom count's own robot, lo first.
-    Otherwise ``layout_policy`` places the mounts on ``robot``'s body:
+    by ``shift``, two unit doubles (see ``surface_point_chunks``). An
+    explicit robot is covered as given, so ``n_range`` must be its own boom
+    count alone. Otherwise ``layout_policy`` places the mounts on ``robot``'s body:
     ``nested`` takes the first N of one golden-angle lattice of size n_max,
     so the covered area grows with N by construction; ``uniform``/``mission``
     build each N's layout on its own, so monotonicity is only statistical.
@@ -140,13 +142,10 @@ def coverage_curve(
     if not 1 <= lo <= hi:
         raise ValueError("n_range must satisfy 1 <= lo <= hi")
     ns = range(lo, hi + 1)
-    if robots is not None:
-        if [r.boom_count for r in robots] != list(ns):
-            raise ValueError("robots must hold a robot with N mounts for each boom count N "
-                             "in n_range")
-        blocks = [(r, (n,)) for n, r in zip(ns, robots)]
+    if robot.layout == "explicit":  # with_boom_count raises at any other count
+        blocks = [(robot.with_boom_count(n), (n,)) for n in ns]
     elif layout_policy == "nested":
-        blocks = [(robot.with_boom_count(hi), ns)]
+        blocks = [(robot.with_boom_count(hi, "uniform"), ns)]
     elif layout_policy in ("uniform", "mission"):
         blocks = [(robot.with_boom_count(n, layout_policy), (n,)) for n in ns]
     else:

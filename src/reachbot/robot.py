@@ -1,5 +1,10 @@
 """Robot configuration: body, boom mounts, mass accounting and buckling.
 
+A ``RobotConfig`` owns its mounts: ``layout`` records what placed them
+(``build_mounts``' ``uniform`` or ``mission`` lattice, or ``explicit``), its
+(N, 3) ``shoulders`` and ``axes`` arrays are built once, and
+``with_boom_count`` gives the same design at another boom count.
+
 Booms are deployable members loaded in tension; the limiting structural case
 is the bending moment at the shoulder with a boom fully outstretched under
 gravity, which must stay below the boom's critical buckling moment.
@@ -93,6 +98,7 @@ class RobotConfig:
 
     boom_count: int
     mounts: tuple[MountSpec, ...]
+    layout: str = "uniform"  # what placed the mounts: "uniform", "mission" or "explicit"
     body_mass: float = 10.0
     body_radius: float = 0.5
     L_max: float = 20.0
@@ -103,6 +109,10 @@ class RobotConfig:
     m_shoulder: float = 0.5
     boom_stiffness: float = 100.0
     gravity: float = 3.721
+    # Read-only (N, 3) mount positions and cone axes; + 0.0 makes the
+    # lattice's -0.0 coordinates +0.0, which stance.json writes as 0.0.
+    shoulders: np.ndarray = field(init=False, repr=False, compare=False)
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boom_count < 1:
@@ -110,6 +120,8 @@ class RobotConfig:
         mounts = tuple(self.mounts)
         if len(mounts) != self.boom_count:
             raise ValueError("mounts must have exactly boom_count entries")
+        if self.layout not in ("uniform", "mission", "explicit"):
+            raise ValueError(f"unknown mount layout {self.layout!r}")
         if not 0 < self.L_min < self.L_max:
             raise ValueError("boom length limits require 0 < L_min < L_max")
         if not 0 < self.cone_half_angle < math.pi / 2:
@@ -121,21 +133,36 @@ class RobotConfig:
             raise ValueError("boom_stiffness must be positive")
         if not self.body_radius > 0:
             raise ValueError("body_radius must be positive")
-        for m in mounts:
-            if abs(np.linalg.norm(m.position) - self.body_radius) > 1e-9:
-                raise ValueError("mount positions must lie on the body sphere")
+        shoulders = np.array([m.position for m in mounts], dtype=float) + 0.0
+        axes = np.array([m.axis for m in mounts], dtype=float)
+        if np.any(np.abs(np.linalg.norm(shoulders, axis=1) - self.body_radius) > 1e-9):
+            raise ValueError("mount positions must lie on the body sphere")
+        shoulders.flags.writeable = axes.flags.writeable = False
         object.__setattr__(self, "mounts", mounts)
+        object.__setattr__(self, "shoulders", shoulders)
+        object.__setattr__(self, "axes", axes)
 
-    def with_boom_count(self, n: int, layout: str = "uniform") -> "RobotConfig":
-        return replace(self, boom_count=n, mounts=tuple(build_mounts(n, self.body_radius, layout)))
+    def with_boom_count(self, n: int, layout: str | None = None) -> "RobotConfig":
+        """This robot with n booms placed by ``layout`` (default: its own); the robot
+        itself at its own count and layout. Explicit mounts have no other count."""
+        layout = layout or self.layout
+        if n == self.boom_count and layout == self.layout:
+            return self
+        if layout == self.layout == "explicit":
+            raise ValueError(f"explicit mounts are given for {self.boom_count} booms; "
+                             f"there is no {n}-boom robot of them")
+        return replace(self, boom_count=n, layout=layout,
+                       mounts=tuple(build_mounts(n, self.body_radius, layout)))
 
 
 def make_robot(boom_count: int, layout: str = "uniform", mounts: list[MountSpec] | None = None, **overrides) -> RobotConfig:
-    """Convenience factory: place mounts (unless given) and validate."""
-    body_radius = overrides.get("body_radius", RobotConfig.body_radius)
+    """Place mounts by ``layout``, or take the given ones (layout ``explicit``); validate."""
     if mounts is None:
+        body_radius = overrides.get("body_radius", RobotConfig.body_radius)
         mounts = build_mounts(boom_count, body_radius=body_radius, layout=layout)
-    return RobotConfig(boom_count=boom_count, mounts=tuple(mounts), **overrides)
+    else:
+        layout = "explicit"
+    return RobotConfig(boom_count=boom_count, mounts=tuple(mounts), layout=layout, **overrides)
 
 
 def total_mass(cfg: RobotConfig, boom_count: int | np.ndarray | None = None):

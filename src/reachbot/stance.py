@@ -23,16 +23,6 @@ from .robot import RobotConfig
 from .terrain import AnchorSet
 
 
-def mount_arrays(robot: RobotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The robot's (N, 3) shoulder positions and cone axes.
-
-    Adding 0.0 turns the golden-angle lattice's -0.0 coordinates into +0.0,
-    so that ``stance.json`` writes them as 0.0.
-    """
-    shoulders = np.array([m.position for m in robot.mounts], dtype=float) + 0.0
-    return shoulders, np.array([m.axis for m in robot.mounts], dtype=float)
-
-
 def feasibility_matrix(robot: RobotConfig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3).
 
@@ -42,7 +32,7 @@ def feasibility_matrix(robot: RobotConfig, points: np.ndarray) -> tuple[np.ndarr
     is (x a0 + z a2) + y a1. A point at a shoulder (L = 0) has no cone
     angle, and ``L_min > 0`` rejects it anyway.
     """
-    shoulders, axes = mount_arrays(robot)
+    shoulders, axes = robot.shoulders, robot.axes
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d0, d1, d2 = (pts[..., None, :, k].copy() - shoulders[:, k, None] for k in range(3))
     a0, a1, a2 = (axes[:, k, None] for k in range(3))

@@ -3,7 +3,9 @@
 For each trial one shared anchor pool is drawn (common random numbers), so
 every boom count is evaluated against identical terrain draws and per-N
 comparisons are low-variance. Metrics are aggregated per boom count, mission
-constraints applied, the Pareto front extracted and a design selected.
+constraints applied, the Pareto front extracted and a design selected. Boom
+count N's robot is ``robot_template.with_boom_count(N)``, so the template's
+layout places every N's mounts.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream_uniforms
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
-from .stance import match_pools, mount_arrays
+from .stance import match_pools
 from .terrain import Terrain, sample_pools
 
 log = logging.getLogger(__name__)
@@ -29,9 +31,6 @@ log = logging.getLogger(__name__)
 REL_EPS = 1e-9
 
 MAX_RESAMPLES = 100
-
-# StudyConfig.layout of a study whose config lists robot.mounts.
-EXPLICIT_LAYOUT = "explicit"
 
 # Rows of pareto_front's domination matrix taken at once. Its working memory
 # is about 3 bytes per chunk row and point, whatever the objective count:
@@ -81,7 +80,6 @@ class StudyConfig:
     n_range: tuple[int, int] = (1, 10)
     trials: int = 100
     seed: int = 0
-    layout: str = "uniform"  # generated mount layout, or EXPLICIT_LAYOUT
     pool_multiplier: int = 3
     surface_samples: int = 20000
     coverage_layout: str = "nested"
@@ -109,17 +107,6 @@ class StudyConfig:
     @property
     def boom_counts(self) -> list[int]:
         return list(range(self.n_range[0], self.n_range[1] + 1))
-
-    def robot(self, n: int) -> RobotConfig:
-        """The n-boom robot of this study.
-
-        At the template's own boom count this is the template, explicit
-        mounts included; any other count gets a generated ``layout`` (an
-        explicit study has no other count).
-        """
-        if n == self.robot_template.boom_count:
-            return self.robot_template
-        return self.robot_template.with_boom_count(n, self.layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,14 +226,13 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
                "pool_hash": np.empty(shape, dtype="U16"),
                **{name: np.zeros(shape) for name in METRICS}}
     for i, n in enumerate(sc.boom_counts):
-        cfg = sc.robot(n)
+        cfg = sc.robot_template.with_boom_count(n)
         feasible, resamples, pools, rows = match_rounds(sc, cfg, trials, shared)
         columns["feasible"][i], columns["resamples"][i] = feasible, resamples
         columns["pool_hash"][i] = [hashlib.sha256(p.tobytes()).hexdigest()[:16] for p in pools]
         if feasible.any():
-            shoulders, _ = mount_arrays(cfg)
             anchors = np.take_along_axis(pools[feasible], rows[feasible][..., None], axis=1)
-            G = grasp_map_stack(shoulders, anchors, np.zeros(3))
+            G = grasp_map_stack(cfg.shoulders, anchors, np.zeros(3))
             values = stance_metrics(G, cfg.boom_stiffness, sc.calibration.delta_ref)
             for name, value in values.items():
                 columns[name][i, feasible] = value
@@ -393,14 +379,12 @@ def study_coverage(sc: StudyConfig, sample_count: int) -> Coverage:
     """The study's coverage curve over ``sample_count`` surface samples.
 
     The lattice shift is the first two doubles of stream ``surface`` of
-    trial 0. Explicit robot.mounts are covered as given, on each
-    ``sc.robot(n)``; generated robots' mounts are placed by ``coverage_layout``.
+    trial 0. An explicit template's mounts are covered as given; any
+    other's are placed by ``coverage_layout``.
     """
-    explicit = sc.layout == EXPLICIT_LAYOUT
     shift = substream_uniforms(sc.seed, [0], "surface", 2)[0]
     return coverage_curve(sc.robot_template, sc.terrain, sc.n_range, sample_count, shift,
-                          sc.coverage_layout,
-                          [sc.robot(n) for n in sc.boom_counts] if explicit else None)
+                          sc.coverage_layout)
 
 
 def _stage_done(stage: str, start: float, detail: str = "") -> float:

@@ -281,7 +281,7 @@ def sample_surface_points(t: Terrain, count: int, shift,
     return np.concatenate([*surface_point_chunks(t, count, shift, reach), np.empty((0, 3))])
 
 
-def anchors_to_csv_rows(pool: AnchorSet, trial: int) -> list[str]:
-    """CSV lines (with header) for one trial's anchor pool."""
+def anchors_to_csv_rows(points: np.ndarray, trial: int) -> list[str]:
+    """CSV lines (with header) for one trial's anchor pool, its (M, 3) points."""
     return ["trial,index,x,y,z"] + [f"{trial},{idx},{p[0]:.9g},{p[1]:.9g},{p[2]:.9g}"
-                                    for idx, p in enumerate(pool.points)]
+                                    for idx, p in enumerate(points)]

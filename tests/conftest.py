@@ -6,7 +6,7 @@ import pytest
 import reachbot as rb
 from reachbot.mechanics import stance_metrics
 from reachbot.rng import substream
-from reachbot.stance import feasibility_matrix, mount_arrays
+from reachbot.stance import feasibility_matrix
 from reachbot import terrain
 from reachbot.terrain import CORRIDOR
 
@@ -87,8 +87,7 @@ def build_stance(cfg, anchors):
     if match is None:
         return None
     points = anchors.points if isinstance(anchors, rb.AnchorSet) else np.atleast_2d(anchors)
-    shoulders, _ = mount_arrays(cfg)
-    return rb.Stance.from_pairs(shoulders, points[match.anchor_index], np.zeros(3))
+    return rb.Stance.from_pairs(cfg.shoulders, points[match.anchor_index], np.zeros(3))
 
 
 def one_boom_out(st, weight):

@@ -68,7 +68,7 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) == 0
         sc, _ = load_config(path)
-        defaults = (sc.aggregate_mode, sc.coverage_layout, sc.layout,
+        defaults = (sc.aggregate_mode, sc.coverage_layout, sc.robot_template.layout,
                     sc.constraints.one_boom_out, sc.n_range, sc.terrain.dims)
         assert defaults == ("median", "nested", "uniform", True, (1, 10), (15.0, 100.0))
         assert np.array_equal(sc.terrain.frame.rotation, np.eye(3))
@@ -82,10 +82,11 @@ class TestValidate:
                 assert getattr(bare, f.name) == getattr(full, f.name), f.name
         assert (bare.terrain.kind, bare.terrain.dims) == (full.terrain.kind, full.terrain.dims)
         for f in dataclasses.fields(rb.RobotConfig):
-            if f.name != "mounts":
-                assert getattr(bare.robot_template, f.name) == getattr(full.robot_template, f.name)
-        for a, b in zip(bare.robot_template.mounts, full.robot_template.mounts, strict=True):
-            assert np.array_equal(a.position, b.position) and np.array_equal(a.axis, b.axis)
+            a, b = getattr(bare.robot_template, f.name), getattr(full.robot_template, f.name)
+            if f.name in ("shoulders", "axes"):  # the mounts, as arrays
+                assert np.array_equal(a, b)
+            elif f.name != "mounts":
+                assert a == b, f.name
 
     @pytest.mark.parametrize("command,key,value", [
         ("study", "robot.body_mass", "NaN"),
@@ -409,10 +410,9 @@ class TestStance:
         assert ("infeasible" in capsys.readouterr().out) == (code == 2)
         sc, _ = load_config(path)
         trials = np.array([trial])
-        _, _, (pool,), _ = match_rounds_reference(sc, sc.robot(n), trials,
-                                                  draw_pools(sc, trials, "anchors"))
-        assert (out / "anchors.csv").read_text().splitlines() == \
-            anchors_to_csv_rows(rb.AnchorSet(pool, sc.terrain), trial)
+        _, _, (pool,), _ = match_rounds_reference(sc, sc.robot_template.with_boom_count(n),
+                                                  trials, draw_pools(sc, trials, "anchors"))
+        assert (out / "anchors.csv").read_text().splitlines() == anchors_to_csv_rows(pool, trial)
 
     @pytest.mark.parametrize("n", range(6, 11))
     def test_shoulders_hold_no_negative_zero(self, tmp_path, n):
@@ -423,6 +423,47 @@ class TestStance:
         zeros = [v for row in json.loads((out / "stance.json").read_text())["s"]
                  for v in row if v == 0]
         assert zeros and all(str(v) == "0.0" for v in zeros)
+
+    @pytest.mark.parametrize("trial", [2 ** 63, 2 ** 64])
+    def test_trial_past_int64_is_a_config_error(self, config_path, tmp_path, capsys, trial):
+        out = tmp_path / "stance"
+        assert main(["stance", str(config_path), "--out-dir", str(out),
+                     "--trial", str(trial)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --trial must be below 2**63\n"
+        assert not out.exists()
+
+    def test_two_word_trial_writes_a_stance(self, config_path, tmp_path):
+        out = tmp_path / "stance"
+        assert main(["stance", str(config_path), "--out-dir", str(out),
+                     "--trial", "4294967296"]) == 0
+        assert rb.Stance.from_dict(json.loads((out / "stance.json").read_text())).boom_count == 8
+
+    def test_mission_layout_end_to_end(self, tmp_path):
+        """A robot.layout "mission" config: every boom count's stance has the
+        mission mounts, and eval of a stance reproduces the study's cell."""
+        cfg = default_config_dict(seed=5)
+        cfg["robot"]["layout"] = "mission"
+        cfg["study"].update(n_range=[4, 8], trials=6, surface_samples=2000)
+        path = tmp_path / "mission.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["study", str(path), "--out-dir", str(tmp_path / "study"), "--json"]) in (0, 2)
+        report = json.loads((tmp_path / "study" / "report.json").read_text())
+        for n in (6, 8):
+            cell = next(c for c in report["trials"] if c["n"] == n and c["feasible"])
+            out = tmp_path / f"stance{n}"
+            assert main(["stance", str(path), "--out-dir", str(out), "--n", str(n),
+                         "--trial", str(cell["trial"])]) == 0
+            st = json.loads((out / "stance.json").read_text())
+            unit = rb.build_mounts(n, body_radius=1.0, layout="mission")
+            assert np.array_equal(st["s"], 0.5 * np.array([m.position for m in unit]))
+            assert not np.array_equal(st["s"], rb.make_robot(n).shoulders)
+            assert main(["eval", str(out / "stance.json"), "--config", str(path),
+                         "--out-dir", str(out)]) == 0
+            result = json.loads((out / "eval.json").read_text())
+            assert result["stability"] == cell["lambda_min"]
+            for name in ("wrench_full", "wrench_torque", "manipulability"):
+                assert result[name] == cell[name]
 
     def test_infeasible_draw_exits_2(self, config_path, tmp_path, capsys):
         # Booms shorter than the corridor radius reach no anchor in any resample.

@@ -175,15 +175,17 @@ class TestChunkedCurve:
         oracle = [whole_array_coverage(robot, points) for robot in robots]
         assert column_records(reps) == oracle
 
-    def test_given_mounts_equal_oracle(self, robot8, corridor):
-        given = [rb.make_robot(n, mounts=rb.build_mounts(n, layout="mission")[::-1])
-                 for n in (2, 3)]
-        reps = rb.coverage_curve(robot8, corridor, (2, 3), self.SAMPLES,
-                                 surface_shift(3), robots=given)
+    def test_given_mounts_equal_oracle(self, corridor):
+        # An explicit robot is covered as given, whatever the layout policy.
         points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
-        oracle = [whole_array_coverage(r, points) for r in given]
-        assert column_records(reps) == oracle
-        assert row(coverage_from_mounts(given[1], points)) == oracle[1]
+        for n in (2, 3):
+            given = rb.make_robot(n, mounts=rb.build_mounts(n, layout="mission")[::-1])
+            oracle = whole_array_coverage(given, points)
+            for policy in ("nested", "uniform", "mission"):
+                reps = rb.coverage_curve(given, corridor, (n, n), self.SAMPLES,
+                                         surface_shift(3), layout_policy=policy)
+                assert column_records(reps) == [oracle]
+            assert row(coverage_from_mounts(given, points)) == oracle
 
     def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, monkeypatch):
         sizes = []
@@ -211,10 +213,12 @@ class TestChunkedCurve:
                   else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
         assert column_records(reps) == [whole_array_coverage(r, points) for r in robots]
 
-    def test_given_mounts_need_one_set_per_count(self, robot8, corridor, rng):
-        with pytest.raises(ValueError, match="mounts"):
-            rb.coverage_curve(robot8, corridor, (2, 3), 100, rng.random(2),
-                              robots=[rb.make_robot(3), rb.make_robot(2)])
+    def test_given_mounts_need_one_set_per_count(self, corridor, rng):
+        # Explicit mounts serve their own boom count alone.
+        given = rb.make_robot(3, mounts=rb.build_mounts(3))
+        for n_range in [(2, 3), (3, 4), (2, 2), (4, 4), (1, 10)]:
+            with pytest.raises(ValueError, match="explicit mounts are given for 3 booms"):
+                rb.coverage_curve(given, corridor, n_range, 100, rng.random(2))
 
 
 def unscreened_coverage(blocks, points):
@@ -270,8 +274,8 @@ class TestReachScreen:
         past_bound = 0
         for n in range(1, 41):
             robot = robot8.with_boom_count(n)
-            shoulders = np.array([m.position for m in robot.mounts])
-            points = shoulders + robot.L_max * np.array([m.axis for m in robot.mounts])
+            shoulders = robot.shoulders
+            points = shoulders + robot.L_max * robot.axes
             ok, _ = feasibility_matrix(robot, points)
             accepted = ok.diagonal()
             past_bound += (accepted & (np.linalg.norm(points, axis=1)
@@ -281,8 +285,7 @@ class TestReachScreen:
                 floor = rb.floor(1.0, 1.0, Frame(origin=p))
                 kept = rb.sample_surface_points(floor, 1, (0.0, 0.5), reach)
                 assert np.array_equal(kept, [p])  # the same values (0.0 for a -0.0)
-                record = row(rb.coverage_curve(robot, floor, (n, n), 1, (0.0, 0.5),
-                                               robots=[robot]))
+                record = row(rb.coverage_curve(robot, floor, (n, n), 1, (0.0, 0.5)))
                 assert record["count_histogram"][0] == (0 if covered else 1)
         assert past_bound > 0
 
@@ -391,16 +394,6 @@ class TestAlongWindow:
                   else [(rb.make_robot(n), (n,)) for n in range(lo, hi + 1)])
         points = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
         assert got == unscreened_coverage(blocks, points)
-
-    @pytest.mark.parametrize("name", ["corridor", "wall_tilted"])
-    def test_window_serves_the_longest_reach(self, name):
-        # Robots of different reach: the samples are built for the longest one.
-        robots = [rb.make_robot(1), rb.make_robot(2, L_max=24.0)]
-        terrain = WINDOW_TERRAINS[name]
-        reps = rb.coverage_curve(robots[0], terrain, (1, 2), self.SAMPLES,
-                                 surface_shift(11), robots=robots)
-        points = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
-        assert column_records(reps) == [whole_array_coverage(r, points) for r in robots]
 
     @pytest.mark.parametrize("name", WINDOW_TERRAINS)
     def test_built_rows_are_full_rows(self, name):

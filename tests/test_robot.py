@@ -75,6 +75,55 @@ class TestRobotConfig:
             rb.RobotConfig(boom_count=1, mounts=(bad,), body_radius=0.5)
 
 
+class TestLayout:
+    """The robot owns its mounts: it records their layout and holds their arrays."""
+
+    def test_make_robot_records_the_layout(self):
+        assert rb.make_robot(4).layout == "uniform"
+        assert rb.make_robot(4, "mission").layout == "mission"
+        given = rb.build_mounts(3, layout="mission")
+        assert rb.make_robot(3, "mission", mounts=given).layout == "explicit"
+        assert rb.RobotConfig(boom_count=3, mounts=tuple(given)).layout == "uniform"
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError, match="unknown mount layout 'spiral'"):
+            rb.RobotConfig(boom_count=1, mounts=tuple(rb.build_mounts(1)), layout="spiral")
+
+    @pytest.mark.parametrize("layout", ["uniform", "mission"])
+    def test_mount_arrays(self, layout):
+        robot = rb.make_robot(9, layout, body_radius=0.7)
+        positions = np.array([m.position for m in robot.mounts])
+        assert np.array_equal(robot.shoulders, positions)
+        assert np.array_equal(robot.axes, [m.axis for m in robot.mounts])
+        # -0.0 lattice coordinates are +0.0 in the shoulder array
+        assert (positions == 0).any() and not np.signbit(robot.shoulders[positions == 0]).any()
+        with pytest.raises(ValueError, match="read-only"):
+            robot.shoulders[0, 0] = 1.0
+
+    @pytest.mark.parametrize("layout", ["uniform", "mission"])
+    def test_with_boom_count_keeps_the_layout(self, layout):
+        robot = rb.make_robot(10, layout, L_max=17.0)
+        assert robot.with_boom_count(10) is robot
+        for n in range(1, 10):
+            other = robot.with_boom_count(n)
+            assert (other.layout, other.boom_count, other.L_max) == (layout, n, 17.0)
+            assert np.array_equal(other.shoulders, rb.make_robot(n, layout).shoulders)
+            assert np.array_equal(other.axes, rb.make_robot(n, layout).axes)
+        flip = {"uniform": "mission", "mission": "uniform"}[layout]
+        other = robot.with_boom_count(10, flip)
+        assert other.layout == flip
+        assert np.array_equal(other.shoulders, rb.make_robot(10, flip).shoulders)
+
+    def test_explicit_robot_has_only_its_own_count(self):
+        given = rb.make_robot(3, mounts=rb.build_mounts(3, layout="mission")[::-1])
+        assert given.with_boom_count(3) is given
+        for n in (1, 2, 4, 10):
+            with pytest.raises(ValueError, match="explicit mounts are given for 3 booms"):
+                given.with_boom_count(n)
+        # a generated layout may still be asked for by name
+        assert given.with_boom_count(4, "uniform").layout == "uniform"
+
+
 class TestBuckling:
     def test_boom_only(self):
         assert rb.buckling_moment(0.0, 1.0, 3.721, 20.0) == pytest.approx(37.21)

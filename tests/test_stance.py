@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reachbot as rb
 from reachbot.rng import substream, substream_uniforms
-from reachbot.stance import _match_lengths, feasibility_matrix, match_pools, mount_arrays
+from reachbot.stance import _match_lengths, feasibility_matrix, match_pools
 from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
 
@@ -99,8 +99,7 @@ def coordinate_feasibility(robot, points):
     sums the squares in coordinate order. Every step is one elementwise
     IEEE operation, so the result does not depend on the numpy build.
     """
-    shoulders = np.array([m.position for m in robot.mounts])
-    axes = np.array([m.axis for m in robot.mounts])
+    shoulders, axes = robot.shoulders, robot.axes
     pts = np.atleast_2d(np.asarray(points, dtype=float))[..., None, :, :]
     x, y, z = (pts[..., k] - shoulders[:, k, None] for k in range(3))
     a0, a1, a2 = (axes[:, k, None] for k in range(3))
@@ -114,8 +113,7 @@ def coordinate_feasibility(robot, points):
 
 def stacked_feasibility(robot, points):
     """The feasibility test as a stacked (..., N, M, 3) norm/einsum formula: (ok, L, cos)."""
-    shoulders = np.array([m.position for m in robot.mounts])
-    axes = np.array([m.axis for m in robot.mounts])
+    shoulders, axes = robot.shoulders, robot.axes
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = pts[..., None, :, :] - shoulders[:, None, :]
     L = np.linalg.norm(d, axis=-1)
@@ -134,7 +132,7 @@ def random_case(seed, n, layout, shape):
     rng = np.random.default_rng(seed)
     robot = rb.make_robot(n, layout, body_radius=rng.uniform(0.3, 1.0),
                           cone_half_angle=rng.uniform(0.2, 1.4), L_max=rng.uniform(5.0, 25.0))
-    shoulders, axes = mount_arrays(robot)
+    shoulders, axes = robot.shoulders, robot.axes
     points = rng.uniform(-30, 30, (*shape, 3))
     flat = points.reshape(-1, 3)
     i = rng.integers(n, size=4)
@@ -187,8 +185,7 @@ class TestKernelBitEquality:
         assert edge.sum() >= 3 and np.array_equal(ok[~edge], ref_ok[~edge])
 
     def test_point_at_a_shoulder_is_rejected(self, robot8):
-        shoulders, _ = mount_arrays(robot8)
-        ok, L = feasibility_matrix(robot8, shoulders)
+        ok, L = feasibility_matrix(robot8, robot8.shoulders)
         assert np.all(np.diag(L) == 0) and not np.diag(ok).any()
 
 
@@ -482,8 +479,7 @@ class TestBuildStance:
             d = st.anchors - st.shoulders
             L = np.linalg.norm(d, axis=1)
             assert np.all((L >= robot8.L_min) & (L <= robot8.L_max))
-            axes = np.array([m.axis for m in robot8.mounts])
-            cos = np.einsum("ij,ij->i", d / L[:, None], axes)
+            cos = np.einsum("ij,ij->i", d / L[:, None], robot8.axes)
             assert np.all(cos >= math.cos(robot8.cone_half_angle) - 1e-12)
 
 

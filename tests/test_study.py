@@ -215,7 +215,7 @@ class TestRunTrials:
                 return rb.sample_anchors(corridor, sc.pool_multiplier * 8, window,
                                          substream(sc.seed, c["trial"], tag), seed=sc.seed)
 
-            cfg = sc.robot_template.with_boom_count(n, sc.layout)
+            cfg = sc.robot_template.with_boom_count(n)
             shared = pool = draw("anchors")
             st = build_stance(cfg, pool)
             resamples = 0
@@ -242,6 +242,33 @@ class TestRunTrials:
                 manipulability=rb.manipulability(G), wrench_full=wc.full,
                 wrench_torque=wc.torque, one_out_lambda_min=worst[0],
                 one_out_lambda_max=worst[1], pool_hash=digest(pool))
+
+
+def test_mission_template_places_every_count(corridor, monkeypatch):
+    """An in-process mission template gets mission mounts at every boom count."""
+    sc = small_config(corridor, robot_template=rb.make_robot(10, layout="mission"),
+                      n_range=(1, 10), trials=3)
+    seen = {}
+
+    def recording(sc, cfg, *args):
+        seen[cfg.boom_count] = cfg
+        return match_rounds(sc, cfg, *args)
+
+    match_rounds = study.match_rounds
+    monkeypatch.setattr(study, "match_rounds", recording)
+    study.run_trials(sc)
+    assert sorted(seen) == list(range(1, 11))
+    for n, cfg in seen.items():
+        assert cfg.layout == "mission"
+        assert np.array_equal(cfg.shoulders, rb.make_robot(n, layout="mission").shoulders)
+
+
+def test_explicit_template_serves_its_own_count(corridor):
+    given = rb.make_robot(4, mounts=rb.build_mounts(4, layout="mission"))
+    with pytest.raises(ValueError, match="explicit mounts are given for 4 booms"):
+        study.run_trials(small_config(corridor, robot_template=given, n_range=(3, 4), trials=2))
+    with pytest.raises(ValueError, match="explicit mounts are given for 4 booms"):
+        study.study_coverage(small_config(corridor, robot_template=given, n_range=(4, 5)), 100)
 
 
 def match_rounds_reference(sc, cfg, trials, shared):
@@ -285,7 +312,7 @@ class TestMatchRounds:
         shared = study.draw_pools(sc, trials, "anchors")
         resampled = infeasible = 0
         for n in sc.boom_counts:
-            cfg = sc.robot(n)
+            cfg = sc.robot_template.with_boom_count(n)
             got, got_costs = self.solver_inputs(monkeypatch, study.match_rounds,
                                                 sc, cfg, trials, shared)
             want, want_costs = self.solver_inputs(monkeypatch, match_rounds_reference,
@@ -304,7 +331,8 @@ class TestMatchRounds:
                           n_range=(8, 8), trials=1, seed=1, pool_multiplier=2)
         trials = np.array([0])
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
-            study.match_rounds(sc, sc.robot(8), trials, study.draw_pools(sc, trials, "anchors"))
+            study.match_rounds(sc, sc.robot_template.with_boom_count(8), trials,
+                               study.draw_pools(sc, trials, "anchors"))
         (line,) = [r.getMessage() for r in caplog.records if "passes" in r.getMessage()]
         rounds, drawn, passes = map(int, re.search(
             r"(\d+) rounds.*; (\d+) pools drawn in (\d+) passes", line).groups())

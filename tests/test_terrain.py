@@ -355,7 +355,7 @@ class TestSurfaceChunks:
 
 def test_anchor_csv_format(corridor):
     aset = rb.sample_anchors(corridor, 2, 40, substream(0, 0, "anchors"))
-    rows = anchors_to_csv_rows(aset, 5)
+    rows = anchors_to_csv_rows(aset.points, 5)
     assert rows[0] == "trial,index,x,y,z"
     assert len(rows) == 3
     assert rows[1].startswith("5,0,") and rows[2].startswith("5,1,")
