@@ -140,7 +140,7 @@ def cmd_stance(args) -> int:
     if not feasible:
         print("infeasible: no complete boom-to-anchor assignment")
         return EXIT_NO_DESIGN
-    st = Stance.from_pairs(cfg.shoulders, pool[idx], np.zeros(3))
+    st = Stance(cfg.shoulders, pool[idx], np.zeros(3))
     _write_json(out / "stance.json", st.to_dict())
     _write_lines(out / "assignment.csv", ["boom_index,anchor_index,length_m"] + [
         f"{b},{a},{st.lengths[b]:.9g}" for b, a in enumerate(idx)])
@@ -204,7 +204,7 @@ def cmd_eval(args) -> int:
         if not isinstance(raw, dict):
             raise ValueError("root must be a JSON object")
         st = Stance.from_dict(raw)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid stance file: {exc}")
     k, delta_ref = RobotConfig.boom_stiffness, Calibration.delta_ref
     if args.config:
@@ -241,13 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Boom-limbed climbing robot design trade studies")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, config=True):
-        if config:
-            sp.add_argument("config", help="study config JSON file")
-            sp.add_argument("--seed", type=int, help="override config seed")
-            sp.add_argument("--trials", type=int, help="override trial count")
-            sp.add_argument("--n-range", type=int, nargs=2, metavar=("LO", "HI"),
-                            help="override boom count range")
+    def add_common(sp):
+        sp.add_argument("config", help="study config JSON file")
+        sp.add_argument("--seed", type=int, help="override config seed")
+        sp.add_argument("--trials", type=int, help="override trial count")
+        sp.add_argument("--n-range", type=int, nargs=2, metavar=("LO", "HI"),
+                        help="override boom count range")
         sp.add_argument("--out-dir", default=".", help="output directory")
 
     sp = sub.add_parser("validate", help="check a config file")

@@ -116,6 +116,8 @@ def make_terrain(spec: dict) -> Terrain:
 
 
 def _mounts(entries: list) -> list[MountSpec]:
+    if not entries:
+        raise ConfigError("robot.mounts must list at least one mount")
     mounts = []
     for i, entry in enumerate(entries):
         path = f"robot.mounts[{i}]"
@@ -139,17 +141,15 @@ def parse_config(raw: dict) -> StudyConfig:
     n_range = study["n_range"] = tuple(study.get("n_range", StudyConfig.n_range))
     if len(n_range) != 2 or not all(type(n) is int for n in n_range):
         raise ConfigError("study.n_range must be [lo, hi] integers")
-    if "mounts" in robot:
-        if n_range[0] != n_range[1]:
-            raise ConfigError("robot.mounts requires a single-N study.n_range")
+    boom_count = max(n_range)
+    if "mounts" in robot:  # an explicit robot's own count, which StudyConfig holds n_range to
         robot["mounts"] = _mounts(robot["mounts"])
-        if len(robot["mounts"]) != n_range[0]:
-            raise ConfigError("robot.mounts length must equal the study boom count")
+        boom_count = len(robot["mounts"])
     constraints = _fields(args.pop("constraints", {}), CONSTRAINTS, "constraints")
     calibration = _fields(args.pop("calibration", {}), CALIBRATION, "calibration")
     try:
         return StudyConfig(
-            robot_template=make_robot(max(n_range), **robot),
+            robot_template=make_robot(boom_count, **robot),
             constraints=Constraints(**constraints), calibration=Calibration(**calibration),
             **study, **args)
     except ValueError as exc:

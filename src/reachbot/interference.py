@@ -18,13 +18,13 @@ boom count; any other robot's mounts come from ``with_boom_count``.
 Only the samples within reach enter the feasibility passes. A boom
 reaches at most L_max from its shoulder, so by the triangle inequality no
 boom of the robot reaches a sample farther than R = L_max + max |shoulder|
-from the body centre (the origin of the robot's frame). ``coverage_curve``
-takes the largest R of its mount blocks, the surface stream
-(``surface_point_chunks`` with ``reach``) yields only the samples within
-it, and every other lattice point, generated or not, is counted as covered
-by no boom. The screen is exact: every count equals the unscreened pass's
-(a block of shorter R rejects the samples beyond it in its own feasibility
-matrix).
+from the body centre (the origin of the robot's frame). Every mount block
+of ``coverage_curve`` is its robot at some boom count, with the robot's
+L_max and body radius, so the blocks' R agree up to rounding, and it takes
+the largest. The surface stream (``surface_point_chunks`` with ``reach``)
+yields only the samples within R, and every other lattice point, generated
+or not, is counted as covered by no boom. The screen is exact: every count
+equals the unscreened pass's.
 
 Each chunk of the stream, at most COVERAGE_CHUNK samples, is one
 feasibility pass. No array is sized by the sample count.
@@ -133,8 +133,8 @@ def coverage_curve(
 
     The whole ``nested`` lattice is one mount block, served by one
     feasibility pass per chunk of the surface stream; any other robot is a
-    block of its own. Only the lattice points within the largest block's
-    reach R come out of the stream (see the module docstring), so working
+    block of its own. Only the lattice points within the blocks' reach R
+    come out of the stream (see the module docstring), so working
     memory is one pass (about 45 bytes per mount of the largest block and
     sample: 2.8 MiB for 16 mounts), whatever ``sample_count``.
     """

@@ -21,72 +21,62 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _boom_axes(shoulders: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., N, 3) unit directions shoulder -> anchor and (..., N) lengths of boom stacks;
+    a boom is a prismatic joint along its direction, its grasp-map force column."""
+    d = anchors - shoulders
+    L = np.linalg.norm(d, axis=-1)
+    if np.any(L <= 0):
+        raise ValueError("anchor coincides with shoulder")
+    return d / L[..., None], L
+
+
 @dataclass(frozen=True)
 class Stance:
-    """A matched set of booms: shoulders, anchors, unit directions, lengths."""
+    """A matched set of booms: shoulder and anchor pairs and the body center, read-only.
+    ``directions`` (N, 3) and ``lengths`` (N,) come from the pairs by ``_boom_axes``,
+    as ``grasp_map_stack``'s directions do, so a stance and its grasp map agree."""
 
     shoulders: np.ndarray  # (N, 3) world
     anchors: np.ndarray  # (N, 3) world
-    directions: np.ndarray  # (N, 3) unit vectors shoulder -> anchor
-    lengths: np.ndarray  # (N,)
     body_center: np.ndarray  # (3,)
-    body_rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = np.asarray(self.shoulders, dtype=float).reshape(-1, 3)
-        a = np.asarray(self.anchors, dtype=float).reshape(-1, 3)
-        u = np.asarray(self.directions, dtype=float).reshape(-1, 3)
-        L = np.asarray(self.lengths, dtype=float).reshape(-1)
-        c = np.asarray(self.body_center, dtype=float).reshape(3)
-        R = np.asarray(self.body_rotation, dtype=float).reshape(3, 3)
-        if not (len(s) == len(a) == len(u) == len(L)):
+        s = np.array(self.shoulders, dtype=float).reshape(-1, 3)
+        a = np.array(self.anchors, dtype=float).reshape(-1, 3)
+        c = np.array(self.body_center, dtype=float).reshape(3)
+        if len(s) != len(a):
             raise ValueError("stance arrays must have one row per boom")
         if len(s) < 1:
             raise ValueError("stance needs at least one boom")
-        if np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) > 1e-12:
-            raise ValueError("boom directions must be unit vectors")
-        if np.max(np.abs(u * L[:, None] - (a - s))) > 1e-9:
-            raise ValueError("boom directions or lengths inconsistent with shoulder/anchor pairs")
-        for name, arr in (("shoulders", s), ("anchors", a), ("directions", u),
-                          ("lengths", L), ("body_center", c), ("body_rotation", R)):
+        u, L = _boom_axes(s, a)
+        for name, arr in (("shoulders", s), ("anchors", a), ("body_center", c),
+                          ("directions", u), ("lengths", L)):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def boom_count(self) -> int:
         return len(self.lengths)
 
-    @classmethod
-    def from_pairs(cls, shoulders, anchors, body_center, body_rotation=None) -> "Stance":
-        s = np.asarray(shoulders, dtype=float).reshape(-1, 3)
-        a = np.asarray(anchors, dtype=float).reshape(-1, 3)
-        d = a - s
-        L = np.linalg.norm(d, axis=1)
-        if np.any(L <= 0):
-            raise ValueError("anchor coincides with shoulder")
-        return cls(s, a, d / L[:, None], L, np.asarray(body_center, dtype=float),
-                   np.eye(3) if body_rotation is None else body_rotation)
-
     def to_dict(self) -> dict:
-        return {
-            "s": self.shoulders.tolist(),
-            "a": self.anchors.tolist(),
-            "body_center": self.body_center.tolist(),
-            "body_rotation": self.body_rotation.tolist(),
-        }
+        return {"s": self.shoulders.tolist(), "a": self.anchors.tolist(),
+                "body_center": self.body_center.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Stance":
-        return cls.from_pairs(d["s"], d["a"], d["body_center"], np.asarray(d.get("body_rotation", np.eye(3))))
+        return cls(d["s"], d["a"], d["body_center"])
 
 
 def grasp_map_stack(shoulders: np.ndarray, anchors: np.ndarray, center: np.ndarray) -> np.ndarray:
     """(..., 6, N) grasp maps of (..., N, 3) shoulder and anchor stacks.
 
-    Column i is [u_i; (s_i - c) x u_i], with u_i computed as Stance.from_pairs
-    computes it, so each slice's map equals its stance's grasp map bit for bit.
+    Column i is [u_i; (s_i - c) x u_i], with u_i the unit boom direction of
+    ``_boom_axes``, so each slice's map is its stance's grasp map.
     """
-    d = anchors - shoulders
-    u = d / np.linalg.norm(d, axis=-1)[..., None]
+    u, _ = _boom_axes(shoulders, anchors)
     torque = np.cross(shoulders - center, u)
     return np.ascontiguousarray(np.swapaxes(np.concatenate([u, torque], axis=-1), -1, -2))
 

@@ -103,6 +103,10 @@ class StudyConfig:
             raise ValueError("surface_samples must be >= 1")
         if self.coverage_layout not in ("nested", "uniform", "mission"):
             raise ValueError("coverage_layout must be nested, uniform or mission")
+        k = self.robot_template.boom_count
+        if self.robot_template.layout == "explicit" and (lo, hi) != (k, k):
+            raise ValueError(f"explicit mounts are given for {k} booms, so n_range must be "
+                             f"[{k}, {k}], not [{lo}, {hi}]")
 
     @property
     def boom_counts(self) -> list[int]:

@@ -37,7 +37,7 @@ def random_stance(rng, n, radius=15.0, body_radius=0.5):
     aims /= np.linalg.norm(aims, axis=1, keepdims=True)
     dist = rng.uniform(5.0, radius, size=n)
     anchors = shoulders + dist[:, None] * aims
-    return rb.Stance.from_pairs(shoulders, anchors, np.zeros(3))
+    return rb.Stance(shoulders, anchors, np.zeros(3))
 
 
 def default_config_dict(seed=0):
@@ -73,8 +73,7 @@ def drop_boom(st, i):
     if not 0 <= i < n:
         raise IndexError(f"boom index {i} out of range for {n} booms")
     keep = [j for j in range(n) if j != i]
-    return rb.Stance(st.shoulders[keep], st.anchors[keep], st.directions[keep],
-                     st.lengths[keep], st.body_center, st.body_rotation)
+    return rb.Stance(st.shoulders[keep], st.anchors[keep], st.body_center)
 
 
 def build_stance(cfg, anchors):
@@ -87,7 +86,7 @@ def build_stance(cfg, anchors):
     if match is None:
         return None
     points = anchors.points if isinstance(anchors, rb.AnchorSet) else np.atleast_2d(anchors)
-    return rb.Stance.from_pairs(cfg.shoulders, points[match.anchor_index], np.zeros(3))
+    return rb.Stance(cfg.shoulders, points[match.anchor_index], np.zeros(3))
 
 
 def one_boom_out(st, weight):

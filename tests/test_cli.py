@@ -175,7 +175,8 @@ class TestValidate:
         (lambda cfg: cfg["robot"]["mounts"][1].update(boresight=[0, 0, 1]), "boresight"),
         (lambda cfg: cfg["robot"]["mounts"].__setitem__(2, "up"), "robot.mounts[2]"),
         (lambda cfg: cfg["robot"].update(mounts={"position": [0, 0, 0.5]}), "robot.mounts"),
-    ], ids=["frame_key", "mount_key", "mount_not_object", "mounts_not_list"])
+        (lambda cfg: cfg["robot"].update(mounts=[]), "robot.mounts must list at least one"),
+    ], ids=["frame_key", "mount_key", "mount_not_object", "mounts_not_list", "mounts_empty"])
     def test_unknown_nested_field(self, tmp_path, capsys, edit, field):
         cfg = default_config_dict()
         cfg["study"]["n_range"] = [4, 4]
@@ -302,7 +303,8 @@ class TestStudy:
         path.write_text(json.dumps(cfg))
         assert main(["study", str(path), "--n-range", "5", "7",
                      "--out-dir", str(tmp_path / "out")]) == 1
-        assert "robot.mounts" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: explicit mounts are given for 6 booms, "
+                                           "so n_range must be [6, 6], not [5, 7]\n")
 
 
 class TestJsonWriter:
@@ -644,6 +646,36 @@ class TestEval:
         assert main(["eval", str(path), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "error: stance file holds NaN, not a finite number\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda raw: raw["a"].__setitem__(2, raw["s"][2]), "anchor coincides with shoulder\n"),
+        (lambda raw: raw.update(s={"0": [0.5, 0.0, 0.0]}), "float() argument"),
+    ], ids=["anchor_on_shoulder", "rows_not_a_list"])
+    def test_invalid_stance_rejected(self, tmp_path, rng, capsys, edit, reason):
+        raw = random_stance(rng, 6).to_dict()
+        edit(raw)
+        path = tmp_path / "stance.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "eval"
+        assert main(["eval", str(path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid stance file: ") and reason in err
+        assert not out.exists()
+
+    def test_body_rotation_key_is_ignored(self, config_path, tmp_path):
+        # stance.json used to hold a constant identity "body_rotation" too; eval
+        # of such a file gives the same results.
+        out = tmp_path / "stance"
+        assert main(["stance", str(config_path), "--out-dir", str(out), "--trial", "1"]) == 0
+        raw = json.loads((out / "stance.json").read_text())
+        assert sorted(raw) == ["a", "body_center", "s"]
+        older = tmp_path / "older.json"
+        _write_json(older, {**raw, "body_rotation": np.eye(3).tolist()})
+        for name, path in (("new", out / "stance.json"), ("old", older)):
+            assert main(["eval", str(path), "--config", str(config_path),
+                         "--out-dir", str(tmp_path / name)]) == 0
+        for name in ("eval.json", "eval.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
     @pytest.mark.parametrize("root", ["[1, 2]", "5", '"stance"', "null"])
     def test_stance_root_not_object(self, tmp_path, capsys, root):

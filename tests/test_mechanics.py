@@ -48,7 +48,7 @@ def charpoly_coeffs(A):
 def one_boom_stance(u, shoulder=None):
     shoulder = np.zeros(3) if shoulder is None else np.asarray(shoulder, float)
     u = np.asarray(u, float)
-    return rb.Stance.from_pairs([shoulder], [shoulder + 10.0 * u], np.zeros(3))
+    return rb.Stance([shoulder], [shoulder + 10.0 * u], np.zeros(3))
 
 
 def octant_twisted_stance(twist=0.35, axial=7.0, radius=15.0):
@@ -59,7 +59,7 @@ def octant_twisted_stance(twist=0.35, axial=7.0, radius=15.0):
     phi = np.arctan2(dirs[:, 2], dirs[:, 1]) + twist
     x = axial * np.sign(dirs[:, 0])
     anchors = np.column_stack([x, radius * np.cos(phi), radius * np.sin(phi)])
-    return rb.Stance.from_pairs(shoulders, anchors, np.zeros(3))
+    return rb.Stance(shoulders, anchors, np.zeros(3))
 
 
 class TestGraspMap:
@@ -71,7 +71,7 @@ class TestGraspMap:
     def test_radial_stance_kills_torque_rows(self, rng):
         dirs = rng.normal(size=(6, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        st = rb.Stance.from_pairs(0.5 * dirs, 12.0 * dirs, np.zeros(3))
+        st = rb.Stance(0.5 * dirs, 12.0 * dirs, np.zeros(3))
         G = rb.grasp_map(st)
         assert np.allclose(G[3:, :], 0.0, atol=1e-12)
 
@@ -103,11 +103,13 @@ class TestGraspMap:
         G = grasp_map_stack(shoulders, anchors, center)
         assert G.shape == (4, 6, n) and G.flags.c_contiguous
         for t in range(4):
-            st = rb.Stance.from_pairs(shoulders, anchors[t], center, R)
+            st = rb.Stance(shoulders, anchors[t], center)
             assert np.array_equal(G[t], rb.grasp_map(st))
-            # The column formula on the stance's own directions, bit for bit.
-            torque = np.cross(st.shoulders - st.body_center, st.directions)
-            assert np.array_equal(G[t], np.vstack([st.directions.T, torque.T]))
+            # The column formula on d / |d|, computed here, bit for bit.
+            d = anchors[t] - shoulders
+            u = d / np.linalg.norm(d, axis=1)[:, None]
+            assert np.array_equal(G[t], np.vstack([u.T, np.cross(shoulders - center, u).T]))
+            assert np.array_equal(st.directions, u)
 
 
 class TestSymEig:
@@ -150,7 +152,7 @@ class TestStiffness:
         assert res.stability == pytest.approx(1.0)
 
     def test_two_opposed_booms(self):
-        st = rb.Stance.from_pairs([[0, 0, 0], [0, 0, 0]], [[10, 0, 0], [-10, 0, 0]], np.zeros(3))
+        st = rb.Stance([[0, 0, 0], [0, 0, 0]], [[10, 0, 0], [-10, 0, 0]], np.zeros(3))
         res = rb.stiffness(rb.grasp_map(st), 1.0)
         assert np.allclose(res.K, np.diag([2, 0, 0, 0, 0, 0]), atol=1e-12)
         assert res.stability == pytest.approx(0.0, abs=1e-12)
@@ -188,7 +190,7 @@ class TestStability:
     def test_radial_stance_zero(self, rng):
         dirs = rng.normal(size=(8, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        st = rb.Stance.from_pairs(0.5 * dirs, 10.0 * dirs, np.zeros(3))
+        st = rb.Stance(0.5 * dirs, 10.0 * dirs, np.zeros(3))
         res = rb.stiffness(rb.grasp_map(st), 1.0)
         assert res.stability <= 1e-9 * res.wrench_capability
 
@@ -250,8 +252,7 @@ class TestLegacyModels:
         assert res.stability == pytest.approx(0.0, abs=1e-12)
 
     def test_pointmass_three_orthogonal(self):
-        st = rb.Stance.from_pairs(np.zeros((3, 3)),
-                                  10 * np.eye(3), np.zeros(3))
+        st = rb.Stance(np.zeros((3, 3)), 10 * np.eye(3), np.zeros(3))
         res = legacy_stiffness_pointmass(st)
         assert np.allclose(res.K, np.diag([1, 1, 1, 3, 3, 3]))
         assert res.stability == pytest.approx(1.0)
@@ -276,7 +277,7 @@ class TestLegacyModels:
         assert np.allclose(two.K, 2.0 * one.K, atol=1e-12)
 
     def test_cable_two_opposed(self):
-        st = rb.Stance.from_pairs([[0, 0, 0], [0, 0, 0]], [[10, 0, 0], [-10, 0, 0]], np.zeros(3))
+        st = rb.Stance([[0, 0, 0], [0, 0, 0]], [[10, 0, 0], [-10, 0, 0]], np.zeros(3))
         res = legacy_stiffness_cable(st, 1.0)
         assert np.allclose(res.K, np.diag([2, 0, 0, 0, 0, 0]), atol=1e-12)
 
@@ -285,8 +286,7 @@ class TestInvariances:
     def test_rigid_translation(self, rng):
         st = random_stance(rng, 8)
         shift = np.array([3.0, -2.0, 5.0])
-        moved = rb.Stance.from_pairs(st.shoulders + shift, st.anchors + shift,
-                                     st.body_center + shift)
+        moved = rb.Stance(st.shoulders + shift, st.anchors + shift, st.body_center + shift)
         assert np.max(np.abs(rb.grasp_map(st) - rb.grasp_map(moved))) < 1e-12
         k0 = rb.stiffness(rb.grasp_map(st), 100.0)
         k1 = rb.stiffness(rb.grasp_map(moved), 100.0)
@@ -297,8 +297,7 @@ class TestInvariances:
         theta = 0.8
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-        rotated = rb.Stance.from_pairs(st.shoulders @ R.T, st.anchors @ R.T,
-                                       R @ st.body_center)
+        rotated = rb.Stance(st.shoulders @ R.T, st.anchors @ R.T, R @ st.body_center)
         B = np.zeros((6, 6))
         B[:3, :3] = R
         B[3:, 3:] = R
@@ -335,15 +334,19 @@ class TestStanceSerialization:
         assert np.allclose(st.anchors, again.anchors)
         assert np.allclose(st.lengths, again.lengths)
 
-    @pytest.mark.parametrize("u,L", [([0.0, 1.0, 0.0], 10.0), ([1.0, 0.0, 0.0], 9.0)])
-    def test_inconsistent_boom_rejected(self, u, L):
-        # grasp_map reads u from the anchors, so a stance's own u must agree.
-        with pytest.raises(ValueError, match="inconsistent"):
-            rb.Stance(shoulders=np.zeros((1, 3)), anchors=np.array([[10.0, 0, 0]]),
-                      directions=np.array([u]), lengths=np.array([L]), body_center=np.zeros(3))
+    def test_zero_length_boom_rejected(self):
+        # A boom whose anchor is its shoulder has no direction, so no grasp-map column.
+        with pytest.raises(ValueError, match="anchor coincides with shoulder"):
+            rb.Stance(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="anchor coincides with shoulder"):
+            rb.Stance.from_dict({"s": [[0.5, 0, 0], [0, 0.5, 0]],
+                                 "a": [[9.0, 0, 0], [0, 0.5, 0]], "body_center": [0, 0, 0]})
+        with pytest.raises(ValueError, match="anchor coincides with shoulder"):
+            grasp_map_stack(np.zeros((1, 3)), np.zeros((2, 1, 3)), np.zeros(3))
 
-    def test_invalid_direction_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            rb.Stance(shoulders=np.zeros((1, 3)), anchors=np.array([[10.0, 0, 0]]),
-                      directions=np.array([[2.0, 0, 0]]), lengths=np.array([10.0]),
-                      body_center=np.zeros(3))
+    def test_derived_arrays_read_only(self, rng):
+        st = random_stance(rng, 4)
+        assert np.array_equal(st.lengths, np.linalg.norm(st.anchors - st.shoulders, axis=1))
+        for arr in (st.shoulders, st.anchors, st.body_center, st.directions, st.lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0

@@ -506,6 +506,6 @@ class TestDropBoom:
             drop_boom(st, 4)
 
     def test_cannot_drop_last(self):
-        st = rb.Stance.from_pairs([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
+        st = rb.Stance([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
         with pytest.raises(ValueError, match="only boom"):
             drop_boom(st, 0)

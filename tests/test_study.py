@@ -264,11 +264,13 @@ def test_mission_template_places_every_count(corridor, monkeypatch):
 
 
 def test_explicit_template_serves_its_own_count(corridor):
+    # The config is refused as built, before any pool is drawn.
     given = rb.make_robot(4, mounts=rb.build_mounts(4, layout="mission"))
-    with pytest.raises(ValueError, match="explicit mounts are given for 4 booms"):
-        study.run_trials(small_config(corridor, robot_template=given, n_range=(3, 4), trials=2))
-    with pytest.raises(ValueError, match="explicit mounts are given for 4 booms"):
-        study.study_coverage(small_config(corridor, robot_template=given, n_range=(4, 5)), 100)
+    for lo, hi in ((3, 4), (4, 5), (3, 3)):
+        with pytest.raises(ValueError, match=r"explicit mounts are given for 4 booms, so "
+                           rf"n_range must be \[4, 4\], not \[{lo}, {hi}\]"):
+            small_config(corridor, robot_template=given, n_range=(lo, hi), trials=2)
+    assert small_config(corridor, robot_template=given, n_range=(4, 4)).boom_counts == [4]
 
 
 def match_rounds_reference(sc, cfg, trials, shared):
@@ -405,7 +407,7 @@ class TestOneBoomOut:
         assert oo_min == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_single_boom_and_bad_weight(self, rng):
-        single = rb.Stance.from_pairs([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
+        single = rb.Stance([[0.5, 0, 0]], [[10.0, 0, 0]], np.zeros(3))
         with pytest.raises(ValueError, match="only boom"):
             one_boom_out(single, 100.0)
         with pytest.raises(ValueError, match="positive"):
