@@ -18,8 +18,7 @@ from .stance import Assignment, assign
 from .study import (Calibration, Constraints, ParetoResult, StudyConfig,
                     StudyReport, aggregate, pareto_front, run_study, run_trials,
                     select_design)
-from .terrain import (AnchorSet, Terrain, corridor, floor, sample_anchors,
-                      sample_surface_points, wall)
+from .terrain import AnchorSet, Terrain, corridor, floor, sample_anchors, wall
 
 __all__ = [
     "__version__",
@@ -29,6 +28,5 @@ __all__ = [
     "aggregate", "assign", "buckling_moment", "build_mounts", "check_buckling",
     "corridor", "coverage_curve", "floor", "grasp_map", "make_robot",
     "make_terrain", "manipulability", "pareto_front", "run_study", "run_trials",
-    "sample_anchors", "sample_surface_points", "select_design", "stiffness",
-    "sym_eig", "total_mass", "wall",
+    "sample_anchors", "select_design", "stiffness", "sym_eig", "total_mass", "wall",
 ]

@@ -143,6 +143,9 @@ def parse_config(raw: dict) -> StudyConfig:
         raise ConfigError("study.n_range must be [lo, hi] integers")
     boom_count = max(n_range)
     if "mounts" in robot:  # an explicit robot's own count, which StudyConfig holds n_range to
+        if "layout" in robot:
+            raise ConfigError("robot.layout and robot.mounts are both given; explicit mounts "
+                              "are placed as listed, so give one or the other")
         robot["mounts"] = _mounts(robot["mounts"])
         boom_count = len(robot["mounts"])
     constraints = _fields(args.pop("constraints", {}), CONSTRAINTS, "constraints")

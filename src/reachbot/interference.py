@@ -21,9 +21,9 @@ boom of the robot reaches a sample farther than R = L_max + max |shoulder|
 from the body centre (the origin of the robot's frame). Every mount block
 of ``coverage_curve`` is its robot at some boom count, with the robot's
 L_max and body radius, so the blocks' R agree up to rounding, and it takes
-the largest. The surface stream (``surface_point_chunks`` with ``reach``)
-yields only the samples within R, and every other lattice point, generated
-or not, is counted as covered by no boom. The screen is exact: every count
+the largest. The surface stream (``surface_point_chunks`` at reach R) yields
+only the samples within R, and every other lattice point, generated or
+not, is counted as covered by no boom. The screen is exact: every count
 equals the unscreened pass's.
 
 Each chunk of the stream, at most COVERAGE_CHUNK samples, is one
@@ -128,8 +128,9 @@ def coverage_curve(
     explicit robot is covered as given, so ``n_range`` must be its own boom
     count alone. Otherwise ``layout_policy`` places the mounts on ``robot``'s body:
     ``nested`` takes the first N of one golden-angle lattice of size n_max,
-    so the covered area grows with N by construction; ``uniform``/``mission``
-    build each N's layout on its own, so monotonicity is only statistical.
+    so the covered area grows with N by construction; any other policy
+    builds each N's layout on its own (``build_mounts`` rejects an unknown
+    one), so monotonicity is only statistical.
 
     The whole ``nested`` lattice is one mount block, served by one
     feasibility pass per chunk of the surface stream; any other robot is a
@@ -142,14 +143,12 @@ def coverage_curve(
     if not 1 <= lo <= hi:
         raise ValueError("n_range must satisfy 1 <= lo <= hi")
     ns = range(lo, hi + 1)
-    if robot.layout == "explicit":  # with_boom_count raises at any other count
-        blocks = [(robot.with_boom_count(n), (n,)) for n in ns]
-    elif layout_policy == "nested":
+    explicit = robot.layout == "explicit"  # with_boom_count raises at any other count
+    if layout_policy == "nested" and not explicit:
         blocks = [(robot.with_boom_count(hi, "uniform"), ns)]
-    elif layout_policy in ("uniform", "mission"):
-        blocks = [(robot.with_boom_count(n, layout_policy), (n,)) for n in ns]
     else:
-        raise ValueError(f"unknown layout policy {layout_policy!r}")
+        blocks = [(robot.with_boom_count(n, None if explicit else layout_policy), (n,))
+                  for n in ns]
     reach = max(_reach(r) for r, _ in blocks)
     return _block_coverage(blocks, surface_point_chunks(terrain, sample_count, shift, reach),
                            sample_count)

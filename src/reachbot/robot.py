@@ -21,7 +21,7 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Body-frame axes that mission hardware reserves: +x sensor boresight,
 # -x tether exit, -z instrument suite.
 MISSION_KEEPOUT_AXES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-DEFAULT_KEEPOUT_HALF_ANGLE = math.radians(30.0)
+KEEPOUT_HALF_ANGLE = math.radians(30.0)
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,20 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def build_mounts(
-    n: int,
-    body_radius: float = 0.5,
-    layout: str = "uniform",
-    keepout_half_angle: float = DEFAULT_KEEPOUT_HALF_ANGLE,
-) -> list[MountSpec]:
+def build_mounts(n: int, body_radius: float = 0.5, layout: str = "uniform") -> list[MountSpec]:
     """Place n shoulder mounts on the body sphere, axes radial.
 
     ``uniform`` spreads the mounts with a golden-angle lattice. ``mission``
-    grows the lattice and rejects points inside the keep-out cones around
-    the sensor, tether and instrument axes until n survivors remain.
+    grows the lattice and rejects points inside the keep-out cones (half
+    angle KEEPOUT_HALF_ANGLE) around the sensor, tether and instrument axes
+    until n survivors remain.
     """
     if n < 1:
         raise ValueError("boom count must be >= 1")
     if layout == "uniform":
         dirs = fibonacci_sphere(n)
     elif layout == "mission":
-        cos_lim = math.cos(keepout_half_angle)
+        cos_lim = math.cos(KEEPOUT_HALF_ANGLE)
         dirs = None
         best = 0
         for m in range(n, 64 * n + 16):

@@ -11,8 +11,11 @@ Anchor pools are i.i.d. area-uniform draws: ``sample_pools`` scales the
 caller's unit doubles (the study's come from ``rng.substream_uniforms``),
 and ``sample_anchors`` draws one pool from a numpy generator such as
 ``rng.substream``, the reference that the tests and the benchmark check the
-study's pools against. Coverage test points are a lattice shifted by two
-unit doubles the caller gives; every point is area-uniform over the shift.
+study's pools against. Coverage test points come from one stream,
+``surface_point_chunks``: the points of a lattice, shifted by two unit
+doubles the caller gives, that lie within a reach R of the world origin
+(R = ``math.inf``: the whole lattice). Every lattice point is area-uniform
+over the shift.
 Terrain values are immutable and safe to share across threads.
 """
 from __future__ import annotations
@@ -127,17 +130,16 @@ class AnchorSet:
         return len(self.points)
 
 
-def _scale_draws(t: Terrain, count: int, u: np.ndarray, window: float | None):
+def _scale_draws(t: Terrain, count: int, u: np.ndarray, window: float):
     """(along, across) views of unit draws ``u`` (C, 2 * count), scaled in place."""
     if u.shape != (len(u), 2 * count):
         raise ValueError("u must hold 2 * count draws per pool")
-    span = t.longitudinal_extent if window is None else float(window)
-    if span > t.longitudinal_extent + 1e-12:
+    if window > t.longitudinal_extent + 1e-12:
         raise ValueError("window exceeds terrain longitudinal extent")
     lo, hi = (0.0, 2.0 * np.pi) if t.kind == CORRIDOR else (-t.dims[0] / 2.0, t.dims[0] / 2.0)
     along, across = u[:, :count], u[:, count:]
     # In place, as Generator.uniform computes low + (high - low) * u.
-    for part, low, high in ((along, -span / 2.0, span / 2.0), (across, lo, hi)):
+    for part, low, high in ((along, -window / 2.0, window / 2.0), (across, lo, hi)):
         part *= high - low
         part += low
     return along, across
@@ -167,7 +169,7 @@ def _along_window(t: Terrain, reach: float) -> tuple[float, float]:
     return along - half, along + half
 
 
-def sample_pools(t: Terrain, count: int, window: float | None, u: np.ndarray) -> np.ndarray:
+def sample_pools(t: Terrain, count: int, window: float, u: np.ndarray) -> np.ndarray:
     """Area-uniform pools of ``count`` points from unit draws, as (C, count, 3).
 
     ``u`` is (C, 2 * count) doubles in [0, 1), such as
@@ -175,8 +177,9 @@ def sample_pools(t: Terrain, count: int, window: float | None, u: np.ndarray) ->
     ``count`` draws place pool c's points along the longitudinal window,
     the rest across it. Pool c holds, byte for byte, the points
     ``sample_anchors`` gives a generator whose ``random(2 * count)`` is
-    ``u[c]``. ``u`` is consumed: it is scaled in place. ``window`` None
-    spans the full longitudinal extent.
+    ``u[c]``. ``u`` is consumed: it is scaled in place. ``window`` is the
+    window's length, centred on the local origin; at most the terrain's
+    longitudinal extent.
     """
     return t.frame.to_world(_local_points(t, *_scale_draws(t, count, u, window)))
 
@@ -190,7 +193,7 @@ def _unit_draws(count: int, rng: np.random.Generator) -> np.ndarray:
 def sample_anchors(
     t: Terrain,
     count: int,
-    window: float | None,
+    window: float,
     rng: np.random.Generator,
     seed: int | None = None,
 ) -> AnchorSet:
@@ -224,24 +227,25 @@ def _window_ranges(count: int, s0: float, a: float, b: float) -> list[tuple[int,
     return [(start, stop)] if stop <= count else [(0, stop - count), (start, count)]
 
 
-def surface_point_chunks(t: Terrain, count: int, shift, reach: float | None = None):
-    """Area-uniform test points over the full surface, as (k, 3) arrays of at
-    most COVERAGE_CHUNK rows.
+def surface_point_chunks(t: Terrain, count: int, shift, reach: float):
+    """The points of a shifted lattice over the full surface that lie within
+    ``reach`` of the world origin, as (k, 3) arrays of at most COVERAGE_CHUNK rows.
 
-    The points are a randomly shifted golden lattice: point i of ``count``
-    has unit coordinates u_i = frac((i + 1/2) / count + s0) along and
-    v_i = frac(i / phi + s1) across, scaled as ``sample_pools`` scales unit
-    draws over the full longitudinal extent. ``shift`` is (s0, s1); the
-    study's is the first two doubles of stream ``surface``, in [0, 1). Over
-    a uniform shift every point is uniform on the surface, so any area
-    fraction estimated from them is unbiased. Concatenated, the chunks are
-    the lattice's rows in index order.
-    With ``reach``, only the indices whose u_i can fall in ``_along_window``
-    are generated (one or two index ranges: no point outside them can lie
-    within ``reach``), and of those only the points whose |p| (in
-    ``np.linalg.norm``'s sum order) is at most ``reach`` are yielded: in
-    order, the rows of the full lattice within ``reach`` of the world
-    origin. No array is sized by ``count``.
+    The lattice's point i of ``count`` has unit coordinates
+    u_i = frac((i + 1/2) / count + s0) along and v_i = frac(i / phi + s1)
+    across, scaled as ``sample_pools`` scales unit draws over the full
+    longitudinal extent. ``shift`` is (s0, s1); the study's is the first two
+    doubles of stream ``surface``, in [0, 1). Over a uniform shift every
+    point is uniform on the surface, so any area fraction estimated from
+    them is unbiased.
+    ``reach`` is always applied: only the indices whose u_i can fall in
+    ``_along_window`` are generated (one or two index ranges: no point
+    outside them can lie within ``reach``), and of those only the points
+    whose |p| (in ``np.linalg.norm``'s sum order) is at most ``reach`` are
+    yielded. Concatenated, the chunks are, in index order, the rows of the
+    whole lattice within ``reach``. At ``reach = math.inf`` that is the
+    whole lattice, in chunks of exactly COVERAGE_CHUNK rows but the last.
+    No array is sized by ``count``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -249,36 +253,22 @@ def surface_point_chunks(t: Terrain, count: int, shift, reach: float | None = No
     if shift.shape != (2,) or not np.isfinite(shift).all():
         raise ValueError("shift must be two finite doubles")
     s0, s1 = shift
-    ranges = [(0, count)]
-    if reach is not None:
-        lo, hi = _along_window(t, reach)
-        span = t.longitudinal_extent
-        ranges = _window_ranges(count, s0, max(lo / span + 0.5, 0.0), min(hi / span + 0.5, 1.0))
+    lo, hi = _along_window(t, reach)
+    span = t.longitudinal_extent
+    ranges = _window_ranges(count, s0, max(lo / span + 0.5, 0.0), min(hi / span + 0.5, 1.0))
     within = 0
     for start, stop in ranges:
         for first in range(start, stop, COVERAGE_CHUNK):
             i = np.arange(first, min(first + COVERAGE_CHUNK, stop), dtype=float)
             u = np.concatenate([(i + 0.5) / count + s0, i * _INV_PHI + s1])[None]
             u -= np.floor(u)
-            points = t.frame.to_world(_local_points(t, *_scale_draws(t, len(i), u, None)))[0]
-            if reach is not None:
-                points = points[np.sqrt(sum(points[:, k] ** 2 for k in range(3))) <= reach]
+            points = t.frame.to_world(_local_points(t, *_scale_draws(t, len(i), u, span)))[0]
+            points = points[np.sqrt(sum(points[:, k] ** 2 for k in range(3))) <= reach]
             within += len(points)
             yield points
-    if reach is not None:
-        log.debug("surface stream: shifted lattice of %d points, %d generated in %d index "
-                  "range(s) of the along-axis window, %d within R = %.3f m", count,
-                  sum(stop - start for start, stop in ranges), len(ranges), within, reach)
-
-
-def sample_surface_points(t: Terrain, count: int, shift,
-                          reach: float | None = None) -> np.ndarray:
-    """The ``count`` points of a shifted lattice over the full surface, as (k, 3).
-
-    The concatenation of ``surface_point_chunks``: all ``count`` points, or
-    with ``reach`` the rows within ``reach`` of the world origin.
-    """
-    return np.concatenate([*surface_point_chunks(t, count, shift, reach), np.empty((0, 3))])
+    log.debug("surface stream: shifted lattice of %d points, %d generated in %d index "
+              "range(s) of the along-axis window, %d within R = %.3f m", count,
+              sum(stop - start for start, stop in ranges), len(ranges), within, reach)
 
 
 def anchors_to_csv_rows(points: np.ndarray, trial: int) -> list[str]:

@@ -121,7 +121,7 @@ def lattice_local(t, count, shift):
     u = np.concatenate([(i + 0.5) / count + shift[0],
                         i * ((np.sqrt(5.0) - 1.0) / 2.0) + shift[1]])[None]
     u -= np.floor(u)
-    return terrain._local_points(t, *terrain._scale_draws(t, count, u, None))
+    return terrain._local_points(t, *terrain._scale_draws(t, count, u, t.longitudinal_extent))
 
 
 def lattice_points(t, count, shift, reach=None):
@@ -129,3 +129,8 @@ def lattice_points(t, count, shift, reach=None):
     ``reach``, then screened to |p| <= ``reach``."""
     points = t.frame.to_world(lattice_local(t, count, shift))[0]
     return points if reach is None else points[np.linalg.norm(points, axis=1) <= reach]
+
+
+def stream_points(t, count, shift, reach=math.inf):
+    """The surface stream's chunks within ``reach`` concatenated, as (k, 3)."""
+    return np.concatenate([np.empty((0, 3)), *terrain.surface_point_chunks(t, count, shift, reach)])

@@ -180,6 +180,7 @@ class TestValidate:
     def test_unknown_nested_field(self, tmp_path, capsys, edit, field):
         cfg = default_config_dict()
         cfg["study"]["n_range"] = [4, 4]
+        del cfg["robot"]["layout"]  # explicit mounts have no layout
         cfg["robot"]["mounts"] = [{"position": m.position.tolist(), "axis": m.axis.tolist()}
                                   for m in rb.build_mounts(4)]
         edit(cfg)
@@ -187,6 +188,25 @@ class TestValidate:
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "study", "stance", "coverage"])
+    def test_layout_beside_mounts_rejected(self, tmp_path, capsys, command):
+        # Explicit mounts are placed as listed: a layout beside them would be
+        # echoed in report.json for a robot it does not describe.
+        cfg = default_config_dict()
+        cfg["study"]["n_range"] = [6, 6]
+        cfg["robot"]["layout"] = "mission"
+        cfg["robot"]["mounts"] = [{"position": m.position.tolist(), "axis": m.axis.tolist()}
+                                  for m in rb.build_mounts(6)]
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        flags = [] if command == "validate" else ["--out-dir", str(out)]
+        assert main([command, str(path), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: robot.layout and robot.mounts are both given; explicit mounts are "
+            "placed as listed, so give one or the other\n")
+        assert not out.exists()
 
 
 class TestStudy:
@@ -297,6 +317,7 @@ class TestStudy:
     def test_n_range_override_rejects_explicit_mounts(self, tmp_path, capsys):
         cfg = default_config_dict(seed=1)
         cfg["study"]["n_range"] = [6, 6]
+        del cfg["robot"]["layout"]  # explicit mounts have no layout
         cfg["robot"]["mounts"] = [{"position": m.position.tolist(), "axis": m.axis.tolist()}
                                   for m in rb.build_mounts(6)]
         path = tmp_path / "mounts.json"
@@ -550,6 +571,7 @@ class TestCoverage:
         cfg = default_config_dict(seed=5)
         cfg["study"].update(n_range=[6, 6], trials=2, surface_samples=2000)
         if axes is not None:
+            del cfg["robot"]["layout"]  # explicit mounts have no layout
             cfg["robot"]["mounts"] = [{"position": (0.5 * a).tolist(), "axis": a.tolist()}
                                       for a in axes]
         run = tmp_path / f"run{len(list(tmp_path.iterdir()))}"

@@ -10,8 +10,8 @@ from reachbot import interference, terrain
 from reachbot.interference import coverage_from_mounts
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
-from reachbot.terrain import Frame
-from conftest import lattice_points, surface_shift
+from reachbot.terrain import Frame, surface_point_chunks
+from conftest import lattice_points, stream_points, surface_shift
 
 
 def whole_array_coverage(robot, points):
@@ -41,7 +41,7 @@ def row(coverage):
 
 def coverage(cfg, terrain, sample_count, shift):
     """Coverage record of one robot configuration over shifted-lattice surface samples."""
-    points = rb.sample_surface_points(terrain, sample_count, shift)
+    points = lattice_points(terrain, sample_count, shift)
     return row(coverage_from_mounts(cfg, points))
 
 
@@ -62,13 +62,13 @@ class TestCoverageFromMounts:
 
     def test_identical_mounts_overlap_equals_unique(self, corridor, rng):
         m = rb.MountSpec(position=np.array([0.5, 0, 0]), axis=np.array([1.0, 0, 0]))
-        pts = rb.sample_surface_points(corridor, 4000, rng.random(2))
+        pts = lattice_points(corridor, 4000, rng.random(2))
         rep = row(coverage_from_mounts(rb.make_robot(2, mounts=[m, m]), pts))
         assert rep["overlap_pct"] == pytest.approx(rep["unique_pct"])
         assert rep["per_boom_marginal"][1] == pytest.approx(0.0)
 
     def test_histogram_consistent(self, robot8, corridor, rng):
-        pts = rb.sample_surface_points(corridor, 5000, rng.random(2))
+        pts = lattice_points(corridor, 5000, rng.random(2))
         rep = row(coverage_from_mounts(robot8, pts))
         hist = np.array(rep["count_histogram"])
         assert hist.sum() == 5000
@@ -76,7 +76,7 @@ class TestCoverageFromMounts:
         assert rep["overlap_pct"] == pytest.approx(hist[2:].sum() / 5000)
 
     def test_marginals_sum_to_unique(self, robot8, corridor, rng):
-        pts = rb.sample_surface_points(corridor, 5000, rng.random(2))
+        pts = lattice_points(corridor, 5000, rng.random(2))
         rep = row(coverage_from_mounts(robot8, pts))
         assert sum(rep["per_boom_marginal"]) == pytest.approx(rep["unique_pct"], abs=1e-12)
         assert all(m >= 0 for m in rep["per_boom_marginal"])
@@ -140,7 +140,7 @@ class TestCoverageCurve:
             rb.coverage_curve(robot8, corridor, (4, 2), 1000, rng.random(2))
 
     def test_unknown_policy(self, robot8, corridor, rng):
-        with pytest.raises(ValueError, match="layout policy"):
+        with pytest.raises(ValueError, match="unknown mount layout 'ring'"):
             rb.coverage_curve(robot8, corridor, (1, 3), 1000, rng.random(2),
                               layout_policy="ring")
 
@@ -168,7 +168,7 @@ class TestChunkedCurve:
     def test_equals_whole_array_oracle(self, robot8, corridor, policy, n_range):
         reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
                                  surface_shift(3), layout_policy=policy)
-        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
+        points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
         lo, hi = n_range
         robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
                   else robot8.with_boom_count(n, policy) for n in range(lo, hi + 1)]
@@ -177,7 +177,7 @@ class TestChunkedCurve:
 
     def test_given_mounts_equal_oracle(self, corridor):
         # An explicit robot is covered as given, whatever the layout policy.
-        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
+        points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
         for n in (2, 3):
             given = rb.make_robot(n, mounts=rb.build_mounts(n, layout="mission")[::-1])
             oracle = whole_array_coverage(given, points)
@@ -196,7 +196,7 @@ class TestChunkedCurve:
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
         rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, surface_shift(3))
-        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(3))
+        points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
         in_reach = np.linalg.norm(points, axis=1) <= robot8.L_max + robot8.body_radius
         assert sizes and max(sizes) <= terrain.COVERAGE_CHUNK
         # one pass over the samples within reach: the nested lattice is one block
@@ -252,7 +252,7 @@ class TestReachScreen:
 
     @pytest.fixture
     def points(self, corridor):
-        return rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(8))
+        return lattice_points(corridor, self.SAMPLES, surface_shift(8))
 
     def screened(self, blocks, points):
         passes = [points[i:i + 257] for i in range(0, len(points), 257)]
@@ -283,7 +283,7 @@ class TestReachScreen:
             reach = interference._reach(robot)
             for p, covered in zip(points, accepted):
                 floor = rb.floor(1.0, 1.0, Frame(origin=p))
-                kept = rb.sample_surface_points(floor, 1, (0.0, 0.5), reach)
+                kept = stream_points(floor, 1, (0.0, 0.5), reach)
                 assert np.array_equal(kept, [p])  # the same values (0.0 for a -0.0)
                 record = row(rb.coverage_curve(robot, floor, (n, n), 1, (0.0, 0.5)))
                 assert record["count_histogram"][0] == (0 if covered else 1)
@@ -294,7 +294,7 @@ class TestReachScreen:
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               surface_shift(42), layout_policy=policy)
-        points = rb.sample_surface_points(corridor, self.SAMPLES, surface_shift(42))
+        points = lattice_points(corridor, self.SAMPLES, surface_shift(42))
         reach = robot8.L_max + robot8.body_radius
         in_reach = (np.linalg.norm(points, axis=1) <= reach).sum()
         # On the corridor's axis the along-axis window is |x| <= sqrt(R^2 - radius^2).
@@ -362,7 +362,7 @@ WINDOW_TERRAINS = {
 
 class TestAlongWindow:
     """Coverage that builds only the samples in the along-axis window, against
-    every sample of ``sample_surface_points`` through the oracles."""
+    every point of the whole lattice (``lattice_points``) through the oracles."""
 
     SAMPLES = 3000
 
@@ -376,7 +376,7 @@ class TestAlongWindow:
         robot = rb.make_robot(8)
         reps = rb.coverage_curve(robot, terrain, n_range, samples, shift,
                                  layout_policy=policy)
-        points = rb.sample_surface_points(terrain, samples, shift)
+        points = lattice_points(terrain, samples, shift)
         robots = [rb.make_robot(n, mounts=rb.build_mounts(hi)[:n]) if policy == "nested"
                   else robot.with_boom_count(n, policy) for n in range(lo, hi + 1)]
         return column_records(reps), [whole_array_coverage(r, points) for r in robots]
@@ -392,15 +392,14 @@ class TestAlongWindow:
         lo, hi = n_range
         blocks = ([(rb.make_robot(hi), range(lo, hi + 1))] if policy == "nested"
                   else [(rb.make_robot(n), (n,)) for n in range(lo, hi + 1)])
-        points = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
+        points = lattice_points(terrain, self.SAMPLES, surface_shift(11))
         assert got == unscreened_coverage(blocks, points)
 
     @pytest.mark.parametrize("name", WINDOW_TERRAINS)
     def test_built_rows_are_full_rows(self, name):
         terrain, reach = WINDOW_TERRAINS[name], interference._reach(rb.make_robot(12))
-        full = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11))
-        built = rb.sample_surface_points(terrain, self.SAMPLES, surface_shift(11),
-                                         reach)
+        full = lattice_points(terrain, self.SAMPLES, surface_shift(11))
+        built = stream_points(terrain, self.SAMPLES, surface_shift(11), reach)
         row_of = {p.tobytes(): i for i, p in enumerate(full)}
         assert len(row_of) == self.SAMPLES
         rows = np.array([row_of.get(p.tobytes(), -1) for p in built])
@@ -427,10 +426,10 @@ class TestAlongWindow:
         inside = 0
         for u0 in ((c[0] - half) / length + 0.5, (c[0] + half) / length + 0.5):
             for s0 in u0 - 0.5 + np.arange(-40, 41) * np.spacing(u0):
-                full = rb.sample_surface_points(terrain, 1, (s0, angle / (2 * np.pi)))
+                full = lattice_points(terrain, 1, (s0, angle / (2 * np.pi)))
                 within = np.linalg.norm(full, axis=1)[0] <= reach
                 inside += within
-                built = rb.sample_surface_points(terrain, 1, (s0, angle / (2 * np.pi)), reach)
+                built = stream_points(terrain, 1, (s0, angle / (2 * np.pi)), reach)
                 assert built.tobytes() == (full.tobytes() if within else b"")
                 record = row(rb.coverage_curve(robot, terrain, (12, 12), 1,
                                                (s0, angle / (2 * np.pi))))
@@ -442,8 +441,7 @@ class TestAlongWindow:
         rb.floor(30, 80, Frame(tilt(0.2, 0.1), np.array([0, 0, -40.0])))],
         ids=["corridor", "floor"])
     def test_nothing_in_reach(self, terrain, caplog):
-        assert rb.sample_surface_points(terrain, 500, surface_shift(11),
-                                        20.5).shape == (0, 3)
+        assert list(surface_point_chunks(terrain, 500, surface_shift(11), 20.5)) == []
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             records, oracle = self.curve_and_oracle(terrain, "nested", (1, 4),
                                                     surface_shift(11), 500)

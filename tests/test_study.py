@@ -146,6 +146,7 @@ class TestRunTrials:
         cfg = default_config_dict(seed=5)
         cfg["study"].update(n_range=[6, 6], trials=5)
         if axes is not None:
+            del cfg["robot"]["layout"]  # explicit mounts have no layout
             cfg["robot"]["mounts"] = [{"position": (0.5 * a).tolist(), "axis": a.tolist()}
                                       for a in axes]
         return rb.run_trials(parse_config(cfg))

@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import tracemalloc
 
@@ -11,7 +12,7 @@ from reachbot import terrain
 from reachbot.rng import substream, substream_uniforms
 from reachbot.terrain import (CORRIDOR, COVERAGE_CHUNK, WALL, Frame, Terrain,
                               anchors_to_csv_rows, sample_pools, surface_point_chunks)
-from conftest import lattice_local, lattice_points, surface_area, surface_shift
+from conftest import lattice_local, lattice_points, stream_points, surface_area, surface_shift
 
 
 def to_local(frame: Frame, pts: np.ndarray) -> np.ndarray:
@@ -119,18 +120,18 @@ class TestSampling:
             rb.sample_anchors(corridor, 5, 200, rng)
 
     def test_single_surface_point(self, corridor, rng):
-        pts = rb.sample_surface_points(corridor, 1, rng.random(2))
+        pts = stream_points(corridor, 1, rng.random(2))
         assert pts.shape == (1, 3)
         assert surface_distance(corridor, pts).max() < 1e-9
 
     def test_angle_half_fraction(self, corridor):
-        pts = rb.sample_surface_points(corridor, 20000, surface_shift(3))
+        pts = stream_points(corridor, 20000, surface_shift(3))
         angle = np.mod(np.arctan2(pts[:, 2], pts[:, 1]), 2 * np.pi)
         frac = np.mean(angle < np.pi)
         assert abs(frac - 0.5) < 0.02
 
     def test_empty_surface_points(self, corridor, rng):
-        assert rb.sample_surface_points(corridor, 0, rng.random(2)).shape == (0, 3)
+        assert list(surface_point_chunks(corridor, 0, rng.random(2), math.inf)) == []
 
     def test_reproducible(self, corridor):
         a = rb.sample_anchors(corridor, 500, 40, substream(11, 2, "anchors"))
@@ -139,12 +140,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("terrain", [rb.corridor(15, 100), rb.wall(10, 30), rb.floor(8, 12)])
     def test_on_surface_all_kinds(self, terrain):
-        pts = rb.sample_surface_points(terrain, 2000, surface_shift(5))
+        pts = stream_points(terrain, 2000, surface_shift(5))
         assert surface_distance(terrain, pts).max() < 1e-9
 
     def test_chi_square_area_density(self, corridor):
         # 8x8 grid over area-preserving parameters, significance 0.001
-        pts = rb.sample_surface_points(corridor, 20000, surface_shift(13))
+        pts = stream_points(corridor, 20000, surface_shift(13))
         ab = unit_square_coords(corridor, pts)
         counts, _, _ = np.histogram2d(ab[:, 0], ab[:, 1], bins=8, range=[[0, 1], [0, 1]])
         expected = 20000 / 64.0
@@ -159,7 +160,7 @@ class TestSampling:
         count, shift = 100_000, surface_shift(42)
         tracemalloc.start()
         try:
-            rb.sample_surface_points(terrain, count, shift)
+            stream_points(terrain, count, shift)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -174,10 +175,10 @@ class TestSampling:
         # lattice points outside the along-axis window.
         count = 100_000
         shift = surface_shift(42)
-        built = len(rb.sample_surface_points(terrain, count, shift, 20.5))
+        built = len(stream_points(terrain, count, shift, 20.5))
         tracemalloc.start()
         try:
-            rb.sample_surface_points(terrain, count, shift, 20.5)
+            stream_points(terrain, count, shift, 20.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,7 +189,7 @@ class TestSampling:
         c, s = np.cos(0.7), np.sin(0.7)
         rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         t = rb.corridor(5, 20, frame=Frame(rotation=rot, origin=np.array([1.0, 2.0, 3.0])))
-        pts = rb.sample_surface_points(t, 500, surface_shift(1))
+        pts = stream_points(t, 500, surface_shift(1))
         assert surface_distance(t, pts).max() < 1e-9
 
 
@@ -271,25 +272,36 @@ class TestSurfaceChunks:
         assert all(len(c) <= terrain.COVERAGE_CHUNK for c in chunks)
         return chunks, np.concatenate([np.empty((0, 3)), *chunks])
 
+    @pytest.mark.parametrize("count", [0, 1, COVERAGE_CHUNK - 1, COVERAGE_CHUNK + 1])
+    @pytest.mark.parametrize("name", STREAM_TERRAINS)
+    def test_infinite_reach_is_the_whole_lattice(self, name, count):
+        # At R = inf every lattice point is yielded, in chunks of
+        # COVERAGE_CHUNK rows but the last, with the one-shot lattice's bytes.
+        t, shift = STREAM_TERRAINS[name], surface_shift(17)
+        chunks, got = self.stream(t, count, shift, math.inf)
+        assert [len(c) for c in chunks] == [min(COVERAGE_CHUNK, count - i)
+                                            for i in range(0, count, COVERAGE_CHUNK)]
+        want = lattice_points(t, count, shift)
+        assert got.shape == want.shape == (count, 3) and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("count", [0, 1, 1000])
-    @pytest.mark.parametrize("reach", [None, 20.5], ids=["full", "reach"])
+    @pytest.mark.parametrize("reach", [math.inf, 20.5], ids=["full", "reach"])
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
     def test_chunks_of_seven_are_the_one_shot_rows(self, name, reach, count, monkeypatch):
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 7)  # divides no count but 0
         t, shift = STREAM_TERRAINS[name], surface_shift(11)
         chunks, got = self.stream(t, count, shift, reach)
         want = lattice_points(t, count, shift, reach)
-        if reach is None:
+        if reach == math.inf:
             assert [len(c) for c in chunks] == [min(7, count - i) for i in range(0, count, 7)]
         elif count == 1000:
             assert 0 < len(want) < count
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert rb.sample_surface_points(t, count, shift, reach).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["corridor", "wall"])
     def test_default_chunks(self, name):
         t, count, shift = STREAM_TERRAINS[name], 2 * terrain.COVERAGE_CHUNK + 3, surface_shift(5)
-        for reach in (None, 20.5):
+        for reach in (math.inf, 20.5):
             want = lattice_points(t, count, shift, reach)
             assert self.stream(t, count, shift, reach)[1].tobytes() == want.tobytes()
 
@@ -298,16 +310,16 @@ class TestSurfaceChunks:
         # caller's shift: the same array serves a second stream unchanged.
         shift = surface_shift(9)
         kept = shift.copy()
-        first = rb.sample_surface_points(corridor, 50, shift, 20.5)
+        first = stream_points(corridor, 50, shift, 20.5)
         assert shift.tobytes() == kept.tobytes()
-        assert first.tobytes() == rb.sample_surface_points(corridor, 50, shift, 20.5).tobytes()
+        assert first.tobytes() == stream_points(corridor, 50, shift, 20.5).tobytes()
         assert first.tobytes() == lattice_points(corridor, 50, kept, 20.5).tobytes()
 
     @pytest.mark.parametrize("shift", [(0.5,), (0.1, 0.2, 0.3), (float("nan"), 0.2),
                                        (0.2, float("inf"))])
     def test_shift_must_be_two_finite_doubles(self, corridor, shift):
         with pytest.raises(ValueError, match="shift must be two finite doubles"):
-            rb.sample_surface_points(corridor, 10, shift)
+            stream_points(corridor, 10, shift)
 
     @pytest.mark.parametrize("where", ["window_centre", "window_start", "near_one"])
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
@@ -344,13 +356,13 @@ class TestSurfaceChunks:
         vector = np.array([row @ t.frame.rotation.T + t.frame.origin
                            for row in lattice_local(t, count, (s0, 0.2))[0]])
         assert (vector != full).any()
-        for r, want in ((None, full), (reach, lattice_points(t, count, (s0, 0.2), reach))):
-            assert 20 < len(want) and (r is None or len(want) < count)
+        for r, want in ((math.inf, full), (reach, lattice_points(t, count, (s0, 0.2), reach))):
+            assert 20 < len(want) and (r == math.inf or len(want) < count)
             assert self.stream(t, count, (s0, 0.2), r)[1].tobytes() == want.tobytes()
 
     def test_negative_count(self, corridor, rng):
         with pytest.raises(ValueError, match="non-negative"):
-            rb.sample_surface_points(corridor, -1, rng.random(2))
+            stream_points(corridor, -1, rng.random(2))
 
 
 def test_anchor_csv_format(corridor):
