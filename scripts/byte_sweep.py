@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Byte-identity sweep: run the same CLI commands on two checkouts and compare every output.
+
+BASE and HEAD are two checkouts of this repository, such as a parent commit
+and a change on top of it. Each side builds the sweep's configs (CONFIGS) from
+its own configs/mars_lava_tube.json and runs every command (COMMANDS) on each
+config, each run in a temporary directory of its own, with
+PYTHONPATH=<side>/src, REACHBOT_LOG=debug and OPENBLAS_NUM_THREADS=1. A run's
+digest is the SHA-256 of every file its directory ends with (the config, and
+the outputs under out/), of stdout and of stderr, and its exit code; wall
+times ("0.104 s") and the checkout's path are masked in stderr first. Each
+run whose digests differ between the sides is printed, with what differs.
+
+Usage: python3 scripts/byte_sweep.py BASE HEAD
+Exit code 0 when every run is identical, 1 when any differs or on bad usage.
+"""
+import copy
+import hashlib
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _rotation(axis: int, angle: float) -> list[list[float]]:
+    """The rotation by ``angle`` about coordinate axis ``axis`` (0: x, 2: z)."""
+    c, s = math.cos(angle), math.sin(angle)
+    i, j = [k for k in range(3) if k != axis]
+    R = [[float(r == k) for k in range(3)] for r in range(3)]
+    R[i][i], R[i][j], R[j][i], R[j][j] = c, -s, s, c
+    return R
+
+
+# Six explicit mount axes, 60 degrees apart about the corridor axis and tilted
+# 30 degrees off its normal plane, alternately forward and back.
+_AXES = [[0.5 * (-1) ** k, math.sqrt(0.75) * math.cos(k * math.pi / 3),
+          math.sqrt(0.75) * math.sin(k * math.pi / 3)] for k in range(6)]
+
+# config name -> edits of the shipped config, dotted key -> value (null: absent)
+CONFIGS = {
+    "lava_tube": {},
+    "sparse_pool": {"study.pool_multiplier": 2, "robot.L_max": 19.0},
+    "coverage_sweep": {"study.n_range": [1, 16], "study.trials": 4,
+                       "study.surface_samples": 400_000},
+    "tilted_corridor": {"terrain.frame": {"rotation": _rotation(2, 0.7), "origin": [1, 2, 3]}},
+    "wall": {"terrain": {"kind": "wall", "width": 30.0, "height": 60.0,
+                         "frame": {"origin": [-5.0, 0, 0]}}},
+    "tilted_floor": {"terrain": {"kind": "floor", "width": 30.0, "length": 80.0,
+                                 "frame": {"rotation": _rotation(0, 0.3), "origin": [0, 0, -4.0]}}},
+    "coverage_uniform": {"study.coverage_layout": "uniform"},
+    "coverage_mission": {"study.coverage_layout": "mission"},
+    "robot_mission": {"robot.layout": "mission"},
+    "explicit_mounts": {"robot.layout": None, "study.n_range": [6, 6], "robot.mounts": [
+        {"position": [0.5 * x for x in axis], "axis": axis} for axis in _AXES]},
+}
+
+# command name -> CLI arguments, run with --out-dir out in a directory holding
+# config.json; eval's stance.json is the side's stance_trial3 output.
+COMMANDS = {
+    "study_seed42": ["study", "config.json", "--seed", "42"],
+    "study_seed7": ["study", "config.json", "--seed", "7"],
+    "coverage": ["coverage", "config.json", "--samples", "50000"],
+    "stance_trial3": ["stance", "config.json", "--trial", "3"],
+    "stance_n6_trial3": ["stance", "config.json", "--n", "6", "--trial", "3"],
+    "eval": ["eval", "stance.json", "--config", "config.json"],
+}
+
+_WALL_TIME = re.compile(r"\d+\.\d+ s\b")
+
+
+def make_config(shipped: dict, edits: dict) -> dict:
+    cfg = copy.deepcopy(shipped)
+    for key, value in edits.items():
+        *blocks, field = key.split(".")
+        block = cfg
+        for name in blocks:
+            block = block.setdefault(name, {})
+        block[field] = value
+    return cfg
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def side_digests(root: Path) -> dict[str, dict[str, str]]:
+    """Every run's digests on one checkout: run name -> {item: SHA-256 or exit code}."""
+    root = root.resolve()
+    shipped = json.loads((root / "configs" / "mars_lava_tube.json").read_text())
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), REACHBOT_LOG="debug",
+               OPENBLAS_NUM_THREADS="1")
+    digests = {}
+    for config, edits in CONFIGS.items():
+        text = json.dumps(make_config(shipped, edits), indent=2)
+        stance = None
+        for command, args in COMMANDS.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                run = Path(tmp)
+                (run / "config.json").write_text(text)
+                if command == "eval" and stance is not None:
+                    (run / "stance.json").write_bytes(stance)
+                done = subprocess.run([sys.executable, "-m", "reachbot.cli", *args,
+                                       "--out-dir", "out"], cwd=run, env=env,
+                                      capture_output=True)
+                err = _WALL_TIME.sub("<t> s", done.stderr.decode().replace(str(root), "<checkout>"))
+                items = {"exit code": str(done.returncode), "stdout": _sha(done.stdout),
+                         "stderr": _sha(err.encode())}
+                for path in sorted(p for p in run.rglob("*") if p.is_file()):
+                    items[path.relative_to(run).as_posix()] = _sha(path.read_bytes())
+                if command == "stance_trial3" and (run / "out" / "stance.json").exists():
+                    stance = (run / "out" / "stance.json").read_bytes()
+            digests[f"{config}/{command}"] = items
+    return digests
+
+
+def differences(base: dict, head: dict) -> list[str]:
+    """One line per run whose digests differ, naming what differs."""
+    lines = []
+    for run in base.keys() | head.keys():
+        a, b = base.get(run, {}), head.get(run, {})
+        items = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        if items:
+            lines.append(f"{run}: {', '.join(items)}")
+    return sorted(lines)
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print("usage: byte_sweep.py BASE HEAD", file=sys.stderr)
+        return 1
+    base, head = (Path(arg) for arg in sys.argv[1:])
+    for side in (base, head):
+        if not (side / "src" / "reachbot").is_dir():
+            print(f"error: {side} is not a checkout of reachbot", file=sys.stderr)
+            return 1
+    base_digests = side_digests(base)
+    lines = differences(base_digests, side_digests(head))
+    print("\n".join(lines + [f"{len(lines)} of {len(base_digests)} runs differ"]))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

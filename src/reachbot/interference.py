@@ -26,8 +26,10 @@ only the samples within R, and every other lattice point, generated or
 not, is counted as covered by no boom. The screen is exact: every count
 equals the unscreened pass's.
 
-Each chunk of the stream, at most COVERAGE_CHUNK samples, is one
-feasibility pass. No array is sized by the sample count.
+Each chunk of the stream, at most COVERAGE_CHUNK samples, is one feasibility
+pass, which adds to one integer prefix histogram per mount block (see
+``_block_coverage``); every coverage column is read from those. No array is
+sized by the sample count.
 """
 from __future__ import annotations
 
@@ -64,46 +66,41 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
     A block is (robot, boom counts): boom count N is covered by the robot's
     first N mounts. ``passes`` are (k, 3) arrays of the samples, among
     ``s``, that may be covered; the others lie beyond every block's reach,
-    are covered by no mount and go to bin 0. Per pass and per block, one
-    feasibility matrix and its running count of covering mounts give every
-    prefix's union count and each served N's histogram, as integers.
+    are covered by no mount and go to bin 0. An N-mount block keeps one
+    (N+1) x (N+1) integer prefix histogram, whose entry [i, k] counts the
+    samples that exactly k of mounts 0..i-1 reach; each pass fills it from
+    one feasibility matrix and a running count of covering mounts.
     """
     if s < 1:
         raise ValueError("need at least one surface sample")
-    unions = [np.zeros(robot.boom_count, dtype=np.int64) for robot, _ in blocks]
-    hists = [{n: np.zeros(n + 1, dtype=np.int64) for n in ns} for _, ns in blocks]
-
+    hists = [np.zeros((robot.boom_count + 1,) * 2, dtype=np.int64) for robot, _ in blocks]
     given = largest = 0
     for batch in passes:
         given += len(batch)
         largest = max(largest, len(batch))
-        for (robot, _), union, hist in zip(blocks, unions, hists):
+        for (robot, _), hist in zip(blocks, hists):
             ok, _ = feasibility_matrix(robot, batch)
-            counts = np.zeros((robot.boom_count + 1, len(batch)), dtype=np.int32)
-            # Row n: how many of mounts 0..n-1 reach. Adding row by row is
-            # several times faster than np.cumsum along axis 0.
-            for i, row in enumerate(ok):
-                np.add(counts[i], row, out=counts[i + 1])
-            union += (counts[1:] >= 1).sum(axis=1)
-            for n, h in hist.items():
-                h += np.bincount(counts[n], minlength=n + 1)
+            count = np.zeros(len(batch), dtype=np.intp)
+            for i, row in enumerate(ok, 1):
+                count += row
+                hist[i, :i + 1] += np.bincount(count, minlength=i + 1)
         del batch  # freed before the next pass is generated
     for hist in hists:
-        for h in hist.values():
-            h[0] += s - given  # not given: beyond every block's reach
+        hist[:, 0] += s - given  # not given: beyond every block's reach
+        hist[0, 0] += given  # no mount: every given sample is uncovered
     log.debug("coverage over %d mount block(s): %d of %d samples given, feasibility passes "
               "of up to %d samples, largest %d mount-sample pairs", len(blocks), given, s,
               largest, largest * max(robot.boom_count for robot, _ in blocks))
-    served = [(n, union[:n], h) for union, hist in zip(unions, hists) for n, h in hist.items()]
-    unique = np.array([s - h[0] for _, _, h in served]) / s
-    overlap = np.array([s - h[:2].sum() for _, _, h in served]) / s
+    rows = [(n, hist) for (_, ns), hist in zip(blocks, hists) for n in ns]
+    unique = np.array([s - h[n, 0] for n, h in rows]) / s
+    overlap = np.array([s - h[n, :2].sum() for n, h in rows]) / s
     if not np.all((0.0 <= overlap) & (overlap <= unique) & (unique <= 1.0)):
         raise ValueError("coverage fractions must satisfy 0 <= overlap <= unique <= 1")
-    return {"boom_count": np.array([n for n, _, _ in served]),
-            "sample_count": np.full(len(served), s),
+    return {"boom_count": np.array([n for n, _ in rows]),
+            "sample_count": np.full(len(rows), s),
             "unique_pct": unique, "overlap_pct": overlap,
-            "per_boom_marginal": [np.diff(u / s, prepend=0.0).tolist() for _, u, _ in served],
-            "count_histogram": [h.tolist() for _, _, h in served]}
+            "per_boom_marginal": [np.diff((s - h[:n + 1, 0]) / s).tolist() for n, h in rows],
+            "count_histogram": [h[n, :n + 1].tolist() for n, h in rows]}
 
 
 def coverage_from_mounts(robot: RobotConfig, points: np.ndarray) -> Coverage:
@@ -136,8 +133,8 @@ def coverage_curve(
     feasibility pass per chunk of the surface stream; any other robot is a
     block of its own. Only the lattice points within the blocks' reach R
     come out of the stream (see the module docstring), so working
-    memory is one pass (about 45 bytes per mount of the largest block and
-    sample: 2.8 MiB for 16 mounts), whatever ``sample_count``.
+    memory is one pass (about 47 bytes per mount of the largest block and
+    sample: 2.9 MiB for 16 mounts), whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:

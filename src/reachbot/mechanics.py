@@ -31,7 +31,7 @@ def _boom_axes(shoulders: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, 
     return d / L[..., None], L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stance:
     """A matched set of booms: shoulder and anchor pairs and the body center, read-only.
     ``directions`` (N, 3) and ``lengths`` (N,) come from the pairs by ``_boom_axes``,
@@ -40,17 +40,19 @@ class Stance:
     shoulders: np.ndarray  # (N, 3) world
     anchors: np.ndarray  # (N, 3) world
     body_center: np.ndarray  # (3,)
-    directions: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    directions: np.ndarray = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = np.array(self.shoulders, dtype=float).reshape(-1, 3)
-        a = np.array(self.anchors, dtype=float).reshape(-1, 3)
-        c = np.array(self.body_center, dtype=float).reshape(3)
-        if len(s) != len(a):
-            raise ValueError("stance arrays must have one row per boom")
-        if len(s) < 1:
+        s = np.array(self.shoulders, dtype=float)
+        a = np.array(self.anchors, dtype=float)
+        c = np.array(self.body_center, dtype=float)
+        if s.size == 0:
             raise ValueError("stance needs at least one boom")
+        if s.shape != a.shape or s.shape[1:] != (3,):
+            raise ValueError("stance shoulders and anchors must be (N, 3) arrays of one shape")
+        if c.shape != (3,):
+            raise ValueError("stance body_center must be a 3-vector")
         u, L = _boom_axes(s, a)
         for name, arr in (("shoulders", s), ("anchors", a), ("body_center", c),
                           ("directions", u), ("lengths", L)):
@@ -95,7 +97,7 @@ def sym_eig(K: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (K + K.T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiffnessResult:
     """6x6 stiffness matrix with its ascending eigenvalue spectrum."""
 

@@ -24,7 +24,7 @@ MISSION_KEEPOUT_AXES = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -
 KEEPOUT_HALF_ANGLE = math.radians(30.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MountSpec:
     """One shoulder mount on the body sphere: position and cone boresight."""
 
@@ -88,7 +88,7 @@ def build_mounts(n: int, body_radius: float = 0.5, layout: str = "uniform") -> l
     return [MountSpec(position=body_radius * d, axis=d) for d in dirs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotConfig:
     """Configurable robot parameters. Immutable after validation."""
 
@@ -107,8 +107,8 @@ class RobotConfig:
     gravity: float = 3.721
     # Read-only (N, 3) mount positions and cone axes; + 0.0 makes the
     # lattice's -0.0 coordinates +0.0, which stance.json writes as 0.0.
-    shoulders: np.ndarray = field(init=False, repr=False, compare=False)
-    axes: np.ndarray = field(init=False, repr=False, compare=False)
+    shoulders: np.ndarray = field(init=False, repr=False)
+    axes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.boom_count < 1:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +40,10 @@ def set_key(cfg: dict, key: str, value):
     for block in blocks:
         cfg = cfg.setdefault(block, {})
     cfg[field] = value
+
+
+# set_key edits that make a config's robot one explicit mount (null: no layout).
+ONE_MOUNT = {"study.n_range": [1, 1], "robot.layout": None}
 
 
 class TestValidate:
@@ -131,6 +136,33 @@ class TestValidate:
     def test_integer_past_float_range(self, tmp_path, capsys, key, message):
         cfg = default_config_dict()
         set_key(cfg, key, [10 ** 400, 0, 0] if key.endswith("origin") else 10 ** 400)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"robot.cone_half_angle_rad": math.pi / 2}, "cone_half_angle must be in (0, pi/2)"),
+        ({"robot.m_gripper": -0.5}, "m_gripper must be non-negative"),
+        ({"robot.k": 0.0}, "boom_stiffness must be positive"),
+        ({"robot.body_radius": 0.0}, "body_radius must be positive"),
+        ({**ONE_MOUNT, "robot.mounts": [{"position": [0, 0, 0.5], "axis": [0, 0, 2]}]},
+         "robot.mounts[0]: mount axis must be a unit vector"),
+        ({**ONE_MOUNT, "robot.mounts": [{"position": [0, 0, 0.5], "axis": [0, 1]}]},
+         "robot.mounts[0]: mount position and axis must be 3-vectors"),
+        ({"constraints.tau_drill_nm": -1.0}, "tau_drill must be non-negative"),
+        ({"calibration.delta_ref_m": 0.0}, "delta_ref must be positive"),
+        ({"study.pool_multiplier": 0}, "pool_multiplier must be >= 1"),
+        ({"terrain.frame.rotation": [[1, 0, 0], [0, 1, 0], [0, 1, 1]]},
+         "terrain: frame rotation must be a 3x3 orthonormal matrix"),
+        ({"terrain.frame.origin": [0, 0]}, "terrain: frame origin must be a 3-vector"),
+    ], ids=["cone_half_angle", "negative_mass", "k", "body_radius", "mount_axis_not_unit",
+            "mount_axis_length", "tau_drill", "delta_ref", "pool_multiplier",
+            "rotation_not_orthonormal", "origin_length"])
+    def test_value_out_of_range(self, tmp_path, capsys, edits, message):
+        cfg = default_config_dict()
+        for key, value in edits.items():
+            set_key(cfg, key, value)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["validate", str(path)]) == 1
@@ -618,15 +650,23 @@ class TestPareto:
         ("a,b\n1,2\n3\n", "points CSV data row 2 does not have one value per column"),
         ("a,b\n1,2\n3,4,5\n", "points CSV data row 2 does not have one value per column"),
         ("a,b\n1,2\nnan,1\n", "NaN objective value in data row 2"),
-    ], ids=["short_row", "long_row", "nan"])
+        ("a,b\n1,x\n", "non-numeric objective value: could not convert string to float: 'x'"),
+        ("a,b\n", "points CSV has no data rows"),
+        ("", "points CSV has no header"),
+        (None, "points file not found: {path}"),
+    ], ids=["short_row", "long_row", "nan", "non_numeric", "header_only", "empty", "missing"])
     def test_bad_rows(self, tmp_path, capsys, text, message):
         pts = tmp_path / "points.csv"
-        pts.write_text(text)
+        if text is not None:
+            pts.write_text(text)
         out = tmp_path / "pf"
         assert main(["pareto", str(pts), "--minimize", "b", "--maximize", "a",
                      "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=pts)}\n"
         assert not out.exists()
+
+
+SHAPE = "stance shoulders and anchors must be (N, 3) arrays of one shape\n"
 
 
 class TestEval:
@@ -669,10 +709,22 @@ class TestEval:
         assert capsys.readouterr().err == "error: stance file holds NaN, not a finite number\n"
         assert not out.exists()
 
+    # Each array is read with its shape: reshaping would read the first four
+    # of these files as the six-boom stance they were made from.
     @pytest.mark.parametrize("edit,reason", [
+        (lambda raw: raw.update(s=np.reshape(raw["s"], (9, 2)).tolist(),
+                                a=np.reshape(raw["a"], (9, 2)).tolist()), SHAPE),
+        (lambda raw: raw.update(s=np.ravel(raw["s"]).tolist(), a=np.ravel(raw["a"]).tolist()),
+         SHAPE),
+        (lambda raw: raw.update(a=[raw["a"]]), SHAPE),
+        (lambda raw: raw.update(body_center=[[0], [0], [0]]),
+         "stance body_center must be a 3-vector\n"),
+        (lambda raw: raw.update(a=raw["a"][:5]), SHAPE),
+        (lambda raw: raw.update(s=[], a=[]), "stance needs at least one boom\n"),
         (lambda raw: raw["a"].__setitem__(2, raw["s"][2]), "anchor coincides with shoulder\n"),
         (lambda raw: raw.update(s={"0": [0.5, 0.0, 0.0]}), "float() argument"),
-    ], ids=["anchor_on_shoulder", "rows_not_a_list"])
+    ], ids=["xy_rows", "flat", "anchors_3d", "body_center_column", "rows_mismatch", "no_booms",
+            "anchor_on_shoulder", "rows_not_a_list"])
     def test_invalid_stance_rejected(self, tmp_path, rng, capsys, edit, reason):
         raw = random_stance(rng, 6).to_dict()
         edit(raw)

@@ -276,6 +276,10 @@ class TestLegacyModels:
         two = legacy_stiffness_cable(st, 2.0)
         assert np.allclose(two.K, 2.0 * one.K, atol=1e-12)
 
+    def test_cable_weights_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="omega weights must be positive"):
+            legacy_stiffness_cable(random_stance(rng, 3), 0.0)
+
     def test_cable_two_opposed(self):
         st = rb.Stance([[0, 0, 0], [0, 0, 0]], [[10, 0, 0], [-10, 0, 0]], np.zeros(3))
         res = legacy_stiffness_cable(st, 1.0)

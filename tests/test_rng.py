@@ -70,6 +70,11 @@ def test_uniforms_take_an_index_array():
         reference(5, trials.tolist(), "anchors", 60).tobytes()
 
 
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        substream(-1)
+
+
 @pytest.mark.parametrize("seed, trials", [(-1, [0]), (0, [3, -1])])
 def test_negative_keys_are_rejected(seed, trials):
     with pytest.raises(ValueError, match="non-negative"):

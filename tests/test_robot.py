@@ -41,6 +41,10 @@ class TestMounts:
     def test_lattice_deterministic(self):
         assert np.array_equal(fibonacci_sphere(9), fibonacci_sphere(9))
 
+    def test_empty_lattice_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            fibonacci_sphere(0)
+
 
 class TestRobotConfig:
     def test_total_mass_default_8(self):
@@ -49,6 +53,8 @@ class TestRobotConfig:
     def test_zero_booms_rejected(self):
         with pytest.raises(ValueError, match="boom count"):
             rb.make_robot(0)
+        with pytest.raises(ValueError, match="boom_count must be >= 1"):
+            rb.RobotConfig(boom_count=0, mounts=())
 
     def test_massless_booms(self):
         cfg = rb.make_robot(5, m_boom=0.0, m_gripper=0.0, m_shoulder=0.0)
@@ -145,6 +151,16 @@ class TestBuckling:
     def test_zero_everything_not_satisfied(self):
         cfg = rb.make_robot(1, m_boom=0.0, m_gripper=0.0)
         assert not rb.check_buckling(0.0, cfg).satisfied
+
+    @pytest.mark.parametrize("args", [(-0.5, 1.0, 3.721, 20.0), (0.5, -1.0, 3.721, 20.0),
+                                      (0.5, 1.0, -3.721, 20.0), (0.5, 1.0, 3.721, -20.0)])
+    def test_negative_moment_inputs_rejected(self, args):
+        with pytest.raises(ValueError, match="buckling inputs must be non-negative"):
+            rb.buckling_moment(*args)
+
+    def test_negative_critical_moment_rejected(self):
+        with pytest.raises(ValueError, match="m_critical must be non-negative"):
+            rb.check_buckling(-1.0, rb.make_robot(8))
 
     @given(m_g=st.floats(0, 10), m_b=st.floats(0, 10),
            g=st.floats(0.1, 25), length=st.floats(0, 50))

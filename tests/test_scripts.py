@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -25,16 +26,23 @@ recommended delta_ref_m: 0.141
 """
 
 
-SCRIPT = ROOT / "scripts" / "calibrate_delta_ref.py"
+def load_script(name: str):
+    """scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_script(monkeypatch, module, *args) -> int:
+    """Exit code of a script module's main() run with command-line ``args``."""
+    monkeypatch.setattr(sys, "argv", [module.__file__, *map(str, args)])
+    return module.main()
 
 
 def calibrate(monkeypatch, *args) -> int:
     """Exit code of the calibration script run with command-line ``args``."""
-    spec = importlib.util.spec_from_file_location("calibrate_delta_ref", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *map(str, args)])
-    return module.main()
+    return run_script(monkeypatch, load_script("calibrate_delta_ref"), *args)
 
 
 def test_calibrate_delta_ref_shipped_config(monkeypatch, capsys):
@@ -60,3 +68,23 @@ def test_calibrate_delta_ref_bad_config(monkeypatch, capsys, tmp_path, text, mes
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_byte_sweep(monkeypatch, capsys, tmp_path):
+    sweep = load_script("byte_sweep")
+    monkeypatch.setattr(sweep, "CONFIGS", {"small": {
+        "study.n_range": [6, 8], "study.trials": 3, "study.surface_samples": 2000}})
+    runs = len(sweep.COMMANDS)
+    assert run_script(monkeypatch, sweep, ROOT, ROOT) == 0
+    assert capsys.readouterr().out == f"0 of {runs} runs differ\n"
+
+    copy = tmp_path / "copy"
+    for part in ("src", "configs"):
+        shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+    init = copy / "src" / "reachbot" / "__init__.py"
+    init.write_text(init.read_text().replace('__version__ = "', '__version__ = "9'))
+    assert run_script(monkeypatch, sweep, ROOT, copy) == 1
+    # The version is written only to report.json.
+    assert capsys.readouterr().out == ("small/study_seed42: out/report.json\n"
+                                       "small/study_seed7: out/report.json\n"
+                                       f"2 of {runs} runs differ\n")

@@ -427,6 +427,10 @@ class TestParetoFront:
         pts = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert rb.pareto_front(pts, ["min", "min"]) == [0, 1]
 
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="pareto_front requires at least one point"):
+            rb.pareto_front([], ["min"])
+
     def test_sense_mismatch(self):
         with pytest.raises(ValueError, match="sense"):
             rb.pareto_front(np.zeros((2, 2)), ["min"])

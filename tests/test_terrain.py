@@ -85,6 +85,10 @@ class TestConstruction:
     def test_unit_corridor_area(self):
         assert surface_area(rb.corridor(1, 1)) == pytest.approx(2 * np.pi)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown terrain kind 'funnel'"):
+            Terrain("funnel", (1.0, 1.0))
+
     def test_make_terrain_defaults(self):
         t = rb.make_terrain({"kind": "corridor"})
         assert t.dims == (15.0, 100.0)
@@ -102,6 +106,10 @@ class TestSampling:
     def test_zero_anchors(self, corridor, rng):
         aset = rb.sample_anchors(corridor, 0, 40, rng)
         assert aset.count == 0
+
+    def test_negative_count(self, corridor, rng):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            rb.sample_anchors(corridor, -1, 40, rng)
 
     def test_on_surface(self, corridor):
         aset = rb.sample_anchors(corridor, 10000, 40, substream(7, 0, "anchors"))
@@ -247,6 +255,10 @@ class TestSamplePools:
             rng_a, rng_b = substream(42, trial, "resample:8:3"), substream(42, trial, "resample:8:3")
             assert pool.tobytes() == sample_reference(t, 27, window, rng_a).tobytes()
             assert pool.tobytes() == rb.sample_anchors(t, 27, window, rng_b).points.tobytes()
+
+    def test_draws_must_match_the_count(self, corridor):
+        with pytest.raises(ValueError, match="u must hold 2 \\* count draws per pool"):
+            sample_pools(corridor, 4, 40.0, np.zeros((3, 7)))
 
     def test_draws_are_consumed_in_place(self, corridor):
         u = substream_uniforms(3, (0, 1), "anchors", 8)
