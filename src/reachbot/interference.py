@@ -26,10 +26,13 @@ only the samples within R, and every other lattice point, generated or
 not, is counted as covered by no boom. The screen is exact: every count
 equals the unscreened pass's.
 
-Each chunk of the stream, at most COVERAGE_CHUNK samples, is one feasibility
-pass, which adds to one integer prefix histogram per mount block (see
-``_block_coverage``); every coverage column is read from those. No array is
-sized by the sample count.
+The stream yields chunks of up to COVERAGE_CHUNK samples, and each chunk is
+taken in feasibility passes of at most COVERAGE_PAIRS mount-sample pairs:
+COVERAGE_PAIRS // N samples for an N-mount block (2,048 at 16 mounts). Each
+pass adds to one integer prefix histogram per mount block (see
+``_block_coverage``), and every coverage column is read from those. One
+workspace, allocated per call for the largest block, serves every pass, and
+no array is sized by the sample count.
 """
 from __future__ import annotations
 
@@ -39,10 +42,16 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .robot import RobotConfig
-from .stance import feasibility_matrix
-from .terrain import COVERAGE_CHUNK, Terrain, surface_point_chunks
+from .stance import feasibility_matrix, feasibility_workspace
+from .terrain import Terrain, surface_point_chunks
 
 log = logging.getLogger(__name__)
+
+# Mount-sample pairs per coverage feasibility pass (2,048 samples at 16
+# mounts). The pass workspace holds 50 bytes a pair, 1.6 MiB, allocated once
+# a coverage call: larger passes would raise a study's peak memory, smaller
+# ones the per-pass overhead.
+COVERAGE_PAIRS = 2 ** 15
 
 # Coverage columns, one entry per boom count: boom_count, sample_count,
 # unique_pct and overlap_pct (fractions covered by >= 1 and >= 2 booms),
@@ -60,37 +69,52 @@ def _reach(robot: RobotConfig) -> float:
 
 
 def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
-                    passes: Iterable[np.ndarray], s: int) -> Coverage:
+                    chunks: Iterable[np.ndarray], s: int) -> Coverage:
     """Coverage columns of every boom count that a list of mount blocks serves.
 
     A block is (robot, boom counts): boom count N is covered by the robot's
-    first N mounts. ``passes`` are (k, 3) arrays of the samples, among
+    first N mounts. ``chunks`` are (k, 3) arrays of the samples, among
     ``s``, that may be covered; the others lie beyond every block's reach,
-    are covered by no mount and go to bin 0. An N-mount block keeps one
-    (N+1) x (N+1) integer prefix histogram, whose entry [i, k] counts the
-    samples that exactly k of mounts 0..i-1 reach; each pass fills it from
-    one feasibility matrix and a running count of covering mounts.
+    are covered by no mount and go to bin 0. Each chunk is taken in passes
+    of at most COVERAGE_PAIRS // M samples, M being the largest block's
+    mount count. An N-mount block keeps one (N+1) x (N+1) integer
+    prefix histogram, whose entry [i, k] counts the samples that exactly k
+    of mounts 0..i-1 reach; each pass fills it from one feasibility matrix
+    and its running sums over the mounts, both held in the one workspace
+    allocated here.
     """
     if s < 1:
         raise ValueError("need at least one surface sample")
+    mounts = max(robot.boom_count for robot, _ in blocks)
+    size = max(1, COVERAGE_PAIRS // mounts)
+    work = feasibility_workspace(mounts * size)
+    sums = np.empty(mounts * size, dtype=np.intp)
     hists = [np.zeros((robot.boom_count + 1,) * 2, dtype=np.int64) for robot, _ in blocks]
-    given = largest = 0
-    for batch in passes:
-        given += len(batch)
-        largest = max(largest, len(batch))
-        for (robot, _), hist in zip(blocks, hists):
-            ok, _ = feasibility_matrix(robot, batch)
-            count = np.zeros(len(batch), dtype=np.intp)
-            for i, row in enumerate(ok, 1):
-                count += row
-                hist[i, :i + 1] += np.bincount(count, minlength=i + 1)
-        del batch  # freed before the next pass is generated
+    given = passes = largest = 0
+    for chunk in chunks:
+        given += len(chunk)
+        for first in range(0, len(chunk), size):
+            batch = chunk[first:first + size]
+            passes, largest = passes + 1, max(largest, len(batch))
+            for (robot, _), hist in zip(blocks, hists):
+                ok, _ = feasibility_matrix(robot, batch, work)
+                # Row i - 1 of count ends as i (N + 1) plus how many of mounts
+                # 0..i-1 reach the sample: its flat index into hist, row i.
+                n = robot.boom_count
+                count = sums[:ok.size].reshape(ok.shape)
+                np.copyto(count, ok)
+                count += n + 1
+                for i in range(1, n):
+                    count[i] += count[i - 1]
+                hist += np.bincount(count.ravel(), minlength=hist.size).reshape(hist.shape)
+        chunk = batch = None  # freed before the next chunk is generated
     for hist in hists:
         hist[:, 0] += s - given  # not given: beyond every block's reach
         hist[0, 0] += given  # no mount: every given sample is uncovered
-    log.debug("coverage over %d mount block(s): %d of %d samples given, feasibility passes "
-              "of up to %d samples, largest %d mount-sample pairs", len(blocks), given, s,
-              largest, largest * max(robot.boom_count for robot, _ in blocks))
+    log.debug("coverage over %d mount block(s): %d of %d samples given in %d feasibility "
+              "passes, the largest %d samples; pass budget %d mount-sample pairs (%d samples "
+              "at %d mounts), workspace %d bytes", len(blocks), given, s, passes, largest,
+              COVERAGE_PAIRS, size, mounts, sum(a.nbytes for a in work) + sums.nbytes)
     rows = [(n, hist) for (_, ns), hist in zip(blocks, hists) for n in ns]
     unique = np.array([s - h[n, 0] for n, h in rows]) / s
     overlap = np.array([s - h[n, :2].sum() for n, h in rows]) / s
@@ -106,8 +130,7 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
 def coverage_from_mounts(robot: RobotConfig, points: np.ndarray) -> Coverage:
     """Coverage of a robot's mounts over given surface sample points, as one row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    passes = (points[i:i + COVERAGE_CHUNK] for i in range(0, len(points), COVERAGE_CHUNK))
-    return _block_coverage([(robot, (robot.boom_count,))], passes, len(points))
+    return _block_coverage([(robot, (robot.boom_count,))], [points], len(points))
 
 
 def coverage_curve(
@@ -130,11 +153,12 @@ def coverage_curve(
     one), so monotonicity is only statistical.
 
     The whole ``nested`` lattice is one mount block, served by one
-    feasibility pass per chunk of the surface stream; any other robot is a
-    block of its own. Only the lattice points within the blocks' reach R
-    come out of the stream (see the module docstring), so working
-    memory is one pass (about 47 bytes per mount of the largest block and
-    sample: 2.9 MiB for 16 mounts), whatever ``sample_count``.
+    feasibility matrix a pass; any other robot is a block of its own. Only
+    the lattice points within the blocks' reach R come out of the stream
+    (see the module docstring), and each of its chunks is taken in passes
+    of COVERAGE_PAIRS // (the largest block's mounts) samples. Working
+    memory is one workspace of 50 bytes a pair (1.6 MiB), reused by every
+    pass, and one chunk of the stream, whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:

@@ -60,9 +60,10 @@ def build_mounts(n: int, body_radius: float = 0.5, layout: str = "uniform") -> l
     """Place n shoulder mounts on the body sphere, axes radial.
 
     ``uniform`` spreads the mounts with a golden-angle lattice. ``mission``
-    grows the lattice and rejects points inside the keep-out cones (half
-    angle KEEPOUT_HALF_ANGLE) around the sensor, tether and instrument axes
-    until n survivors remain.
+    takes the first n points, outside the keep-out cones (half angle
+    KEEPOUT_HALF_ANGLE) around the sensor, tether and instrument axes, of
+    the smallest lattice that has n of them. The cones cover about a fifth
+    of the sphere, so that lattice has at most 1.5 n points.
     """
     if n < 1:
         raise ValueError("boom count must be >= 1")
@@ -70,19 +71,12 @@ def build_mounts(n: int, body_radius: float = 0.5, layout: str = "uniform") -> l
         dirs = fibonacci_sphere(n)
     elif layout == "mission":
         cos_lim = math.cos(KEEPOUT_HALF_ANGLE)
-        dirs = None
-        best = 0
-        for m in range(n, 64 * n + 16):
+        m, dirs = n, np.empty((0, 3))
+        while len(dirs) < n:
             cand = fibonacci_sphere(m)
-            ok = np.all(cand @ MISSION_KEEPOUT_AXES.T < cos_lim, axis=1)
-            best = max(best, int(ok.sum()))
-            if ok.sum() >= n:
-                dirs = cand[ok][:n]
-                break
-        if dirs is None:
-            raise ValueError(
-                f"mission layout infeasible for {n} mounts; at most {best} fit outside keep-out zones"
-            )
+            dirs = cand[np.all(cand @ MISSION_KEEPOUT_AXES.T < cos_lim, axis=1)]
+            m += 1
+        dirs = dirs[:n]
     else:
         raise ValueError(f"unknown mount layout {layout!r}")
     return [MountSpec(position=body_radius * d, axis=d) for d in dirs]

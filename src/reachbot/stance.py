@@ -23,23 +23,45 @@ from .robot import RobotConfig
 from .terrain import AnchorSet
 
 
-def feasibility_matrix(robot: RobotConfig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def feasibility_workspace(pairs: int) -> list[np.ndarray]:
+    """Buffers for ``feasibility_matrix`` calls of up to ``pairs`` mount-point
+    pairs: five float64 and two bool arrays, 42 bytes a pair."""
+    return [np.empty(pairs) for _ in range(5)] + [np.empty(pairs, dtype=bool) for _ in range(2)]
+
+
+def feasibility_matrix(robot: RobotConfig, points: np.ndarray,
+                       out: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3).
 
     The offsets are one (..., N, M) array per coordinate, and every step
     after them reuses their buffers. The length sums the squares in
     coordinate order, as ``np.linalg.norm`` does, and the cone's dot product
     is (x a0 + z a2) + y a1. A point at a shoulder (L = 0) has no cone
-    angle, and ``L_min > 0`` rejects it anyway.
+    angle, and ``L_min > 0`` rejects it anyway. Each broadcast operand (a
+    points row, a mount column) is copied out to a whole buffer first, so
+    that no ufunc call broadcasts: numpy would give such a call an iteration
+    buffer of 64 KiB per broadcast operand.
+
+    Every (..., N, M) array is a view of one of ``out``'s buffers, a
+    ``feasibility_workspace`` of at least N·M pairs for the call to reuse;
+    the results are then valid until its next use. Without it the call
+    allocates its own.
     """
     shoulders, axes = robot.shoulders, robot.axes
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d0, d1, d2 = (pts[..., None, :, k].copy() - shoulders[:, k, None] for k in range(3))
-    a0, a1, a2 = (axes[:, k, None] for k in range(3))
-    dot = d0 * a0
-    term = d2 * a2
-    dot += term
-    dot += np.multiply(d1, a1, out=term)
+    shape = (*pts.shape[:-2], len(shoulders), pts.shape[-2])
+    size = math.prod(shape)
+    d0, d1, d2, dot, term, ok, flag = (a[:size].reshape(shape)
+                                       for a in out or feasibility_workspace(size))
+    for k, d in enumerate((d0, d1, d2)):
+        np.copyto(d, pts[..., None, :, k])
+        np.copyto(term, shoulders[:, k, None])
+        d -= term
+    np.copyto(dot, axes[:, 0, None])
+    dot *= d0
+    for k, d in ((2, d2), (1, d1)):
+        np.copyto(term, axes[:, k, None])
+        dot += np.multiply(term, d, out=term)
     d0 *= d0
     d1 *= d1
     d2 *= d2
@@ -48,9 +70,9 @@ def feasibility_matrix(robot: RobotConfig, points: np.ndarray) -> tuple[np.ndarr
     L = np.sqrt(d0, out=d0)
     with np.errstate(invalid="ignore", divide="ignore"):
         dot /= L  # the cone angle's cosine; nan at L = 0
-    ok = L >= robot.L_min
-    ok &= L <= robot.L_max
-    ok &= dot >= math.cos(robot.cone_half_angle)
+    np.greater_equal(L, robot.L_min, out=ok)
+    ok &= np.less_equal(L, robot.L_max, out=flag)
+    ok &= np.greater_equal(dot, math.cos(robot.cone_half_angle), out=flag)
     return ok, L
 
 

@@ -9,7 +9,6 @@ layout places every N's mounts.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,6 +22,14 @@ from .rng import substream_uniforms
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
 from .stance import match_pools
 from .terrain import Terrain, sample_pools
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL, 3.5 MiB a process
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 log = logging.getLogger(__name__)
 
@@ -163,6 +170,11 @@ def draw_pools(sc: StudyConfig, trials: np.ndarray, tags) -> np.ndarray:
                         substream_uniforms(sc.seed, trials, tags, 2 * count))
 
 
+def _pool_hash(pool: np.ndarray) -> str:
+    """The first 16 hex digits of the SHA-256 of a pool's float64 bytes."""
+    return sha256(pool.tobytes()).hexdigest()[:16]
+
+
 def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
                  shared: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The boom-to-anchor assignments of cells (cfg.boom_count, trials), round by round.
@@ -221,10 +233,12 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
 
     Each boom count's booms are matched in resample rounds over all trials;
     its grasp maps and metrics are then taken in one stacked call over its
-    feasible cells.
+    feasible cells. Each distinct pool is hashed once: a trial's shared pool
+    for every cell that reports it, a resampled pool for its own cell.
     """
     trials = np.arange(sc.trials)
     shared = draw_pools(sc, trials, "anchors")
+    shared_hash = np.array([_pool_hash(p) for p in shared])
     shape = (len(sc.boom_counts), sc.trials)
     columns = {"feasible": np.zeros(shape, dtype=bool), "resamples": np.zeros(shape, dtype=int),
                "pool_hash": np.empty(shape, dtype="U16"),
@@ -233,7 +247,9 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
         cfg = sc.robot_template.with_boom_count(n)
         feasible, resamples, pools, rows = match_rounds(sc, cfg, trials, shared)
         columns["feasible"][i], columns["resamples"][i] = feasible, resamples
-        columns["pool_hash"][i] = [hashlib.sha256(p.tobytes()).hexdigest()[:16] for p in pools]
+        columns["pool_hash"][i] = shared_hash
+        for t in np.flatnonzero(feasible & (resamples > 0)).tolist():
+            columns["pool_hash"][i, t] = _pool_hash(pools[t])
         if feasible.any():
             anchors = np.take_along_axis(pools[feasible], rows[feasible][..., None], axis=1)
             G = grasp_map_stack(cfg.shoulders, anchors, np.zeros(3))

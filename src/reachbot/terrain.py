@@ -202,9 +202,9 @@ def sample_anchors(
                      terrain=t, seed=seed)
 
 
-# Lattice points per chunk of surface_point_chunks, and so the most samples one
-# coverage feasibility pass takes: about 47 bytes per mount and sample, 2.9 MiB
-# for 16 mounts.
+# Lattice points per chunk of surface_point_chunks. Coverage takes a chunk in
+# feasibility passes of at most interference.COVERAGE_PAIRS mount-sample pairs;
+# smaller chunks would cost more per sample to generate.
 COVERAGE_CHUNK = 4096
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden lattice's across step, 1/phi

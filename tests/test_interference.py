@@ -159,8 +159,10 @@ class TestChunkedCurve:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 7)  # does not divide 1,000
-        monkeypatch.setattr(interference, "COVERAGE_CHUNK", 7)  # coverage_from_mounts' passes
+        # Chunks of 37 lattice points, taken in passes of 7 samples at 12
+        # mounts, 10 at 8 or 28 at 3: no pass size divides the chunk size.
+        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 37)
+        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 84)
 
     @pytest.mark.parametrize("policy,n_range", [
         ("nested", (1, 12)), ("nested", (4, 9)), ("uniform", (1, 8)),
@@ -190,15 +192,15 @@ class TestChunkedCurve:
     def test_feasibility_calls_stay_within_chunk(self, robot8, corridor, monkeypatch):
         sizes = []
 
-        def recording(robot, points):
+        def recording(robot, points, out):
             sizes.append(len(points))
-            return feasibility_matrix(robot, points)
+            return feasibility_matrix(robot, points, out)
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
         rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, surface_shift(3))
         points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
         in_reach = np.linalg.norm(points, axis=1) <= robot8.L_max + robot8.body_radius
-        assert sizes and max(sizes) <= terrain.COVERAGE_CHUNK
+        assert sizes and 10 * max(sizes) <= interference.COVERAGE_PAIRS
         # one pass over the samples within reach: the nested lattice is one block
         assert 0 < sum(sizes) == in_reach.sum() < self.SAMPLES
 
@@ -248,15 +250,18 @@ class TestReachScreen:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
+        # Chunks of 257 lattice points, taken in passes of 100 samples at 12
+        # mounts or 200 at 6.
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
+        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 1200)
 
     @pytest.fixture
     def points(self, corridor):
         return lattice_points(corridor, self.SAMPLES, surface_shift(8))
 
     def screened(self, blocks, points):
-        passes = [points[i:i + 257] for i in range(0, len(points), 257)]
-        return column_records(interference._block_coverage(blocks, passes, len(points)))
+        chunks = [points[i:i + 257] for i in range(0, len(points), 257)]
+        return column_records(interference._block_coverage(blocks, chunks, len(points)))
 
     def test_nested_block(self, points):
         blocks = [(rb.make_robot(12), range(1, 13))]
@@ -310,37 +315,44 @@ class TestReachScreen:
         assert in_window + 4 <= int(generated) <= in_window + 6
         assert int(ranges) in (1, 2)
         assert float(r) == pytest.approx(reach, abs=1e-3)
-        n_blocks, given, total, size, pairs = re.fullmatch(
-            r"coverage over (\d+) mount block\(s\): (\d+) of (\d+) samples given, feasibility "
-            r"passes of up to (\d+) samples, largest (\d+) mount-sample pairs", passes).groups()
-        assert (int(n_blocks), int(given), int(total)) == (blocks, in_reach, self.SAMPLES)
-        assert int(size) == terrain.COVERAGE_CHUNK < in_reach and int(pairs) == 6 * int(size)
+        fields = re.fullmatch(
+            r"coverage over (\d+) mount block\(s\): (\d+) of (\d+) samples given in (\d+) "
+            r"feasibility passes, the largest (\d+) samples; pass budget (\d+) mount-sample "
+            r"pairs \((\d+) samples at (\d+) mounts\), workspace (\d+) bytes", passes).groups()
+        n_blocks, given, total, passes, largest, budget, size, mounts, work = map(int, fields)
+        assert (n_blocks, given, total) == (blocks, in_reach, self.SAMPLES)
+        # 200 samples a pass at 6 mounts, each of one chunk; 50 workspace bytes a pair
+        assert (budget, size, mounts, work) == (1200, 200, 6, 50 * 1200)
+        assert largest == size < in_reach
+        assert -(-in_reach // size) <= passes <= 2 * (-(-int(generated) // 257) + 1)
 
     @pytest.mark.parametrize("policy", ["nested", "uniform"])
     def test_debug_log_counts_chunks_and_passes(self, robot8, corridor, caplog, monkeypatch,
                                                 policy):
-        # Chunks of 100 lattice points: every pass holds one chunk's points
-        # within R, and the largest pass is the largest feasibility matrix
-        # any block's robot was given.
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 100)
+        # Passes of at most 100 samples (a budget of 600 pairs at 6 mounts),
+        # each of one 257-point chunk's points within R: each block's robot
+        # is given every pass, and the largest pass is the largest
+        # feasibility matrix any of them was given.
+        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 600)
         sizes = []
 
-        def recording(robot, points):
-            sizes.append((len(points), robot.boom_count * len(points)))
-            return feasibility_matrix(robot, points)
+        def recording(robot, points, out):
+            sizes.append(len(points))
+            return feasibility_matrix(robot, points, out)
 
         monkeypatch.setattr(interference, "feasibility_matrix", recording)
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               surface_shift(42), layout_policy=policy)
         ((generated, within),) = re.findall(r"(\d+) generated in .* (\d+) within R", caplog.text)
-        ((size, pairs),) = re.findall(r"passes of up to (\d+) samples, largest (\d+) ",
-                                      caplog.text)
+        ((passes, largest, size),) = re.findall(
+            r"in (\d+) feasibility passes, the largest (\d+) samples; pass budget 600 "
+            r"mount-sample pairs \((\d+) samples at 6 mounts\)", caplog.text)
         blocks = 1 if policy == "nested" else 3
-        assert len(sizes) % blocks == 0
-        assert -(-int(within) // 100) <= len(sizes) // blocks <= -(-int(generated) // 100) + 1
-        assert sum(n for n, _ in sizes) == blocks * int(within)
-        assert (int(size), int(pairs)) == tuple(map(max, zip(*sizes)))
+        assert int(size) == 100 and len(sizes) == blocks * int(passes)
+        assert -(-int(within) // 100) <= int(passes) <= 3 * (-(-int(generated) // 257) + 1)
+        assert sum(sizes) == blocks * int(within)
+        assert int(largest) == max(sizes) <= 100
 
 
 def tilt(a, b):
@@ -368,7 +380,9 @@ class TestAlongWindow:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
+        # Chunks of 257 lattice points, taken in passes of 100 samples at 12 mounts.
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
+        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 1200)
 
     @staticmethod
     def curve_and_oracle(terrain, policy, n_range, shift, samples):
@@ -455,8 +469,9 @@ class TestAlongWindow:
 
 
 def test_coverage_peak_memory_flat_in_samples(corridor):
-    # Live at the peak: one 16-mount feasibility pass over COVERAGE_CHUNK
-    # samples (about 3 MiB); no array grows with the sample count.
+    # Live at the peak: the pass workspace (50 bytes a pair of COVERAGE_PAIRS,
+    # 1.6 MiB) and one chunk of the surface stream (about 0.45 MiB); no array
+    # grows with the sample count.
     peaks = {}
     for count in (200_000, 2_000_000):
         shift = surface_shift(42)
@@ -467,7 +482,31 @@ def test_coverage_peak_memory_flat_in_samples(corridor):
         finally:
             tracemalloc.stop()
     assert peaks[2_000_000] <= peaks[200_000] + 64 * 1024
-    assert peaks[2_000_000] < 5 * 2 ** 20
+    assert peaks[2_000_000] < 50 * interference.COVERAGE_PAIRS + 2 ** 20
+
+
+def test_coverage_passes_reuse_one_workspace(monkeypatch):
+    # tracemalloc's peak, reset where each pass begins (a one-block coverage
+    # makes one feasibility call a pass), rises by under 64 KiB in every pass
+    # after the first: the pass arrays live in one workspace, allocated once.
+    robot = rb.make_robot(16)
+    points = np.random.default_rng(5).uniform(-25.0, 25.0, (30_000, 3))
+    marks = []
+
+    def marking(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return feasibility_matrix(*args)
+
+    monkeypatch.setattr(interference, "feasibility_matrix", marking)
+    tracemalloc.start()
+    try:
+        coverage_from_mounts(robot, points)
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    rises = [peak - current for (current, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(rises) >= 5 and max(rises[1:]) < 64 * 1024
 
 
 def test_coverage_csv(robot8, corridor):

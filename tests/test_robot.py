@@ -25,6 +25,21 @@ class TestMounts:
         for m in mounts:
             assert np.all(m.axis @ MISSION_KEEPOUT_AXES.T < cos_lim)
 
+    def test_mission_is_the_smallest_lattice_with_room(self):
+        # Oracle: the first n points outside the cones of each lattice size
+        # m = n, n + 1, ... in turn; the first size with n of them is taken,
+        # and it never needs more than 1.5 n points.
+        cos_lim = math.cos(math.radians(30.0))
+        for n in range(1, 65):
+            for m in range(n, 2 * n + 1):
+                lattice = fibonacci_sphere(m)
+                free = lattice[np.all(lattice @ MISSION_KEEPOUT_AXES.T < cos_lim, axis=1)]
+                if len(free) >= n:
+                    break
+            assert m <= 1.5 * n
+            mounts = rb.build_mounts(n, body_radius=0.5, layout="mission")
+            assert np.array([mt.position for mt in mounts]).tobytes() == (0.5 * free[:n]).tobytes()
+
     @pytest.mark.parametrize("layout", ["uniform", "mission"])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 16, 32])
     def test_mounts_on_sphere_unit_axes(self, n, layout):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import logging
 import os
 import re
@@ -124,9 +125,19 @@ class TestRunTrials:
         sc = small_config(corridor, n_range=(6, 7), trials=1, seed=3)
         assert_tables_equal(rb.run_trials(sc), rb.run_trials(sc))
 
-    def test_shared_pool_across_boom_counts(self, corridor):
-        sc = small_config(corridor, n_range=(6, 9), trials=3, seed=42)
+    def test_shared_pool_across_boom_counts(self, corridor, monkeypatch):
+        # L_max 18 m: some cells are matched in round 0, some after
+        # resampling and some never. Each distinct pool is hashed once.
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
+                          n_range=(6, 9), trials=3, seed=42)
+        hashed = []
+        monkeypatch.setattr(study, "sha256", lambda data: hashed.append(data) or
+                            hashlib.sha256(data))
         table = rb.run_trials(sc)
+        feasible, resamples = table.columns["feasible"], table.columns["resamples"]
+        resampled = (feasible & (resamples > 0)).sum()
+        assert (~feasible).any() and resampled and (resamples == 0).any()
+        assert len(hashed) == sc.trials + resampled
         window = anchor_window(corridor, sc.robot_template)
         for t in range(3):
             shared = rb.sample_anchors(corridor, 3 * 9, window,
@@ -135,9 +146,9 @@ class TestRunTrials:
             for c in table.records():
                 if c["trial"] != t:
                     continue
-                if c["resamples"] == 0:
+                if c["resamples"] == 0 or not c["feasible"]:
                     assert c["pool_hash"] == expected  # common random numbers
-                elif c["feasible"]:
+                else:
                     assert c["pool_hash"] != expected  # fresh pool after resampling
 
     @staticmethod
@@ -579,20 +590,6 @@ class TestMedian:
         assert got.tobytes() == want.tobytes()
         assert np.isnan(got[-2:]).all()
 
-    def test_study_never_imports_numpy_ma(self, tmp_path):
-        # np.median's NaN check imports numpy.ma, about 15 ms a process.
-        src = str(Path(rb.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys; import reachbot as rb; "
-                "rb.run_study(rb.StudyConfig(terrain=rb.corridor(), robot_template=rb.make_robot(1), "
-                "n_range=(6, 8), trials=5, seed=42, surface_samples=2000)); "
-                "print('numpy.ma' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
-
 
 class TestSurfaceShift:
     @pytest.mark.parametrize("seed", [0, 42, 2 ** 32, 2 ** 64 + 1])
@@ -623,6 +620,33 @@ class TestSurfaceShift:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 False"
+
+
+# Modules a launch must not load, and why: np.median's NaN check imports
+# numpy.ma (about 15 ms a process); hashlib's SHA-256 loads OpenSSL's
+# _hashlib (3.5 MiB and 5 ms), where the interpreter's built-in _sha2
+# (3.12+) or _sha256 gives the same digest. numpy.random is guarded above.
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+
+
+@pytest.mark.parametrize("module", ["numpy.ma", pytest.param(
+    "_hashlib", marks=pytest.mark.skipif(not BUILTIN_SHA256, reason="no built-in SHA-256"))])
+def test_cli_never_imports(tmp_path, module):
+    root = Path(rb.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    config = str(root / "configs" / "mars_lava_tube.json")
+    code = ("import sys; from reachbot.cli import main\n"
+            "for argv in (['validate', sys.argv[1]], "
+            "['study', sys.argv[1], '--out-dir', sys.argv[2]], "
+            "['coverage', sys.argv[1], '--out-dir', sys.argv[2]]):\n"
+            "    print('launch', argv[0], main(argv), sys.argv[3] in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, config, str(tmp_path), module],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    launches = [line for line in done.stdout.splitlines() if line.startswith("launch ")]
+    assert launches == ["launch validate 0 False", "launch study 0 False",
+                        "launch coverage 0 False"]
 
 
 class TestRunStudy:
