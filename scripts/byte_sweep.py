@@ -7,9 +7,12 @@ its own configs/mars_lava_tube.json and runs every command (COMMANDS) on each
 config, each run in a temporary directory of its own, with
 PYTHONPATH=<side>/src, REACHBOT_LOG=debug and OPENBLAS_NUM_THREADS=1. A run's
 digest is the SHA-256 of every file its directory ends with (the config, and
-the outputs under out/), of stdout and of stderr, and its exit code; wall
-times ("0.104 s") and the checkout's path are masked in stderr first. Each
-run whose digests differ between the sides is printed, with what differs.
+the outputs under out/) and of stdout, its exit code, and its stderr lines,
+in which wall times ("0.104 s") and the checkout's path are masked. Each run
+that differs between the sides is printed, with what differs. Stderr is
+compared line by line: the lines that only one side has follow the run,
+BASE's marked "-" and HEAD's "+", and a stderr whose lines differ in order
+only is reported as "stderr (line order only)".
 
 Usage: python3 scripts/byte_sweep.py BASE HEAD
 Exit code 0 when every run is identical, 1 when any differs or on bad usage.
@@ -23,6 +26,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 
@@ -56,6 +60,8 @@ CONFIGS = {
     "robot_mission": {"robot.layout": "mission"},
     "explicit_mounts": {"robot.layout": None, "study.n_range": [6, 6], "robot.mounts": [
         {"position": [0.5 * x for x in axis], "axis": axis} for axis in _AXES]},
+    # More trials than one chunk of the study's pass budget holds.
+    "trials_1000": {"study.trials": 1000},
 }
 
 # command name -> CLI arguments, run with --out-dir out in a directory holding
@@ -87,8 +93,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def side_digests(root: Path) -> dict[str, dict[str, str]]:
-    """Every run's digests on one checkout: run name -> {item: SHA-256 or exit code}."""
+def side_digests(root: Path) -> dict[str, dict]:
+    """Every run's digests on one checkout: run name -> {item: SHA-256 or exit code,
+    and "stderr": its masked lines}."""
     root = root.resolve()
     shipped = json.loads((root / "configs" / "mars_lava_tube.json").read_text())
     env = dict(os.environ, PYTHONPATH=str(root / "src"), REACHBOT_LOG="debug",
@@ -108,7 +115,7 @@ def side_digests(root: Path) -> dict[str, dict[str, str]]:
                                       capture_output=True)
                 err = _WALL_TIME.sub("<t> s", done.stderr.decode().replace(str(root), "<checkout>"))
                 items = {"exit code": str(done.returncode), "stdout": _sha(done.stdout),
-                         "stderr": _sha(err.encode())}
+                         "stderr": err.splitlines()}
                 for path in sorted(p for p in run.rglob("*") if p.is_file()):
                     items[path.relative_to(run).as_posix()] = _sha(path.read_bytes())
                 if command == "stance_trial3" and (run / "out" / "stance.json").exists():
@@ -118,14 +125,25 @@ def side_digests(root: Path) -> dict[str, dict[str, str]]:
 
 
 def differences(base: dict, head: dict) -> list[str]:
-    """One line per run whose digests differ, naming what differs."""
-    lines = []
-    for run in base.keys() | head.keys():
+    """One entry per run that differs, in run order: a line naming what differs,
+    then the stderr lines that only one side has ("-" BASE, "+" HEAD)."""
+    entries = []
+    for run in sorted(base.keys() | head.keys()):
         a, b = base.get(run, {}), head.get(run, {})
-        items = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        items, detail = [], []
+        for key in sorted(a.keys() | b.keys()):
+            if a.get(key) == b.get(key):
+                continue
+            if key == "stderr" and key in a and key in b:
+                gone, new = Counter(a[key]) - Counter(b[key]), Counter(b[key]) - Counter(a[key])
+                if not gone and not new:
+                    key = "stderr (line order only)"
+                detail += [f"  - {line}" for line in gone.elements()]
+                detail += [f"  + {line}" for line in new.elements()]
+            items.append(key)
         if items:
-            lines.append(f"{run}: {', '.join(items)}")
-    return sorted(lines)
+            entries.append("\n".join([f"{run}: {', '.join(items)}", *detail]))
+    return entries
 
 
 def main() -> int:

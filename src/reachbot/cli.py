@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +45,30 @@ _RECORD = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _flat_records(value) -> bool:
-    return (type(value) is list and bool(value) and all(
-        type(r) is dict and r and _SCALARS.issuperset(map(type, r.values())) for r in value))
+def _indented(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` as nested behind ``indent``
+    (a newline and spaces): encoded strings hold no raw newline, so this only indents."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
+def _item(value) -> str:
+    """A list item's text at depth 2: a flat record (a dict of scalars) by the C encoder."""
+    if type(value) is dict and value and _SCALARS.issuperset(map(type, value.values())):
+        return f"{{\n      {_RECORD.encode(value)[1:-1]}\n    }}"
+    return _indented(value, "\n    ")
 
 
 def _json_pieces(obj):
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, piece by piece.
 
-    ``indent`` makes json use its pure-Python encoder. So a top-level list of
-    flat records (dicts of scalars, such as a report's ``trials``) is encoded
-    record by record with the C encoder, which puts a record's items on their
-    own indented lines; this adds the braces and the list around them. Each
-    top-level key, record and other value is one piece.
+    ``indent`` makes json use its pure-Python encoder. So a top-level list is
+    encoded item by item, and a flat record in it (such as one of a report's
+    ``trials``) with the C encoder, which puts a record's items on their own
+    indented lines; this adds the braces and the list around them. A
+    top-level iterator, such as ``StudyReport.to_dict(stream=True)``'s
+    ``trials``, is read once and written as the list of its items, so they
+    need never be held together. Each top-level key, item and other value is
+    one piece.
     """
     if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
         yield json.dumps(obj, indent=2, sort_keys=True)
@@ -64,12 +76,14 @@ def _json_pieces(obj):
     for i, key in enumerate(sorted(obj)):
         yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
         value = obj[key]
-        if _flat_records(value):
-            for j, r in enumerate(value):
-                yield f"{',' if j else '['}\n    {{\n      {_RECORD.encode(r)[1:-1]}\n    }}"
-            yield "\n  ]"
-        else:  # encoded strings hold no raw newline, so this only indents
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        if isinstance(value, (list, Iterator)):
+            empty = True
+            for item in value:
+                yield f"{'[' if empty else ','}\n    {_item(item)}"
+                empty = False
+            yield "[]" if empty else "\n  ]"
+        else:
+            yield _indented(value, "\n  ")
     yield "\n}"
 
 
@@ -101,7 +115,7 @@ def cmd_study(args) -> int:
     write_json = args.json or not args.csv
     write_csv = args.csv or not args.json
     if write_json:
-        _write_json(out / "report.json", report.to_dict())
+        _write_json(out / "report.json", report.to_dict(stream=True))
     if write_csv:
         _write_lines(out / "stability.csv", stability_csv_rows(report.table))
         _write_lines(out / "summary.csv", summary_csv_rows(report.summary))

@@ -27,12 +27,13 @@ not, is counted as covered by no boom. The screen is exact: every count
 equals the unscreened pass's.
 
 The stream yields chunks of up to COVERAGE_CHUNK samples, and each chunk is
-taken in feasibility passes of at most COVERAGE_PAIRS mount-sample pairs:
-COVERAGE_PAIRS // N samples for an N-mount block (2,048 at 16 mounts). Each
-pass adds to one integer prefix histogram per mount block (see
-``_block_coverage``), and every coverage column is read from those. One
-workspace, allocated per call for the largest block, serves every pass, and
-no array is sized by the sample count.
+taken in feasibility passes of at most ``stance.PASS_PAIRS`` mount-sample
+pairs, the study's one pass budget: PASS_PAIRS // N samples for an N-mount
+block (2,048 at 16 mounts). Each pass adds to one integer prefix histogram
+per mount block (see ``_block_coverage``), and every coverage column is
+read from those. One workspace of ``stance.PAIR_BYTES`` a pair (1.6 MiB),
+allocated per call for the largest block, serves every pass, and no array
+is sized by the sample count.
 """
 from __future__ import annotations
 
@@ -41,17 +42,12 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from . import stance
 from .robot import RobotConfig
-from .stance import feasibility_matrix, feasibility_workspace
+from .stance import PAIR_BYTES, feasibility_matrix, feasibility_workspace, per_pass
 from .terrain import Terrain, surface_point_chunks
 
 log = logging.getLogger(__name__)
-
-# Mount-sample pairs per coverage feasibility pass (2,048 samples at 16
-# mounts). The pass workspace holds 50 bytes a pair, 1.6 MiB, allocated once
-# a coverage call: larger passes would raise a study's peak memory, smaller
-# ones the per-pass overhead.
-COVERAGE_PAIRS = 2 ** 15
 
 # Coverage columns, one entry per boom count: boom_count, sample_count,
 # unique_pct and overlap_pct (fractions covered by >= 1 and >= 2 booms),
@@ -76,17 +72,17 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
     first N mounts. ``chunks`` are (k, 3) arrays of the samples, among
     ``s``, that may be covered; the others lie beyond every block's reach,
     are covered by no mount and go to bin 0. Each chunk is taken in passes
-    of at most COVERAGE_PAIRS // M samples, M being the largest block's
-    mount count. An N-mount block keeps one (N+1) x (N+1) integer
-    prefix histogram, whose entry [i, k] counts the samples that exactly k
-    of mounts 0..i-1 reach; each pass fills it from one feasibility matrix
-    and its running sums over the mounts, both held in the one workspace
-    allocated here.
+    of at most PASS_PAIRS // M samples, M being the largest block's mount
+    count. An N-mount block keeps one (N+1) x (N+1) integer prefix
+    histogram, whose entry [i, k] counts the samples that exactly k of
+    mounts 0..i-1 reach; each pass fills it from one feasibility matrix and
+    its running sums over the mounts, both held in the one workspace of
+    PAIR_BYTES a pair allocated here.
     """
     if s < 1:
         raise ValueError("need at least one surface sample")
     mounts = max(robot.boom_count for robot, _ in blocks)
-    size = max(1, COVERAGE_PAIRS // mounts)
+    size = per_pass(PAIR_BYTES * mounts)
     work = feasibility_workspace(mounts * size)
     sums = np.empty(mounts * size, dtype=np.intp)
     hists = [np.zeros((robot.boom_count + 1,) * 2, dtype=np.int64) for robot, _ in blocks]
@@ -114,7 +110,7 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
     log.debug("coverage over %d mount block(s): %d of %d samples given in %d feasibility "
               "passes, the largest %d samples; pass budget %d mount-sample pairs (%d samples "
               "at %d mounts), workspace %d bytes", len(blocks), given, s, passes, largest,
-              COVERAGE_PAIRS, size, mounts, sum(a.nbytes for a in work) + sums.nbytes)
+              stance.PASS_PAIRS, size, mounts, sum(a.nbytes for a in work) + sums.nbytes)
     rows = [(n, hist) for (_, ns), hist in zip(blocks, hists) for n in ns]
     unique = np.array([s - h[n, 0] for n, h in rows]) / s
     overlap = np.array([s - h[n, :2].sum() for n, h in rows]) / s
@@ -156,9 +152,9 @@ def coverage_curve(
     feasibility matrix a pass; any other robot is a block of its own. Only
     the lattice points within the blocks' reach R come out of the stream
     (see the module docstring), and each of its chunks is taken in passes
-    of COVERAGE_PAIRS // (the largest block's mounts) samples. Working
-    memory is one workspace of 50 bytes a pair (1.6 MiB), reused by every
-    pass, and one chunk of the stream, whatever ``sample_count``.
+    of PASS_PAIRS // (the largest block's mounts) samples. Working memory
+    is one workspace of PAIR_BYTES a pair (1.6 MiB), reused by every pass,
+    and one chunk of the stream, whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:

@@ -22,6 +22,21 @@ import numpy as np
 from .robot import RobotConfig
 from .terrain import AnchorSet
 
+# Mount-point pairs in one feasibility pass, the memory budget of every
+# stage of a study. A coverage pass holds PAIR_BYTES a pair (1.6 MiB, see
+# ``interference``); the trial stage draws, matches and evaluates its pools
+# and stances in chunks of at most the same bytes (see ``per_pass``).
+# Larger passes would raise a study's peak memory, smaller ones the
+# per-pass overhead.
+PASS_PAIRS = 2 ** 15
+PAIR_BYTES = 50
+
+
+def per_pass(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes each fit one pass's
+    PASS_PAIRS * PAIR_BYTES bytes; at least one."""
+    return max(1, PASS_PAIRS * PAIR_BYTES // item_bytes)
+
 
 def feasibility_workspace(pairs: int) -> list[np.ndarray]:
     """Buffers for ``feasibility_matrix`` calls of up to ``pairs`` mount-point

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 
 import numpy as np
 
+from . import stance
 from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream_uniforms
 from .robot import BucklingReport, RobotConfig, check_buckling, total_mass
-from .stance import match_pools
+from .stance import PAIR_BYTES, match_pools, per_pass
 from .terrain import Terrain, sample_pools
 
 try:  # CPython's built-in SHA-256: hashlib would load OpenSSL, 3.5 MiB a process
@@ -140,11 +142,12 @@ class MetricsTable:
         """Boom count n's row of one column, a view of it."""
         return self.columns[name][self.boom_counts.index(n)]
 
-    def records(self) -> list[dict]:
-        """One dict of Python scalars per cell, trial-major."""
-        n, trial = np.meshgrid(self.boom_counts, range(self.trials))
-        return column_records({"n": n.ravel(), "trial": trial.ravel(),
-                               **{name: col.T.ravel() for name, col in self.columns.items()}})
+    def records(self) -> Iterator[dict]:
+        """One dict of Python scalars per cell, trial-major, built one trial at a time."""
+        n = list(self.boom_counts)
+        for t in range(self.trials):
+            yield from column_records({"n": n, "trial": [t] * len(n),
+                                       **{name: col[:, t] for name, col in self.columns.items()}})
 
 
 def column_records(columns: dict) -> list[dict]:
@@ -170,6 +173,18 @@ def draw_pools(sc: StudyConfig, trials: np.ndarray, tags) -> np.ndarray:
                         substream_uniforms(sc.seed, trials, tags, 2 * count))
 
 
+def pool_chunk(sc: StudyConfig) -> int:
+    """Pools in one chunk of the trial stage: as many as one pass's budget
+    holds at n_max booms (``stance.per_pass``), so at every boom count."""
+    hi = sc.n_range[1]
+    return per_pass(PAIR_BYTES * hi * sc.pool_multiplier * hi)
+
+
+def _chunks(count: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` items that cover range(count)."""
+    return [slice(first, first + size) for first in range(0, count, size)]
+
+
 def _pool_hash(pool: np.ndarray) -> str:
     """The first 16 hex digits of the SHA-256 of a pool's float64 bytes."""
     return sha256(pool.tobytes()).hexdigest()[:16]
@@ -186,45 +201,58 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     infeasible cell reports the shared pool, and its anchor rows read 0.
 
     One pass draws, screens and matches b consecutive rounds of every
-    pending trial at once, and each trial keeps its first complete round,
-    so the results are those of one round at a time. b starts at 1 and
-    doubles from pass to pass, but no pass holds more pools than round 0.
+    pending trial, and each trial keeps its first complete round, so the
+    results are those of one round at a time. b starts at 1 and doubles
+    from pass to pass, but no pass holds more pools than round 0. A pass is
+    taken in chunks of whole trials, each of at most ``pool_chunk(sc)``
+    pools (b at most that too).
     """
-    n, feasible = cfg.boom_count, np.zeros(len(trials), dtype=bool)
+    n, m, feasible = cfg.boom_count, shared.shape[1], np.zeros(len(trials), dtype=bool)
+    size = pool_chunk(sc)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
-    pending, points, first_round, width = np.arange(len(trials)), shared, 0, 1
-    rounds = rejected = solved = shortcuts = drawn = passes = 0
+    pending, first_round, width = np.arange(len(trials)), 0, 1
+    rounds = rejected = solved = shortcuts = drawn = passes = chunks = largest = 0
     draw_s = match_s = 0.0
     while pending.size and first_round <= MAX_RESAMPLES:
-        start = time.perf_counter()
         if first_round:
-            width = min(2 * width, len(trials) // len(pending), MAX_RESAMPLES + 1 - first_round)
+            width = min(2 * width, len(trials) // len(pending), MAX_RESAMPLES + 1 - first_round,
+                        size)
             tags = [f"resample:{n}:{k}" for k in range(first_round, first_round + width)]
-            points = draw_pools(sc, np.repeat(trials[pending], width), tags * len(pending))
-            drawn += len(points)
-        mid = time.perf_counter()
-        matched, total, screen, shortcut = match_pools(cfg, points, width)
-        draw_s, match_s = draw_s + mid - start, match_s + time.perf_counter() - mid
-        # Row (trial i, slot j) is round first_round + j of pending trial i.
-        hit = (total < np.inf).reshape(-1, width)
-        found = hit.any(axis=1)
-        # Each trial's last slot that one round at a time would have tried.
-        last = np.where(found, hit.argmax(axis=1), width - 1)
-        tried = (np.arange(width) <= last[:, None]).ravel()
-        rejected, solved = rejected + (tried & ~screen).sum(), solved + (tried & screen).sum()
-        shortcuts += (tried & shortcut).sum()
-        rounds, passes = first_round + last.max() + 1, passes + 1
-        pick = np.flatnonzero(found) * width + last[found]
-        done = pending[found]
-        feasible[done], resamples[done] = True, first_round + last[found]
-        pools[done], rows[done] = points[pick], matched[pick]
-        pending, first_round = pending[~found], first_round + width
+        left = []
+        for chunk in _chunks(len(pending), size // width):
+            start, part = time.perf_counter(), pending[chunk]
+            if first_round:
+                points = draw_pools(sc, np.repeat(trials[part], width), tags * len(part))
+                drawn += len(points)
+            else:  # round 0: pending is every trial
+                points = shared[chunk]
+            mid = time.perf_counter()
+            matched, total, screen, shortcut = match_pools(cfg, points, width)
+            draw_s, match_s = draw_s + mid - start, match_s + time.perf_counter() - mid
+            # Row (trial i, slot j) is round first_round + j of the chunk's trial i.
+            hit = (total < np.inf).reshape(-1, width)
+            found = hit.any(axis=1)
+            # Each trial's last slot that one round at a time would have tried.
+            last = np.where(found, hit.argmax(axis=1), width - 1)
+            tried = (np.arange(width) <= last[:, None]).ravel()
+            rejected, solved = rejected + (tried & ~screen).sum(), solved + (tried & screen).sum()
+            shortcuts += (tried & shortcut).sum()
+            rounds = max(rounds, first_round + last.max() + 1)
+            chunks, largest = chunks + 1, max(largest, len(points))
+            pick = np.flatnonzero(found) * width + last[found]
+            done = part[found]
+            feasible[done], resamples[done] = True, first_round + last[found]
+            pools[done], rows[done] = points[pick], matched[pick]
+            left.append(part[~found])
+        pending, first_round, passes = np.concatenate(left), first_round + width, passes + 1
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
               "%d by the row-minimum shortcut, %d by augmenting paths; "
-              "%d pools drawn in %d passes; %.4f s drawing pools, %.4f s matching",
+              "%d pools drawn in %d passes of %d chunks, the largest %d pools; pass budget "
+              "%d mount-anchor pairs: %d pools of %d anchors at %d booms; "
+              "%.4f s drawing pools, %.4f s matching",
               n, rounds, rejected, solved, shortcuts, solved - shortcuts, drawn, passes,
-              draw_s, match_s)
+              chunks, largest, stance.PASS_PAIRS, size, m, sc.n_range[1], draw_s, match_s)
     return feasible, resamples, pools, rows
 
 
@@ -232,12 +260,17 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
     """Evaluate every (boom count, trial) cell under common random numbers.
 
     Each boom count's booms are matched in resample rounds over all trials;
-    its grasp maps and metrics are then taken in one stacked call over its
+    its grasp maps and metrics are then taken in stacked calls over its
     feasible cells. Each distinct pool is hashed once: a trial's shared pool
-    for every cell that reports it, a resampled pool for its own cell.
+    for every cell that reports it, a resampled pool for its own cell. The
+    shared pools are drawn, and the metrics taken, in chunks that fit the
+    pass budget (``stance.per_pass``); every row is computed on its own, so
+    the chunks leave every byte as one stack would.
     """
     trials = np.arange(sc.trials)
-    shared = draw_pools(sc, trials, "anchors")
+    shared = np.empty((sc.trials, sc.pool_multiplier * sc.n_range[1], 3))
+    for chunk in _chunks(sc.trials, pool_chunk(sc)):
+        shared[chunk] = draw_pools(sc, trials[chunk], "anchors")
     shared_hash = np.array([_pool_hash(p) for p in shared])
     shape = (len(sc.boom_counts), sc.trials)
     columns = {"feasible": np.zeros(shape, dtype=bool), "resamples": np.zeros(shape, dtype=int),
@@ -250,12 +283,18 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
         columns["pool_hash"][i] = shared_hash
         for t in np.flatnonzero(feasible & (resamples > 0)).tolist():
             columns["pool_hash"][i, t] = _pool_hash(pools[t])
-        if feasible.any():
-            anchors = np.take_along_axis(pools[feasible], rows[feasible][..., None], axis=1)
+        cells = np.flatnonzero(feasible)
+        # stance_metrics holds under 2 kB + 112 N**2 bytes a stance, most of
+        # it the one-boom-out stack of N drops of a 6 x (N - 1) grasp map
+        # (tracemalloc, N = 1..16): 123 stances a chunk at N = 10.
+        for chunk in _chunks(len(cells), per_pass(2048 + 112 * n * n)):
+            part = cells[chunk]
+            anchors = np.take_along_axis(pools[part], rows[part][..., None], axis=1)
             G = grasp_map_stack(cfg.shoulders, anchors, np.zeros(3))
             values = stance_metrics(G, cfg.boom_stiffness, sc.calibration.delta_ref)
             for name, value in values.items():
-                columns[name][i, feasible] = value
+                columns[name][i, part] = value
+        pools = rows = None  # freed before the next boom count's pools are copied
     return MetricsTable(boom_counts=tuple(sc.boom_counts), columns=columns)
 
 
@@ -375,7 +414,11 @@ class StudyReport:
     def selected_n(self) -> int | None:
         return self.pareto.selected_n
 
-    def to_dict(self) -> dict:
+    def to_dict(self, stream: bool = False) -> dict:
+        """The report as JSON-ready values. With ``stream``, "trials" is the
+        table's record iterator, read once, in place of a list: a writer
+        that takes one record at a time (``cli._write_json``) then never
+        holds them all."""
         from . import __version__
         per_n = {**self.summary, **self.coverage}
         return {
@@ -391,7 +434,7 @@ class StudyReport:
             "candidates": column_records({k: per_n[name] for k, name in CANDIDATES.items()}),
             "summary": column_records(self.summary),
             "coverage": column_records(self.coverage),
-            "trials": self.table.records(),
+            "trials": self.table.records() if stream else list(self.table.records()),
         }
 
 
@@ -415,12 +458,16 @@ def _stage_done(stage: str, start: float, detail: str = "") -> float:
 
 
 def run_study(sc: StudyConfig, config_echo: dict | None = None) -> StudyReport:
-    """End-to-end study: trials, aggregation, coverage, constraints, selection.
+    """End-to-end study: coverage, trials, aggregation, constraints, selection.
 
-    Logs one line per stage with its wall time at INFO; timings never enter
-    the report.
+    Coverage depends on no trial, and runs first: its pass workspace is then
+    allocated on a clean heap, and the trial stage reuses that memory. Logs
+    one line per stage with its wall time at INFO; timings never enter the
+    report.
     """
     start = time.perf_counter()
+    cov = study_coverage(sc, sc.surface_samples)
+    start = _stage_done("coverage", start)
     table = run_trials(sc)
     feasible = table.columns["feasible"]
     start = _stage_done("trials", start, (
@@ -428,8 +475,6 @@ def run_study(sc: StudyConfig, config_echo: dict | None = None) -> StudyReport:
         f"{(~feasible).sum()} infeasible"))
     summary = aggregate(table, sc.robot_template, sc.aggregate_mode)
     start = _stage_done("aggregate", start)
-    cov = study_coverage(sc, sc.surface_samples)
-    start = _stage_done("coverage", start)
     pareto = select_design(summary, cov, sc.constraints, sc.robot_template)
     _stage_done("selection", start)
     return StudyReport(seed=sc.seed, config_echo=config_echo, table=table,

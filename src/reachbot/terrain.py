@@ -203,7 +203,7 @@ def sample_anchors(
 
 
 # Lattice points per chunk of surface_point_chunks. Coverage takes a chunk in
-# feasibility passes of at most interference.COVERAGE_PAIRS mount-sample pairs;
+# feasibility passes of at most stance.PASS_PAIRS mount-sample pairs;
 # smaller chunks would cost more per sample to generate.
 COVERAGE_CHUNK = 4096
 

@@ -326,9 +326,9 @@ class TestStudy:
         assert done.returncode == 0, done.stderr
         lines = [ln for ln in done.stderr.splitlines() if ln.startswith("INFO reachbot.study: ")]
         assert [ln.split()[2] for ln in lines] == [
-            "trials:", "aggregate:", "coverage:", "selection:"]
+            "coverage:", "trials:", "aggregate:", "selection:"]
         assert all(" s" in ln for ln in lines)
-        assert "9 cells" in lines[0] and "resamples" in lines[0] and "infeasible" in lines[0]
+        assert "9 cells" in lines[1] and "resamples" in lines[1] and "infeasible" in lines[1]
         assert (logged / "report.json").read_bytes() == (quiet / "report.json").read_bytes()
 
     def test_study_never_imports_scipy(self, config_path, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot import interference, terrain
+from reachbot import interference, stance, terrain
 from reachbot.interference import coverage_from_mounts
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
@@ -162,7 +162,7 @@ class TestChunkedCurve:
         # Chunks of 37 lattice points, taken in passes of 7 samples at 12
         # mounts, 10 at 8 or 28 at 3: no pass size divides the chunk size.
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 37)
-        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 84)
+        monkeypatch.setattr(stance, "PASS_PAIRS", 84)
 
     @pytest.mark.parametrize("policy,n_range", [
         ("nested", (1, 12)), ("nested", (4, 9)), ("uniform", (1, 8)),
@@ -200,7 +200,7 @@ class TestChunkedCurve:
         rb.coverage_curve(robot8, corridor, (1, 10), self.SAMPLES, surface_shift(3))
         points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
         in_reach = np.linalg.norm(points, axis=1) <= robot8.L_max + robot8.body_radius
-        assert sizes and 10 * max(sizes) <= interference.COVERAGE_PAIRS
+        assert sizes and 10 * max(sizes) <= stance.PASS_PAIRS
         # one pass over the samples within reach: the nested lattice is one block
         assert 0 < sum(sizes) == in_reach.sum() < self.SAMPLES
 
@@ -253,7 +253,7 @@ class TestReachScreen:
         # Chunks of 257 lattice points, taken in passes of 100 samples at 12
         # mounts or 200 at 6.
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
-        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 1200)
+        monkeypatch.setattr(stance, "PASS_PAIRS", 1200)
 
     @pytest.fixture
     def points(self, corridor):
@@ -333,7 +333,7 @@ class TestReachScreen:
         # each of one 257-point chunk's points within R: each block's robot
         # is given every pass, and the largest pass is the largest
         # feasibility matrix any of them was given.
-        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 600)
+        monkeypatch.setattr(stance, "PASS_PAIRS", 600)
         sizes = []
 
         def recording(robot, points, out):
@@ -382,7 +382,7 @@ class TestAlongWindow:
     def small_chunk(self, monkeypatch):
         # Chunks of 257 lattice points, taken in passes of 100 samples at 12 mounts.
         monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
-        monkeypatch.setattr(interference, "COVERAGE_PAIRS", 1200)
+        monkeypatch.setattr(stance, "PASS_PAIRS", 1200)
 
     @staticmethod
     def curve_and_oracle(terrain, policy, n_range, shift, samples):
@@ -469,7 +469,7 @@ class TestAlongWindow:
 
 
 def test_coverage_peak_memory_flat_in_samples(corridor):
-    # Live at the peak: the pass workspace (50 bytes a pair of COVERAGE_PAIRS,
+    # Live at the peak: the pass workspace (50 bytes a pair of PASS_PAIRS,
     # 1.6 MiB) and one chunk of the surface stream (about 0.45 MiB); no array
     # grows with the sample count.
     peaks = {}
@@ -482,7 +482,7 @@ def test_coverage_peak_memory_flat_in_samples(corridor):
         finally:
             tracemalloc.stop()
     assert peaks[2_000_000] <= peaks[200_000] + 64 * 1024
-    assert peaks[2_000_000] < 50 * interference.COVERAGE_PAIRS + 2 ** 20
+    assert peaks[2_000_000] < 50 * stance.PASS_PAIRS + 2 ** 20
 
 
 def test_coverage_passes_reuse_one_workspace(monkeypatch):

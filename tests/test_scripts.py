@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -88,3 +89,32 @@ def test_byte_sweep(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == ("small/study_seed42: out/report.json\n"
                                        "small/study_seed7: out/report.json\n"
                                        f"2 of {runs} runs differ\n")
+
+
+def test_byte_sweep_compares_stderr_line_by_line():
+    sweep = load_script("byte_sweep")
+    same = {"exit code": "0", "stdout": "ab12"}
+    base = {"c/order": {**same, "stderr": ["DEBUG x", "INFO y", "INFO z"]},
+            "c/lines": {**same, "stderr": ["INFO y", "DEBUG old", "DEBUG old", "INFO z"]},
+            "c/same": {**same, "stderr": ["INFO y"]},
+            "c/exit": {**same, "stderr": ["INFO y"]}}
+    head = {"c/order": {**same, "stderr": ["INFO y", "INFO z", "DEBUG x"]},
+            "c/lines": {**same, "stdout": "cd34", "stderr": ["DEBUG new", "INFO y", "DEBUG old",
+                                                             "INFO z"]},
+            "c/same": {**same, "stderr": ["INFO y"]},
+            "c/exit": {**same, "exit code": "1", "stderr": ["INFO y"]}}
+    assert sweep.differences(base, head) == [
+        "c/exit: exit code",
+        "c/lines: stderr, stdout\n  - DEBUG old\n  + DEBUG new",
+        "c/order: stderr (line order only)"]
+
+
+def test_byte_sweep_crosses_chunk_boundaries():
+    # Some config's study holds more trials than one chunk of the pass
+    # budget, in the shared draw and the round-0 pass.
+    from reachbot.config import parse_config
+    from reachbot.study import pool_chunk
+    sweep = load_script("byte_sweep")
+    shipped = json.loads((ROOT / "configs" / "mars_lava_tube.json").read_text())
+    configs = [parse_config(sweep.make_config(shipped, edits)) for edits in sweep.CONFIGS.values()]
+    assert any(sc.trials >= 1000 > 5 * pool_chunk(sc) for sc in configs)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import logging
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 import reachbot as rb
 from reachbot import stance, study
+from reachbot.cli import _write_json, main
 from reachbot.config import parse_config
 from reachbot.mechanics import METRICS
 from reachbot.rng import substream
@@ -180,7 +182,10 @@ class TestRunTrials:
         assert [(c["n"], c["trial"]) for c in table.records()] == [
             (n, t) for t in range(3) for n in (2, 3, 4)]
 
-    def test_debug_log_counts_rounds(self, corridor, caplog):
+    @staticmethod
+    def debug_log_splits(corridor, caplog):
+        """Checks the N = ... debug lines of a small study against its table;
+        returns whether some boom count's passes were split into chunks."""
         sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
                           n_range=(6, 8), trials=4, seed=1, pool_multiplier=2)
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
@@ -189,14 +194,16 @@ class TestRunTrials:
         (trials_s,) = [float(m.split()[1]) for m in messages if m.startswith("trials: ")]
         lines = [m for m in messages if "rounds" in m]
         assert len(lines) == 3
-        stage_s = 0.0
+        stage_s, split = 0.0, False
         for n, line in zip((6, 7, 8), lines):
             *counts, draw_s, match_s = re.fullmatch(
                 rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, (\d+) pools "
                 r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths; "
-                r"(\d+) pools drawn in (\d+) passes; "
+                r"(\d+) pools drawn in (\d+) passes of (\d+) chunks, the largest (\d+) pools; "
+                r"pass budget (\d+) mount-anchor pairs: (\d+) pools of 16 anchors at 8 booms; "
                 r"(\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching", line).groups()
-            rounds, rejected, solved, shortcut, augmented, drawn, passes = map(int, counts)
+            (rounds, rejected, solved, shortcut, augmented, drawn, passes, chunks, largest,
+             budget, size) = map(int, counts)
             resamples = table.column(n, "resamples")
             assert rounds == resamples.max() + 1
             # every pool up to each trial's first complete round
@@ -205,14 +212,26 @@ class TestRunTrials:
             assert 1 <= passes <= rounds
             assert solved >= table.column(n, "feasible").sum()
             assert shortcut + augmented == solved
+            # A chunk holds as many pools of 16 anchors as fit the budget at n_max = 8.
+            assert budget == stance.PASS_PAIRS and size == max(1, budget // (8 * 16))
+            assert passes <= chunks and 1 <= largest <= min(size, sc.trials)
+            split |= chunks > passes
             stage_s += float(draw_s) + float(match_s)
         assert stage_s <= trials_s + 1e-3  # the logged figures are rounded
+        return split
+
+    def test_debug_log_counts_rounds(self, corridor, caplog):
+        assert not self.debug_log_splits(corridor, caplog)  # 256 pools a chunk, 4 trials
+
+    def test_debug_log_counts_chunks(self, corridor, caplog, monkeypatch):
+        monkeypatch.setattr(stance, "PASS_PAIRS", 200)  # one pool a chunk
+        assert self.debug_log_splits(corridor, caplog)
 
     def test_cells_match_scalar_path(self, corridor):
         # Reference: each cell rebuilt on its own with the scalar functions.
         sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
                           n_range=(1, 8), trials=4, seed=1, pool_multiplier=2)
-        cells = rb.run_trials(sc).records()
+        cells = list(rb.run_trials(sc).records())
         assert any(c["resamples"] and c["feasible"] for c in cells)
         assert any(not c["feasible"] for c in cells)
         window = anchor_window(corridor, sc.robot_template)
@@ -351,6 +370,99 @@ class TestMatchRounds:
         rounds, drawn, passes = map(int, re.search(
             r"(\d+) rounds.*; (\d+) pools drawn in (\d+) passes", line).groups())
         assert passes == rounds and drawn == rounds - 1
+
+
+class TestPassBudget:
+    """Every stage of a study fits one pass budget (``stance.PASS_PAIRS``);
+    the chunks it sets leave every output byte as it is."""
+
+    @staticmethod
+    def config(trials):
+        # n_max 8 and 16 anchors a pool: round-0, resampled and infeasible cells.
+        cfg = default_config_dict(seed=1)
+        cfg["robot"]["L_max"] = 18.0
+        cfg["study"].update(n_range=[5, 8], trials=trials, pool_multiplier=2,
+                            surface_samples=2000)
+        return cfg
+
+    @pytest.mark.parametrize("budget,trials", [(300, 13), (600, 13), (600, 40)])
+    def test_small_budget_changes_no_byte(self, tmp_path, monkeypatch, capsys, budget, trials):
+        cfg = self.config(trials)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+
+        def cli(out):
+            code = main(["study", str(path), "--out-dir", str(tmp_path / out)])
+            return code, capsys.readouterr().out
+
+        want, want_cli = rb.run_trials(parse_config(cfg)), cli("want")
+
+        draws, stacks = [], []
+        draw, metrics = study.draw_pools, study.stance_metrics
+        monkeypatch.setattr(study, "draw_pools", lambda sc, trials, tags: draws.append(
+            (len(trials), tags)) or draw(sc, trials, tags))
+        monkeypatch.setattr(study, "stance_metrics", lambda G, *args: stacks.append(
+            G.shape) or metrics(G, *args))
+        monkeypatch.setattr(stance, "PASS_PAIRS", budget)
+        assert cli("got") == want_cli  # exit code and stdout
+        for name in sorted(p.name for p in (tmp_path / "want").iterdir()):
+            assert (tmp_path / "got" / name).read_bytes() == (
+                tmp_path / "want" / name).read_bytes(), name
+        draws.clear()
+        stacks.clear()
+        got = rb.run_trials(parse_config(cfg))
+        assert_tables_equal(got, want)
+
+        # Every stage of run_trials was split; a chunk holds budget // (8 x 16)
+        # pools, fewer than round 0's one a trial.
+        chunk = study.pool_chunk(parse_config(cfg))
+        assert chunk == budget // 128 < trials
+        shared = [count for count, tags in draws if tags == "anchors"]
+        assert shared == [min(chunk, trials - first) for first in range(0, trials, chunk)]
+        # Resample chunks hold whole width groups of at most a chunk's pools,
+        # and some pass of two or more rounds a trial is split.
+        passes = {}
+        for count, tags in draws:
+            if tags != "anchors":
+                width = len(set(tags))
+                assert tags == tags[:width] * (count // width) and count <= chunk
+                passes.setdefault((tags[0], width), []).append(count)
+        assert any(width > 1 and len(counts) > 1 for (_, width), counts in passes.items())
+        # Metric stacks: each boom count's feasible cells in chunks of at
+        # most per_pass(2048 + 112 N**2) stances, and some boom count takes several.
+        feasible = got.columns["feasible"].sum(axis=1).tolist()
+        for n, cells in zip(got.boom_counts, feasible):
+            step = max(1, budget * stance.PAIR_BYTES // (2048 + 112 * n * n))
+            sizes = [shape[0] for shape in stacks if shape[2] == n]
+            assert sizes == [min(step, cells - first) for first in range(0, cells, step)]
+        assert len(stacks) > len(got.boom_counts)
+
+    def test_trial_stage_memory_grows_by_retained_arrays_only(self, tmp_path):
+        # tracemalloc peak of run_study plus writing report.json as the CLI
+        # does, at 200 and 1,000 trials of the shipped study. What a trial
+        # keeps: its columns (10 boom counts x 129 bytes: seven float64
+        # metrics, an int64, a bool and a 16-character str), its shared pool
+        # and one boom count's pool copy (720 bytes each: 30 anchors), that
+        # count's anchor rows (80 bytes) and the shared pool's hash (64
+        # bytes), under 3 kB in all. Every other array is a chunk of the pass
+        # budget; with each stage taking all trials at once (the round-0
+        # pass, the one-boom-out stack, the records list) the peak grew by
+        # 17 kB a trial.
+        cfg = default_config_dict(seed=42)
+        cfg["study"]["surface_samples"] = 2000
+        peaks = {}
+        for trials in (200, 1000):
+            cfg["study"]["trials"] = trials
+            sc = parse_config(cfg)
+            tracemalloc.start()
+            try:
+                report = rb.run_study(sc, cfg)
+                _write_json(tmp_path / "report.json", report.to_dict(stream=True))
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del report
+        assert peaks[1000] - peaks[200] <= 800 * 4000
 
 
 class TestAggregate:
