@@ -62,6 +62,8 @@ CONFIGS = {
         {"position": [0.5 * x for x in axis], "axis": axis} for axis in _AXES]},
     # More trials than one chunk of the study's pass budget holds.
     "trials_1000": {"study.trials": 1000},
+    # 100 trials up to 16 booms: one-boom-out drops in several groups at N = 11..16.
+    "booms_16": {"study.n_range": [1, 16]},
 }
 
 # command name -> CLI arguments, run with --out-dir out in a directory holding

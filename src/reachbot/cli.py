@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,11 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_lines(path: Path, lines: list[str]):
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, lines: Iterable[str]):
+    """Write each line and a newline, one line at a time: an iterator's
+    lines (such as ``stability_csv_rows``') are never held together."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 # The C encoder, separating a flat record's items as at depth 2 of an indent=2 document.

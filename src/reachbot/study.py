@@ -128,7 +128,8 @@ class MetricsTable:
 
     ``columns`` maps "feasible", "resamples", "pool_hash" and every METRICS
     name to a (len(boom_counts), trials) array; an infeasible cell's
-    metrics read 0.
+    metrics read 0. ``pool_hash`` holds ASCII bytes (16 a cell), which the
+    records decode to str.
     """
 
     boom_counts: tuple[int, ...]
@@ -146,8 +147,9 @@ class MetricsTable:
         """One dict of Python scalars per cell, trial-major, built one trial at a time."""
         n = list(self.boom_counts)
         for t in range(self.trials):
-            yield from column_records({"n": n, "trial": [t] * len(n),
-                                       **{name: col[:, t] for name, col in self.columns.items()}})
+            cells = {name: col[:, t] for name, col in self.columns.items()}
+            cells["pool_hash"] = cells["pool_hash"].astype(str)
+            yield from column_records({"n": n, "trial": [t] * len(n), **cells})
 
 
 def column_records(columns: dict) -> list[dict]:
@@ -185,9 +187,9 @@ def _chunks(count: int, size: int) -> list[slice]:
     return [slice(first, first + size) for first in range(0, count, size)]
 
 
-def _pool_hash(pool: np.ndarray) -> str:
-    """The first 16 hex digits of the SHA-256 of a pool's float64 bytes."""
-    return sha256(pool.tobytes()).hexdigest()[:16]
+def _pool_hash(pool: np.ndarray) -> bytes:
+    """The first 16 hex digits of the SHA-256 of a pool's float64 bytes, in ASCII."""
+    return sha256(pool.tobytes()).hexdigest()[:16].encode()
 
 
 def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
@@ -271,10 +273,10 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
     shared = np.empty((sc.trials, sc.pool_multiplier * sc.n_range[1], 3))
     for chunk in _chunks(sc.trials, pool_chunk(sc)):
         shared[chunk] = draw_pools(sc, trials[chunk], "anchors")
-    shared_hash = np.array([_pool_hash(p) for p in shared])
+    shared_hash = np.array([_pool_hash(p) for p in shared], dtype="S16")
     shape = (len(sc.boom_counts), sc.trials)
     columns = {"feasible": np.zeros(shape, dtype=bool), "resamples": np.zeros(shape, dtype=int),
-               "pool_hash": np.empty(shape, dtype="U16"),
+               "pool_hash": np.empty(shape, dtype="S16"),
                **{name: np.zeros(shape) for name in METRICS}}
     for i, n in enumerate(sc.boom_counts):
         cfg = sc.robot_template.with_boom_count(n)
@@ -284,9 +286,12 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
         for t in np.flatnonzero(feasible & (resamples > 0)).tolist():
             columns["pool_hash"][i, t] = _pool_hash(pools[t])
         cells = np.flatnonzero(feasible)
-        # stance_metrics holds under 2 kB + 112 N**2 bytes a stance, most of
-        # it the one-boom-out stack of N drops of a 6 x (N - 1) grasp map
-        # (tracemalloc, N = 1..16): 123 stances a chunk at N = 10.
+        # A metric chunk holds its anchors, grasp maps and 6 x 6 stacks (K,
+        # G G^T), under 2 kB a stance, and one group of one-boom-out drops,
+        # within an eighth of the pass budget (mechanics._one_out_stack):
+        # 0.23 MB at N = 10 (tracemalloc). The chunk size is still the one
+        # that fit a single stack of all N drops (112 N**2 bytes a stance):
+        # 123 stances at N = 10.
         for chunk in _chunks(len(cells), per_pass(2048 + 112 * n * n)):
             part = cells[chunk]
             anchors = np.take_along_axis(pools[part], rows[part][..., None], axis=1)
@@ -503,10 +508,12 @@ def _csv_lines(columns: dict) -> list[str]:
                                   for row in column_records(columns)]
 
 
-def stability_csv_rows(table: MetricsTable) -> list[str]:
-    lmin = table.columns["lambda_min"].T.tolist()
-    return ["N,trial,lambda_min"] + [f"{n},{t},{lmin[t][i]:.12g}" for t in range(table.trials)
-                                     for i, n in enumerate(table.boom_counts)]
+def stability_csv_rows(table: MetricsTable) -> Iterator[str]:
+    """stability.csv's lines, trial-major, built one trial at a time."""
+    yield "N,trial,lambda_min"
+    for t in range(table.trials):
+        lmin = table.columns["lambda_min"][:, t].tolist()
+        yield from (f"{n},{t},{value:.12g}" for n, value in zip(table.boom_counts, lmin))
 
 
 def summary_csv_rows(summary: dict[str, np.ndarray]) -> list[str]:

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot.cli import _write_json, main
+from reachbot.cli import _write_json, _write_lines, main
 from reachbot.config import load_config, parse_config
 from reachbot.robot import fibonacci_sphere
-from reachbot.study import draw_pools, run_study
+from reachbot.study import MetricsTable, draw_pools, run_study, stability_csv_rows
 from reachbot.terrain import anchors_to_csv_rows
 from conftest import default_config_dict, random_stance
 from test_study import match_rounds_reference
@@ -417,6 +417,25 @@ class TestJsonWriter:
     ])
     def test_edge_shapes(self, obj, tmp_path):
         assert self.same_text(obj, tmp_path / "out.json")
+
+
+def test_stability_csv_streams(tmp_path, rng):
+    # stability.csv of 1,000 trials at ten boom counts (33 bytes a cell),
+    # written a line at a time: the tracemalloc peak stays under 100 bytes
+    # a trial. Its lines built first and joined peaked at 1.2 kB a trial.
+    lmin = rng.normal(size=(10, 1000)) * 10.0 ** rng.integers(-15, 4, size=(10, 1000))
+    table = MetricsTable(boom_counts=tuple(range(1, 11)),
+                         columns={"feasible": np.ones(lmin.shape, dtype=bool), "lambda_min": lmin})
+    path = tmp_path / "stability.csv"
+    tracemalloc.start()
+    try:
+        _write_lines(path, stability_csv_rows(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == "".join(["N,trial,lambda_min\n"] + [
+        f"{n},{t},{lmin[n - 1, t]:.12g}\n" for t in range(1000) for n in range(1, 11)])
+    assert peak < 1000 * 100
 
 
 class TestStance:

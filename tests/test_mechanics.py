@@ -1,11 +1,13 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import reachbot as rb
+from reachbot import stance
 from reachbot.mechanics import (grasp_map_stack, legacy_stiffness_cable,
-                                legacy_stiffness_pointmass)
+                                legacy_stiffness_pointmass, stance_metrics, stiffness_stack)
 from reachbot.rng import substream
 from reachbot.study import REL_EPS
 from conftest import drop_boom, random_stance
@@ -328,6 +330,100 @@ class TestInvariances:
             tol = 1e-9 * full.wrench_capability
             assert full.stability >= part.stability - tol
             assert full.wrench_capability >= part.wrench_capability - tol
+
+
+def one_out_reference(G, weight):
+    """Worst single-boom drop of each map by one stack of all N drops, the
+    first of equal lambda_min minima: (lambda_min, lambda_max) of that drop."""
+    n = G.shape[2]
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    lam = np.linalg.eigvalsh(stiffness_stack(np.moveaxis(G[:, :, keep], 2, 1), weight))
+    worst = lam[np.arange(len(G)), np.argmin(lam[:, :, 0], axis=1)]
+    return worst[:, 0], worst[:, -1]
+
+
+def random_grasp_maps(rng, t, n):
+    """(t, 6, n) grasp maps: n mounts on the body sphere, anchors 5-15 m out."""
+    shoulders = np.array([m.position for m in rb.build_mounts(n)])
+    aims = rng.normal(size=(t, n, 3))
+    aims /= np.linalg.norm(aims, axis=-1, keepdims=True)
+    return grasp_map_stack(shoulders, shoulders + rng.uniform(5.0, 15.0, (t, n, 1)) * aims,
+                           np.zeros(3))
+
+
+class TestOneOutGroups:
+    """stance_metrics solves the single-boom drops in groups of consecutive
+    booms that fit a share of the pass budget; the worst drop, and every
+    output byte, is that of one stack of all drops."""
+
+    @staticmethod
+    def one_out(monkeypatch, G, budget):
+        """stance_metrics' one-out columns at a pass budget, and the drop
+        counts of its one-out eigen-solve calls (the (T, g, 6, 6) stacks)."""
+        eigvalsh, groups = np.linalg.eigvalsh, []
+        with monkeypatch.context() as patch:
+            patch.setattr(stance, "PASS_PAIRS", budget)
+            patch.setattr(np.linalg, "eigvalsh", lambda K: (
+                K.ndim == 4 and groups.append(K.shape[1])) or eigvalsh(K))
+            m = stance_metrics(G, 100.0, 0.1)
+        return m["one_out_lambda_min"], m["one_out_lambda_max"], groups
+
+    @pytest.mark.parametrize("t", [1, 4, 123, 300])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_groups_equal_one_stack(self, rng, monkeypatch, n, t):
+        G = random_grasp_maps(rng, t, n)
+        want = one_out_reference(G, 100.0) if n >= 2 else (np.zeros(t),) * 2
+        if 2 <= n <= 6:  # every drop leaves at most five columns: rank-deficient
+            assert np.all(want[0] <= 1e-9 * want[1])
+        sizes, budget = set(), 1
+        while True:  # budgets from one drop a group up to one group of all N drops
+            lmin, lmax, groups = self.one_out(monkeypatch, G, budget)
+            assert lmin.tobytes() == want[0].tobytes() and lmax.tobytes() == want[1].tobytes()
+            if n == 1:
+                assert groups == []
+                break
+            # Consecutive groups of one size, the last one the remainder.
+            g = groups[0]
+            assert groups == [g] * (n // g) + [n % g] * (n % g > 0)
+            sizes.add(g)
+            if g == n and budget >= stance.PASS_PAIRS:
+                break
+            budget = budget * 3 // 2 + 1
+        assert n == 1 or {1, n} <= sizes and len(sizes) >= min(n, 3)
+
+    def test_equal_minima_first_drop_wins(self, rng, monkeypatch):
+        # Columns along the axes with integer lengths, so every K is exact.
+        # Boom 6 duplicates boom 2, so their drops tie (lambda_min 100). Each
+        # drop of booms 0, 1, 3, 4 and 5 leaves an axis bare (lambda_min 0),
+        # and only boom 0's (the first) leaves lambda_max 200, not 900.
+        exact = np.zeros((1, 6, 7))
+        exact[0, [0, 1, 2, 3, 4, 5, 2], range(7)] = [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        # Random maps whose boom 5 duplicates boom 2: those two drops differ
+        # only in column order, so rounding decides between them.
+        G = random_grasp_maps(rng, 50, 8)
+        G[:, :, 5] = G[:, :, 2]
+        assert [a.tolist() for a in one_out_reference(exact, 100.0)] == [[0.0], [200.0]]
+        for maps in (exact, G):
+            want = one_out_reference(maps, 100.0)
+            for budget in (1, stance.PASS_PAIRS):  # a drop a group; one group
+                lmin, lmax, groups = self.one_out(monkeypatch, maps, budget)
+                assert groups == [1] * maps.shape[2] if budget == 1 else groups[0] > 1
+                assert lmin.tobytes() + lmax.tobytes() == want[0].tobytes() + want[1].tobytes()
+
+    def test_metric_stack_memory(self, rng):
+        # One stance_metrics chunk at N = 10 (123 stances, as run_trials
+        # takes it): the drop groups fit an eighth of the pass budget, and
+        # every other stack (K, its eigenvalues, the torque block and the
+        # determinant's G G^T) takes under 1 kB a stance. One stack of all
+        # ten drops peaked at about 1.4 MB.
+        G = random_grasp_maps(rng, 123, 10)
+        tracemalloc.start()
+        try:
+            stance_metrics(G, 100.0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stance.PASS_PAIRS * stance.PAIR_BYTES // 8 + 123 * 1024
 
 
 class TestStanceSerialization:

@@ -109,12 +109,23 @@ def test_byte_sweep_compares_stderr_line_by_line():
         "c/order: stderr (line order only)"]
 
 
+def sweep_configs():
+    """The StudyConfig of every byte-sweep config."""
+    from reachbot.config import parse_config
+    sweep = load_script("byte_sweep")
+    shipped = json.loads((ROOT / "configs" / "mars_lava_tube.json").read_text())
+    return [parse_config(sweep.make_config(shipped, edits)) for edits in sweep.CONFIGS.values()]
+
+
 def test_byte_sweep_crosses_chunk_boundaries():
     # Some config's study holds more trials than one chunk of the pass
     # budget, in the shared draw and the round-0 pass.
-    from reachbot.config import parse_config
     from reachbot.study import pool_chunk
-    sweep = load_script("byte_sweep")
-    shipped = json.loads((ROOT / "configs" / "mars_lava_tube.json").read_text())
-    configs = [parse_config(sweep.make_config(shipped, edits)) for edits in sweep.CONFIGS.values()]
-    assert any(sc.trials >= 1000 > 5 * pool_chunk(sc) for sc in configs)
+    assert any(sc.trials >= 1000 > 5 * pool_chunk(sc) for sc in sweep_configs())
+
+
+def test_byte_sweep_reaches_sixteen_booms_at_100_trials():
+    # Some config's study runs 100 trials up to 16 booms, so the sweep
+    # compares one-boom-out drops taken in several groups
+    # (``mechanics._one_out_stack``) at boom counts the shipped study does not reach.
+    assert any(sc.n_range[1] >= 16 and sc.trials >= 100 for sc in sweep_configs())

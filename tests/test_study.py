@@ -25,6 +25,9 @@ from conftest import build_stance, default_config_dict, drop_boom, one_boom_out,
 from test_mechanics import wrench_capability
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json"
+
+
 def make_table(boom_counts, lambda_min, **columns):
     """A table whose lambda_min rows are given, one per boom count.
 
@@ -440,14 +443,14 @@ class TestPassBudget:
     def test_trial_stage_memory_grows_by_retained_arrays_only(self, tmp_path):
         # tracemalloc peak of run_study plus writing report.json as the CLI
         # does, at 200 and 1,000 trials of the shipped study. What a trial
-        # keeps: its columns (10 boom counts x 129 bytes: seven float64
-        # metrics, an int64, a bool and a 16-character str), its shared pool
-        # and one boom count's pool copy (720 bytes each: 30 anchors), that
-        # count's anchor rows (80 bytes) and the shared pool's hash (64
-        # bytes), under 3 kB in all. Every other array is a chunk of the pass
-        # budget; with each stage taking all trials at once (the round-0
-        # pass, the one-boom-out stack, the records list) the peak grew by
-        # 17 kB a trial.
+        # keeps: its columns (10 boom counts x 81 bytes: seven float64
+        # metrics, an int64, a bool and a 16-byte hash), its shared pool and
+        # one boom count's pool copy (720 bytes each: 30 anchors), that
+        # count's anchor rows (80 bytes) and the shared pool's hash (16
+        # bytes), 2,346 bytes in all; it measured 2.4 kB. Every other array
+        # is a chunk of the pass budget; with each stage taking all trials at
+        # once (the round-0 pass, the one-boom-out stack, the records list)
+        # the peak grew by 17 kB a trial, and with 64-byte str hashes by 2.9 kB.
         cfg = default_config_dict(seed=42)
         cfg["study"]["surface_samples"] = 2000
         peaks = {}
@@ -462,7 +465,23 @@ class TestPassBudget:
             finally:
                 tracemalloc.stop()
             del report
-        assert peaks[1000] - peaks[200] <= 800 * 4000
+        assert peaks[1000] - peaks[200] <= 800 * 2600
+
+    def test_small_study_solves_each_boom_counts_drops_once(self, monkeypatch):
+        # coverage_sweep's trial stage (N = 1..16, 4 trials): every boom
+        # count's drop stack fits one group, so one eigen-solve call of all
+        # its drops.
+        cfg = json.loads(SHIPPED.read_text())
+        cfg["study"].update(n_range=[1, 16], trials=4)
+        sc = parse_config(cfg)
+        eigvalsh, drops = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda K: (
+            K.ndim == 4 and drops.append(K.shape[:2])) or eigvalsh(K))
+        table = rb.run_trials(sc)
+        feasible = table.columns["feasible"].sum(axis=1).tolist()
+        assert drops == [(cells, n) for n, cells in zip(sc.boom_counts, feasible)
+                         if n >= 2 and cells]
+        assert len(drops) >= 10
 
 
 class TestAggregate:
