@@ -4,10 +4,11 @@
 BASE and HEAD are two checkouts of this repository, such as a parent commit
 and a change on top of it. Each side builds the sweep's configs (CONFIGS) from
 its own configs/mars_lava_tube.json and runs every command (COMMANDS) on each
-config, each run in a temporary directory of its own, with
-PYTHONPATH=<side>/src, REACHBOT_LOG=debug and OPENBLAS_NUM_THREADS=1. A run's
-digest is the SHA-256 of every file its directory ends with (the config, and
-the outputs under out/) and of stdout, its exit code, and its stderr lines,
+config, and `reachbot pareto` once (PARETO) on a 3,000-row points file, each
+run in a temporary directory of its own, with PYTHONPATH=<side>/src,
+REACHBOT_LOG=debug and OPENBLAS_NUM_THREADS=1. A run's digest is the SHA-256
+of every file its directory ends with (the inputs, and the outputs under
+out/) and of stdout, its exit code, and its stderr lines,
 in which wall times ("0.104 s") and the checkout's path are masked. Each run
 that differs between the sides is printed, with what differs. Stderr is
 compared line by line: the lines that only one side has follow the run,
@@ -77,7 +78,20 @@ COMMANDS = {
     "eval": ["eval", "stance.json", "--config", "config.json"],
 }
 
+# The one run of `reachbot pareto` a side makes, on POINTS_ROWS rows of
+# points_csv: enough rows that the filter takes them in several chunks.
+PARETO = ["pareto", "points.csv", "--minimize", "mass", "--maximize", "torque",
+          "--minimize", "reach"]
+POINTS_ROWS = 3000
+
 _WALL_TIME = re.compile(r"\d+\.\d+ s\b")
+
+
+def points_csv(rows: int) -> str:
+    """A deterministic points file: a name and three integer objectives a row."""
+    lines = ["name,mass,torque,reach"] + [
+        f"p{i},{i * 7919 % 1009},{i * 104729 % 997},{i * 1299709 % 983}" for i in range(rows)]
+    return "\n".join(lines) + "\n"
 
 
 def make_config(shipped: dict, edits: dict) -> dict:
@@ -95,6 +109,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_digests(root: Path, env: dict, args: list[str],
+                files: dict[str, bytes]) -> tuple[dict, bytes | None]:
+    """One CLI run, with ``--out-dir out``, in a temporary directory that holds
+    ``files`` (name -> bytes): its digests (item -> SHA-256 or exit code, and
+    "stderr": its masked lines) and the bytes of its out/stance.json, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp)
+        for name, data in files.items():
+            (run / name).write_bytes(data)
+        done = subprocess.run([sys.executable, "-m", "reachbot.cli", *args, "--out-dir", "out"],
+                              cwd=run, env=env, capture_output=True)
+        err = _WALL_TIME.sub("<t> s", done.stderr.decode().replace(str(root), "<checkout>"))
+        items = {"exit code": str(done.returncode), "stdout": _sha(done.stdout),
+                 "stderr": err.splitlines()}
+        for path in sorted(p for p in run.rglob("*") if p.is_file()):
+            items[path.relative_to(run).as_posix()] = _sha(path.read_bytes())
+        stance = run / "out" / "stance.json"
+        return items, (stance.read_bytes() if stance.exists() else None)
+
+
 def side_digests(root: Path) -> dict[str, dict]:
     """Every run's digests on one checkout: run name -> {item: SHA-256 or exit code,
     and "stderr": its masked lines}."""
@@ -104,25 +138,15 @@ def side_digests(root: Path) -> dict[str, dict]:
                OPENBLAS_NUM_THREADS="1")
     digests = {}
     for config, edits in CONFIGS.items():
-        text = json.dumps(make_config(shipped, edits), indent=2)
+        files = {"config.json": json.dumps(make_config(shipped, edits), indent=2).encode()}
         stance = None
         for command, args in COMMANDS.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                run = Path(tmp)
-                (run / "config.json").write_text(text)
-                if command == "eval" and stance is not None:
-                    (run / "stance.json").write_bytes(stance)
-                done = subprocess.run([sys.executable, "-m", "reachbot.cli", *args,
-                                       "--out-dir", "out"], cwd=run, env=env,
-                                      capture_output=True)
-                err = _WALL_TIME.sub("<t> s", done.stderr.decode().replace(str(root), "<checkout>"))
-                items = {"exit code": str(done.returncode), "stdout": _sha(done.stdout),
-                         "stderr": err.splitlines()}
-                for path in sorted(p for p in run.rglob("*") if p.is_file()):
-                    items[path.relative_to(run).as_posix()] = _sha(path.read_bytes())
-                if command == "stance_trial3" and (run / "out" / "stance.json").exists():
-                    stance = (run / "out" / "stance.json").read_bytes()
-            digests[f"{config}/{command}"] = items
+            given = {**files, "stance.json": stance} if command == "eval" and stance else files
+            digests[f"{config}/{command}"], made = run_digests(root, env, args, given)
+            if command == "stance_trial3":
+                stance = made
+    digests["pareto"] = run_digests(root, env, PARETO,
+                                    {"points.csv": points_csv(POINTS_ROWS).encode()})[0]
     return digests
 
 

@@ -7,7 +7,6 @@ All outputs are JSON or CSV files written under --out-dir.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -178,13 +177,18 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    import csv  # only pareto reads CSV: 68 KiB a launch that every other command saves
     path = Path(args.points)
     if not path.exists():
         raise ConfigError(f"points file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        names = reader.fieldnames
+        if names is None:
             raise ConfigError("points CSV has no header")
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:  # a row's dict would keep only the last column of that name
+            raise ConfigError(f"points CSV header repeats column {repeated[0]!r}")
         rows = list(reader)
     if not rows:
         raise ConfigError("points CSV has no data rows")
@@ -192,7 +196,7 @@ def cmd_pareto(args) -> int:
     if not objectives:
         raise ConfigError("at least one --minimize or --maximize column required")
     for col, _ in objectives:
-        if col not in reader.fieldnames:
+        if col not in names:
             raise ConfigError(f"column {col!r} not in points CSV")
     for i, r in enumerate(rows, start=1):
         if None in r or None in r.values():
@@ -207,9 +211,9 @@ def cmd_pareto(args) -> int:
     keep = pareto_front(values, [s for _, s in objectives])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(reader.fieldnames)]
+    lines = [",".join(names)]
     for i in keep:
-        lines.append(",".join(rows[i][c] for c in reader.fieldnames))
+        lines.append(",".join(rows[i][c] for c in names))
     _write_lines(out / "nondominated.csv", lines)
     print(f"{len(keep)} of {len(rows)} points nondominated")
     return EXIT_OK

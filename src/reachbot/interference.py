@@ -26,19 +26,20 @@ only the samples within R, and every other lattice point, generated or
 not, is counted as covered by no boom. The screen is exact: every count
 equals the unscreened pass's.
 
-The stream yields chunks of up to COVERAGE_CHUNK samples, and each chunk is
-taken in feasibility passes of at most ``stance.PASS_PAIRS`` mount-sample
-pairs, the study's one pass budget: PASS_PAIRS // N samples for an N-mount
-block (2,048 at 16 mounts). Each pass adds to one integer prefix histogram
-per mount block (see ``_block_coverage``), and every coverage column is
-read from those. One workspace of ``stance.PAIR_BYTES`` a pair (1.6 MiB),
-allocated per call for the largest block, serves every pass, and no array
-is sized by the sample count.
+Each chunk of the stream is one feasibility pass of at most
+``stance.PASS_PAIRS`` mount-sample pairs, the study's one pass budget: the
+stream is asked for PASS_PAIRS // M lattice indices a chunk, M being the
+largest block's mount count (2,048 at 16 mounts). Each pass adds to one
+integer prefix histogram per mount block (see ``_block_coverage``), and
+every coverage column is read from those. One workspace of
+``stance.PAIR_BYTES`` a pair (1.6 MiB), allocated per call for the largest
+block, serves every pass, and no array is sized by the sample count.
 """
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 
 import numpy as np
 
@@ -65,18 +66,18 @@ def _reach(robot: RobotConfig) -> float:
 
 
 def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
-                    chunks: Iterable[np.ndarray], s: int) -> Coverage:
+                    chunks: Callable[[int], Iterable[np.ndarray]], s: int) -> Coverage:
     """Coverage columns of every boom count that a list of mount blocks serves.
 
     A block is (robot, boom counts): boom count N is covered by the robot's
-    first N mounts. ``chunks`` are (k, 3) arrays of the samples, among
-    ``s``, that may be covered; the others lie beyond every block's reach,
-    are covered by no mount and go to bin 0. Each chunk is taken in passes
-    of at most PASS_PAIRS // M samples, M being the largest block's mount
-    count. An N-mount block keeps one (N+1) x (N+1) integer prefix
-    histogram, whose entry [i, k] counts the samples that exactly k of
-    mounts 0..i-1 reach; each pass fills it from one feasibility matrix and
-    its running sums over the mounts, both held in the one workspace of
+    first N mounts. ``chunks(size)`` yields (k, 3) arrays of at most
+    ``size`` of the samples, among ``s``, that may be covered; the others
+    lie beyond every block's reach, are covered by no mount and go to bin 0.
+    ``size`` is PASS_PAIRS // M, M being the largest block's mount count, so
+    each chunk is one pass. An N-mount block keeps one (N+1) x (N+1) integer
+    prefix histogram, whose entry [i, k] counts the samples that exactly k
+    of mounts 0..i-1 reach; each pass fills it from one feasibility matrix
+    and its running sums over the mounts, both held in the one workspace of
     PAIR_BYTES a pair allocated here.
     """
     if s < 1:
@@ -87,23 +88,20 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
     sums = np.empty(mounts * size, dtype=np.intp)
     hists = [np.zeros((robot.boom_count + 1,) * 2, dtype=np.int64) for robot, _ in blocks]
     given = passes = largest = 0
-    for chunk in chunks:
-        given += len(chunk)
-        for first in range(0, len(chunk), size):
-            batch = chunk[first:first + size]
-            passes, largest = passes + 1, max(largest, len(batch))
-            for (robot, _), hist in zip(blocks, hists):
-                ok, _ = feasibility_matrix(robot, batch, work)
-                # Row i - 1 of count ends as i (N + 1) plus how many of mounts
-                # 0..i-1 reach the sample: its flat index into hist, row i.
-                n = robot.boom_count
-                count = sums[:ok.size].reshape(ok.shape)
-                np.copyto(count, ok)
-                count += n + 1
-                for i in range(1, n):
-                    count[i] += count[i - 1]
-                hist += np.bincount(count.ravel(), minlength=hist.size).reshape(hist.shape)
-        chunk = batch = None  # freed before the next chunk is generated
+    for batch in chunks(size):
+        given, passes, largest = given + len(batch), passes + 1, max(largest, len(batch))
+        for (robot, _), hist in zip(blocks, hists):
+            ok, _ = feasibility_matrix(robot, batch, work)
+            # Row i - 1 of count ends as i (N + 1) plus how many of mounts
+            # 0..i-1 reach the sample: its flat index into hist, row i.
+            n = robot.boom_count
+            count = sums[:ok.size].reshape(ok.shape)
+            np.copyto(count, ok)
+            count += n + 1
+            for i in range(1, n):
+                count[i] += count[i - 1]
+            hist += np.bincount(count.ravel(), minlength=hist.size).reshape(hist.shape)
+        batch = None  # freed before the next chunk is generated
     for hist in hists:
         hist[:, 0] += s - given  # not given: beyond every block's reach
         hist[0, 0] += given  # no mount: every given sample is uncovered
@@ -126,7 +124,8 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
 def coverage_from_mounts(robot: RobotConfig, points: np.ndarray) -> Coverage:
     """Coverage of a robot's mounts over given surface sample points, as one row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _block_coverage([(robot, (robot.boom_count,))], [points], len(points))
+    return _block_coverage([(robot, (robot.boom_count,))], lambda size: (
+        points[first:first + size] for first in range(0, len(points), size)), len(points))
 
 
 def coverage_curve(
@@ -151,10 +150,10 @@ def coverage_curve(
     The whole ``nested`` lattice is one mount block, served by one
     feasibility matrix a pass; any other robot is a block of its own. Only
     the lattice points within the blocks' reach R come out of the stream
-    (see the module docstring), and each of its chunks is taken in passes
-    of PASS_PAIRS // (the largest block's mounts) samples. Working memory
-    is one workspace of PAIR_BYTES a pair (1.6 MiB), reused by every pass,
-    and one chunk of the stream, whatever ``sample_count``.
+    (see the module docstring), in chunks of PASS_PAIRS // (the largest
+    block's mounts) lattice indices, one pass each. Working memory is one
+    workspace of PAIR_BYTES a pair (1.6 MiB), reused by every pass, and one
+    chunk of the stream, whatever ``sample_count``.
     """
     lo, hi = n_range
     if not 1 <= lo <= hi:
@@ -167,6 +166,6 @@ def coverage_curve(
         blocks = [(robot.with_boom_count(n, None if explicit else layout_policy), (n,))
                   for n in ns]
     reach = max(_reach(r) for r, _ in blocks)
-    return _block_coverage(blocks, surface_point_chunks(terrain, sample_count, shift, reach),
-                           sample_count)
+    return _block_coverage(blocks, partial(surface_point_chunks, terrain, sample_count, shift,
+                                           reach), sample_count)
 

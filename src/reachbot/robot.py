@@ -116,7 +116,7 @@ class RobotConfig:
             raise ValueError("boom length limits require 0 < L_min < L_max")
         if not 0 < self.cone_half_angle < math.pi / 2:
             raise ValueError("cone_half_angle must be in (0, pi/2)")
-        for name in ("body_mass", "m_boom", "m_gripper", "m_shoulder"):
+        for name in ("body_mass", "m_boom", "m_gripper", "m_shoulder", "gravity"):
             if vars(self)[name] < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not self.boom_stiffness > 0:

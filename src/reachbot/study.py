@@ -41,11 +41,6 @@ REL_EPS = 1e-9
 
 MAX_RESAMPLES = 100
 
-# Rows of pareto_front's domination matrix taken at once. Its working memory
-# is about 3 bytes per chunk row and point, whatever the objective count:
-# 7.5 MiB at 10,000 points (tracemalloc peak).
-PARETO_CHUNK = 256
-
 
 def _median(a: np.ndarray, axis: int) -> np.ndarray:
     """np.median byte for byte, without its NaN check's numpy.ma import (about 15 ms a process)."""
@@ -287,11 +282,11 @@ def run_trials(sc: StudyConfig) -> MetricsTable:
             columns["pool_hash"][i, t] = _pool_hash(pools[t])
         cells = np.flatnonzero(feasible)
         # A metric chunk holds its anchors, grasp maps and 6 x 6 stacks (K,
-        # G G^T), under 2 kB a stance, and one group of one-boom-out drops,
-        # within an eighth of the pass budget (mechanics._one_out_stack):
-        # 0.23 MB at N = 10 (tracemalloc). The chunk size is still the one
-        # that fit a single stack of all N drops (112 N**2 bytes a stance):
-        # 123 stances at N = 10.
+        # G G^T), under 2 kB a stance, and one group of one-boom-out drops
+        # (mechanics._one_out_stack), 96 N + 768 bytes a drop and stance.
+        # The 112 N**2 term keeps one drop's stacks near the group budget,
+        # an eighth of the pass budget: 123 stances at N = 10, whose one-drop
+        # groups take 0.21 MB; the chunk peaks at 0.23 MB (tracemalloc).
         for chunk in _chunks(len(cells), per_pass(2048 + 112 * n * n)):
             part = cells[chunk]
             anchors = np.take_along_axis(pools[part], rows[part][..., None], axis=1)
@@ -333,7 +328,10 @@ def aggregate(table: MetricsTable, robot_template: RobotConfig,
 def pareto_front(values: np.ndarray, senses: list[str]) -> list[int]:
     """Indices of nondominated points, in input order.
 
-    ``senses`` gives "min" or "max" per objective column.
+    ``senses`` gives "min" or "max" per objective column. The domination
+    matrix is taken in chunks of rows that fit one pass (``stance.per_pass``)
+    at 3 bytes a row and point, whatever the objective count: 54 rows at
+    10,000 points.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.size == 0:
@@ -343,8 +341,8 @@ def pareto_front(values: np.ndarray, senses: list[str]) -> list[int]:
     signs = np.array([1.0 if s == "min" else -1.0 for s in senses])
     v = values * signs  # now all-minimize
     dominated = np.zeros(len(v), dtype=bool)
-    for start in range(0, len(v), PARETO_CHUNK):
-        w = v[start:start + PARETO_CHUNK]
+    for chunk in _chunks(len(v), per_pass(3 * len(v))):
+        w = v[chunk]
         # [j, i]: chunk point j is no worse than point i everywhere (le), better somewhere (lt)
         le, lt = np.ones((len(w), len(v)), dtype=bool), np.zeros((len(w), len(v)), dtype=bool)
         for a, b in zip(w.T, v.T):

@@ -202,11 +202,6 @@ def sample_anchors(
                      terrain=t, seed=seed)
 
 
-# Lattice points per chunk of surface_point_chunks. Coverage takes a chunk in
-# feasibility passes of at most stance.PASS_PAIRS mount-sample pairs;
-# smaller chunks would cost more per sample to generate.
-COVERAGE_CHUNK = 4096
-
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # the golden lattice's across step, 1/phi
 
 
@@ -227,9 +222,10 @@ def _window_ranges(count: int, s0: float, a: float, b: float) -> list[tuple[int,
     return [(start, stop)] if stop <= count else [(0, stop - count), (start, count)]
 
 
-def surface_point_chunks(t: Terrain, count: int, shift, reach: float):
+def surface_point_chunks(t: Terrain, count: int, shift, reach: float, size: int):
     """The points of a shifted lattice over the full surface that lie within
-    ``reach`` of the world origin, as (k, 3) arrays of at most COVERAGE_CHUNK rows.
+    ``reach`` of the world origin, as (k, 3) arrays of at most ``size`` rows,
+    each of ``size`` consecutive lattice indices or fewer.
 
     The lattice's point i of ``count`` has unit coordinates
     u_i = frac((i + 1/2) / count + s0) along and v_i = frac(i / phi + s1)
@@ -242,13 +238,13 @@ def surface_point_chunks(t: Terrain, count: int, shift, reach: float):
     ``_along_window`` are generated (one or two index ranges: no point
     outside them can lie within ``reach``), and of those only the points
     whose |p| (in ``np.linalg.norm``'s sum order) is at most ``reach`` are
-    yielded. Concatenated, the chunks are, in index order, the rows of the
-    whole lattice within ``reach``. At ``reach = math.inf`` that is the
-    whole lattice, in chunks of exactly COVERAGE_CHUNK rows but the last.
-    No array is sized by ``count``.
+    yielded; no chunk is empty. Concatenated, the chunks are, in index
+    order, the rows of the whole lattice within ``reach``. At ``reach =
+    math.inf`` that is the whole lattice, in chunks of exactly ``size`` rows
+    but the last. No array is sized by ``count``.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    if count < 0 or size < 1:
+        raise ValueError("count must be non-negative and size positive")
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (2,) or not np.isfinite(shift).all():
         raise ValueError("shift must be two finite doubles")
@@ -258,14 +254,15 @@ def surface_point_chunks(t: Terrain, count: int, shift, reach: float):
     ranges = _window_ranges(count, s0, max(lo / span + 0.5, 0.0), min(hi / span + 0.5, 1.0))
     within = 0
     for start, stop in ranges:
-        for first in range(start, stop, COVERAGE_CHUNK):
-            i = np.arange(first, min(first + COVERAGE_CHUNK, stop), dtype=float)
+        for first in range(start, stop, size):
+            i = np.arange(first, min(first + size, stop), dtype=float)
             u = np.concatenate([(i + 0.5) / count + s0, i * _INV_PHI + s1])[None]
             u -= np.floor(u)
             points = t.frame.to_world(_local_points(t, *_scale_draws(t, len(i), u, span)))[0]
             points = points[np.sqrt(sum(points[:, k] ** 2 for k in range(3))) <= reach]
             within += len(points)
-            yield points
+            if len(points):
+                yield points
     log.debug("surface stream: shifted lattice of %d points, %d generated in %d index "
               "range(s) of the along-axis window, %d within R = %.3f m", count,
               sum(stop - start for start, stop in ranges), len(ranges), within, reach)

@@ -131,6 +131,13 @@ def lattice_points(t, count, shift, reach=None):
     return points if reach is None else points[np.linalg.norm(points, axis=1) <= reach]
 
 
-def stream_points(t, count, shift, reach=math.inf):
-    """The surface stream's chunks within ``reach`` concatenated, as (k, 3)."""
-    return np.concatenate([np.empty((0, 3)), *terrain.surface_point_chunks(t, count, shift, reach)])
+# Lattice indices a chunk of stream_points: what coverage asks of the surface
+# stream at 8 mounts (stance.PASS_PAIRS // 8).
+STREAM_CHUNK = 4096
+
+
+def stream_points(t, count, shift, reach=math.inf, size=STREAM_CHUNK):
+    """The surface stream's chunks of ``size`` lattice indices within ``reach``
+    concatenated, as (k, 3)."""
+    return np.concatenate([np.empty((0, 3)),
+                           *terrain.surface_point_chunks(t, count, shift, reach, size)])

@@ -144,6 +144,7 @@ class TestValidate:
     @pytest.mark.parametrize("edits,message", [
         ({"robot.cone_half_angle_rad": math.pi / 2}, "cone_half_angle must be in (0, pi/2)"),
         ({"robot.m_gripper": -0.5}, "m_gripper must be non-negative"),
+        ({"robot.g": -3.721}, "gravity must be non-negative"),
         ({"robot.k": 0.0}, "boom_stiffness must be positive"),
         ({"robot.body_radius": 0.0}, "body_radius must be positive"),
         ({**ONE_MOUNT, "robot.mounts": [{"position": [0, 0, 0.5], "axis": [0, 0, 2]}]},
@@ -156,9 +157,9 @@ class TestValidate:
         ({"terrain.frame.rotation": [[1, 0, 0], [0, 1, 0], [0, 1, 1]]},
          "terrain: frame rotation must be a 3x3 orthonormal matrix"),
         ({"terrain.frame.origin": [0, 0]}, "terrain: frame origin must be a 3-vector"),
-    ], ids=["cone_half_angle", "negative_mass", "k", "body_radius", "mount_axis_not_unit",
-            "mount_axis_length", "tau_drill", "delta_ref", "pool_multiplier",
-            "rotation_not_orthonormal", "origin_length"])
+    ], ids=["cone_half_angle", "negative_mass", "negative_gravity", "k", "body_radius",
+            "mount_axis_not_unit", "mount_axis_length", "tau_drill", "delta_ref",
+            "pool_multiplier", "rotation_not_orthonormal", "origin_length"])
     def test_value_out_of_range(self, tmp_path, capsys, edits, message):
         cfg = default_config_dict()
         for key, value in edits.items():
@@ -673,7 +674,10 @@ class TestPareto:
         ("a,b\n", "points CSV has no data rows"),
         ("", "points CSV has no header"),
         (None, "points file not found: {path}"),
-    ], ids=["short_row", "long_row", "nan", "non_numeric", "header_only", "empty", "missing"])
+        # a row keyed by column name would keep the last "a" and write 0,5,0
+        ("a,b,a\n1,2,3\n4,5,0\n", "points CSV header repeats column 'a'"),
+    ], ids=["short_row", "long_row", "nan", "non_numeric", "header_only", "empty", "missing",
+            "repeated_column"])
     def test_bad_rows(self, tmp_path, capsys, text, message):
         pts = tmp_path / "points.csv"
         if text is not None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reachbot as rb
-from reachbot import interference, stance, terrain
+from reachbot import interference, stance
 from reachbot.interference import coverage_from_mounts
 from reachbot.stance import feasibility_matrix
 from reachbot.study import column_records, coverage_csv_rows
@@ -159,9 +159,8 @@ class TestChunkedCurve:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        # Chunks of 37 lattice points, taken in passes of 7 samples at 12
-        # mounts, 10 at 8 or 28 at 3: no pass size divides the chunk size.
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 37)
+        # Passes of 7 samples at 12 mounts, 10 at 8 or 28 at 3, each one
+        # chunk of as many lattice points.
         monkeypatch.setattr(stance, "PASS_PAIRS", 84)
 
     @pytest.mark.parametrize("policy,n_range", [
@@ -205,8 +204,10 @@ class TestChunkedCurve:
         assert 0 < sum(sizes) == in_reach.sum() < self.SAMPLES
 
     @pytest.mark.parametrize("policy,n_range", [("nested", (1, 12)), ("uniform", (3, 6))])
-    def test_draw_chunks_of_seven(self, robot8, corridor, policy, n_range):
-        # Seven lattice points per chunk: the whole lattice, built at once, is the oracle.
+    def test_draw_chunks_of_seven(self, robot8, corridor, policy, n_range, monkeypatch):
+        # Seven lattice points per chunk, a pass at n_max mounts: the whole
+        # lattice, built at once, is the oracle.
+        monkeypatch.setattr(stance, "PASS_PAIRS", 7 * n_range[1])
         reps = rb.coverage_curve(robot8, corridor, n_range, self.SAMPLES,
                                  surface_shift(3), layout_policy=policy)
         points = lattice_points(corridor, self.SAMPLES, surface_shift(3))
@@ -250,9 +251,7 @@ class TestReachScreen:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        # Chunks of 257 lattice points, taken in passes of 100 samples at 12
-        # mounts or 200 at 6.
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
+        # Passes of 100 samples at 12 mounts or 200 at 6, each one chunk.
         monkeypatch.setattr(stance, "PASS_PAIRS", 1200)
 
     @pytest.fixture
@@ -260,7 +259,8 @@ class TestReachScreen:
         return lattice_points(corridor, self.SAMPLES, surface_shift(8))
 
     def screened(self, blocks, points):
-        chunks = [points[i:i + 257] for i in range(0, len(points), 257)]
+        def chunks(size):
+            return (points[i:i + size] for i in range(0, len(points), size))
         return column_records(interference._block_coverage(blocks, chunks, len(points)))
 
     def test_nested_block(self, points):
@@ -321,18 +321,19 @@ class TestReachScreen:
             r"pairs \((\d+) samples at (\d+) mounts\), workspace (\d+) bytes", passes).groups()
         n_blocks, given, total, passes, largest, budget, size, mounts, work = map(int, fields)
         assert (n_blocks, given, total) == (blocks, in_reach, self.SAMPLES)
-        # 200 samples a pass at 6 mounts, each of one chunk; 50 workspace bytes a pair
+        # 200 samples a pass at 6 mounts, each one chunk; 50 workspace bytes a pair
         assert (budget, size, mounts, work) == (1200, 200, 6, 50 * 1200)
         assert largest == size < in_reach
-        assert -(-in_reach // size) <= passes <= 2 * (-(-int(generated) // 257) + 1)
+        # one chunk of 200 lattice indices a pass, in at most two index ranges
+        assert -(-in_reach // size) <= passes <= -(-int(generated) // size) + 1
 
     @pytest.mark.parametrize("policy", ["nested", "uniform"])
     def test_debug_log_counts_chunks_and_passes(self, robot8, corridor, caplog, monkeypatch,
                                                 policy):
         # Passes of at most 100 samples (a budget of 600 pairs at 6 mounts),
-        # each of one 257-point chunk's points within R: each block's robot
-        # is given every pass, and the largest pass is the largest
-        # feasibility matrix any of them was given.
+        # each the points within R of one chunk of 100 lattice indices: each
+        # block's robot is given every pass, and the largest pass is the
+        # largest feasibility matrix any of them was given.
         monkeypatch.setattr(stance, "PASS_PAIRS", 600)
         sizes = []
 
@@ -350,7 +351,7 @@ class TestReachScreen:
             r"mount-sample pairs \((\d+) samples at 6 mounts\)", caplog.text)
         blocks = 1 if policy == "nested" else 3
         assert int(size) == 100 and len(sizes) == blocks * int(passes)
-        assert -(-int(within) // 100) <= int(passes) <= 3 * (-(-int(generated) // 257) + 1)
+        assert -(-int(within) // 100) <= int(passes) <= -(-int(generated) // 100) + 1
         assert sum(sizes) == blocks * int(within)
         assert int(largest) == max(sizes) <= 100
 
@@ -380,8 +381,7 @@ class TestAlongWindow:
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
-        # Chunks of 257 lattice points, taken in passes of 100 samples at 12 mounts.
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 257)
+        # Passes of 100 samples at 12 mounts, each one chunk of 100 lattice points.
         monkeypatch.setattr(stance, "PASS_PAIRS", 1200)
 
     @staticmethod
@@ -455,7 +455,7 @@ class TestAlongWindow:
         rb.floor(30, 80, Frame(tilt(0.2, 0.1), np.array([0, 0, -40.0])))],
         ids=["corridor", "floor"])
     def test_nothing_in_reach(self, terrain, caplog):
-        assert list(surface_point_chunks(terrain, 500, surface_shift(11), 20.5)) == []
+        assert list(surface_point_chunks(terrain, 500, surface_shift(11), 20.5, 100)) == []
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             records, oracle = self.curve_and_oracle(terrain, "nested", (1, 4),
                                                     surface_shift(11), 500)
@@ -470,8 +470,8 @@ class TestAlongWindow:
 
 def test_coverage_peak_memory_flat_in_samples(corridor):
     # Live at the peak: the pass workspace (50 bytes a pair of PASS_PAIRS,
-    # 1.6 MiB) and one chunk of the surface stream (about 0.45 MiB); no array
-    # grows with the sample count.
+    # 1.6 MiB) and one chunk of the surface stream, 2,048 lattice indices
+    # (about 0.25 MiB); no array grows with the sample count.
     peaks = {}
     for count in (200_000, 2_000_000):
         shift = surface_shift(42)
@@ -483,6 +483,32 @@ def test_coverage_peak_memory_flat_in_samples(corridor):
             tracemalloc.stop()
     assert peaks[2_000_000] <= peaks[200_000] + 64 * 1024
     assert peaks[2_000_000] < 50 * stance.PASS_PAIRS + 2 ** 20
+
+
+@pytest.mark.parametrize("policy", ["nested", "uniform"])
+def test_each_stream_chunk_is_one_pass(robot8, corridor, monkeypatch, policy):
+    # The shipped coverage (N = 1..10, 20,000 samples): every chunk the
+    # surface stream yields holds at most one pass's samples at 10 mounts,
+    # and each block's feasibility matrix is given that chunk itself, once.
+    chunks, given = [], []
+
+    def streaming(*args):
+        for chunk in surface_point_chunks(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    def recording(robot, points, out):
+        given.append(points)
+        return feasibility_matrix(robot, points, out)
+
+    monkeypatch.setattr(interference, "surface_point_chunks", streaming)
+    monkeypatch.setattr(interference, "feasibility_matrix", recording)
+    rb.coverage_curve(robot8, corridor, (1, 10), 20_000, surface_shift(42), policy)
+    blocks = 1 if policy == "nested" else 10
+    assert len(chunks) >= 2 and sum(map(len, chunks)) > stance.PASS_PAIRS // 10
+    assert all(0 < len(c) <= stance.PASS_PAIRS // 10 for c in chunks)
+    assert len(given) == blocks * len(chunks)
+    assert all(p is c for p, c in zip(given, (c for c in chunks for _ in range(blocks))))
 
 
 def test_coverage_passes_reuse_one_workspace(monkeypatch):

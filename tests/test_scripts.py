@@ -75,7 +75,7 @@ def test_byte_sweep(monkeypatch, capsys, tmp_path):
     sweep = load_script("byte_sweep")
     monkeypatch.setattr(sweep, "CONFIGS", {"small": {
         "study.n_range": [6, 8], "study.trials": 3, "study.surface_samples": 2000}})
-    runs = len(sweep.COMMANDS)
+    runs = len(sweep.COMMANDS) + 1  # and the one pareto run
     assert run_script(monkeypatch, sweep, ROOT, ROOT) == 0
     assert capsys.readouterr().out == f"0 of {runs} runs differ\n"
 
@@ -122,6 +122,19 @@ def test_byte_sweep_crosses_chunk_boundaries():
     # budget, in the shared draw and the round-0 pass.
     from reachbot.study import pool_chunk
     assert any(sc.trials >= 1000 > 5 * pool_chunk(sc) for sc in sweep_configs())
+
+
+def test_byte_sweep_pareto_run_spans_several_chunks():
+    # The pareto run's points file holds more rows than one chunk of the
+    # filter (stance.per_pass at 3 bytes a row and point) and gives a front.
+    from reachbot.stance import per_pass
+    from reachbot.study import pareto_front
+    sweep = load_script("byte_sweep")
+    header, *rows = sweep.points_csv(sweep.POINTS_ROWS).splitlines()
+    assert len(rows) == sweep.POINTS_ROWS > 5 * per_pass(3 * sweep.POINTS_ROWS)
+    values = [[float(x) for x in row.split(",")[1:]] for row in rows]
+    assert 10 < len(pareto_front(values, ["min", "max", "min"])) < len(rows)
+    assert header.split(",")[1:] == sweep.PARETO[3::2]
 
 
 def test_byte_sweep_reaches_sixteen_booms_at_100_trials():

@@ -585,15 +585,24 @@ class TestParetoFront:
                 assert rb.pareto_front(pts, senses) == pareto_oracle(pts, senses)
 
     def test_chunked_against_matrix_oracle(self, rng, monkeypatch):
-        monkeypatch.setattr(study, "PARETO_CHUNK", 7)  # divides none of the point counts
+        # Pass budgets whose chunks (stance.per_pass at 3 bytes a row and
+        # point) hold 1 to 7 rows; 4 to 7 divide none of the point counts.
+        sizes, chunks = [], study._chunks
+        monkeypatch.setattr(study, "_chunks", lambda count, size: sizes.append(size) or
+                            chunks(count, size))
         for n, k in ((1, 2), (30, 2), (50, 3), (64, 2)):
             # few distinct values: ties in every objective and duplicate points
             pts = rng.integers(0, 4, size=(n, k)).astype(float)
             pts[n // 2:] = pts[:n - n // 2]
             senses = ["min" if rng.uniform() < 0.5 else "max" for _ in range(k)]
-            assert rb.pareto_front(pts, senses) == pareto_oracle(pts, senses)
+            want = pareto_oracle(pts, senses)
+            for rows in range(1, 8):
+                monkeypatch.setattr(stance, "PASS_PAIRS", -(-3 * n * rows // stance.PAIR_BYTES))
+                assert rb.pareto_front(pts, senses) == want
+                assert min(sizes[-1], n) == min(rows, n)
 
     def test_memory_bounded_by_chunk(self, rng):
+        # A chunk's matrices fit one pass's 1.6 MiB: 2.25 MiB in all here.
         pts = rng.uniform(size=(10_000, 2))
         tracemalloc.start()
         try:
@@ -601,7 +610,7 @@ class TestParetoFront:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 34 * 2**20
+        assert peak < 3 * 2**20
 
     def test_permutation_invariant_as_set(self, rng):
         pts = rng.uniform(size=(25, 2))
@@ -754,13 +763,14 @@ class TestSurfaceShift:
 
 
 # Modules a launch must not load, and why: np.median's NaN check imports
-# numpy.ma (about 15 ms a process); hashlib's SHA-256 loads OpenSSL's
+# numpy.ma (about 15 ms a process); only `pareto` reads CSV, and csv costs
+# 68 KiB of RSS a launch after numpy; hashlib's SHA-256 loads OpenSSL's
 # _hashlib (3.5 MiB and 5 ms), where the interpreter's built-in _sha2
 # (3.12+) or _sha256 gives the same digest. numpy.random is guarded above.
 BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
-@pytest.mark.parametrize("module", ["numpy.ma", pytest.param(
+@pytest.mark.parametrize("module", ["numpy.ma", "csv", pytest.param(
     "_hashlib", marks=pytest.mark.skipif(not BUILTIN_SHA256, reason="no built-in SHA-256"))])
 def test_cli_never_imports(tmp_path, module):
     root = Path(rb.__file__).resolve().parents[2]

@@ -10,9 +10,11 @@ from scipy import stats
 import reachbot as rb
 from reachbot import terrain
 from reachbot.rng import substream, substream_uniforms
-from reachbot.terrain import (CORRIDOR, COVERAGE_CHUNK, WALL, Frame, Terrain,
-                              anchors_to_csv_rows, sample_pools, surface_point_chunks)
-from conftest import lattice_local, lattice_points, stream_points, surface_area, surface_shift
+from reachbot.stance import PAIR_BYTES, per_pass
+from reachbot.terrain import (CORRIDOR, WALL, Frame, Terrain, anchors_to_csv_rows, sample_pools,
+                              surface_point_chunks)
+from conftest import (STREAM_CHUNK, lattice_local, lattice_points, stream_points, surface_area,
+                      surface_shift)
 
 
 def to_local(frame: Frame, pts: np.ndarray) -> np.ndarray:
@@ -139,7 +141,7 @@ class TestSampling:
         assert abs(frac - 0.5) < 0.02
 
     def test_empty_surface_points(self, corridor, rng):
-        assert list(surface_point_chunks(corridor, 0, rng.random(2), math.inf)) == []
+        assert list(surface_point_chunks(corridor, 0, rng.random(2), math.inf, 16)) == []
 
     def test_reproducible(self, corridor):
         a = rb.sample_anchors(corridor, 500, 40, substream(11, 2, "anchors"))
@@ -172,7 +174,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * count + 128 * COVERAGE_CHUNK
+        assert peak <= 48 * count + 128 * STREAM_CHUNK
 
     @pytest.mark.parametrize("terrain", [
         rb.corridor(15, 100), rb.wall(30, 60, frame=Frame(origin=np.array([-5.0, 0, 0]))),
@@ -191,7 +193,7 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert 0 < built < count
-        assert peak <= 48 * built + 128 * COVERAGE_CHUNK
+        assert peak <= 48 * built + 128 * STREAM_CHUNK
 
     def test_rotated_frame_points_on_surface(self):
         c, s = np.cos(0.7), np.sin(0.7)
@@ -279,30 +281,29 @@ class TestSurfaceChunks:
     """The chunked, windowed surface stream against the whole shifted lattice."""
 
     @staticmethod
-    def stream(t, count, shift, reach):
-        chunks = list(surface_point_chunks(t, count, shift, reach))
-        assert all(len(c) <= terrain.COVERAGE_CHUNK for c in chunks)
+    def stream(t, count, shift, reach, size=STREAM_CHUNK):
+        chunks = list(surface_point_chunks(t, count, shift, reach, size))
+        assert all(0 < len(c) <= size for c in chunks)
         return chunks, np.concatenate([np.empty((0, 3)), *chunks])
 
-    @pytest.mark.parametrize("count", [0, 1, COVERAGE_CHUNK - 1, COVERAGE_CHUNK + 1])
+    @pytest.mark.parametrize("count", [0, 1, STREAM_CHUNK - 1, STREAM_CHUNK + 1])
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
     def test_infinite_reach_is_the_whole_lattice(self, name, count):
         # At R = inf every lattice point is yielded, in chunks of
-        # COVERAGE_CHUNK rows but the last, with the one-shot lattice's bytes.
+        # STREAM_CHUNK rows but the last, with the one-shot lattice's bytes.
         t, shift = STREAM_TERRAINS[name], surface_shift(17)
         chunks, got = self.stream(t, count, shift, math.inf)
-        assert [len(c) for c in chunks] == [min(COVERAGE_CHUNK, count - i)
-                                            for i in range(0, count, COVERAGE_CHUNK)]
+        assert [len(c) for c in chunks] == [min(STREAM_CHUNK, count - i)
+                                            for i in range(0, count, STREAM_CHUNK)]
         want = lattice_points(t, count, shift)
         assert got.shape == want.shape == (count, 3) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [0, 1, 1000])
     @pytest.mark.parametrize("reach", [math.inf, 20.5], ids=["full", "reach"])
     @pytest.mark.parametrize("name", STREAM_TERRAINS)
-    def test_chunks_of_seven_are_the_one_shot_rows(self, name, reach, count, monkeypatch):
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", 7)  # divides no count but 0
+    def test_chunks_of_seven_are_the_one_shot_rows(self, name, reach, count):
         t, shift = STREAM_TERRAINS[name], surface_shift(11)
-        chunks, got = self.stream(t, count, shift, reach)
+        chunks, got = self.stream(t, count, shift, reach, 7)  # 7 divides no count but 0
         want = lattice_points(t, count, shift, reach)
         if reach == math.inf:
             assert [len(c) for c in chunks] == [min(7, count - i) for i in range(0, count, 7)]
@@ -312,10 +313,12 @@ class TestSurfaceChunks:
 
     @pytest.mark.parametrize("name", ["corridor", "wall"])
     def test_default_chunks(self, name):
-        t, count, shift = STREAM_TERRAINS[name], 2 * terrain.COVERAGE_CHUNK + 3, surface_shift(5)
-        for reach in (math.inf, 20.5):
-            want = lattice_points(t, count, shift, reach)
-            assert self.stream(t, count, shift, reach)[1].tobytes() == want.tobytes()
+        # The chunk sizes coverage asks for at 1, 10 and 16 mounts (one pass each).
+        t, count, shift = STREAM_TERRAINS[name], 2 * STREAM_CHUNK + 3, surface_shift(5)
+        for size in (per_pass(PAIR_BYTES * m) for m in (1, 10, 16)):
+            for reach in (math.inf, 20.5):
+                want = lattice_points(t, count, shift, reach)
+                assert self.stream(t, count, shift, reach, size)[1].tobytes() == want.tobytes()
 
     def test_caller_buffer_kept(self, corridor):
         # The stream scales its unit coordinates in place, but never the
@@ -356,13 +359,12 @@ class TestSurfaceChunks:
     @pytest.mark.parametrize("pattern", [
         (1, 0.0), (1, 0.61), (2, 0.5), (3, 0.13), (5, 0.9), (7, 0.37), (8, 0.75),
         (1, np.nextafter(1.0, 0.0))])
-    def test_lone_rows(self, pattern, monkeypatch):
+    def test_lone_rows(self, pattern):
         # Chunks of `chunk` lattice points (1: every row is built alone) on a
         # tilted corridor, where numpy's vector path for a lone row rounds
         # differently from a matrix row: every chunking gives the bytes of
         # the one-shot lattice.
         chunk, s0 = pattern
-        monkeypatch.setattr(terrain, "COVERAGE_CHUNK", chunk)
         t, count, reach = STREAM_TERRAINS["corridor_tilted"], 400, 40.0
         full = lattice_points(t, count, (s0, 0.2))
         vector = np.array([row @ t.frame.rotation.T + t.frame.origin
@@ -370,11 +372,16 @@ class TestSurfaceChunks:
         assert (vector != full).any()
         for r, want in ((math.inf, full), (reach, lattice_points(t, count, (s0, 0.2), reach))):
             assert 20 < len(want) and (r == math.inf or len(want) < count)
-            assert self.stream(t, count, (s0, 0.2), r)[1].tobytes() == want.tobytes()
+            assert self.stream(t, count, (s0, 0.2), r, chunk)[1].tobytes() == want.tobytes()
 
     def test_negative_count(self, corridor, rng):
         with pytest.raises(ValueError, match="non-negative"):
             stream_points(corridor, -1, rng.random(2))
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_must_be_positive(self, corridor, size):
+        with pytest.raises(ValueError, match="size positive"):
+            stream_points(corridor, 10, (0.1, 0.2), math.inf, size)
 
 
 def test_anchor_csv_format(corridor):
