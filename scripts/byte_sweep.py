@@ -65,6 +65,10 @@ CONFIGS = {
     "trials_1000": {"study.trials": 1000},
     # 100 trials up to 16 booms: one-boom-out drops in several groups at N = 11..16.
     "booms_16": {"study.n_range": [1, 16]},
+    # The high-resample regime: about 40,000 resamples and 400 infeasible
+    # cells, in matching passes of several feasibility slices whose pools
+    # the screen mostly rejects.
+    "high_resample": {"robot.L_max": 16.0},
 }
 
 # command name -> CLI arguments, run with --out-dir out in a directory holding

@@ -25,11 +25,14 @@ from .terrain import AnchorSet
 # Mount-point pairs in one feasibility pass, the memory budget of every
 # stage of a study. A coverage pass holds PAIR_BYTES a pair (1.6 MiB, see
 # ``interference``); the trial stage draws, matches and evaluates its pools
-# and stances in chunks of at most the same bytes (see ``per_pass``).
+# and stances in chunks of at most the same bytes (see ``per_pass``). A
+# matching pass holds 8 bytes a pair of costs and a feasibility workspace
+# (WORK_BYTES a pair) for a quarter of the budget (``match_pools``).
 # Larger passes would raise a study's peak memory, smaller ones the
 # per-pass overhead.
 PASS_PAIRS = 2 ** 15
 PAIR_BYTES = 50
+WORK_BYTES = 42
 
 
 def per_pass(item_bytes: int) -> int:
@@ -40,7 +43,7 @@ def per_pass(item_bytes: int) -> int:
 
 def feasibility_workspace(pairs: int) -> list[np.ndarray]:
     """Buffers for ``feasibility_matrix`` calls of up to ``pairs`` mount-point
-    pairs: five float64 and two bool arrays, 42 bytes a pair."""
+    pairs: five float64 and two bool arrays, WORK_BYTES = 42 bytes a pair."""
     return [np.empty(pairs) for _ in range(5)] + [np.empty(pairs, dtype=bool) for _ in range(2)]
 
 
@@ -151,6 +154,12 @@ def _augmenting_paths(cost: np.ndarray, first: list[int]) -> list[int] | None:
     return col4row
 
 
+def match_slice(n: int, m: int) -> int:
+    """Pools in one feasibility slice of ``match_pools`` at n booms and m
+    anchors a pool: a quarter of the pass budget (``per_pass``)."""
+    return per_pass(4 * PAIR_BYTES * n * m)
+
+
 def match_pools(robot: RobotConfig, points: np.ndarray,
                 group: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
@@ -165,23 +174,40 @@ def match_pools(robot: RobotConfig, points: np.ndarray,
     Each run of ``group`` consecutive pools holds alternatives in order of
     preference: a group keeps only its first complete pool, the solver takes
     none of the group's later pools, and those report inf.
+
+    Feasibility is taken in slices of ``match_slice`` pools that reuse one
+    workspace (WORK_BYTES a pair), and each slice writes only its screened
+    pools' lengths, inf where a boom cannot reach, into one (C, N, M) cost
+    array that the solver reads. A pass of 109 pools of 30 anchors at N =
+    10 so peaks at 0.64 MB (tracemalloc).
     """
     n, m = robot.boom_count, points.shape[-2]
     if m < n:
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
-    return _match_lengths(*feasibility_matrix(robot, points), group)
+    size = match_slice(n, m)
+    work = feasibility_workspace(min(len(points), size) * n * m)
+    screen, cost, count = np.empty(len(points), dtype=bool), np.empty((len(points), n, m)), 0
+    for first in range(0, len(points), size):
+        part = slice(first, first + size)
+        ok, L = feasibility_matrix(robot, points[part], work)
+        screen[part] = ok.any(axis=2).all(axis=1)
+        keep = np.flatnonzero(screen[part])
+        out = cost[count:count + keep.size]
+        np.take(L, keep, axis=0, out=out, mode="clip")  # "clip": out is not buffered
+        np.copyto(out, np.inf, where=~ok[keep])
+        count += keep.size
+    return _match_costs(cost[:count], screen, group)
 
 
-def _match_lengths(ok: np.ndarray, L: np.ndarray, group: int = 1) -> tuple[np.ndarray, ...]:
-    """``match_pools`` on (C, N, M) feasibility and length arrays, N <= M."""
-    n = ok.shape[1]
-    screen = ok.any(axis=2).all(axis=1)
-    rows, total = np.zeros((len(ok), n), dtype=int), np.full(len(ok), np.inf)
-    shortcut, pools = np.zeros(len(ok), dtype=bool), np.flatnonzero(screen)
+def _match_costs(cost: np.ndarray, screen: np.ndarray,
+                 group: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``match_pools`` on the (S, N, M) costs of the S pools that pass the
+    (C,) ``screen``, in pool order, inf where a boom cannot reach; N <= M."""
+    n = cost.shape[1]
+    rows, total = np.zeros((len(screen), n), dtype=int), np.full(len(screen), np.inf)
+    shortcut, pools = np.zeros(len(screen), dtype=bool), np.flatnonzero(screen)
     if not pools.size:
         return rows, total, screen, shortcut
-    L = L[pools]
-    cost = np.where(ok[pools], L, np.inf)
     # Each boom's nearest reachable anchor. Where these are distinct they are
     # the optimum: their total is a lower bound on every assignment.
     cols = cost.argmin(axis=2)
@@ -190,7 +216,7 @@ def _match_lengths(ok: np.ndarray, L: np.ndarray, group: int = 1) -> tuple[np.nd
     shortcut[pools] = found
     # Each group's first complete slot so far; the solver skips later slots.
     group_of, slot = np.divmod(pools, group)
-    first = np.full(len(ok) // group, group)
+    first = np.full(len(screen) // group, group)
     np.minimum.at(first, group_of[found], slot[found])
     for c in np.flatnonzero(~found).tolist():
         if slot[c] < first[group_of[c]]:
@@ -199,7 +225,7 @@ def _match_lengths(ok: np.ndarray, L: np.ndarray, group: int = 1) -> tuple[np.nd
                 cols[c], found[c], first[group_of[c]] = best, True, slot[c]
     hit = np.flatnonzero(found & (slot == first[group_of]))
     rows[pools[hit]] = cols[hit]
-    total[pools[hit]] = L[hit[:, None], np.arange(n), cols[hit]].sum(axis=1)
+    total[pools[hit]] = cost[hit[:, None], np.arange(n), cols[hit]].sum(axis=1)
     return rows, total, screen, shortcut
 
 

@@ -205,7 +205,7 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     pools (b at most that too).
     """
     n, m, feasible = cfg.boom_count, shared.shape[1], np.zeros(len(trials), dtype=bool)
-    size = pool_chunk(sc)
+    size, per_slice = pool_chunk(sc), stance.match_slice(n, m)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, first_round, width = np.arange(len(trials)), 0, 1
@@ -246,10 +246,13 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
               "%d by the row-minimum shortcut, %d by augmenting paths; "
               "%d pools drawn in %d passes of %d chunks, the largest %d pools; pass budget "
-              "%d mount-anchor pairs: %d pools of %d anchors at %d booms; "
+              "%d mount-anchor pairs: %d pools of %d anchors at %d booms; feasibility in "
+              "slices of %d pools: a %d-byte workspace and a %d-byte cost array at most; "
               "%.4f s drawing pools, %.4f s matching",
               n, rounds, rejected, solved, shortcuts, solved - shortcuts, drawn, passes,
-              chunks, largest, stance.PASS_PAIRS, size, m, sc.n_range[1], draw_s, match_s)
+              chunks, largest, stance.PASS_PAIRS, size, m, sc.n_range[1], per_slice,
+              stance.WORK_BYTES * n * m * min(largest, per_slice), 8 * n * m * largest,
+              draw_s, match_s)
     return feasible, resamples, pools, rows
 
 

@@ -124,6 +124,15 @@ def test_byte_sweep_crosses_chunk_boundaries():
     assert any(sc.trials >= 1000 > 5 * pool_chunk(sc) for sc in sweep_configs())
 
 
+def test_byte_sweep_matches_in_several_slices():
+    # Some config's matching passes at n_max take feasibility in several
+    # slices (stance.match_slice) while most cells need resamples.
+    from reachbot.stance import match_slice
+    from reachbot.study import pool_chunk
+    assert any(sc.robot_template.L_max <= 16 and pool_chunk(sc) > 2 * match_slice(
+        sc.n_range[1], sc.pool_multiplier * sc.n_range[1]) for sc in sweep_configs())
+
+
 def test_byte_sweep_pareto_run_spans_several_chunks():
     # The pareto run's points file holds more rows than one chunk of the
     # filter (stance.per_pass at 3 bytes a row and point) and gives a front.

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachbot as rb
+from reachbot import stance
 from reachbot.rng import substream, substream_uniforms
-from reachbot.stance import _match_lengths, feasibility_matrix, match_pools
+from reachbot.stance import _match_costs, feasibility_matrix, match_pools
 from reachbot.terrain import sample_pools
 from conftest import build_stance, drop_boom, feasible
 
@@ -343,6 +346,51 @@ class TestMatchPools:
         assert rows[kept].tobytes() == alone[0][kept].tobytes()
         assert np.all(total[~kept] == np.inf) and not rows[~kept].any()
 
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_slices_equal_one_slice(self, corridor, monkeypatch, group):
+        # 48 pools of 6 booms, reordered so that with 4 pools a slice, slice
+        # 0 holds no screened pool and slice 1 only screened ones; groups of
+        # 3 then cross slice edges. Every output equals the one-slice call's.
+        robot = rb.make_robot(6)
+        drawn = sample_pools(corridor, 18, 40.0, substream_uniforms(3, range(48), "group", 36))
+        passed = match_pools(robot, drawn)[2]
+        order = np.concatenate([np.flatnonzero(~passed)[:4], np.flatnonzero(passed)[:4]])
+        pools = drawn[np.concatenate([order, np.setdiff1d(np.arange(48), order)])]
+        assert stance.match_slice(6, 18) >= len(pools)
+        whole = match_pools(robot, pools, group)
+        monkeypatch.setattr(stance, "PASS_PAIRS", 4 * 4 * 6 * 18)
+        assert stance.match_slice(6, 18) == 4
+        screen = whole[2].reshape(-1, 4)
+        assert not screen[0].any() and screen[1].all() and screen[2:].any()
+        if group > 1:
+            complete = (match_pools(robot, pools)[1] < np.inf).reshape(-1, group)
+            assert (complete.sum(axis=1) > 1).any()  # some group holds two complete pools
+        for got, want in zip(match_pools(robot, pools, group), whole):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_full_pass_memory(self):
+        # One matching pass of the shipped study at N = 10 (pool_chunk pools
+        # of 30 anchors): a quarter-budget feasibility workspace and the
+        # screened pools' costs, 8 bytes a pair. A workspace for the whole
+        # pass plus copies of the screened lengths would take 1.375 MB.
+        from reachbot.config import load_config
+        from reachbot.study import draw_pools, pool_chunk
+        sc, _ = load_config(Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json")
+        robot, size = sc.robot_template.with_boom_count(10), pool_chunk(sc)
+        pools = draw_pools(sc, np.arange(size), "anchors")
+        want = match_pools(robot, pools)  # warm-up, and the reference
+        assert size == 109 and 0 < want[2].sum() < size
+        tracemalloc.start()
+        try:
+            got = match_pools(robot, pools)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        pairs = pools.shape[0] * 10 * pools.shape[1]
+        assert peak <= stance.PASS_PAIRS * stance.PAIR_BYTES // 4 + 8 * pairs + 64 * 1024
+        assert peak < 0.6 * 1_375_000, peak
+
 
 def random_stack(rng, n, m, kind, count=6):
     """``count`` random (ok, L) pools of n booms and m anchors, stacked.
@@ -362,6 +410,13 @@ def random_stack(rng, n, m, kind, count=6):
         ok[:, :2] = False
         ok[:, :2, 0] = True
     return ok, L
+
+
+def match_lengths(ok, L, group=1):
+    """``_match_costs`` on (C, N, M) feasibility and length arrays: the
+    screened pools' costs, inf where infeasible, as ``match_pools`` writes them."""
+    screen = ok.any(axis=2).all(axis=1)
+    return _match_costs(np.where(ok, L, np.inf)[screen], screen, group)
 
 
 def start_holders(ok, L):
@@ -384,7 +439,7 @@ class TestMatchLengths:
         outcomes = {"shortcut": 0, "augmented": 0, "screened_unmatched": 0}
         for _, (ok, L) in self.stacks(13):
             n = ok.shape[1]
-            rows, total, screen, shortcut = _match_lengths(ok, L)
+            rows, total, screen, shortcut = match_lengths(ok, L)
             for k in range(len(ok)):
                 oracle = min_cost_matching(ok[k], L[k])
                 if ok.shape[2] <= 6:
@@ -405,7 +460,7 @@ class TestMatchLengths:
         for _, (ok, L) in self.stacks(17):
             if ok.shape[2] > 6:
                 continue
-            rows, *_ = _match_lengths(ok, L)
+            rows, *_ = match_lengths(ok, L)
             for k in range(len(ok)):
                 ranked = ranked_permutations(ok[k], L[k])
                 if not ranked:
@@ -421,7 +476,7 @@ class TestMatchLengths:
         # path of length >= 2 moves a row that held its argmin in the start.
         shortcuts = long_paths = 0
         for _, (ok, L) in self.stacks(19):
-            rows, total, _, shortcut = _match_lengths(ok, L)
+            rows, total, _, shortcut = match_lengths(ok, L)
             for k in range(len(ok)):
                 holders, first = start_holders(ok[k], L[k])
                 if shortcut[k]:
@@ -436,14 +491,14 @@ class TestMatchLengths:
         # the optimum moves row 0 to column 1 so that row 1 can take column 0.
         ok = np.ones((1, 2, 2), dtype=bool)
         L = np.array([[[1.0, 2.0], [1.0, 10.0]]])
-        rows, total, screen, shortcut = _match_lengths(ok, L)
+        rows, total, screen, shortcut = match_lengths(ok, L)
         assert rows.tolist() == [[1, 0]] and total.tolist() == [3.0]
         assert screen.tolist() == [True] and shortcut.tolist() == [False]
 
     def test_no_screened_pool(self):
         ok = np.zeros((3, 2, 4), dtype=bool)
         ok[:, 0] = True  # boom 1 reaches nothing
-        rows, total, screen, shortcut = _match_lengths(ok, np.ones((3, 2, 4)))
+        rows, total, screen, shortcut = match_lengths(ok, np.ones((3, 2, 4)))
         assert not screen.any() and not shortcut.any() and not rows.any()
         assert (total == np.inf).all()
 

@@ -204,9 +204,11 @@ class TestRunTrials:
                 r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths; "
                 r"(\d+) pools drawn in (\d+) passes of (\d+) chunks, the largest (\d+) pools; "
                 r"pass budget (\d+) mount-anchor pairs: (\d+) pools of 16 anchors at 8 booms; "
-                r"(\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching", line).groups()
+                r"feasibility in slices of (\d+) pools: a (\d+)-byte workspace and a (\d+)-byte "
+                r"cost array at most; (\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching",
+                line).groups()
             (rounds, rejected, solved, shortcut, augmented, drawn, passes, chunks, largest,
-             budget, size) = map(int, counts)
+             budget, size, per_slice, work, cost) = map(int, counts)
             resamples = table.column(n, "resamples")
             assert rounds == resamples.max() + 1
             # every pool up to each trial's first complete round
@@ -218,6 +220,9 @@ class TestRunTrials:
             # A chunk holds as many pools of 16 anchors as fit the budget at n_max = 8.
             assert budget == stance.PASS_PAIRS and size == max(1, budget // (8 * 16))
             assert passes <= chunks and 1 <= largest <= min(size, sc.trials)
+            # A slice holds as many pools of n booms as fit a quarter of the budget.
+            assert per_slice == max(1, budget // (4 * n * 16))
+            assert work == 42 * n * 16 * min(largest, per_slice) and cost == 8 * n * 16 * largest
             split |= chunks > passes
             stage_s += float(draw_s) + float(match_s)
         assert stage_s <= trials_s + 1e-3  # the logged figures are rounded
