@@ -6,11 +6,15 @@ property of the robot's design alone: a ``RobotConfig`` gives the mounts,
 the cone half-angle and the length band, in the body frame, whose origin is
 the body centre. Booms are matched to anchors by an exact
 minimum-total-length rectangular assignment, returned as each boom's row
-index into the anchor pool. The matcher needs only numpy: a pool whose
-booms' nearest reachable anchors are all distinct is settled by those row
-minima (their sum bounds every assignment from below); any other pool is
-solved by shortest augmenting paths (Crouse, IEEE TAES 2016; Jonker and
-Volgenant, Computing 1987), started from the row-reduction partial matching.
+index into the anchor pool. A pool in which some boom reaches no anchor
+holds no complete assignment; the matcher screens such pools out first, on
+an optional lead boom alone before the full feasibility matrix (the
+fail-first order; Haralick and Elliott, Artif. Intell. 1980). The matcher
+needs only numpy: a pool whose booms' nearest reachable anchors are all
+distinct is settled by those row minima (their sum bounds every assignment
+from below); any other pool is solved by shortest augmenting paths (Crouse,
+IEEE TAES 2016; Jonker and Volgenant, Computing 1987), started from the
+row-reduction partial matching.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ from .terrain import AnchorSet
 # ``interference``); the trial stage draws, matches and evaluates its pools
 # and stances in chunks of at most the same bytes (see ``per_pass``). A
 # matching pass holds 8 bytes a pair of costs and a feasibility workspace
-# (WORK_BYTES a pair) for a quarter of the budget (``match_pools``).
+# (WORK_BYTES a pair) for a quarter of the budget (``match_pools``), in
+# which a lead boom's row is taken too.
 # Larger passes would raise a study's peak memory, smaller ones the
 # per-pass overhead.
 PASS_PAIRS = 2 ** 15
@@ -48,8 +53,11 @@ def feasibility_workspace(pairs: int) -> list[np.ndarray]:
 
 
 def feasibility_matrix(robot: RobotConfig, points: np.ndarray,
-                       out: list[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       out: list[np.ndarray] | None = None,
+                       booms: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """(ok, lengths) arrays of shape (..., n_mounts, n_points) for points (..., n_points, 3).
+
+    The mounts are the robot's ``booms``, all of them by default.
 
     The offsets are one (..., N, M) array per coordinate, and every step
     after them reuses their buffers. The length sums the squares in
@@ -65,7 +73,7 @@ def feasibility_matrix(robot: RobotConfig, points: np.ndarray,
     the results are then valid until its next use. Without it the call
     allocates its own.
     """
-    shoulders, axes = robot.shoulders, robot.axes
+    shoulders, axes = robot.shoulders[booms], robot.axes[booms]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     shape = (*pts.shape[:-2], len(shoulders), pts.shape[-2])
     size = math.prod(shape)
@@ -160,8 +168,9 @@ def match_slice(n: int, m: int) -> int:
     return per_pass(4 * PAIR_BYTES * n * m)
 
 
-def match_pools(robot: RobotConfig, points: np.ndarray,
-                group: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def match_pools(robot: RobotConfig, points: np.ndarray, group: int = 1,
+                lead: int | None = None, reach: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
 
     ``points`` stacks C pools as (C, M, 3). Returns the (C, N) anchor rows
@@ -180,18 +189,38 @@ def match_pools(robot: RobotConfig, points: np.ndarray,
     pools' lengths, inf where a boom cannot reach, into one (C, N, M) cost
     array that the solver reads. A pass of 109 pools of 30 anchors at N =
     10 so peaks at 0.64 MB (tracemalloc).
+
+    With a ``lead`` boom, the pass first takes that boom's feasibility row
+    of every pool, in the same workspace (one call whenever C <= N times
+    the slice size), and only the pools where it reaches some anchor go on
+    to the full slices: the others fail the screen, so every output is the
+    same as without it. ``reach``, if given, is a (C, N) bool array that
+    receives which booms reach some anchor in each pool; a pool the lead
+    boom rejects reads False throughout.
     """
     n, m = robot.boom_count, points.shape[-2]
     if m < n:
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
     size = match_slice(n, m)
     work = feasibility_workspace(min(len(points), size) * n * m)
-    screen, cost, count = np.empty(len(points), dtype=bool), np.empty((len(points), n, m)), 0
-    for first in range(0, len(points), size):
-        part = slice(first, first + size)
+    screen, cost, count = np.zeros(len(points), dtype=bool), np.empty((len(points), n, m)), 0
+    pools = np.arange(len(points))
+    if reach is None:
+        reach = np.empty((len(points), n), dtype=bool)
+    if lead is not None:
+        hit = np.empty(len(points), dtype=bool)
+        for first in range(0, len(points), size * n):
+            part = slice(first, first + size * n)
+            hit[part] = feasibility_matrix(robot, points[part], work,
+                                           slice(lead, lead + 1))[0].any(axis=(1, 2))
+        pools, reach[~hit] = pools[hit], False
+    for first in range(0, len(pools), size):
+        # A view of the pools, but a copy of the lead's survivors.
+        part = slice(first, first + size) if lead is None else pools[first:first + size]
         ok, L = feasibility_matrix(robot, points[part], work)
-        screen[part] = ok.any(axis=2).all(axis=1)
-        keep = np.flatnonzero(screen[part])
+        reach[part] = hits = ok.any(axis=2)
+        screen[part] = passed = hits.all(axis=1)
+        keep = np.flatnonzero(passed)
         out = cost[count:count + keep.size]
         np.take(L, keep, axis=0, out=out, mode="clip")  # "clip": out is not buffered
         np.copyto(out, np.inf, where=~ok[keep])

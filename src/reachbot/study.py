@@ -203,13 +203,17 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     from pass to pass, but no pass holds more pools than round 0. A pass is
     taken in chunks of whole trials, each of at most ``pool_chunk(sc)``
     pools (b at most that too).
+
+    Later passes screen first on the lead boom (``match_pools``), the one
+    that reached no anchor in the most shared pools (the first on a tie).
     """
     n, m, feasible = cfg.boom_count, shared.shape[1], np.zeros(len(trials), dtype=bool)
     size, per_slice = pool_chunk(sc), stance.match_slice(n, m)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, first_round, width = np.arange(len(trials)), 0, 1
-    rounds = rejected = solved = shortcuts = drawn = passes = chunks = largest = 0
+    misses, lead = np.zeros(n, dtype=int), None
+    rounds = rejected = solved = shortcuts = drawn = passes = chunks = largest = cut = pairs = 0
     draw_s = match_s = 0.0
     while pending.size and first_round <= MAX_RESAMPLES:
         if first_round:
@@ -224,8 +228,8 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
                 drawn += len(points)
             else:  # round 0: pending is every trial
                 points = shared[chunk]
-            mid = time.perf_counter()
-            matched, total, screen, shortcut = match_pools(cfg, points, width)
+            mid, reach = time.perf_counter(), np.empty((len(points), n), dtype=bool)
+            matched, total, screen, shortcut = match_pools(cfg, points, width, lead, reach)
             draw_s, match_s = draw_s + mid - start, match_s + time.perf_counter() - mid
             # Row (trial i, slot j) is round first_round + j of the chunk's trial i.
             hit = (total < np.inf).reshape(-1, width)
@@ -234,6 +238,13 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
             last = np.where(found, hit.argmax(axis=1), width - 1)
             tried = (np.arange(width) <= last[:, None]).ravel()
             rejected, solved = rejected + (tried & ~screen).sum(), solved + (tried & screen).sum()
+            if not first_round:
+                misses += len(points) - reach.sum(axis=0)
+            elif lead is None:
+                pairs += len(points) * n * m
+            else:  # the lead boom's row, then the full matrices of its survivors
+                cut += (tried & ~reach[:, lead]).sum()
+                pairs += len(points) * m + reach[:, lead].sum() * n * m
             shortcuts += (tried & shortcut).sum()
             rounds = max(rounds, first_round + last.max() + 1)
             chunks, largest = chunks + 1, max(largest, len(points))
@@ -242,17 +253,20 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
             feasible[done], resamples[done] = True, first_round + last[found]
             pools[done], rows[done] = points[pick], matched[pick]
             left.append(part[~found])
+        if not first_round and misses.any():
+            lead = int(misses.argmax())
         pending, first_round, passes = np.concatenate(left), first_round + width, passes + 1
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
               "%d by the row-minimum shortcut, %d by augmenting paths; "
               "%d pools drawn in %d passes of %d chunks, the largest %d pools; pass budget "
               "%d mount-anchor pairs: %d pools of %d anchors at %d booms; feasibility in "
               "slices of %d pools: a %d-byte workspace and a %d-byte cost array at most; "
-              "%.4f s drawing pools, %.4f s matching",
+              "%.4f s drawing pools, %.4f s matching; resample screen: lead boom %s, "
+              "%d pools rejected by it before the full screen, %d mount-anchor pairs evaluated",
               n, rounds, rejected, solved, shortcuts, solved - shortcuts, drawn, passes,
               chunks, largest, stance.PASS_PAIRS, size, m, sc.n_range[1], per_slice,
               stance.WORK_BYTES * n * m * min(largest, per_slice), 8 * n * m * largest,
-              draw_s, match_s)
+              draw_s, match_s, "none" if lead is None else lead, cut, pairs)
     return feasible, resamples, pools, rows
 
 

@@ -151,3 +151,31 @@ def test_byte_sweep_reaches_sixteen_booms_at_100_trials():
     # compares one-boom-out drops taken in several groups
     # (``mechanics._one_out_stack``) at boom counts the shipped study does not reach.
     assert any(sc.n_range[1] >= 16 and sc.trials >= 100 for sc in sweep_configs())
+
+
+def test_ab_study_verdict():
+    # Base runs 1.00..1.09 s: quartiles 1.0175 and 1.0725, so an IQR of 0.055 s.
+    ab = load_script("ab_study")
+    base = [1.00 + 0.01 * i for i in range(10)]
+    faster = [b - 0.1 for b in base]
+    v = ab.verdict(base, faster)
+    assert (v["head_wins"], v["base_wins"], v["gain"]) == (10, 0, True)
+    assert v["gap"] == pytest.approx(0.1) and v["base_iqr"] == pytest.approx(0.055)
+    # 9 of 10 pairs won is enough; a tie counts for neither side.
+    assert ab.verdict(base, faster[:9] + [base[9] + 0.5])["gain"]
+    tied = ab.verdict(base, faster[:8] + base[8:])
+    assert (tied["head_wins"], tied["base_wins"], tied["gain"]) == (8, 0, False)
+    # Every pair won, but by less than the base's own spread.
+    close = ab.verdict(base, [b - 0.01 for b in base])
+    assert close["head_wins"] == 10 and not close["gain"]
+    assert not ab.verdict(base, base)["gain"]
+
+
+def test_ab_study_usage(monkeypatch, capsys, tmp_path):
+    ab = load_script("ab_study")
+    assert run_script(monkeypatch, ab, ROOT, ROOT) == 1
+    assert "usage: ab_study.py BASE HEAD CONFIG" in capsys.readouterr().err
+    assert run_script(monkeypatch, ab, ROOT, tmp_path, ROOT / "configs" / "mars_lava_tube.json") == 1
+    assert "is not a checkout of reachbot" in capsys.readouterr().err
+    assert run_script(monkeypatch, ab, ROOT, ROOT, tmp_path / "none.json") == 1
+    assert "config file not found" in capsys.readouterr().err

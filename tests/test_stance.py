@@ -368,6 +368,39 @@ class TestMatchPools:
         for got, want in zip(match_pools(robot, pools, group), whole):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sliced", [False, True])
+    @pytest.mark.parametrize("group", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 10])
+    def test_lead_boom_changes_no_output(self, corridor, monkeypatch, n, group, sliced):
+        # Each boom k as the lead, on passes where it rejects some, none or
+        # all of the pools: every output equals the call without a lead, and
+        # ``reach`` reads which booms reach an anchor, False throughout a
+        # pool the lead rejects. Sliced, a slice holds 4 pools and a lead
+        # call 4 n, so the lead's row and the full matrices span several.
+        robot, m = rb.make_robot(n), 2 * n + 2
+        drawn = sample_pools(corridor, m, 40.0, substream_uniforms(5, range(120), "lead", 2 * m))
+        reaches = feasibility_matrix(robot, drawn)[0].any(axis=2)
+        if sliced:
+            monkeypatch.setattr(stance, "PASS_PAIRS", 4 * 4 * n * m)
+            assert stance.match_slice(n, m) == 4
+        matched = 0
+        for k in range(n):
+            hit = reaches[:, k]
+            for pools, want_reach in ((drawn, reaches), (drawn[hit], reaches[hit]),
+                                      (drawn[~hit], reaches[~hit])):
+                count = len(pools) - len(pools) % group
+                pools, want_reach = pools[:count], want_reach[:count].copy()
+                assert count
+                want = match_pools(robot, pools, group)
+                reach = np.ones((count, n), dtype=bool)
+                got = match_pools(robot, pools, group, k, reach)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                want_reach[~want_reach[:, k]] = False
+                assert np.array_equal(reach, want_reach)
+                matched += (want[1] < np.inf).sum()
+        assert matched
+
     def test_full_pass_memory(self):
         # One matching pass of the shipped study at N = 10 (pool_chunk pools
         # of 30 anchors): a quarter-budget feasibility workspace and the

@@ -199,13 +199,15 @@ class TestRunTrials:
         assert len(lines) == 3
         stage_s, split = 0.0, False
         for n, line in zip((6, 7, 8), lines):
-            *counts, draw_s, match_s = re.fullmatch(
+            *counts, draw_s, match_s, lead, lead_rejected, pairs = re.fullmatch(
                 rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, (\d+) pools "
                 r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths; "
                 r"(\d+) pools drawn in (\d+) passes of (\d+) chunks, the largest (\d+) pools; "
                 r"pass budget (\d+) mount-anchor pairs: (\d+) pools of 16 anchors at 8 booms; "
                 r"feasibility in slices of (\d+) pools: a (\d+)-byte workspace and a (\d+)-byte "
-                r"cost array at most; (\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching",
+                r"cost array at most; (\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching; "
+                r"resample screen: lead boom (\d+|none), (\d+) pools rejected by it before the "
+                r"full screen, (\d+) mount-anchor pairs evaluated",
                 line).groups()
             (rounds, rejected, solved, shortcut, augmented, drawn, passes, chunks, largest,
              budget, size, per_slice, work, cost) = map(int, counts)
@@ -223,6 +225,12 @@ class TestRunTrials:
             # A slice holds as many pools of n booms as fit a quarter of the budget.
             assert per_slice == max(1, budget // (4 * n * 16))
             assert work == 42 * n * 16 * min(largest, per_slice) and cost == 8 * n * 16 * largest
+            # The lead boom's rejections are screen rejections, counted alike.
+            # Here it rejects enough resample pools that the screen evaluates
+            # fewer pairs than the full matrices of the pools drawn hold.
+            lead_rejected, pairs = int(lead_rejected), int(pairs)
+            assert lead_rejected <= rejected and pairs <= drawn * n * 16
+            assert lead != "none" or lead_rejected == 0
             split |= chunks > passes
             stage_s += float(draw_s) + float(match_s)
         assert stage_s <= trials_s + 1e-3  # the logged figures are rounded
@@ -378,6 +386,42 @@ class TestMatchRounds:
         rounds, drawn, passes = map(int, re.search(
             r"(\d+) rounds.*; (\d+) pools drawn in (\d+) passes", line).groups())
         assert passes == rounds and drawn == rounds - 1
+
+
+    def test_lead_boom_changes_no_output(self, corridor, monkeypatch, caplog):
+        # L_max 16 m: most pools fail the screen. The lead boom that round 0
+        # picks leaves every array as it is, and the screen evaluates fewer
+        # mount-anchor pairs than with the lead switched off.
+        sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=16.0),
+                          n_range=(6, 10), trials=30, seed=3, pool_multiplier=2)
+        trials = np.arange(sc.trials)
+        shared = study.draw_pools(sc, trials, "anchors")
+        pairs, kernel, match = [0], stance.feasibility_matrix, study.match_pools
+        monkeypatch.setattr(stance, "feasibility_matrix", lambda *args: pairs.append(
+            pairs.pop() + kernel(*args)[0].size) or kernel(*args))
+
+        def rounds(n):
+            pairs[0] = 0
+            result = study.match_rounds(sc, sc.robot_template.with_boom_count(n), trials, shared)
+            return result, pairs[0]
+
+        for n in sc.boom_counts:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="reachbot"):
+                got, with_lead = rounds(n)
+            (line,) = [r.getMessage() for r in caplog.records]
+            lead, logged = re.search(r"lead boom (\d+), \d+ pools rejected by it before the "
+                                     r"full screen, (\d+) mount-anchor pairs", line).groups()
+            # round 0 takes every boom of every shared pool
+            assert with_lead == sc.trials * n * shared.shape[1] + int(logged)
+            monkeypatch.setattr(study, "match_pools", lambda cfg, points, group, lead, reach:
+                                match(cfg, points, group, None, reach))
+            want, without = rounds(n)
+            monkeypatch.setattr(study, "match_pools", match)
+            for a, b in zip(got, want):  # feasible, resamples, pools, anchor rows
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert with_lead < without, (n, lead)
+            assert (got[1] > 0).mean() > 0.5  # most trials resample at this reach
 
 
 class TestPassBudget:
