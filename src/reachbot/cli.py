@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config, read_json
-from .mechanics import Stance, grasp_map, stance_metrics, stiffness_stack
+from .mechanics import Stance, grasp_map, stance_metrics, stiffness
 from .robot import RobotConfig
 from .study import (REL_EPS, Calibration, coverage_csv_rows, draw_pools, match_rounds,
                     pareto_csv_rows, pareto_front, run_study, stability_csv_rows,
@@ -103,6 +103,16 @@ def _load(args) -> tuple:
     return load_config(args.config, given.get("seed"), given.get("trials"), given.get("n_range"))
 
 
+def _out_dir(args) -> Path:
+    """``--out-dir``, created with its parents if missing."""
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or no permission
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def cmd_validate(args) -> int:
     _load(args)
     print("config ok")
@@ -111,8 +121,7 @@ def cmd_validate(args) -> int:
 
 def cmd_study(args) -> int:
     sc, echo = _load(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report = run_study(sc, config_echo=echo)
     write_json = args.json or not args.csv
     write_csv = args.csv or not args.json
@@ -147,8 +156,7 @@ def cmd_stance(args) -> int:
         raise ConfigError("--trial must be non-negative")
     if args.trial >= 2**63:  # trials are int64 in the pool streams
         raise ConfigError("--trial must be below 2**63")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     cfg, trial = sc.robot_template.with_boom_count(n), np.array([args.trial])
     shared = draw_pools(sc, trial, "anchors")
     (feasible,), _, (pool,), (idx,) = match_rounds(sc, cfg, trial, shared)
@@ -168,8 +176,7 @@ def cmd_coverage(args) -> int:
     sc, _ = _load(args)
     if args.samples is not None and args.samples < 1:
         raise ConfigError("--samples must be >= 1")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     coverage = study_coverage(sc, sc.surface_samples if args.samples is None else args.samples)
     _write_lines(out / "coverage.csv", coverage_csv_rows(coverage))
     print(f"coverage curve for N = {sc.n_range[0]}..{sc.n_range[1]} written")
@@ -209,8 +216,7 @@ def cmd_pareto(args) -> int:
     if nan_rows.any():
         raise ConfigError(f"NaN objective value in data row {nan_rows.argmax() + 1}")
     keep = pareto_front(values, [s for _, s in objectives])
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     lines = [",".join(names)]
     for i in keep:
         lines.append(",".join(rows[i][c] for c in names))
@@ -233,21 +239,20 @@ def cmd_eval(args) -> int:
         k = sc.robot_template.boom_stiffness
         delta_ref = sc.calibration.delta_ref
     # The study's kernel on a batch of one stance.
-    G = grasp_map(st)[None]
-    K = stiffness_stack(G, k)[0]
-    m = {name: value.item() for name, value in stance_metrics(G, k, delta_ref).items()}
+    G = grasp_map(st)
+    m = {name: value.item() for name, value in stance_metrics(G[None], k, delta_ref).items()}
+    res = stiffness(G, k)
     # Rank-deficient near-zero stabilities read exactly 0.
     stability = 0.0 if m["lambda_min"] <= REL_EPS * abs(m["lambda_max"]) else m["lambda_min"]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     rows = ["n_booms,stability,wrench_full,wrench_torque,manipulability",
             f"{st.boom_count},{stability:.12g},{m['wrench_full']:.12g},"
             f"{m['wrench_torque']:.12g},{m['manipulability']:.12g}"]
     _write_lines(out / "eval.csv", rows)
     _write_json(out / "eval.json", {
         "n_booms": st.boom_count,
-        "K": K.tolist(),
-        "eigenvalues": np.linalg.eigvalsh(K).tolist(),
+        "K": res.K.tolist(),
+        "eigenvalues": res.eigenvalues.tolist(),
         "stability": stability,
         "wrench_full": m["wrench_full"],
         "wrench_torque": m["wrench_torque"],

@@ -51,7 +51,8 @@ class ConfigError(ValueError):
 
 def read_json(path: str | Path, what: str):
     """Parsed JSON of a file; an unreadable or non-UTF-8 file, malformed JSON, NaN,
-    Infinity or an integer past Python's digit limit is a ConfigError."""
+    Infinity, an integer past Python's digit limit or an object that repeats a
+    key (json would keep its last value) is a ConfigError."""
     def finite(text: str) -> float:
         value = float(text)
         if value - value != 0:  # NaN or ±Infinity, also from a literal past the float range
@@ -65,9 +66,17 @@ def read_json(path: str | Path, what: str):
             raise ConfigError(f"{what} file holds an integer of {len(text.lstrip('-'))} "
                               "digits, too long to read") from None
 
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{what} file repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite,
-                          parse_float=finite, parse_int=integer)
+                          parse_float=finite, parse_int=integer, object_pairs_hook=unique)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:  # a directory, or no permission

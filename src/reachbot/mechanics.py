@@ -126,7 +126,7 @@ def stiffness(G: np.ndarray, weights: np.ndarray | float) -> StiffnessResult:
     w = np.broadcast_to(np.asarray(weights, dtype=float), (G.shape[1],))
     if np.any(w <= 0):
         raise ValueError("stiffness weights must be positive")
-    return _result((G * w) @ G.T)
+    return _result(stiffness_stack(G, w))
 
 
 def manipulability(G: np.ndarray) -> float:
@@ -144,8 +144,8 @@ METRICS = ("lambda_min", "lambda_max", "manipulability", "wrench_full", "wrench_
            "one_out_lambda_min", "one_out_lambda_max")
 
 
-def stiffness_stack(G: np.ndarray, weight: float) -> np.ndarray:
-    """Symmetrised K = w G G^T of every grasp map in a (..., 6, N) stack."""
+def stiffness_stack(G: np.ndarray, weight: np.ndarray | float) -> np.ndarray:
+    """Symmetrised K = G diag(w) G^T of every (..., 6, N) grasp map; w: one weight or N."""
     K = (G * weight) @ np.swapaxes(G, -1, -2)
     return 0.5 * (K + np.swapaxes(K, -1, -2))
 
@@ -170,16 +170,13 @@ def _one_out_stack(G: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray
     # already taken from the allocator, so they do not raise the peak. Half
     # and a quarter (two to four drops a group) measured 0.1-0.25 MiB more
     # peak RSS; the extra eigen-solve calls of an eighth cost about 1 ms a study.
-    size = stance.per_pass(8 * t * (96 * n + 768))
+    size, worst = stance.per_pass(8 * t * (96 * n + 768)), np.full((t, 6), np.inf)
     for first in range(0, n, size):
         drops = np.moveaxis(G[:, :, keep[first:first + size]], 2, 1)
         lam = np.linalg.eigvalsh(stiffness_stack(drops, weight))
         # argmin takes the first of equal minima within the group.
         group = lam[np.arange(t), np.argmin(lam[:, :, 0], axis=1)]
-        if first:
-            np.copyto(worst, group, where=group[:, :1] < worst[:, :1])
-        else:
-            worst = group
+        np.copyto(worst, group, where=group[:, :1] < worst[:, :1])
     return worst[:, 0], worst[:, -1]
 
 

@@ -169,16 +169,16 @@ def match_slice(n: int, m: int) -> int:
 
 
 def match_pools(robot: RobotConfig, points: np.ndarray, group: int = 1,
-                lead: int | None = None, reach: np.ndarray | None = None,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                lead: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-total-length matching of booms to distinct anchors, per pool.
 
     ``points`` stacks C pools as (C, M, 3). Returns the (C, N) anchor rows
-    of each pool's booms, the (C,) total lengths, the (C,) screen and the
-    (C,) pools the row-minimum shortcut settled; a pool that holds no
-    complete feasible assignment has total length inf and anchor rows 0. A
-    pool where some boom reaches no anchor cannot hold one, so only pools
-    that pass the screen reach the solver.
+    of each pool's booms, the (C,) total lengths, the (C, N) reach (which
+    booms reach some anchor of each pool) and the (C,) pools the row-minimum
+    shortcut settled; a pool that holds no complete feasible assignment has
+    total length inf and anchor rows 0. A pool where some boom reaches no
+    anchor cannot hold one, so only pools that pass that screen,
+    ``reach.all(axis=1)``, reach the solver.
 
     Each run of ``group`` consecutive pools holds alternatives in order of
     preference: a group keeps only its first complete pool, the solver takes
@@ -193,50 +193,47 @@ def match_pools(robot: RobotConfig, points: np.ndarray, group: int = 1,
     With a ``lead`` boom, the pass first takes that boom's feasibility row
     of every pool, in the same workspace (one call whenever C <= N times
     the slice size), and only the pools where it reaches some anchor go on
-    to the full slices: the others fail the screen, so every output is the
-    same as without it. ``reach``, if given, is a (C, N) bool array that
-    receives which booms reach some anchor in each pool; a pool the lead
-    boom rejects reads False throughout.
+    to the full slices. A pool the lead rejects reads False throughout
+    ``reach``; it fails the screen, so the other outputs are the same as
+    without a lead.
     """
     n, m = robot.boom_count, points.shape[-2]
     if m < n:
         raise ValueError(f"anchor pool ({m}) smaller than boom count ({n})")
     size = match_slice(n, m)
     work = feasibility_workspace(min(len(points), size) * n * m)
-    screen, cost, count = np.zeros(len(points), dtype=bool), np.empty((len(points), n, m)), 0
+    reach, cost, count = np.zeros((len(points), n), dtype=bool), np.empty((len(points), n, m)), 0
     pools = np.arange(len(points))
-    if reach is None:
-        reach = np.empty((len(points), n), dtype=bool)
     if lead is not None:
         hit = np.empty(len(points), dtype=bool)
         for first in range(0, len(points), size * n):
             part = slice(first, first + size * n)
             hit[part] = feasibility_matrix(robot, points[part], work,
                                            slice(lead, lead + 1))[0].any(axis=(1, 2))
-        pools, reach[~hit] = pools[hit], False
+        pools = pools[hit]
     for first in range(0, len(pools), size):
         # A view of the pools, but a copy of the lead's survivors.
         part = slice(first, first + size) if lead is None else pools[first:first + size]
         ok, L = feasibility_matrix(robot, points[part], work)
         reach[part] = hits = ok.any(axis=2)
-        screen[part] = passed = hits.all(axis=1)
-        keep = np.flatnonzero(passed)
+        keep = np.flatnonzero(hits.all(axis=1))
         out = cost[count:count + keep.size]
         np.take(L, keep, axis=0, out=out, mode="clip")  # "clip": out is not buffered
         np.copyto(out, np.inf, where=~ok[keep])
         count += keep.size
-    return _match_costs(cost[:count], screen, group)
+    return _match_costs(cost[:count], reach, group)
 
 
-def _match_costs(cost: np.ndarray, screen: np.ndarray,
+def _match_costs(cost: np.ndarray, reach: np.ndarray,
                  group: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``match_pools`` on the (S, N, M) costs of the S pools that pass the
-    (C,) ``screen``, in pool order, inf where a boom cannot reach; N <= M."""
+    """``match_pools`` on the (C, N) ``reach`` and the (S, N, M) costs of the
+    S pools where every boom reaches, in pool order, inf where a boom cannot
+    reach; N <= M."""
     n = cost.shape[1]
-    rows, total = np.zeros((len(screen), n), dtype=int), np.full(len(screen), np.inf)
-    shortcut, pools = np.zeros(len(screen), dtype=bool), np.flatnonzero(screen)
+    rows, total = np.zeros((len(reach), n), dtype=int), np.full(len(reach), np.inf)
+    shortcut, pools = np.zeros(len(reach), dtype=bool), np.flatnonzero(reach.all(axis=1))
     if not pools.size:
-        return rows, total, screen, shortcut
+        return rows, total, reach, shortcut
     # Each boom's nearest reachable anchor. Where these are distinct they are
     # the optimum: their total is a lower bound on every assignment.
     cols = cost.argmin(axis=2)
@@ -245,7 +242,7 @@ def _match_costs(cost: np.ndarray, screen: np.ndarray,
     shortcut[pools] = found
     # Each group's first complete slot so far; the solver skips later slots.
     group_of, slot = np.divmod(pools, group)
-    first = np.full(len(screen) // group, group)
+    first = np.full(len(reach) // group, group)
     np.minimum.at(first, group_of[found], slot[found])
     for c in np.flatnonzero(~found).tolist():
         if slot[c] < first[group_of[c]]:
@@ -255,7 +252,7 @@ def _match_costs(cost: np.ndarray, screen: np.ndarray,
     hit = np.flatnonzero(found & (slot == first[group_of]))
     rows[pools[hit]] = cols[hit]
     total[pools[hit]] = cost[hit[:, None], np.arange(n), cols[hit]].sum(axis=1)
-    return rows, total, screen, shortcut
+    return rows, total, reach, shortcut
 
 
 def assign(robot: RobotConfig, anchors: AnchorSet | np.ndarray) -> Assignment | None:

@@ -204,8 +204,10 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     taken in chunks of whole trials, each of at most ``pool_chunk(sc)``
     pools (b at most that too).
 
-    Later passes screen first on the lead boom (``match_pools``), the one
-    that reached no anchor in the most shared pools (the first on a tie).
+    Later passes screen first on a lead boom (``match_pools``): the one that
+    reached no anchor in the most shared pools (the first on a tie), if it
+    missed in more than 1/N of them. A pool the lead passes costs (N + 1) M
+    mount-anchor pairs, not N M, so a lead that rejects fewer saves none.
     """
     n, m, feasible = cfg.boom_count, shared.shape[1], np.zeros(len(trials), dtype=bool)
     size, per_slice = pool_chunk(sc), stance.match_slice(n, m)
@@ -213,7 +215,7 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, first_round, width = np.arange(len(trials)), 0, 1
     misses, lead = np.zeros(n, dtype=int), None
-    rounds = rejected = solved = shortcuts = drawn = passes = chunks = largest = cut = pairs = 0
+    solved = shortcuts = drawn = passes = chunks = largest = cut = pairs = 0
     draw_s = match_s = 0.0
     while pending.size and first_round <= MAX_RESAMPLES:
         if first_round:
@@ -228,8 +230,8 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
                 drawn += len(points)
             else:  # round 0: pending is every trial
                 points = shared[chunk]
-            mid, reach = time.perf_counter(), np.empty((len(points), n), dtype=bool)
-            matched, total, screen, shortcut = match_pools(cfg, points, width, lead, reach)
+            mid = time.perf_counter()
+            matched, total, reach, shortcut = match_pools(cfg, points, width, lead)
             draw_s, match_s = draw_s + mid - start, match_s + time.perf_counter() - mid
             # Row (trial i, slot j) is round first_round + j of the chunk's trial i.
             hit = (total < np.inf).reshape(-1, width)
@@ -237,7 +239,7 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
             # Each trial's last slot that one round at a time would have tried.
             last = np.where(found, hit.argmax(axis=1), width - 1)
             tried = (np.arange(width) <= last[:, None]).ravel()
-            rejected, solved = rejected + (tried & ~screen).sum(), solved + (tried & screen).sum()
+            solved += (tried & reach.all(axis=1)).sum()
             if not first_round:
                 misses += len(points) - reach.sum(axis=0)
             elif lead is None:
@@ -246,14 +248,13 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
                 cut += (tried & ~reach[:, lead]).sum()
                 pairs += len(points) * m + reach[:, lead].sum() * n * m
             shortcuts += (tried & shortcut).sum()
-            rounds = max(rounds, first_round + last.max() + 1)
             chunks, largest = chunks + 1, max(largest, len(points))
             pick = np.flatnonzero(found) * width + last[found]
             done = part[found]
             feasible[done], resamples[done] = True, first_round + last[found]
             pools[done], rows[done] = points[pick], matched[pick]
             left.append(part[~found])
-        if not first_round and misses.any():
+        if not first_round and misses.max() * n > len(trials):
             lead = int(misses.argmax())
         pending, first_round, passes = np.concatenate(left), first_round + width, passes + 1
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
@@ -263,8 +264,9 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
               "slices of %d pools: a %d-byte workspace and a %d-byte cost array at most; "
               "%.4f s drawing pools, %.4f s matching; resample screen: lead boom %s, "
               "%d pools rejected by it before the full screen, %d mount-anchor pairs evaluated",
-              n, rounds, rejected, solved, shortcuts, solved - shortcuts, drawn, passes,
-              chunks, largest, stance.PASS_PAIRS, size, m, sc.n_range[1], per_slice,
+              n, resamples.max() + 1, len(trials) + resamples.sum() - solved, solved, shortcuts,
+              solved - shortcuts, drawn, passes, chunks, largest, stance.PASS_PAIRS, size, m,
+              sc.n_range[1], per_slice,
               stance.WORK_BYTES * n * m * min(largest, per_slice), 8 * n * m * largest,
               draw_s, match_s, "none" if lead is None else lead, cut, pairs)
     return feasible, resamples, pools, rows

@@ -114,6 +114,19 @@ class TestValidate:
         assert capsys.readouterr().err == f"error: config file holds {value}, not a finite number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "study"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, command):
+        # json alone would read the last value: this config would run 3 trials.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json"
+        text = shipped.read_text().replace('"trials": 100', '"trials": 100, "trials": 3')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        flags = ["--out-dir", str(out)] if command == "study" else []
+        assert main([command, str(path), *flags]) == 1
+        assert capsys.readouterr().err == "error: config file repeats key 'trials'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "eval"])
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
     def test_unreadable_file(self, tmp_path, capsys, command, kind):
@@ -607,6 +620,20 @@ def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["study", "eval"])
+def test_out_dir_naming_a_file_exits_1(config_path, tmp_path, rng, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = config_path
+    if command == "eval":
+        path = tmp_path / "stance.json"
+        path.write_text(json.dumps(random_stance(rng, 6).to_dict()))
+    assert main([command, str(path), "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot create output directory {taken}: File exists\n"
+    assert taken.read_text() == ""
+
+
 class TestCoverage:
     def test_identical_runs(self, config_path, tmp_path):
         a, b = tmp_path / "c1", tmp_path / "c2"
@@ -773,6 +800,14 @@ class TestEval:
                          "--out-dir", str(tmp_path / name)]) == 0
         for name in ("eval.json", "eval.csv"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+    def test_repeated_key_rejected(self, tmp_path, rng, capsys):
+        path = tmp_path / "stance.json"
+        path.write_text(json.dumps(random_stance(rng, 6).to_dict())[:-1] + ', "a": []}')
+        out = tmp_path / "eval"
+        assert main(["eval", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: stance file repeats key 'a'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("root", ["[1, 2]", "5", '"stance"', "null"])
     def test_stance_root_not_object(self, tmp_path, capsys, root):

@@ -179,3 +179,28 @@ def test_ab_study_usage(monkeypatch, capsys, tmp_path):
     assert "is not a checkout of reachbot" in capsys.readouterr().err
     assert run_script(monkeypatch, ab, ROOT, ROOT, tmp_path / "none.json") == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+def test_ab_rss_verdict():
+    # Base runs 32.70..32.79 MiB: quartiles 32.7175 and 32.7725, an IQR of 0.055.
+    ab = load_script("ab_rss")
+    base = [32.70 + 0.01 * i for i in range(10)]
+    v = ab.verdict(base, [b + 0.03 for b in base], 0.06)
+    assert v["excess"] == pytest.approx(0.03) and v["base_iqr"] == pytest.approx(0.055)
+    assert v["result"] == "not worse"
+    assert ab.verdict(base, [b + 0.07 for b in base], 0.06)["result"] == "worse"
+    # The base spreads wider than the bound: unresolved either way...
+    assert ab.verdict(base, [b + 0.07 for b in base], 0.05)["result"] == "unresolved"
+    assert ab.verdict(base, [b - 0.01 for b in base], 0.05)["result"] == "unresolved"
+    # ...unless every head run reads lower than every base run.
+    assert ab.verdict(base, [32.60] * 10, 0.05)["result"] == "not worse"
+
+
+def test_ab_rss_usage(monkeypatch, capsys, tmp_path):
+    ab = load_script("ab_rss")
+    assert run_script(monkeypatch, ab, ROOT, ROOT) == 1
+    assert "usage: ab_rss.py BASE HEAD CONFIG" in capsys.readouterr().err
+    assert run_script(monkeypatch, ab, ROOT, tmp_path, ROOT / "configs" / "mars_lava_tube.json") == 1
+    assert "is not a checkout of reachbot" in capsys.readouterr().err
+    assert run_script(monkeypatch, ab, ROOT, ROOT, tmp_path / "none.json") == 1
+    assert "config file not found" in capsys.readouterr().err

@@ -306,9 +306,11 @@ class TestMatchPools:
         kinds = {"rejected": 0, "screened_unmatched": 0, "matched": 0}
         for robot, pools in cases:
             n = robot.boom_count
-            rows, total, screen, shortcut = match_pools(robot, pools)
-            assert rows.shape == (len(pools), n)
-            assert len(total) == len(screen) == len(shortcut) == len(pools)
+            rows, total, reach, shortcut = match_pools(robot, pools)
+            assert rows.shape == reach.shape == (len(pools), n)
+            assert len(total) == len(shortcut) == len(pools)
+            assert np.array_equal(reach, feasibility_matrix(robot, pools)[0].any(axis=2))
+            screen = reach.all(axis=1)
             assert not (shortcut & ~screen).any()
             for idx, length, passed, points in zip(rows, total, screen, pools):
                 oracle = subset_dp_assign(robot, points)
@@ -335,8 +337,8 @@ class TestMatchPools:
         robot = rb.make_robot(6)
         pools = sample_pools(corridor, 18, 40.0, substream_uniforms(3, range(48), "group", 36))
         alone = match_pools(robot, pools)
-        rows, total, screen, shortcut = match_pools(robot, pools, group)
-        assert np.array_equal(screen, alone[2]) and np.array_equal(shortcut, alone[3])
+        rows, total, reach, shortcut = match_pools(robot, pools, group)
+        assert np.array_equal(reach, alone[2]) and np.array_equal(shortcut, alone[3])
         complete = (alone[1] < np.inf).reshape(-1, group)
         kept = np.zeros_like(complete)
         kept[complete.any(axis=1), complete.argmax(axis=1)[complete.any(axis=1)]] = True
@@ -353,14 +355,14 @@ class TestMatchPools:
         # 3 then cross slice edges. Every output equals the one-slice call's.
         robot = rb.make_robot(6)
         drawn = sample_pools(corridor, 18, 40.0, substream_uniforms(3, range(48), "group", 36))
-        passed = match_pools(robot, drawn)[2]
+        passed = match_pools(robot, drawn)[2].all(axis=1)
         order = np.concatenate([np.flatnonzero(~passed)[:4], np.flatnonzero(passed)[:4]])
         pools = drawn[np.concatenate([order, np.setdiff1d(np.arange(48), order)])]
         assert stance.match_slice(6, 18) >= len(pools)
         whole = match_pools(robot, pools, group)
         monkeypatch.setattr(stance, "PASS_PAIRS", 4 * 4 * 6 * 18)
         assert stance.match_slice(6, 18) == 4
-        screen = whole[2].reshape(-1, 4)
+        screen = whole[2].all(axis=1).reshape(-1, 4)
         assert not screen[0].any() and screen[1].all() and screen[2:].any()
         if group > 1:
             complete = (match_pools(robot, pools)[1] < np.inf).reshape(-1, group)
@@ -373,10 +375,11 @@ class TestMatchPools:
     @pytest.mark.parametrize("n", [1, 2, 7, 10])
     def test_lead_boom_changes_no_output(self, corridor, monkeypatch, n, group, sliced):
         # Each boom k as the lead, on passes where it rejects some, none or
-        # all of the pools: every output equals the call without a lead, and
-        # ``reach`` reads which booms reach an anchor, False throughout a
-        # pool the lead rejects. Sliced, a slice holds 4 pools and a lead
-        # call 4 n, so the lead's row and the full matrices span several.
+        # all of the pools: every output equals the call without a lead,
+        # except that ``reach``, which reads which booms reach an anchor,
+        # reads False throughout a pool the lead rejects. Sliced, a slice
+        # holds 4 pools and a lead call 4 n, so the lead's row and the full
+        # matrices span several.
         robot, m = rb.make_robot(n), 2 * n + 2
         drawn = sample_pools(corridor, m, 40.0, substream_uniforms(5, range(120), "lead", 2 * m))
         reaches = feasibility_matrix(robot, drawn)[0].any(axis=2)
@@ -392,12 +395,11 @@ class TestMatchPools:
                 pools, want_reach = pools[:count], want_reach[:count].copy()
                 assert count
                 want = match_pools(robot, pools, group)
-                reach = np.ones((count, n), dtype=bool)
-                got = match_pools(robot, pools, group, k, reach)
-                for a, b in zip(got, want):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert np.array_equal(want[2], want_reach)
                 want_reach[~want_reach[:, k]] = False
-                assert np.array_equal(reach, want_reach)
+                got = match_pools(robot, pools, group, k)
+                for a, b in zip(got, (*want[:2], want_reach, want[3])):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 matched += (want[1] < np.inf).sum()
         assert matched
 
@@ -412,7 +414,7 @@ class TestMatchPools:
         robot, size = sc.robot_template.with_boom_count(10), pool_chunk(sc)
         pools = draw_pools(sc, np.arange(size), "anchors")
         want = match_pools(robot, pools)  # warm-up, and the reference
-        assert size == 109 and 0 < want[2].sum() < size
+        assert size == 109 and 0 < want[2].all(axis=1).sum() < size
         tracemalloc.start()
         try:
             got = match_pools(robot, pools)
@@ -447,9 +449,12 @@ def random_stack(rng, n, m, kind, count=6):
 
 def match_lengths(ok, L, group=1):
     """``_match_costs`` on (C, N, M) feasibility and length arrays: the
-    screened pools' costs, inf where infeasible, as ``match_pools`` writes them."""
-    screen = ok.any(axis=2).all(axis=1)
-    return _match_costs(np.where(ok, L, np.inf)[screen], screen, group)
+    screened pools' costs, inf where infeasible, as ``match_pools`` writes
+    them. Returns the (C,) screen in place of the (C, N) reach."""
+    reach = ok.any(axis=2)
+    screen = reach.all(axis=1)
+    rows, total, _, shortcut = _match_costs(np.where(ok, L, np.inf)[screen], reach, group)
+    return rows, total, screen, shortcut
 
 
 def start_holders(ok, L):

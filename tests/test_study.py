@@ -414,14 +414,38 @@ class TestMatchRounds:
                                      r"full screen, (\d+) mount-anchor pairs", line).groups()
             # round 0 takes every boom of every shared pool
             assert with_lead == sc.trials * n * shared.shape[1] + int(logged)
-            monkeypatch.setattr(study, "match_pools", lambda cfg, points, group, lead, reach:
-                                match(cfg, points, group, None, reach))
+            monkeypatch.setattr(study, "match_pools", lambda cfg, points, group, lead:
+                                match(cfg, points, group, None))
             want, without = rounds(n)
             monkeypatch.setattr(study, "match_pools", match)
             for a, b in zip(got, want):  # feasible, resamples, pools, anchor rows
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert with_lead < without, (n, lead)
             assert (got[1] > 0).mean() > 0.5  # most trials resample at this reach
+
+    def test_lead_boom_only_where_it_saves_pairs(self, caplog):
+        # The shipped config with pool_multiplier 2 and L_max 19 m, seed 42.
+        # At N = 1..5 round 0's most-missed boom misses in at most 1/N of the
+        # shared pools, so a lead would cost more pairs than it saves: no
+        # pass takes one, and the screen evaluates each drawn pool's N x M
+        # matrix. At N = 1 a lead never pays.
+        raw = json.loads(SHIPPED.read_text())
+        raw["study"]["pool_multiplier"], raw["robot"]["L_max"] = 2, 19.0
+        sc = parse_config(raw)
+        assert sc.seed == 42
+        trials = np.arange(sc.trials)
+        shared = study.draw_pools(sc, trials, "anchors")
+        m = shared.shape[1]
+        for n in range(1, 6):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="reachbot"):
+                study.match_rounds(sc, sc.robot_template.with_boom_count(n), trials, shared)
+            (line,) = [r.getMessage() for r in caplog.records]
+            drawn, lead, cut, pairs = re.search(
+                r"(\d+) pools drawn in .*; resample screen: lead boom (\d+|none), (\d+) pools "
+                r"rejected by it before the full screen, (\d+) mount-anchor pairs", line).groups()
+            assert (lead, cut) == ("none", "0"), (n, line)
+            assert int(drawn) > 0 and int(pairs) == int(drawn) * n * m, (n, line)
 
 
 class TestPassBudget:
