@@ -7,6 +7,7 @@ All outputs are JSON or CSV files written under --out-dir.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config, read_json
+from .config import ConfigError, load_config, read_json, read_text
 from .mechanics import Stance, grasp_map, stance_metrics, stiffness
 from .robot import RobotConfig
 from .study import (REL_EPS, Calibration, coverage_csv_rows, draw_pools, match_rounds,
@@ -185,18 +186,15 @@ def cmd_coverage(args) -> int:
 
 def cmd_pareto(args) -> int:
     import csv  # only pareto reads CSV: 68 KiB a launch that every other command saves
-    path = Path(args.points)
-    if not path.exists():
-        raise ConfigError(f"points file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames
-        if names is None:
-            raise ConfigError("points CSV has no header")
-        repeated = [name for i, name in enumerate(names) if name in names[:i]]
-        if repeated:  # a row's dict would keep only the last column of that name
-            raise ConfigError(f"points CSV header repeats column {repeated[0]!r}")
-        rows = list(reader)
+    # newline="": the lines split as csv splits a file, and a quoted field keeps its line break
+    reader = csv.DictReader(io.StringIO(read_text(args.points, "points"), newline=""))
+    names = reader.fieldnames
+    if names is None:
+        raise ConfigError("points CSV has no header")
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:  # a row's dict would keep only the last column of that name
+        raise ConfigError(f"points CSV header repeats column {repeated[0]!r}")
+    rows = list(reader)
     if not rows:
         raise ConfigError("points CSV has no data rows")
     objectives = [(c, "min") for c in args.minimize] + [(c, "max") for c in args.maximize]
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("config", help="study config JSON file")
         sp.add_argument("--seed", type=int, help="override config seed")
-        sp.add_argument("--trials", type=int, help="override trial count")
         sp.add_argument("--n-range", type=int, nargs=2, metavar=("LO", "HI"),
                         help="override boom count range")
         sp.add_argument("--out-dir", default=".", help="output directory")
@@ -281,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("study", help="run the full trade study")
     add_common(sp)
+    sp.add_argument("--trials", type=int, help="override trial count")
     sp.add_argument("--json", action="store_true", help="write only report.json")
     sp.add_argument("--csv", action="store_true", help="write only CSV tables")
     sp.set_defaults(fn=cmd_study)
@@ -313,9 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse has printed its usage error, or --help
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -49,10 +49,24 @@ class ConfigError(ValueError):
     """A config file failed validation; message names the offending field."""
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 file's text, its line ends as written; a missing, unreadable (a
+    directory, no permission) or non-UTF-8 file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} file is not UTF-8 text: {path}") from None
+
+
 def read_json(path: str | Path, what: str):
-    """Parsed JSON of a file; an unreadable or non-UTF-8 file, malformed JSON, NaN,
-    Infinity, an integer past Python's digit limit or an object that repeats a
-    key (json would keep its last value) is a ConfigError."""
+    """Parsed JSON of a file (``read_text``); malformed JSON, NaN, Infinity, an
+    integer past Python's digit limit or an object that repeats a key (json
+    would keep its last value) is a ConfigError."""
     def finite(text: str) -> float:
         value = float(text)
         if value - value != 0:  # NaN or ±Infinity, also from a literal past the float range
@@ -74,15 +88,10 @@ def read_json(path: str | Path, what: str):
             obj[key] = value
         return obj
 
+    text = read_text(path, what)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=finite,
-                          parse_float=finite, parse_int=integer, object_pairs_hook=unique)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except OSError as exc:  # a directory, or no permission
-        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{what} file is not UTF-8 text: {path}") from None
+        return json.loads(text, parse_constant=finite, parse_float=finite, parse_int=integer,
+                          object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 

@@ -43,7 +43,6 @@ from functools import partial
 
 import numpy as np
 
-from . import stance
 from .robot import RobotConfig
 from .stance import PAIR_BYTES, feasibility_matrix, feasibility_workspace, per_pass
 from .terrain import Terrain, surface_point_chunks
@@ -106,9 +105,7 @@ def _block_coverage(blocks: list[tuple[RobotConfig, Sequence[int]]],
         hist[:, 0] += s - given  # not given: beyond every block's reach
         hist[0, 0] += given  # no mount: every given sample is uncovered
     log.debug("coverage over %d mount block(s): %d of %d samples given in %d feasibility "
-              "passes, the largest %d samples; pass budget %d mount-sample pairs (%d samples "
-              "at %d mounts), workspace %d bytes", len(blocks), given, s, passes, largest,
-              stance.PASS_PAIRS, size, mounts, sum(a.nbytes for a in work) + sums.nbytes)
+              "passes, the largest %d samples", len(blocks), given, s, passes, largest)
     rows = [(n, hist) for (_, ns), hist in zip(blocks, hists) for n in ns]
     unique = np.array([s - h[n, 0] for n, h in rows]) / s
     overlap = np.array([s - h[n, :2].sum() for n, h in rows]) / s

@@ -31,13 +31,12 @@ from .terrain import AnchorSet
 # ``interference``); the trial stage draws, matches and evaluates its pools
 # and stances in chunks of at most the same bytes (see ``per_pass``). A
 # matching pass holds 8 bytes a pair of costs and a feasibility workspace
-# (WORK_BYTES a pair) for a quarter of the budget (``match_pools``), in
+# (42 bytes a pair) for a quarter of the budget (``match_pools``), in
 # which a lead boom's row is taken too.
 # Larger passes would raise a study's peak memory, smaller ones the
 # per-pass overhead.
 PASS_PAIRS = 2 ** 15
 PAIR_BYTES = 50
-WORK_BYTES = 42
 
 
 def per_pass(item_bytes: int) -> int:
@@ -48,7 +47,7 @@ def per_pass(item_bytes: int) -> int:
 
 def feasibility_workspace(pairs: int) -> list[np.ndarray]:
     """Buffers for ``feasibility_matrix`` calls of up to ``pairs`` mount-point
-    pairs: five float64 and two bool arrays, WORK_BYTES = 42 bytes a pair."""
+    pairs: five float64 and two bool arrays, 42 bytes a pair."""
     return [np.empty(pairs) for _ in range(5)] + [np.empty(pairs, dtype=bool) for _ in range(2)]
 
 
@@ -185,7 +184,7 @@ def match_pools(robot: RobotConfig, points: np.ndarray, group: int = 1,
     none of the group's later pools, and those report inf.
 
     Feasibility is taken in slices of ``match_slice`` pools that reuse one
-    workspace (WORK_BYTES a pair), and each slice writes only its screened
+    workspace (42 bytes a pair), and each slice writes only its screened
     pools' lengths, inf where a boom cannot reach, into one (C, N, M) cost
     array that the solver reads. A pass of 109 pools of 30 anchors at N =
     10 so peaks at 0.64 MB (tracemalloc).

@@ -17,7 +17,6 @@ from itertools import compress
 
 import numpy as np
 
-from . import stance
 from .interference import Coverage, coverage_curve
 from .mechanics import METRICS, grasp_map_stack, stance_metrics
 from .rng import substream_uniforms
@@ -209,13 +208,12 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
     missed in more than 1/N of them. A pool the lead passes costs (N + 1) M
     mount-anchor pairs, not N M, so a lead that rejects fewer saves none.
     """
-    n, m, feasible = cfg.boom_count, shared.shape[1], np.zeros(len(trials), dtype=bool)
-    size, per_slice = pool_chunk(sc), stance.match_slice(n, m)
+    n, size, feasible = cfg.boom_count, pool_chunk(sc), np.zeros(len(trials), dtype=bool)
     resamples = np.full(len(trials), MAX_RESAMPLES)
     pools, rows = shared.copy(), np.zeros((len(trials), n), dtype=int)
     pending, first_round, width = np.arange(len(trials)), 0, 1
     misses, lead = np.zeros(n, dtype=int), None
-    solved = shortcuts = drawn = passes = chunks = largest = cut = pairs = 0
+    solved = shortcuts = drawn = passes = chunks = largest = cut = 0
     draw_s = match_s = 0.0
     while pending.size and first_round <= MAX_RESAMPLES:
         if first_round:
@@ -242,11 +240,8 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
             solved += (tried & reach.all(axis=1)).sum()
             if not first_round:
                 misses += len(points) - reach.sum(axis=0)
-            elif lead is None:
-                pairs += len(points) * n * m
-            else:  # the lead boom's row, then the full matrices of its survivors
+            elif lead is not None:
                 cut += (tried & ~reach[:, lead]).sum()
-                pairs += len(points) * m + reach[:, lead].sum() * n * m
             shortcuts += (tried & shortcut).sum()
             chunks, largest = chunks + 1, max(largest, len(points))
             pick = np.flatnonzero(found) * width + last[found]
@@ -259,16 +254,12 @@ def match_rounds(sc: StudyConfig, cfg: RobotConfig, trials: np.ndarray,
         pending, first_round, passes = np.concatenate(left), first_round + width, passes + 1
     log.debug("N = %d: %d rounds, %d pools rejected by the screen, %d pools solved: "
               "%d by the row-minimum shortcut, %d by augmenting paths; "
-              "%d pools drawn in %d passes of %d chunks, the largest %d pools; pass budget "
-              "%d mount-anchor pairs: %d pools of %d anchors at %d booms; feasibility in "
-              "slices of %d pools: a %d-byte workspace and a %d-byte cost array at most; "
+              "%d pools drawn in %d passes of %d chunks, the largest %d pools; "
               "%.4f s drawing pools, %.4f s matching; resample screen: lead boom %s, "
-              "%d pools rejected by it before the full screen, %d mount-anchor pairs evaluated",
+              "%d pools rejected by it before the full screen",
               n, resamples.max() + 1, len(trials) + resamples.sum() - solved, solved, shortcuts,
-              solved - shortcuts, drawn, passes, chunks, largest, stance.PASS_PAIRS, size, m,
-              sc.n_range[1], per_slice,
-              stance.WORK_BYTES * n * m * min(largest, per_slice), 8 * n * m * largest,
-              draw_s, match_s, "none" if lead is None else lead, cut, pairs)
+              solved - shortcuts, drawn, passes, chunks, largest, draw_s, match_s,
+              "none" if lead is None else lead, cut)
     return feasible, resamples, pools, rows
 
 

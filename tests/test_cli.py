@@ -620,6 +620,31 @@ def test_bad_arguments_exit_1(config_path, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["study", "--bogus"],
+    ["study", "--trials", "x"],
+    [],
+    # --trials overrides the study's trial count; no other command reads it
+    ["stance", "--trials", "2"],
+    ["coverage", "--trials", "2"],
+], ids=["unknown_flag", "non_integer", "no_command", "stance_trials", "coverage_trials"])
+def test_usage_error_exits_1(config_path, tmp_path, capsys, argv):
+    # Exit 2 means the study ran and found no feasible design.
+    out = tmp_path / "out"
+    if argv:
+        argv = [argv[0], str(config_path), *argv[1:], "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: reachbot") and "error: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["study", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: reachbot")
+
+
 @pytest.mark.parametrize("command", ["study", "eval"])
 def test_out_dir_naming_a_file_exits_1(config_path, tmp_path, rng, capsys, command):
     taken = tmp_path / "taken"
@@ -714,6 +739,28 @@ class TestPareto:
                      "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message.format(path=pts)}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_points_file(self, tmp_path, capsys, kind):
+        pts = tmp_path / "points.csv"
+        if kind == "directory":
+            pts.mkdir()
+        else:
+            pts.write_bytes(b"\xff\xfe")
+        out = tmp_path / "pf"
+        assert main(["pareto", str(pts), "--minimize", "a", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read points file {pts}: Is a directory\n" if kind == "directory"
+            else f"error: points file is not UTF-8 text: {pts}\n")
+        assert not out.exists()
+
+    def test_quoted_line_break_stays_in_its_field(self, tmp_path, capsys):
+        pts = tmp_path / "points.csv"
+        pts.write_bytes(b'name,mass\r\n"a\r\nb",1\r\nc,2\r\n')
+        out = tmp_path / "pf"
+        assert main(["pareto", str(pts), "--minimize", "mass", "--out-dir", str(out)]) == 0
+        assert "1 of 2 points nondominated" in capsys.readouterr().out
 
 
 SHAPE = "stance shoulders and anchors must be (N, 3) arrays of one shape\n"

@@ -8,7 +8,7 @@ import pytest
 import reachbot as rb
 from reachbot import interference, stance
 from reachbot.interference import coverage_from_mounts
-from reachbot.stance import feasibility_matrix
+from reachbot.stance import feasibility_matrix, feasibility_workspace
 from reachbot.study import column_records, coverage_csv_rows
 from reachbot.terrain import Frame, surface_point_chunks
 from conftest import lattice_points, stream_points, surface_shift
@@ -295,7 +295,10 @@ class TestReachScreen:
         assert past_bound > 0
 
     @pytest.mark.parametrize("policy,blocks", [("nested", 1), ("uniform", 3)])
-    def test_debug_log_per_pass(self, robot8, corridor, caplog, policy, blocks):
+    def test_debug_log_per_pass(self, robot8, corridor, caplog, monkeypatch, policy, blocks):
+        made = []  # the pairs of every workspace allocated
+        monkeypatch.setattr(interference, "feasibility_workspace",
+                            lambda pairs: made.append(pairs) or feasibility_workspace(pairs))
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               surface_shift(42), layout_policy=policy)
@@ -317,12 +320,12 @@ class TestReachScreen:
         assert float(r) == pytest.approx(reach, abs=1e-3)
         fields = re.fullmatch(
             r"coverage over (\d+) mount block\(s\): (\d+) of (\d+) samples given in (\d+) "
-            r"feasibility passes, the largest (\d+) samples; pass budget (\d+) mount-sample "
-            r"pairs \((\d+) samples at (\d+) mounts\), workspace (\d+) bytes", passes).groups()
-        n_blocks, given, total, passes, largest, budget, size, mounts, work = map(int, fields)
+            r"feasibility passes, the largest (\d+) samples", passes).groups()
+        n_blocks, given, total, passes, largest = map(int, fields)
         assert (n_blocks, given, total) == (blocks, in_reach, self.SAMPLES)
-        # 200 samples a pass at 6 mounts, each one chunk; 50 workspace bytes a pair
-        assert (budget, size, mounts, work) == (1200, 200, 6, 50 * 1200)
+        # 200 samples a pass at 6 mounts, each one chunk, in one workspace
+        size = stance.per_pass(stance.PAIR_BYTES * 6)
+        assert size == 200 and made == [6 * size]
         assert largest == size < in_reach
         # one chunk of 200 lattice indices a pass, in at most two index ranges
         assert -(-in_reach // size) <= passes <= -(-int(generated) // size) + 1
@@ -346,11 +349,11 @@ class TestReachScreen:
             rb.coverage_curve(robot8, corridor, (4, 6), self.SAMPLES,
                               surface_shift(42), layout_policy=policy)
         ((generated, within),) = re.findall(r"(\d+) generated in .* (\d+) within R", caplog.text)
-        ((passes, largest, size),) = re.findall(
-            r"in (\d+) feasibility passes, the largest (\d+) samples; pass budget 600 "
-            r"mount-sample pairs \((\d+) samples at 6 mounts\)", caplog.text)
+        ((passes, largest),) = re.findall(
+            r"in (\d+) feasibility passes, the largest (\d+) samples$", caplog.text, re.M)
         blocks = 1 if policy == "nested" else 3
-        assert int(size) == 100 and len(sizes) == blocks * int(passes)
+        assert stance.per_pass(stance.PAIR_BYTES * 6) == 100
+        assert len(sizes) == blocks * int(passes)
         assert -(-int(within) // 100) <= int(passes) <= -(-int(generated) // 100) + 1
         assert sum(sizes) == blocks * int(within)
         assert int(largest) == max(sizes) <= 100

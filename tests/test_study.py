@@ -28,6 +28,20 @@ from test_mechanics import wrench_capability
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "mars_lava_tube.json"
 
 
+def count_pairs(monkeypatch) -> dict[int, int]:
+    """Counts the mount-anchor pairs whose feasibility the matcher evaluates,
+    by boom count, from here on."""
+    pairs, kernel = {}, stance.feasibility_matrix
+
+    def counting(robot, *args):
+        ok, L = kernel(robot, *args)
+        pairs[robot.boom_count] = pairs.get(robot.boom_count, 0) + ok.size
+        return ok, L
+
+    monkeypatch.setattr(stance, "feasibility_matrix", counting)
+    return pairs
+
+
 def make_table(boom_counts, lambda_min, **columns):
     """A table whose lambda_min rows are given, one per boom count.
 
@@ -186,31 +200,33 @@ class TestRunTrials:
             (n, t) for t in range(3) for n in (2, 3, 4)]
 
     @staticmethod
-    def debug_log_splits(corridor, caplog):
+    def debug_log_splits(corridor, caplog, monkeypatch):
         """Checks the N = ... debug lines of a small study against its table;
         returns whether some boom count's passes were split into chunks."""
         sc = small_config(corridor, robot_template=rb.make_robot(1, L_max=18.0),
                           n_range=(6, 8), trials=4, seed=1, pool_multiplier=2)
+        pairs = count_pairs(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="reachbot"):
             table = rb.run_study(sc).table
         messages = [r.getMessage() for r in caplog.records]
         (trials_s,) = [float(m.split()[1]) for m in messages if m.startswith("trials: ")]
         lines = [m for m in messages if "rounds" in m]
         assert len(lines) == 3
+        # A chunk holds as many pools of 16 anchors as fit the budget at n_max = 8.
+        size = study.pool_chunk(sc)
+        assert size == max(1, stance.PASS_PAIRS // (8 * 16))
         stage_s, split = 0.0, False
         for n, line in zip((6, 7, 8), lines):
-            *counts, draw_s, match_s, lead, lead_rejected, pairs = re.fullmatch(
+            *counts, draw_s, match_s, lead, lead_rejected = re.fullmatch(
                 rf"N = {n}: (\d+) rounds, (\d+) pools rejected by the screen, (\d+) pools "
                 r"solved: (\d+) by the row-minimum shortcut, (\d+) by augmenting paths; "
                 r"(\d+) pools drawn in (\d+) passes of (\d+) chunks, the largest (\d+) pools; "
-                r"pass budget (\d+) mount-anchor pairs: (\d+) pools of 16 anchors at 8 booms; "
-                r"feasibility in slices of (\d+) pools: a (\d+)-byte workspace and a (\d+)-byte "
-                r"cost array at most; (\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching; "
+                r"(\d+\.\d{4}) s drawing pools, (\d+\.\d{4}) s matching; "
                 r"resample screen: lead boom (\d+|none), (\d+) pools rejected by it before the "
-                r"full screen, (\d+) mount-anchor pairs evaluated",
+                r"full screen",
                 line).groups()
-            (rounds, rejected, solved, shortcut, augmented, drawn, passes, chunks, largest,
-             budget, size, per_slice, work, cost) = map(int, counts)
+            (rounds, rejected, solved, shortcut, augmented, drawn, passes, chunks,
+             largest) = map(int, counts)
             resamples = table.column(n, "resamples")
             assert rounds == resamples.max() + 1
             # every pool up to each trial's first complete round
@@ -219,29 +235,29 @@ class TestRunTrials:
             assert 1 <= passes <= rounds
             assert solved >= table.column(n, "feasible").sum()
             assert shortcut + augmented == solved
-            # A chunk holds as many pools of 16 anchors as fit the budget at n_max = 8.
-            assert budget == stance.PASS_PAIRS and size == max(1, budget // (8 * 16))
             assert passes <= chunks and 1 <= largest <= min(size, sc.trials)
             # A slice holds as many pools of n booms as fit a quarter of the budget.
-            assert per_slice == max(1, budget // (4 * n * 16))
-            assert work == 42 * n * 16 * min(largest, per_slice) and cost == 8 * n * 16 * largest
+            assert stance.match_slice(n, 16) == max(1, stance.PASS_PAIRS // (4 * n * 16))
             # The lead boom's rejections are screen rejections, counted alike.
-            # Here it rejects enough resample pools that the screen evaluates
-            # fewer pairs than the full matrices of the pools drawn hold.
-            lead_rejected, pairs = int(lead_rejected), int(pairs)
-            assert lead_rejected <= rejected and pairs <= drawn * n * 16
+            # Here it rejects enough resample pools that the resample passes
+            # evaluate fewer pairs than the full matrices of the pools drawn
+            # hold (round 0 takes every boom of every shared pool).
+            lead_rejected = int(lead_rejected)
+            assert lead_rejected <= rejected
+            assert pairs[n] - sc.trials * n * 16 <= drawn * n * 16
             assert lead != "none" or lead_rejected == 0
             split |= chunks > passes
             stage_s += float(draw_s) + float(match_s)
         assert stage_s <= trials_s + 1e-3  # the logged figures are rounded
         return split
 
-    def test_debug_log_counts_rounds(self, corridor, caplog):
-        assert not self.debug_log_splits(corridor, caplog)  # 256 pools a chunk, 4 trials
+    def test_debug_log_counts_rounds(self, corridor, caplog, monkeypatch):
+        # 256 pools a chunk, 4 trials
+        assert not self.debug_log_splits(corridor, caplog, monkeypatch)
 
     def test_debug_log_counts_chunks(self, corridor, caplog, monkeypatch):
         monkeypatch.setattr(stance, "PASS_PAIRS", 200)  # one pool a chunk
-        assert self.debug_log_splits(corridor, caplog)
+        assert self.debug_log_splits(corridor, caplog, monkeypatch)
 
     def test_cells_match_scalar_path(self, corridor):
         # Reference: each cell rebuilt on its own with the scalar functions.
@@ -396,24 +412,19 @@ class TestMatchRounds:
                           n_range=(6, 10), trials=30, seed=3, pool_multiplier=2)
         trials = np.arange(sc.trials)
         shared = study.draw_pools(sc, trials, "anchors")
-        pairs, kernel, match = [0], stance.feasibility_matrix, study.match_pools
-        monkeypatch.setattr(stance, "feasibility_matrix", lambda *args: pairs.append(
-            pairs.pop() + kernel(*args)[0].size) or kernel(*args))
+        pairs, match = count_pairs(monkeypatch), study.match_pools
 
         def rounds(n):
-            pairs[0] = 0
+            pairs.clear()
             result = study.match_rounds(sc, sc.robot_template.with_boom_count(n), trials, shared)
-            return result, pairs[0]
+            return result, pairs[n]
 
         for n in sc.boom_counts:
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="reachbot"):
                 got, with_lead = rounds(n)
             (line,) = [r.getMessage() for r in caplog.records]
-            lead, logged = re.search(r"lead boom (\d+), \d+ pools rejected by it before the "
-                                     r"full screen, (\d+) mount-anchor pairs", line).groups()
-            # round 0 takes every boom of every shared pool
-            assert with_lead == sc.trials * n * shared.shape[1] + int(logged)
+            (lead,) = re.search(r"resample screen: lead boom (\d+),", line).groups()
             monkeypatch.setattr(study, "match_pools", lambda cfg, points, group, lead:
                                 match(cfg, points, group, None))
             want, without = rounds(n)
@@ -423,29 +434,31 @@ class TestMatchRounds:
             assert with_lead < without, (n, lead)
             assert (got[1] > 0).mean() > 0.5  # most trials resample at this reach
 
-    def test_lead_boom_only_where_it_saves_pairs(self, caplog):
+    def test_lead_boom_only_where_it_saves_pairs(self, caplog, monkeypatch):
         # The shipped config with pool_multiplier 2 and L_max 19 m, seed 42.
         # At N = 1..5 round 0's most-missed boom misses in at most 1/N of the
         # shared pools, so a lead would cost more pairs than it saves: no
-        # pass takes one, and the screen evaluates each drawn pool's N x M
-        # matrix. At N = 1 a lead never pays.
+        # pass takes one, and the resample passes evaluate each drawn pool's
+        # N x M matrix. At N = 1 a lead never pays.
         raw = json.loads(SHIPPED.read_text())
         raw["study"]["pool_multiplier"], raw["robot"]["L_max"] = 2, 19.0
         sc = parse_config(raw)
         assert sc.seed == 42
         trials = np.arange(sc.trials)
         shared = study.draw_pools(sc, trials, "anchors")
-        m = shared.shape[1]
+        m, pairs = shared.shape[1], count_pairs(monkeypatch)
         for n in range(1, 6):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="reachbot"):
                 study.match_rounds(sc, sc.robot_template.with_boom_count(n), trials, shared)
             (line,) = [r.getMessage() for r in caplog.records]
-            drawn, lead, cut, pairs = re.search(
+            drawn, lead, cut = re.search(
                 r"(\d+) pools drawn in .*; resample screen: lead boom (\d+|none), (\d+) pools "
-                r"rejected by it before the full screen, (\d+) mount-anchor pairs", line).groups()
+                r"rejected by it before the full screen", line).groups()
             assert (lead, cut) == ("none", "0"), (n, line)
-            assert int(drawn) > 0 and int(pairs) == int(drawn) * n * m, (n, line)
+            # round 0 takes every boom of every shared pool
+            resample_pairs = pairs[n] - sc.trials * n * m
+            assert int(drawn) > 0 and resample_pairs == int(drawn) * n * m, (n, line)
 
 
 class TestPassBudget:
