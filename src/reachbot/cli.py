@@ -214,11 +214,11 @@ def cmd_pareto(args) -> int:
     if nan_rows.any():
         raise ConfigError(f"NaN objective value in data row {nan_rows.argmax() + 1}")
     keep = pareto_front(values, [s for _, s in objectives])
-    out = _out_dir(args)
-    lines = [",".join(names)]
-    for i in keep:
-        lines.append(",".join(rows[i][c] for c in names))
-    _write_lines(out / "nondominated.csv", lines)
+    # csv quotes only a field that holds a comma, a quote or a "\n".
+    with open(_out_dir(args) / "nondominated.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([rows[i][c] for c in names] for i in keep)
     print(f"{len(keep)} of {len(rows)} points nondominated")
     return EXIT_OK
 

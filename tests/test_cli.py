@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import json
@@ -761,6 +762,18 @@ class TestPareto:
         out = tmp_path / "pf"
         assert main(["pareto", str(pts), "--minimize", "mass", "--out-dir", str(out)]) == 0
         assert "1 of 2 points nondominated" in capsys.readouterr().out
+
+    def test_written_rows_read_back_as_read(self, tmp_path, capsys):
+        # Fields that hold a comma, a quote or a line break are quoted on the way out.
+        pts = tmp_path / "points.csv"
+        pts.write_bytes(b'name,mass,torque\r\n"a,b",1,5\r\n"c\r\nd",2,9\r\n"""e",0.5,1\r\n')
+        out = tmp_path / "pf"
+        assert main(["pareto", str(pts), "--minimize", "mass", "--maximize", "torque",
+                     "--out-dir", str(out)]) == 0
+        assert "3 of 3 points nondominated" in capsys.readouterr().out
+        with open(out / "nondominated.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["name", "mass", "torque"], ["a,b", "1", "5"],
+                                            ["c\r\nd", "2", "9"], ['"e', "0.5", "1"]]
 
 
 SHAPE = "stance shoulders and anchors must be (N, 3) arrays of one shape\n"

@@ -153,54 +153,85 @@ def test_byte_sweep_reaches_sixteen_booms_at_100_trials():
     assert any(sc.n_range[1] >= 16 and sc.trials >= 100 for sc in sweep_configs())
 
 
-def test_ab_study_verdict():
-    # Base runs 1.00..1.09 s: quartiles 1.0175 and 1.0725, so an IQR of 0.055 s.
-    ab = load_script("ab_study")
+def test_ab_verdict():
+    ab = load_script("ab")
+    # Base runs 1.00..1.09 s: median 1.045, quartiles 1.0175 and 1.0725, an IQR of 0.055 s.
     base = [1.00 + 0.01 * i for i in range(10)]
     faster = [b - 0.1 for b in base]
-    v = ab.verdict(base, faster)
-    assert (v["head_wins"], v["base_wins"], v["gain"]) == (10, 0, True)
-    assert v["gap"] == pytest.approx(0.1) and v["base_iqr"] == pytest.approx(0.055)
+    v = ab.verdict(base, faster, 0.25)
+    assert (v["head_wins"], v["base_wins"], v["gain"], v["result"]) == (10, 0, True, "not worse")
+    assert v["excess"] == pytest.approx(-0.1 / 1.045)
+    assert v["base_iqr"] == pytest.approx(0.055 / 1.045)
     # 9 of 10 pairs won is enough; a tie counts for neither side.
-    assert ab.verdict(base, faster[:9] + [base[9] + 0.5])["gain"]
-    tied = ab.verdict(base, faster[:8] + base[8:])
+    assert ab.verdict(base, faster[:9] + [base[9] + 0.5], 0.25)["gain"]
+    tied = ab.verdict(base, faster[:8] + base[8:], 0.25)
     assert (tied["head_wins"], tied["base_wins"], tied["gain"]) == (8, 0, False)
     # Every pair won, but by less than the base's own spread.
-    close = ab.verdict(base, [b - 0.01 for b in base])
+    close = ab.verdict(base, [b - 0.01 for b in base], 0.25)
     assert close["head_wins"] == 10 and not close["gain"]
-    assert not ab.verdict(base, base)["gain"]
+    assert not ab.verdict(base, base, 0.25)["gain"]
 
-
-def test_ab_study_usage(monkeypatch, capsys, tmp_path):
-    ab = load_script("ab_study")
-    assert run_script(monkeypatch, ab, ROOT, ROOT) == 1
-    assert "usage: ab_study.py BASE HEAD CONFIG" in capsys.readouterr().err
-    assert run_script(monkeypatch, ab, ROOT, tmp_path, ROOT / "configs" / "mars_lava_tube.json") == 1
-    assert "is not a checkout of reachbot" in capsys.readouterr().err
-    assert run_script(monkeypatch, ab, ROOT, ROOT, tmp_path / "none.json") == 1
-    assert "config file not found" in capsys.readouterr().err
-
-
-def test_ab_rss_verdict():
-    # Base runs 32.70..32.79 MiB: quartiles 32.7175 and 32.7725, an IQR of 0.055.
-    ab = load_script("ab_rss")
+    # Base runs 32.70..32.79 MiB: median 32.745, an IQR of 0.055 MiB; bounds as
+    # shares of that median.
     base = [32.70 + 0.01 * i for i in range(10)]
-    v = ab.verdict(base, [b + 0.03 for b in base], 0.06)
-    assert v["excess"] == pytest.approx(0.03) and v["base_iqr"] == pytest.approx(0.055)
+
+    def share(mib):
+        return mib / 32.745
+
+    v = ab.verdict(base, [b + 0.03 for b in base], share(0.06))
+    assert v["excess"] == pytest.approx(share(0.03))
+    assert v["base_iqr"] == pytest.approx(share(0.055))
     assert v["result"] == "not worse"
-    assert ab.verdict(base, [b + 0.07 for b in base], 0.06)["result"] == "worse"
+    assert ab.verdict(base, [b + 0.07 for b in base], share(0.06))["result"] == "worse"
     # The base spreads wider than the bound: unresolved either way...
-    assert ab.verdict(base, [b + 0.07 for b in base], 0.05)["result"] == "unresolved"
-    assert ab.verdict(base, [b - 0.01 for b in base], 0.05)["result"] == "unresolved"
+    assert ab.verdict(base, [b + 0.07 for b in base], share(0.05))["result"] == "unresolved"
+    assert ab.verdict(base, [b - 0.01 for b in base], share(0.05))["result"] == "unresolved"
     # ...unless every head run reads lower than every base run.
-    assert ab.verdict(base, [32.60] * 10, 0.05)["result"] == "not worse"
+    assert ab.verdict(base, [32.60] * 10, share(0.05))["result"] == "not worse"
+
+    # A copy of one commit in another directory: +0.5 %, the base lower in
+    # 10 of 10 pairs, a base IQR of 0.2 % (0.066 MiB at a median of 32.554).
+    base = [32.5 + 0.012 * i for i in range(10)]
+    control = ab.verdict(base, [b * 1.005 for b in base], 0.05)
+    assert (control["base_wins"], control["result"]) == (10, "not worse")
+    assert control["excess"] == pytest.approx(0.005)
+    assert control["base_iqr"] == pytest.approx(0.066 / 32.554)
+    assert ab.verdict(base, [b * 1.06 for b in base], 0.05)["result"] == "worse"
 
 
-def test_ab_rss_usage(monkeypatch, capsys, tmp_path):
-    ab = load_script("ab_rss")
+def test_ab_usage(monkeypatch, capsys, tmp_path):
+    ab = load_script("ab")
+    config = ROOT / "configs" / "mars_lava_tube.json"
     assert run_script(monkeypatch, ab, ROOT, ROOT) == 1
-    assert "usage: ab_rss.py BASE HEAD CONFIG" in capsys.readouterr().err
-    assert run_script(monkeypatch, ab, ROOT, tmp_path, ROOT / "configs" / "mars_lava_tube.json") == 1
+    assert "usage: ab.py BASE HEAD CONFIG" in capsys.readouterr().err
+    assert run_script(monkeypatch, ab, ROOT, ROOT, config, 3) == 1
+    assert "usage: ab.py BASE HEAD CONFIG" in capsys.readouterr().err
+    assert run_script(monkeypatch, ab, ROOT, tmp_path, config) == 1
     assert "is not a checkout of reachbot" in capsys.readouterr().err
     assert run_script(monkeypatch, ab, ROOT, ROOT, tmp_path / "none.json") == 1
     assert "config file not found" in capsys.readouterr().err
+    # A metric in BENCHMARK.json that the script does not measure is named.
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec["end_to_end"].append({"name": "gc_s", "unit": "s", "better": "lower", "bound": 0.25})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(ab, "SPEC", tmp_path / "BENCHMARK.json")
+    assert run_script(monkeypatch, ab, ROOT, ROOT, config) == 1
+    assert capsys.readouterr().err == "error: metrics not measured here: gc_s\n"
+
+
+def test_ab_runs_every_metric(monkeypatch, capsys, tmp_path):
+    # Two pairs of the repository against itself on a one-trial study.
+    ab = load_script("ab")
+    monkeypatch.setattr(ab, "PAIRS", 2)
+    cfg = json.loads((ROOT / "configs" / "mars_lava_tube.json").read_text())
+    cfg["study"].update(trials=1, n_range=[1, 2], surface_samples=1000)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert run_script(monkeypatch, ab, ROOT, ROOT, config) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    for name in names:
+        verdicts = [line for line in lines if line.startswith(f"{name}: ")
+                    and line.endswith(("; gain shown", "; gain not shown"))]
+        assert len(verdicts) == 1
+        assert verdicts[0].split(": ")[1].split(";")[0] in ("not worse", "worse", "unresolved")
