@@ -153,9 +153,10 @@ def test_byte_sweep_reaches_sixteen_booms_at_100_trials():
     assert any(sc.n_range[1] >= 16 and sc.trials >= 100 for sc in sweep_configs())
 
 
-def test_ab_verdict():
+def test_ab_study_verdict():
+    # The rules on a timed metric such as study_s. Base runs 1.00..1.09 s:
+    # median 1.045, quartiles 1.0175 and 1.0725, an IQR of 0.055 s.
     ab = load_script("ab")
-    # Base runs 1.00..1.09 s: median 1.045, quartiles 1.0175 and 1.0725, an IQR of 0.055 s.
     base = [1.00 + 0.01 * i for i in range(10)]
     faster = [b - 0.1 for b in base]
     v = ab.verdict(base, faster, 0.25)
@@ -171,8 +172,11 @@ def test_ab_verdict():
     assert close["head_wins"] == 10 and not close["gain"]
     assert not ab.verdict(base, base, 0.25)["gain"]
 
-    # Base runs 32.70..32.79 MiB: median 32.745, an IQR of 0.055 MiB; bounds as
-    # shares of that median.
+
+def test_ab_rss_verdict():
+    # The rules on peak_rss_mb. Base runs 32.70..32.79 MiB: median 32.745, an
+    # IQR of 0.055 MiB; bounds as shares of that median.
+    ab = load_script("ab")
     base = [32.70 + 0.01 * i for i in range(10)]
 
     def share(mib):
@@ -199,7 +203,8 @@ def test_ab_verdict():
     assert ab.verdict(base, [b * 1.06 for b in base], 0.05)["result"] == "worse"
 
 
-def test_ab_usage(monkeypatch, capsys, tmp_path):
+def test_ab_study_usage(monkeypatch, capsys, tmp_path):
+    # The command line: two checkouts and a study config, nothing else.
     ab = load_script("ab")
     config = ROOT / "configs" / "mars_lava_tube.json"
     assert run_script(monkeypatch, ab, ROOT, ROOT) == 1
@@ -210,13 +215,25 @@ def test_ab_usage(monkeypatch, capsys, tmp_path):
     assert "is not a checkout of reachbot" in capsys.readouterr().err
     assert run_script(monkeypatch, ab, ROOT, ROOT, tmp_path / "none.json") == 1
     assert "config file not found" in capsys.readouterr().err
-    # A metric in BENCHMARK.json that the script does not measure is named.
+
+
+def test_ab_rss_usage(monkeypatch, capsys, tmp_path):
+    # The metrics come from BENCHMARK.json; one the script does not measure, or
+    # does not read as lower-is-better, is named before anything runs.
+    ab = load_script("ab")
+    config = ROOT / "configs" / "mars_lava_tube.json"
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    spec["end_to_end"].append({"name": "gc_s", "unit": "s", "better": "lower", "bound": 0.25})
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     monkeypatch.setattr(ab, "SPEC", tmp_path / "BENCHMARK.json")
+    unmeasured = dict(spec, end_to_end=spec["end_to_end"] + [
+        {"name": "gc_s", "unit": "s", "better": "lower", "bound": 0.25}])
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(unmeasured))
     assert run_script(monkeypatch, ab, ROOT, ROOT, config) == 1
     assert capsys.readouterr().err == "error: metrics not measured here: gc_s\n"
+    higher = dict(spec, end_to_end=[dict(m, better="higher") if m["name"] == "peak_rss_mb"
+                                     else m for m in spec["end_to_end"]])
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(higher))
+    assert run_script(monkeypatch, ab, ROOT, ROOT, config) == 1
+    assert capsys.readouterr().err == "error: metrics not measured here: peak_rss_mb\n"
 
 
 def test_ab_runs_every_metric(monkeypatch, capsys, tmp_path):
